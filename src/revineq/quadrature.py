@@ -201,7 +201,14 @@ def _uniform_directions(n_dim: int, n: int, rng) -> np.ndarray:
     if n_dim == 1:
         return rng.choice([-1.0, 1.0], size=(n, 1))
     u = rng.standard_normal((n, n_dim))
-    return u / np.linalg.norm(u, axis=-1, keepdims=True)
+    if n_dim >= 8:
+        return u / np.linalg.norm(u, axis=-1, keepdims=True)
+    # numpy sums an axis shorter than 8 left to right; adding the columns in
+    # that order gives np.linalg.norm's values without its per-row reduction
+    ss = u[:, 0] * u[:, 0]
+    for k in range(1, n_dim):
+        ss += u[:, k] * u[:, k]
+    return u / np.sqrt(ss)[:, None]
 
 
 def _direction_rule(n_dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,10 +246,18 @@ class RadialSampler:
     [r_lo, r_hi], via an exactly invertible piecewise-linear density.
 
     The piecewise-linear interpolant is itself the proposal density (not an
-    approximation of one), so importance weights computed from ``pdf`` are
-    exact and the resulting estimators unbiased; the grid resolution only
-    affects variance.
+    approximation of one), so importance weights computed from it are exact
+    and the resulting estimators unbiased; the grid resolution only affects
+    variance.
+
+    A draw inverts the cumulative mass ``cum`` in O(1) through a guide table
+    (Chen & Asau 1974): equal-mass buckets of [0, total) each store the range
+    of segments their draws can fall in, so one comparison finds the segment
+    except in the few buckets that span more than two segments, which fall
+    back to a binary search.
     """
+
+    _BUCKETS_PER_NODE = 2
 
     def __init__(self, envelope: DecayEnvelope, Q: float,
                  r_lo: float, r_hi: float, n_grid: int = 2048):
@@ -265,19 +280,58 @@ class RadialSampler:
                                  module=_MODULE, operation="RadialSampler")
         self.grid, self.dens, self.cum = grid, dens, cum
         self.total = float(cum[-1])
+        # np.interp's slope on each segment
+        self._slope = (dens[1:] - dens[:-1]) / (grid[1:] - grid[:-1])
+        # guide table: a draw t in bucket k = _bucket(t) lies in segment
+        # i(t) = clip(searchsorted(cum, t, "right") - 1, 0, last) within
+        # [first[k], first[k] + 1] unless wide[k].  The nodes are bucketed by
+        # the same non-decreasing map as the draws, so a node in an earlier
+        # bucket lies at or below t and a node in a later bucket above it.
+        last = len(grid) - 2
+        self._n_buckets = self._BUCKETS_PER_NODE * len(grid)
+        self._bucket_scale = self._n_buckets / self.total
+        per_bucket = np.bincount(self._bucket(cum), minlength=self._n_buckets)
+        below = np.cumsum(per_bucket) - 1      # last node in a bucket <= k
+        # last node in a bucket < k: at most last, as node m - 1 = last + 1
+        # is in the final bucket; -1 only in bucket 0, which holds node 0
+        self._first = np.maximum(below - per_bucket, 0)
+        self._wide = np.minimum(below, last) - self._first > 1
+        # the node a draw is compared with; +inf after the last segment
+        # keeps i(t) <= last
+        self._next_cum = np.concatenate([cum[1:-1], [np.inf]])
 
-    def sample(self, n: int, rng) -> np.ndarray:
+    def _bucket(self, t: np.ndarray) -> np.ndarray:
+        k = (t * self._bucket_scale).astype(np.intp)
+        return np.minimum(k, self._n_buckets - 1, out=k)
+
+    def _segment(self, t: np.ndarray) -> np.ndarray:
+        k = self._bucket(t)
+        i = self._first[k]
+        i += self._next_cum[i] <= t
+        wide = self._wide[k]
+        if wide.any():
+            i[wide] = np.clip(np.searchsorted(self.cum, t[wide], side="right")
+                              - 1, 0, len(self.grid) - 2)
+        return i
+
+    def sample(self, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        """Draw n radii; returns (radii, pdf at the radii)."""
         t = rng.random(n) * self.total
-        i = np.clip(np.searchsorted(self.cum, t, side="right") - 1,
-                    0, len(self.grid) - 2)
+        i = self._segment(t)
         a, b = self.grid[i], self.grid[i + 1]
-        d0, d1 = self.dens[i], self.dens[i + 1]
+        d0, slope = self.dens[i], self._slope[i]
         tl = t - self.cum[i]
-        beta = (d1 - d0) / (b - a)
-        # stable root of beta x^2/2 + d0 x = tl
-        disc = np.sqrt(np.maximum(d0 * d0 + 2.0 * beta * tl, 0.0))
+        # stable root of slope x^2/2 + d0 x = tl
+        disc = np.sqrt(np.maximum(d0 * d0 + 2.0 * slope * tl, 0.0))
         x = 2.0 * tl / np.maximum(d0 + disc, 1e-300)
-        return a + np.minimum(x, b - a)
+        r = a + np.minimum(x, b - a)
+        # np.interp's formula on the drawn segment; a radius clipped onto the
+        # segment end takes np.interp's value there, the node's own
+        dens = slope * (r - a) + d0
+        at_end = ~(r < b)
+        if at_end.any():
+            dens[at_end] = np.interp(r[at_end], self.grid, self.dens)
+        return r, dens / self.total
 
     def pdf(self, r: np.ndarray) -> np.ndarray:
         return np.interp(r, self.grid, self.dens) / self.total
@@ -290,12 +344,12 @@ def sample_group_points(group: HomogeneousGroup, sampler: RadialSampler,
     Returns (points, radii, weights); q is the density of x in the chart,
     q(x) = pdf(r) / (area(S^{N-1}) r^{Q-1} L(u)).
     """
-    r = sampler.sample(n, rng)
+    r, pdf = sampler.sample(n, rng)
     u = _uniform_directions(group.dim, n, rng)
     x = dilate(group, r, u)
     lam = dilation_quadratic_form(group, u)
     area = unit_sphere_area(group.dim)
-    q = sampler.pdf(r) / (area * r ** (group.homogeneous_dim - 1.0) * lam)
+    q = pdf / (area * r ** (group.homogeneous_dim - 1.0) * lam)
     return x, r, 1.0 / q
 
 
@@ -416,8 +470,17 @@ def integrate_radial_err(profile, Q: float, r_min: float = 0.0,
                              operation="integrate_radial")
 
     def g(r: float) -> float:
-        v = float(profile(r)) * r ** (Q - 1.0) if r > 0 else \
-            (float(profile(r)) if Q == 1.0 else 0.0)
+        if r > 0:
+            try:
+                jac = r ** (Q - 1.0)
+            except OverflowError:
+                raise DivergenceError(
+                    f"r^{Q - 1.0:g} overflows at r={r:g}; the radial "
+                    "integrand is not representable there", module=_MODULE,
+                    operation="integrate_radial") from None
+            v = float(profile(r)) * jac
+        else:
+            v = float(profile(r)) if Q == 1.0 else 0.0
         if math.isnan(v):
             raise EvaluationError(f"profile non-finite at r={r:g}",
                                   module=_MODULE, operation="integrate_radial")
@@ -451,6 +514,9 @@ def integrate_radial_err(profile, Q: float, r_min: float = 0.0,
 # quasi-sphere measure
 # ---------------------------------------------------------------------------
 
+# keyed by the full spec, seed included; the oldest entries are evicted
+# beyond this many
+_SPHERE_CACHE_MAX = 1024
 _SPHERE_CACHE: dict[tuple, IntegralResult] = {}
 
 
@@ -468,6 +534,8 @@ def sphere_measure(group: HomogeneousGroup, norm: QuasiNorm,
     out = IntegralResult(res.value / gam, res.stderr / gam, res.samples_used,
                          res.divergent)
     _SPHERE_CACHE[key] = out
+    if len(_SPHERE_CACHE) > _SPHERE_CACHE_MAX:
+        del _SPHERE_CACHE[next(iter(_SPHERE_CACHE))]
     return out
 
 

@@ -271,7 +271,8 @@ def test_criterion_09_reverse_integral_hardy_grid():
         from revineq import DivergenceError
         spec = QuadratureSpec(sample_count=20000, seed=18)
         f = make_profile("exp_decay", [1.0])
-        witness_rtol = {"ball": 1e-3, "complement": 1e-2}
+        # largest deviation over the grid: ball 5.1e-5, complement 1.6e-5
+        witness_rtol = {"ball": 1e-3, "complement": 1e-4}
         counts = {"ball": 0, "complement": 0, "divergent": 0}
         for group, norm, params in _sw_grid():
             Q, p, q = params.Q, params.p, params.q

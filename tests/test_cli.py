@@ -130,6 +130,24 @@ def test_estimate_writes_trace(tmp_path):
     assert len(rows) == 7
 
 
+def test_estimate_counts_radial_overflow_as_degenerate(tmp_path):
+    """Near its integrability threshold a power_decay trial pushes the
+    radial integral's cutoff so far out that r^(Q-1) overflows; the search
+    counts that evaluation as degenerate instead of stopping."""
+    code = run("estimate", {
+        "group": {"name": "heisenberg"},
+        "norm": {"name": "cygan"},
+        "quadrature": {"scheme": "monte_carlo", "sample_count": 20000},
+        "inequality": {"name": "reverse_hardy", "p": 0.5},
+        "trial": {"family": "power_decay", "params": [8.0, 1.0]},
+        "estimate": {"method": "nelder_mead", "budget": 24, "restarts": 2},
+    }, tmp_path / "out", 5)
+    assert code == 0
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert doc["estimate"]["evaluations"] == 24
+    assert doc["estimate"]["degenerate_evaluations"] >= 1
+
+
 def test_degenerate_integral_hardy_exits_3(tmp_path):
     cfg = write_cfg(tmp_path, {
         "seed": 2,

@@ -55,7 +55,7 @@ def test_radial_sampler_matches_density():
     env = DecayEnvelope("exp", scale=1.0)
     sampler = RadialSampler(env, 4.0, 0.0, env.r_max(4.0))
     rng = np.random.default_rng(0)
-    r = sampler.sample(200000, rng)
+    r, _ = sampler.sample(200000, rng)
     # moments of Gamma(4,1): mean 4, second moment 20
     assert np.mean(r) == pytest.approx(4.0, rel=5e-3)
     assert np.mean(r ** 2) == pytest.approx(20.0, rel=1e-2)
@@ -71,6 +71,144 @@ def test_sampler_weights_are_unbiased(plane, plane_norm):
     x, r, w = sample_group_points(plane, sampler, 100000, rng)
     vals = np.exp(-np.sum(x ** 2, axis=-1) * np.pi) * w
     assert np.mean(vals) == pytest.approx(1.0, abs=4 * np.std(vals) / 316.0)
+
+
+def _reference_segment(sampler, t):
+    return np.clip(np.searchsorted(sampler.cum, t, side="right") - 1,
+                   0, len(sampler.grid) - 2)
+
+
+def _reference_sample(sampler, n, rng):
+    """The sampler as a binary search per draw plus np.interp for the
+    density; the guide table must reproduce it bit for bit."""
+    t = rng.random(n) * sampler.total
+    i = _reference_segment(sampler, t)
+    a, b = sampler.grid[i], sampler.grid[i + 1]
+    d0, d1 = sampler.dens[i], sampler.dens[i + 1]
+    tl = t - sampler.cum[i]
+    beta = (d1 - d0) / (b - a)
+    disc = np.sqrt(np.maximum(d0 * d0 + 2.0 * beta * tl, 0.0))
+    x = 2.0 * tl / np.maximum(d0 + disc, 1e-300)
+    r = a + np.minimum(x, b - a)
+    return r, np.interp(r, sampler.grid, sampler.dens) / sampler.total
+
+
+def _reference_directions(n_dim, n, rng):
+    if n_dim == 1:
+        return rng.choice([-1.0, 1.0], size=(n, 1))
+    u = rng.standard_normal((n, n_dim))
+    return u / np.linalg.norm(u, axis=-1, keepdims=True)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _node_uniforms(sampler):
+    """Uniforms whose draws land on each node and up to 40 ulps below it."""
+    u = sampler.cum[1:-1] / sampler.total
+    below = [u * (1.0 - k * 2.0 ** -53) for k in range(1, 41)]
+    return np.concatenate([u, np.nextafter(u, 1.0), *below,
+                           [0.0, np.nextafter(1.0, 0.0)]])
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose uniforms are given."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u
+
+
+_SAMPLER_CASES = [
+    # (envelope, Q, r_lo): Q + boost > 1 prepends r = 0 to the grid
+    (DecayEnvelope("exp", scale=1.0, boost=2.0), 4.0, 0.0),
+    (DecayEnvelope("exp", scale=0.5), 1.0, 0.0),
+    (DecayEnvelope("exp", scale=1.0, boost=-0.6), 1.0, 0.0),
+    (DecayEnvelope("gauss", scale=2.0), 3.0, 0.0),
+    (DecayEnvelope("power", scale=1.0, shape=1.6), 1.0, 0.0),
+    (DecayEnvelope("power", scale=2.0, shape=4.5, boost=0.3), 4.0, 0.0),
+    (DecayEnvelope("uniform", scale=2.0), 2.0, 0.0),
+    (DecayEnvelope("exp", scale=1.0), 4.0, 0.3),
+]
+
+
+@pytest.mark.parametrize("env,Q,r_lo", _SAMPLER_CASES)
+def test_radial_sampler_bit_identical_to_binary_search(env, Q, r_lo):
+    sampler = RadialSampler(env, Q, r_lo, env.r_max(Q))
+    assert (sampler.grid[0] == 0.0) == (r_lo == 0.0 and Q + env.boost > 1.0)
+    for seed in range(3):
+        r_ref, pdf_ref = _reference_sample(sampler, 50000,
+                                           np.random.default_rng(seed))
+        r, pdf = sampler.sample(50000, np.random.default_rng(seed))
+        np.testing.assert_array_equal(_bits(r), _bits(r_ref))
+        np.testing.assert_array_equal(_bits(pdf), _bits(pdf_ref))
+        np.testing.assert_array_equal(_bits(pdf), _bits(sampler.pdf(r)))
+    # uniforms on and just below every node: draws at segment starts, and
+    # roots clipped onto a segment end b
+    u = _node_uniforms(sampler)
+    r_ref, pdf_ref = _reference_sample(sampler, len(u), _FixedUniforms(u))
+    r, pdf = sampler.sample(len(u), _FixedUniforms(u))
+    np.testing.assert_array_equal(_bits(r), _bits(r_ref))
+    np.testing.assert_array_equal(_bits(pdf), _bits(pdf_ref))
+    i = _reference_segment(sampler, u * sampler.total)
+    assert np.any(r == sampler.grid[i + 1])
+
+
+def test_radial_sampler_density_at_segment_end():
+    """A root clipped onto b takes np.interp's value at the node, which on a
+    coarse grid differs from the segment's line evaluated at b."""
+    env = DecayEnvelope("exp", scale=1.0, boost=2.0)
+    sampler = RadialSampler(env, 4.0, 0.0, env.r_max(4.0), n_grid=64)
+    u = _node_uniforms(sampler)
+    r, pdf = sampler.sample(len(u), _FixedUniforms(u))
+    _, pdf_ref = _reference_sample(sampler, len(u), _FixedUniforms(u))
+    np.testing.assert_array_equal(_bits(pdf), _bits(pdf_ref))
+    i = _reference_segment(sampler, u * sampler.total)
+    g, d = sampler.grid, sampler.dens
+    on_end = r == g[i + 1]
+    line_at_b = (d[i + 1] - d[i]) / (g[i + 1] - g[i]) * (g[i + 1] - g[i]) + d[i]
+    assert np.any(on_end & (line_at_b != d[i + 1]))
+
+
+def test_radial_sampler_guide_falls_back_to_binary_search():
+    """Near r = 0 many segments share one equal-mass bucket; draws there
+    take the binary search and still land on the reference segment."""
+    env = DecayEnvelope("exp", scale=1.0)
+    sampler = RadialSampler(env, 4.0, 0.0, env.r_max(4.0))
+    t = np.random.default_rng(7).random(200000) * sampler.total
+    assert np.any(sampler._wide[sampler._bucket(t)])
+    r_ref, pdf_ref = _reference_sample(sampler, 200000,
+                                       np.random.default_rng(7))
+    r, pdf = sampler.sample(200000, np.random.default_rng(7))
+    np.testing.assert_array_equal(_bits(r), _bits(r_ref))
+    np.testing.assert_array_equal(_bits(pdf), _bits(pdf_ref))
+
+
+@pytest.mark.parametrize("n_dim", [1, 2, 3, 5, 9])
+def test_uniform_directions_bit_identical_to_linalg_norm(n_dim):
+    from revineq.quadrature import _uniform_directions
+    ref = _reference_directions(n_dim, 40000, np.random.default_rng(n_dim))
+    u = _uniform_directions(n_dim, 40000, np.random.default_rng(n_dim))
+    np.testing.assert_array_equal(_bits(u), _bits(ref))
+
+
+def test_sample_group_points_bit_identical_to_reference(h1):
+    from revineq.groups import dilation_quadratic_form
+    env = DecayEnvelope("exp", scale=1.0, boost=1.5)
+    sampler = RadialSampler(env, 4.0, 0.0, env.r_max(4.0))
+    x, r, w = sample_group_points(h1, sampler, 30000, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    r_ref, pdf_ref = _reference_sample(sampler, 30000, rng)
+    u = _reference_directions(3, 30000, rng)
+    q = pdf_ref / (unit_sphere_area(3) * r_ref ** 3.0
+                   * dilation_quadratic_form(h1, u))
+    np.testing.assert_array_equal(_bits(r), _bits(r_ref))
+    np.testing.assert_array_equal(_bits(x), _bits(dilate(h1, r_ref, u)))
+    np.testing.assert_array_equal(_bits(w), _bits(1.0 / q))
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +310,11 @@ def test_radial_rejects_bad_range():
         integrate_radial(lambda r: 1.0, 4.0, 2.0, 1.0)
 
 
+def test_radial_overflow_raises_divergence():
+    with pytest.raises(DivergenceError, match="overflows at r="):
+        integrate_radial(lambda r: (1.0 + r) ** -8.0, 4.0, 0.0, 1e150)
+
+
 # ---------------------------------------------------------------------------
 # quasi-sphere measure
 # ---------------------------------------------------------------------------
@@ -202,6 +345,20 @@ def test_sphere_measure_cached(h1, koranyi, mc_spec):
     a = sphere_measure(h1, koranyi, mc_spec)
     b = sphere_measure(h1, koranyi, mc_spec)
     assert a is b
+
+
+def test_sphere_measure_cache_is_bounded(monkeypatch, line, line_norm):
+    from revineq import quadrature
+    monkeypatch.setattr(quadrature, "_SPHERE_CACHE", {})
+    bound = quadrature._SPHERE_CACHE_MAX
+    assert bound >= 1024
+    specs = [QuadratureSpec(sample_count=2, seed=s) for s in range(bound + 20)]
+    first = [sphere_measure(line, line_norm, spec) for spec in specs]
+    assert len(quadrature._SPHERE_CACHE) == bound
+    # the newest entries still hit; the oldest were evicted
+    for spec, res in zip(specs[-bound:], first[-bound:]):
+        assert sphere_measure(line, line_norm, spec) is res
+    assert sphere_measure(line, line_norm, specs[0]) is not first[0]
 
 
 def test_weighted_line_sphere():
