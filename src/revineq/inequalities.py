@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -695,11 +694,9 @@ def verify_reverse_integral_hardy(variant: str, W: WeightSpec, U: WeightSpec,
         r_lo = max(spec.inner_cutoff, r_hi * 1e-4)
         inner = _inner_integral(f, Q, S.value, r_hi * 4.0, variant)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")   # near-divergent by design
-                tv, _ = integrate_radial_err(
-                    lambda r: inner(r) ** q * np.abs(r) ** w, Q, r_lo, r_hi,
-                    rtol=1e-6)
+            tv, _ = integrate_radial_err(
+                lambda r: inner(r) ** q * np.abs(r) ** w, Q, r_lo, r_hi,
+                rtol=1e-6)
             extras["lhs_truncated_window"] = [r_lo, r_hi]
             extras["lhs_truncated"] = float((S.value * tv) ** (1.0 / q))
         except (DivergenceError, OverflowError):

@@ -85,6 +85,18 @@ def test_axioms_command(tmp_path):
     assert "kernel_bounds_violations" in doc["checks"]   # euclidean is a norm
 
 
+def test_axioms_on_heisenberg_passes(tmp_path):
+    """The dilation automorphism residual is relative above 1: on H1 its
+    absolute rounding reached 1.2e-10 at this seed, over the 1e-10 gate."""
+    code = run("axioms", {
+        "group": {"name": "heisenberg"}, "norm": {"name": "cygan"},
+        "quadrature": {"scheme": "monte_carlo", "sample_count": 20000},
+    }, tmp_path / "out", 3)
+    assert code == 0
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert doc["checks"]["dilation_automorphism"]["value"] <= 1e-11
+
+
 def test_sweep_skips_inadmissible_with_reason(tmp_path):
     cfg = write_cfg(tmp_path, {
         "seed": 5,

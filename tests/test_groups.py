@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -117,6 +118,13 @@ def test_group_axioms_and_automorphism(request, group_fixture):
     assert rep.associativity <= 1e-10
     assert rep.automorphism <= 1e-10
     assert rep.q_equals_weight_sum
+
+
+def test_automorphism_check_rejects_wrong_weights(h1):
+    """Isotropic dilations are not automorphisms of the Heisenberg law."""
+    wrong = dataclasses.replace(h1, weights=(1.0, 1.0, 1.0))
+    assert check_group_axioms(wrong, 10000, seed=11).automorphism > 1e-2
+    assert check_group_axioms(h1, 10000, seed=11).automorphism <= 1e-11
 
 
 def test_axiom_reports_deterministic(h1, koranyi):

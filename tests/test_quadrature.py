@@ -10,6 +10,7 @@ from revineq import (DecayEnvelope, DivergenceError, EvaluationError,
                      integrate_radial, make_profile, polar_consistency_check,
                      sample_group_points, sphere_measure,
                      sphere_measure_direct, unit_sphere_area)
+from revineq.quadrature import integrate_radial_err
 
 # |S| of the Koranyi unit sphere on H1; equals 2*pi^2 (frozen against the
 # closed-form direction integral 2*pi * int_{-1}^{1} (1+c^2)/(c^4-c^2+1) dc)
@@ -313,6 +314,174 @@ def test_radial_rejects_bad_range():
 def test_radial_overflow_raises_divergence():
     with pytest.raises(DivergenceError, match="overflows at r="):
         integrate_radial(lambda r: (1.0 + r) ** -8.0, 4.0, 0.0, 1e150)
+    # 0 * inf is NaN: the overflow is reported, not the NaN it makes
+    with pytest.raises(DivergenceError, match="overflows at r="):
+        integrate_radial(lambda r: np.zeros_like(r), 4.0, 0.0, 1e150)
+
+
+def test_radial_nan_raises_evaluation_error():
+    with pytest.raises(EvaluationError, match="non-finite at r="):
+        integrate_radial(lambda r: np.where(r > 2.0, np.nan, 1.0), 2.0,
+                         0.0, 10.0)
+
+
+def test_import_does_not_load_scipy_integrate():
+    """The radial rule is numpy only; scipy.integrate costs import time."""
+    import os
+    import subprocess
+    import sys
+    import revineq
+    src = os.path.dirname(os.path.dirname(revineq.__file__))
+    code = ("import sys, revineq, revineq.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
+def _quad_reference(profile, Q, r_min=0.0, r_max=math.inf, rtol=1e-11):
+    """scipy's quad with one scalar callback per node, run on the panels of
+    integrate_radial_err with the per-panel tolerance it is given."""
+    import warnings
+    from scipy import integrate
+    top = r_max if math.isfinite(r_max) else 1e26
+    edges = [r_min] + [10.0 ** k for k in range(-12, 309)
+                       if r_min < 10.0 ** k < top] + [r_max]
+    total = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for a, b in zip(edges[:-1], edges[1:]):
+            total += integrate.quad(
+                lambda r: float(profile(r)) * r ** (Q - 1.0), a, b,
+                epsabs=1e-280, epsrel=rtol, limit=200)[0]
+    return total
+
+
+def _powered(family, params, p, Q):
+    """|F|^p of a trial profile and the truncation radius of its envelope."""
+    f = make_profile(family, params)
+    return (lambda r: np.abs(f(r)) ** p), f.envelope.powered(p).r_max(Q)
+
+
+_PROFILE_CASES = [(family, p, Q)
+                  for family in ("exp_decay", "gaussian", "power_decay")
+                  for p in (0.3, 0.7) for Q in (1.0, 2.0, 4.0)]
+
+
+def _family_params(family, p, Q):
+    # power_decay decays fast enough for every (p, Q) here
+    return [(Q + 2.0) / p, 1.0] if family == "power_decay" else [1.0]
+
+
+@pytest.mark.parametrize("family,p,Q", _PROFILE_CASES)
+def test_radial_rule_matches_quad_on_trial_profiles(family, p, Q):
+    g, r_max = _powered(family, _family_params(family, p, Q), p, Q)
+    val, _ = integrate_radial_err(g, Q, 0.0, r_max)
+    assert val == pytest.approx(_quad_reference(g, Q, 0.0, r_max), rel=1e-12)
+
+
+@pytest.mark.parametrize("profile,Q,r_min,r_max,rel", [
+    (lambda r: np.exp(-r), 4.0, 0.0, math.inf, 1e-12),
+    (lambda r: np.exp(-r * r), 2.0, 0.0, math.inf, 1e-12),
+    (lambda r: np.exp(-r), 4.0, 0.5, 40.0, 1e-12),
+    (lambda r: np.exp(-r) * r ** -0.7, 1.0, 0.0, 50.0, 1e-12),
+    # a power envelope near its threshold: r^{Q-1} (1+r)^{-4.2} ~ r^{-1.2}
+    (lambda r: (1.0 + r) ** -4.2, 4.0, 1e25, 1e40, 1e-10),
+])
+def test_radial_rule_matches_quad(profile, Q, r_min, r_max, rel):
+    val, _ = integrate_radial_err(profile, Q, r_min, r_max)
+    assert val == pytest.approx(_quad_reference(profile, Q, r_min, r_max),
+                                rel=rel)
+
+
+def test_radial_rule_resolves_a_slow_power_tail():
+    """Fifteen decades of an r^{-1.2} tail: 5 (1e-5 - 1e-8) to within
+    (1+r)^{-4.2} = r^{-4.2} (1 + O(1e-25))."""
+    val, err = integrate_radial_err(lambda r: (1.0 + r) ** -4.2, 4.0,
+                                    1e25, 1e40)
+    exact = 5.0 * (1e25 ** -0.2 - 1e40 ** -0.2)
+    assert val == pytest.approx(exact, rel=1e-12)
+    assert abs(val - exact) <= err
+
+
+@pytest.mark.parametrize("shift,use_derivative", [(-0.5, False),
+                                                  (0.0, True)])
+def test_radial_rule_cuts_far_cutoffs_per_decade(shift, use_derivative):
+    """Reverse Hardy at p = 1/2 on H1 for the power_decay trial (s, a) =
+    (7.392, 13.313), near its integrability threshold: the envelope cutoff
+    is about 2.5e40.  One panel over [1e25, r_max] puts every node above
+    5e37, and both quad and a single qk21 panel missed about 1e-5 of one of
+    these integrals while reporting errors near 1e-16."""
+    f = make_profile("power_decay", [7.391775949669356, 13.31286386349279])
+    fn = f.deriv if use_derivative else f.value
+    env = (f.deriv_envelope if use_derivative else f.envelope)
+    r_max = env.powered(0.5).boosted(shift).r_max(4.0)
+    assert r_max > 1e40
+
+    def g(r):
+        return np.abs(fn(r)) ** 0.5 * r ** shift
+
+    val, _ = integrate_radial_err(g, 4.0, 0.0, r_max)
+    assert val == pytest.approx(_quad_reference(g, 4.0, 0.0, r_max),
+                                rel=1e-10)
+
+
+@pytest.mark.parametrize("Q", [1.0, 2.0, 4.0, 6.0])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7])
+def test_radial_error_estimate_bounds_gamma_oracles(Q, p):
+    """Criterion 2's oracles: the returned error covers |value - exact|."""
+    rate = p or 1.0
+    val, err = integrate_radial_err(lambda r: np.exp(-rate * r) * r ** -p, Q)
+    exact = sp.gamma(Q - p) / rate ** (Q - p)
+    assert abs(val - exact) <= err
+    assert err <= 1e-10 * exact
+
+
+@pytest.mark.parametrize("family,Q", [("exp_decay", 4.0), ("gaussian", 4.0),
+                                      ("power_decay", 4.0),
+                                      ("exp_decay", 1.0)])
+def test_radial_rule_calls_profile_few_times_with_arrays(family, Q):
+    g, r_max = _powered(family, _family_params(family, 0.7, Q), 0.7, Q)
+    shapes = []
+
+    def counted(r):
+        shapes.append(np.shape(r))
+        return g(r)
+
+    for upper in (r_max, math.inf):
+        shapes.clear()
+        integrate_radial_err(counted, Q, 0.0, upper)
+        assert 1 <= len(shapes) <= 10
+        assert all(len(s) == 1 and s[0] % 21 == 0 for s in shapes)
+
+
+def test_radial_rule_meshes_geometrically_towards_the_origin():
+    """Criterion 2's r^{-0.7} e^{-0.7 r} at Q = 1: splitting [0, b] at b/16
+    takes 32 calls; bisecting it took 122."""
+    calls = []
+
+    def singular(r):
+        calls.append(len(r))
+        return np.exp(-0.7 * r) * r ** -0.7
+
+    integrate_radial_err(singular, 1.0)
+    assert len(calls) <= 40
+
+
+def test_radial_rule_stops_at_the_subinterval_cap():
+    """1/r is not integrable at 0: the one panel [0, 1e-12] refines until it
+    holds 200 subintervals, and the error estimate says it did not converge."""
+    nodes = []
+
+    def inverse(r):
+        nodes.append(len(r))
+        return 1.0 / r
+
+    val, err = integrate_radial_err(inverse, 1.0, 0.0, 1e-12)
+    # one subinterval, then two children per split: 199 splits at most
+    assert sum(nodes) // 21 <= 1 + 2 * 199
+    assert err > 1e-11 * val
 
 
 # ---------------------------------------------------------------------------

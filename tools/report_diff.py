@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Compare the reports two source trees write for the report_digests corpus.
+
+Runs ``report_digests.CORPUS`` once with this checkout's ``src/`` and once
+with the ``src/`` of another checkout (typically the parent commit), each in
+a fresh interpreter writing into its own temporary directory, then prints
+for every ``report.json``, ``sweep.csv`` and ``trace.csv``:
+
+- the largest relative difference of any numeric field, with its path, and
+  every numeric field that differs by more than 1e-12;
+- every non-numeric difference: verdicts, strings, missing fields, exit
+  codes.
+
+Byte digests gate refactors that must not move a single bit; this gates
+changes that move report values by rounding only:
+
+    python3 tools/report_diff.py /path/to/parent/checkout
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+REPORT_FILES = ("report.json", "sweep.csv", "trace.csv")
+# numeric fields differing by more than this are listed one by one
+LIST_ABOVE = 1e-12
+
+# writes the corpus into argv[1] and prints report_digests' lines
+_RUNNER = """
+import sys
+from pathlib import Path
+sys.path.insert(0, {tools!r})
+import report_digests
+print("\\n".join(report_digests.digests(Path(sys.argv[1]))))
+"""
+
+
+def run_corpus(checkout: Path, out: Path) -> dict[str, str]:
+    """Run the corpus against ``checkout``/src; returns case -> exit code."""
+    src = checkout / "src"
+    if not (src / "revineq" / "__init__.py").is_file():
+        sys.exit(f"report_diff: no revineq sources under {src}")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUNNER.format(tools=str(TOOLS)), str(out)],
+        env=env, capture_output=True, text=True, check=True)
+    codes = {}
+    for line in proc.stdout.splitlines():
+        if line.startswith("exit "):
+            code, case = line[len("exit "):].split(None, 1)
+            codes[case] = code
+    return codes
+
+
+def _cell(text: str):
+    """A CSV cell as a number, a JSON list, or the string itself."""
+    try:
+        return float(text)
+    except ValueError:
+        pass
+    if text.startswith("["):
+        try:
+            return json.loads(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _load(path: Path):
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    with path.open(newline="") as fh:
+        return [{k: _cell(v) for k, v in row.items()}
+                for row in csv.DictReader(fh)]
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def compare(a, b, path: str = ""):
+    """Yield (path, relative difference) for numeric leaves and
+    (path, a, b) for non-numeric differences."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b), key=str):
+            sub = f"{path}.{key}" if path else str(key)
+            if key not in a or key not in b:
+                yield sub, a.get(key, "<missing>"), b.get(key, "<missing>")
+            else:
+                yield from compare(a[key], b[key], sub)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from compare(x, y, f"{path}[{i}]")
+    elif _is_number(a) and _is_number(b) and math.isfinite(a) \
+            and math.isfinite(b):
+        scale = max(abs(a), abs(b))
+        yield path, abs(a - b) / scale if scale else 0.0
+    elif a != b:
+        yield path, a, b
+
+
+def diff_file(name: str, a, b) -> list[str]:
+    worst, worst_path, lines = 0.0, "-", []
+    for item in compare(a, b):
+        if len(item) == 2:
+            path, d = item
+            if d > worst:
+                worst, worst_path = d, path
+            if d > LIST_ABOVE:
+                lines.append(f"    {path}: relative {d:.3g}")
+        else:
+            path, x, y = item
+            lines.append(f"    {path}: {x!r} -> {y!r}")
+    return [f"{name}: max relative {worst:.3g} ({worst_path})"] + lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("other", type=Path,
+                        help="checkout to compare with (its src/ is run)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        here, there = Path(tmp) / "this", Path(tmp) / "other"
+        codes_here = run_corpus(TOOLS.parent, here)
+        codes_there = run_corpus(args.other.resolve(), there)
+        for case in codes_there:
+            for name in REPORT_FILES:
+                pa, pb = there / case / name, here / case / name
+                if pa.exists() != pb.exists():
+                    print(f"{case}/{name}: only in "
+                          f"{'other' if pa.exists() else 'this'}")
+                elif pa.exists():
+                    for line in diff_file(f"{case}/{name}", _load(pa),
+                                          _load(pb)):
+                        print(line)
+            a, b = codes_there[case], codes_here.get(case, "<missing>")
+            print(f"exit {a} -> {b}  {case}" if a != b
+                  else f"exit {a}  {case}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
