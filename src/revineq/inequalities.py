@@ -699,7 +699,7 @@ def verify_reverse_integral_hardy(variant: str, W: WeightSpec, U: WeightSpec,
                 rtol=1e-6)
             extras["lhs_truncated_window"] = [r_lo, r_hi]
             extras["lhs_truncated"] = float((S.value * tv) ** (1.0 / q))
-        except (DivergenceError, OverflowError):
+        except DivergenceError:
             pass
 
     const = kap * A

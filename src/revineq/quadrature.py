@@ -487,8 +487,8 @@ def _qk21_rule() -> tuple[np.ndarray, np.ndarray]:
 _GK_NODES, _GK_WEIGHTS = _qk21_rule()
 _GK_KRONROD = np.ascontiguousarray(_GK_WEIGHTS[:, 0])
 _MAX_SUBINTERVALS = 200        # per panel
-# [0, b] is split at b/16: the smallest power of two whose 199th power
-# keeps 1e-12 * _ZERO_SPLIT^199 a normal float, so no node reaches 0
+# [0, b] is split at b/16; b * 16^-199 is a normal float for b >= 1e-68,
+# so within the cap no node reaches 0 unless r_max < 1e-68
 _ZERO_SPLIT = 1.0 / 16.0
 _EPS = float(np.finfo(float).eps)
 # panel edges between r_min and r_max; above 1e25 only for a finite r_max
@@ -512,7 +512,7 @@ def _qk21(profile, Q: float, a: np.ndarray, b: np.ndarray,
     r = tail_start / t, dr = tail_start dt / t^2.
     """
     half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
+    x = (0.5 * a + 0.5 * b)[:, None] + half[:, None] * _GK_NODES
     r, dr = x, 1.0
     if tail.any():
         t = x[tail]
@@ -627,8 +627,10 @@ def integrate_radial_err(profile, Q: float, r_min: float = 0.0,
             keep = ~split
             sub_a, sub_b, sub_panel = sub_a[keep], sub_b[keep], sub_panel[keep]
             sub_val, sub_err = sub_val[keep], sub_err[keep]
-            mid = np.where((lo > 0.0) & (hi > 8.0 * lo), np.sqrt(lo * hi),
-                           0.5 * (lo + hi))
+            # sqrt(lo) * sqrt(hi): lo * hi overflows above 1e154 and
+            # underflows below 1e-162
+            mid = np.where((lo > 0.0) & (hi > 8.0 * lo),
+                           np.sqrt(lo) * np.sqrt(hi), 0.5 * lo + 0.5 * hi)
             mid = np.where((lo == 0.0) & (panel != tail_panel),
                            _ZERO_SPLIT * hi, mid)
             a, b = np.concatenate([lo, mid]), np.concatenate([mid, hi])

@@ -405,6 +405,29 @@ def test_radial_rule_resolves_a_slow_power_tail():
     assert abs(val - exact) <= err
 
 
+@pytest.mark.parametrize("Q,s,exact", [
+    # int_0^R (1+r)^{-s} dr and int_0^R (1+r)^{-s} r dr, R = 1e200
+    (1.0, 1.05, (1.0 - 1e200 ** -0.05) / 0.05),
+    (2.0, 1.05, (1e200 ** 0.95 - 1.0) / 0.95 - (1.0 - 1e200 ** -0.05) / 0.05),
+])
+def test_radial_rule_splits_panels_beyond_1e154(Q, s, exact):
+    """Panels above 1e154 are split where lo * hi overflows; a geometric
+    mean taken as sqrt(lo * hi) put nodes at inf and NaN."""
+    val, err = integrate_radial_err(lambda r: (1.0 + r) ** -s, Q, 0.0, 1e200)
+    assert val == pytest.approx(exact, rel=1e-12)
+    assert abs(val - exact) <= err
+
+
+@pytest.mark.parametrize("Q", [1.0, 2.0])
+def test_radial_rule_splits_panels_below_1e162(Q):
+    """r^{-0.7} on [0, 1e-150]: the children [b/16, b] of the mesh towards
+    the origin split where lo * hi underflows to 0."""
+    val, err = integrate_radial_err(lambda r: r ** -0.7, Q, 0.0, 1e-150)
+    exact = 1e-150 ** (Q - 0.7) / (Q - 0.7)
+    assert val == pytest.approx(exact, rel=1e-12)
+    assert abs(val - exact) <= err
+
+
 @pytest.mark.parametrize("shift,use_derivative", [(-0.5, False),
                                                   (0.0, True)])
 def test_radial_rule_cuts_far_cutoffs_per_decade(shift, use_derivative):
