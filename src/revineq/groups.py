@@ -101,8 +101,33 @@ def dilate(group: HomogeneousGroup, s, x) -> Array:
         raise ParameterError("dilation parameter must be positive and finite",
                              module=_MODULE, operation="dilate")
     pts = as_points(group, x, operation="dilate")
-    nu = np.asarray(group.weights)
-    return pts * s_arr[..., np.newaxis] ** nu
+    if group.dim == 1:
+        # the one weight is a stride-0 exponent here: see _power
+        return pts * s_arr[..., np.newaxis] ** np.asarray(group.weights)
+    out = np.empty(np.broadcast_shapes(s_arr.shape + (group.dim,), pts.shape))
+    scales = {1.0: s_arr}
+    for i, v in enumerate(group.weights):
+        if v not in scales:
+            # an array exponent: numpy's fast paths for a scalar exponent
+            # (s * s for 2, sqrt for 0.5) round differently
+            scales[v] = _power(s_arr, v)
+        np.multiply(pts[..., i], scales[v], out=out[..., i])
+    return out
+
+
+def _power(base: Array, e: float) -> Array:
+    """base ** e, bit for bit as a column of ``base[..., None] ** exponents``.
+
+    numpy's power loop takes fast paths (s * s for 2, sqrt for 0.5) when the
+    exponent has stride 0; they round differently from its general loop in
+    about 5% of values.  Against two or more exponents the broadcast runs
+    the general loop for every value, and so does an exponent array shaped
+    like the flattened base, even where the base is 0-d and a 0-d exponent
+    would have stride 0.  Against a single exponent the broadcast has stride
+    0 over many values, so one-column groups keep the broadcast expression.
+    """
+    flat = base.reshape(-1)
+    return np.power(flat, np.full_like(flat, e)).reshape(base.shape)
 
 
 def group_mul(group: HomogeneousGroup, x, y) -> Array:
@@ -162,7 +187,7 @@ def heisenberg_group() -> HomogeneousGroup:
     return HomogeneousGroup(
         name="heisenberg",
         weights=(1.0, 1.0, 2.0),
-        law=lambda x, y: _h1_law(np.array(x, dtype=float, copy=True), y),
+        law=_h1_law,
         inv=lambda x: -x,
     )
 
@@ -170,6 +195,26 @@ def heisenberg_group() -> HomogeneousGroup:
 # ---------------------------------------------------------------------------
 # built-in quasi-norms
 # ---------------------------------------------------------------------------
+
+def _sum_columns(columns: list) -> Array:
+    """np.sum(np.stack(columns, -1), -1), bit for bit, without the stack.
+
+    numpy adds a last axis shorter than 8 from left to right and a longer
+    one in pairwise blocks; the short case is summed column by column.
+    """
+    if len(columns) >= 8:
+        return np.sum(np.stack(columns, axis=-1), axis=-1)
+    total = columns[0]
+    for col in columns[1:]:
+        total = total + col
+    return total
+
+
+def _euclidean(x) -> Array:
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(_sum_columns([np.square(x[..., i])
+                                 for i in range(x.shape[-1])]))
+
 
 def euclidean_norm(group: HomogeneousGroup) -> QuasiNorm:
     """Euclidean norm; homogeneous of degree 1 only for unit weights."""
@@ -181,7 +226,7 @@ def euclidean_norm(group: HomogeneousGroup) -> QuasiNorm:
     return QuasiNorm(
         name="euclidean",
         group=group,
-        evaluate=lambda x: np.sqrt(np.sum(np.asarray(x, float) ** 2, axis=-1)),
+        evaluate=_euclidean,
         is_true_norm=True,
     )
 
@@ -209,10 +254,18 @@ def anisotropic_gauge(group: HomogeneousGroup, M: float | None = None) -> QuasiN
         raise ParameterError("M must be positive", module=_MODULE,
                              operation="anisotropic_gauge")
     expo = np.array([2.0 * M / v for v in group.weights])
+    root = 1.0 / (2.0 * M)
 
     def _eval(x):
-        x = np.asarray(x, dtype=float)
-        return np.sum(np.abs(x) ** expo, axis=-1) ** (1.0 / (2.0 * M))
+        ax = np.abs(np.asarray(x, dtype=float))
+        if ax.shape[-1:] != expo.shape:
+            raise ShapeError(f"expected points with last axis {len(expo)}, "
+                             f"got shape {ax.shape}",
+                             module=_MODULE, operation="anisotropic_gauge")
+        if len(expo) == 1:  # one column: see _power
+            return np.sum(ax ** expo, axis=-1) ** root
+        return _sum_columns([_power(ax[..., i], e)
+                             for i, e in enumerate(expo)]) ** root
 
     return QuasiNorm(name=f"anisotropic(M={M:g})", group=group, evaluate=_eval,
                      is_true_norm=False)

@@ -24,9 +24,11 @@ is recovered without parametrizing sigma, via |S| = (int_G e^{-|x|} dx)/Gamma(Q)
 (``sphere_measure``) or via the closed surface integral
 |S| = int_{S^{N-1}} L(u) |u|^{-Q} dS(u)  (``sphere_measure_direct``).
 
-Determinism: Monte Carlo results are a pure function of (spec, seed); sums
-use numpy's pairwise reduction in a fixed order, so repeated runs are
-bit-identical regardless of how many workers the caller shards batches over.
+Determinism: Monte Carlo results are a pure function of the integrand and
+the spec with its seed.  All draws come from one generator seeded from the
+spec, and each sum is a single numpy reduction over the whole sample, in
+the fixed order of numpy's pairwise summation, so repeated runs are
+bit-identical.  Splitting a sample into batches would change those sums.
 """
 
 from __future__ import annotations

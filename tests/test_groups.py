@@ -36,6 +36,112 @@ def test_dilate_rejects_bad_input(plane):
         dilate(plane, 2.0, [1.0, 2.0, 3.0])
 
 
+# Bit-for-bit pins of dilate and the gauges, which work one column at a
+# time, against whole-array reference expressions: every report depends on
+# these bits.
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+# (weights, M = lcm of the weights, as anisotropic_gauge picks it)
+_PIN_GROUPS = [((1.0, 1.0, 2.0), 2.0), ((1.0,), 1.0), ((2.0,), 2.0),
+               ((1.0, 1.0), 1.0), ((1.0, 2.0), 2.0), ((1.0, 1.5), 3.0),
+               ((0.5, 1.0), 1.0)]
+
+
+def _pin_group(weights):
+    if weights == (1.0, 1.0, 2.0):
+        return heisenberg_group()
+    return abelian_group(weights)
+
+
+def _pin_points(rng, shape):
+    """Coordinates over many scales, with signs and exact zeros."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape)
+    x[rng.uniform(size=shape) < 0.05] = 0.0
+    return x
+
+
+# A single point makes 0-d columns, which a stride-0 exponent would send
+# down numpy's power fast paths in about 5% of values: draw many of them.
+_SINGLE_POINTS = 200
+
+
+def _dilation_cases(rng, dim):
+    n, k = 2000, 3
+    return [
+        (2.7, _pin_points(rng, (n, dim))),
+        (10.0 ** rng.uniform(-3, 3, n), _pin_points(rng, (n, dim))),
+        (10.0 ** rng.uniform(-3, 3, n), _pin_points(rng, (dim,))),
+        (10.0 ** rng.uniform(-3, 3, (k, n)), _pin_points(rng, (k, n, dim))),
+    ] + [(s, _pin_points(rng, (dim,)))
+         for s in 10.0 ** rng.uniform(-3, 3, _SINGLE_POINTS)]
+
+
+def _gauge_shapes(dim):
+    return [(2000, dim), (3, 2000, dim)] + [(dim,)] * _SINGLE_POINTS
+
+
+@pytest.mark.parametrize("weights", [w for w, _ in _PIN_GROUPS])
+def test_dilate_bit_identical_to_broadcast_power(weights):
+    g = _pin_group(weights)
+    rng = np.random.default_rng(17)
+    for s, x in _dilation_cases(rng, g.dim):
+        ref = x * np.asarray(s)[..., np.newaxis] ** np.asarray(g.weights)
+        out = dilate(g, s, x)
+        assert out.shape == ref.shape
+        np.testing.assert_array_equal(_bits(out), _bits(ref))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_euclidean_norm_bit_identical_to_sum(dim):
+    norm = euclidean_norm(abelian_group((1.0,) * dim))
+    rng = np.random.default_rng(dim)
+    for shape in _gauge_shapes(dim):
+        x = _pin_points(rng, shape)
+        ref = np.sqrt(np.sum(x ** 2, -1))
+        out = norm(x)
+        assert np.shape(out) == ref.shape
+        np.testing.assert_array_equal(_bits(out), _bits(ref))
+
+
+@pytest.mark.parametrize("weights,M", _PIN_GROUPS)
+def test_anisotropic_gauge_bit_identical_to_sum(weights, M):
+    g = _pin_group(weights)
+    gauge = anisotropic_gauge(g)
+    assert gauge.name == f"anisotropic(M={M:g})"
+    expo = np.array([2.0 * M / v for v in weights])
+    rng = np.random.default_rng(23)
+    for shape in _gauge_shapes(g.dim):
+        x = _pin_points(rng, shape)
+        ref = np.sum(np.abs(x) ** expo, -1) ** (1 / (2 * M))
+        out = gauge(x)
+        assert np.shape(out) == ref.shape
+        np.testing.assert_array_equal(_bits(out), _bits(ref))
+
+
+def test_anisotropic_gauge_rejects_wrong_point_shape():
+    gauge = anisotropic_gauge(abelian_group((1.0, 2.0)))
+    for x in ([1.0, 2.0, 3.0], [1.0], np.ones((5, 3))):
+        with pytest.raises(ShapeError):
+            gauge(x)
+
+
+def test_heisenberg_law_leaves_inputs_unmodified(h1, rng):
+    x = rng.standard_normal((100, 3))
+    y = rng.standard_normal((100, 3))
+    x0, y0 = x.copy(), y.copy()
+    out = group_mul(h1, x, y)
+    assert out is not x and out is not y
+    np.testing.assert_array_equal(x, x0)
+    np.testing.assert_array_equal(y, y0)
+    point = y[0].copy()
+    group_mul(h1, point, x)
+    np.testing.assert_array_equal(point, y0[0])
+    np.testing.assert_array_equal(x, x0)
+
+
 def test_abelian_law_is_addition(plane):
     assert np.allclose(group_mul(plane, [1.0, 2.0], [3.0, 4.0]), [4.0, 6.0])
 

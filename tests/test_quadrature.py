@@ -197,19 +197,26 @@ def test_uniform_directions_bit_identical_to_linalg_norm(n_dim):
     np.testing.assert_array_equal(_bits(u), _bits(ref))
 
 
-def test_sample_group_points_bit_identical_to_reference(h1):
-    from revineq.groups import dilation_quadratic_form
+def test_sample_group_points_bit_identical_to_reference(line, plane, h1):
+    """Points D_r(u) and L(u) are rebuilt inline with the whole-array
+    expressions, so a rounding change in dilate or dilation_quadratic_form
+    shows here."""
     env = DecayEnvelope("exp", scale=1.0, boost=1.5)
-    sampler = RadialSampler(env, 4.0, 0.0, env.r_max(4.0))
-    x, r, w = sample_group_points(h1, sampler, 30000, np.random.default_rng(3))
-    rng = np.random.default_rng(3)
-    r_ref, pdf_ref = _reference_sample(sampler, 30000, rng)
-    u = _reference_directions(3, 30000, rng)
-    q = pdf_ref / (unit_sphere_area(3) * r_ref ** 3.0
-                   * dilation_quadratic_form(h1, u))
-    np.testing.assert_array_equal(_bits(r), _bits(r_ref))
-    np.testing.assert_array_equal(_bits(x), _bits(dilate(h1, r_ref, u)))
-    np.testing.assert_array_equal(_bits(w), _bits(1.0 / q))
+    for g in (line, plane, h1):
+        Q = g.homogeneous_dim
+        sampler = RadialSampler(env, Q, 0.0, env.r_max(Q))
+        x, r, w = sample_group_points(g, sampler, 30000,
+                                      np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        r_ref, pdf_ref = _reference_sample(sampler, 30000, rng)
+        u = _reference_directions(g.dim, 30000, rng)
+        nu = np.asarray(g.weights)
+        x_ref = u * r_ref[:, None] ** nu
+        lam_ref = np.einsum("...i,i->...", u ** 2, nu)
+        q = pdf_ref / (unit_sphere_area(g.dim) * r_ref ** (Q - 1.0) * lam_ref)
+        np.testing.assert_array_equal(_bits(r), _bits(r_ref))
+        np.testing.assert_array_equal(_bits(x), _bits(x_ref))
+        np.testing.assert_array_equal(_bits(w), _bits(1.0 / q))
 
 
 # ---------------------------------------------------------------------------

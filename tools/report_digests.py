@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the SHA-256 of every report a fixed corpus of commands writes.
 
-Runs five commands through ``revineq.cli.run``, each into its own folder of
+Runs eight commands through ``revineq.cli.run``, each into its own folder of
 a temporary directory, and prints one line ``<sha256>  <case>/<file>`` per
 ``report.json``, ``sweep.csv`` and ``trace.csv``.  ``run_meta.json`` holds
 timings and is left out.  Two checkouts that print the same lines write
@@ -52,6 +52,19 @@ CORPUS = (
         "norm": {"name": "euclidean"}, **_EXP_GAUSS,
         "inequality": {"name": "reverse_hls", "p": 0.5,
                        "q_prime": 0.5}}, 5),
+    # the axioms commands reach check_group_axioms, check_quasi_norm_axioms,
+    # kernel_bound_report (Cygan is a true norm) and the anisotropic gauge;
+    # the R1 verify reaches the one-column paths of dilate and directions
+    ("axioms_h1_cygan", "axioms", {
+        **_H1_KORANYI, "norm": {"name": "cygan"}}, 6),
+    ("axioms_anisotropic_r2", "axioms", {
+        **_MC, "group": {"name": "abelian", "weights": [1.0, 2.0]},
+        "norm": {"name": "anisotropic"}}, 7),
+    ("verify_reverse_stein_weiss_r1", "verify", {
+        **_MC, "group": {"name": "abelian", "weights": [1.0]},
+        "norm": {"name": "euclidean"}, **_EXP_GAUSS,
+        "inequality": {"name": "reverse_stein_weiss", "p": 0.5,
+                       "q_prime": 0.5, "alpha": 0.25, "beta": 0.5}}, 8),
 )
 
 REPORT_FILES = ("report.json", "sweep.csv", "trace.csv")
