@@ -27,8 +27,7 @@ from .inequalities import (AdmissibilityReport, ConstantBracket,
                            verify_reverse_integral_hardy,
                            verify_reverse_sobolev, verify_stein_weiss)
 from .operators import (KernelBoundReport, RadialProfile, WeightSpec,
-                        euler_apply, kernel_bound_report, lp_functional,
-                        radial_derivative, reverse_holder_gap,
+                        kernel_bound_report, lp_functional, reverse_holder_gap,
                         riesz_potential, stein_weiss_form, weighted_p_integral)
 from .quadrature import (DecayEnvelope, IntegralResult, PolarConsistencyReport,
                          QuadratureSpec, RadialSampler, integrate_cartesian,

@@ -40,7 +40,7 @@ from .exceptions import (ConfigError, DegenerateInputError, DivergenceError,
 from .groups import (abelian_group, anisotropic_gauge, check_group_axioms,
                      check_quasi_norm_axioms, cygan_norm, euclidean_norm,
                      heisenberg_group, koranyi_norm)
-from .operators import WeightSpec, kernel_bound_report
+from .operators import kernel_bound_report
 from .quadrature import (DecayEnvelope, QuadratureSpec,
                          polar_consistency_check, sphere_measure,
                          sphere_measure_direct)
@@ -57,8 +57,8 @@ _SECTION_KEYS = {
          "trial_f", "trial_h", "estimate", "sweep", "output"},
     "group": {"name", "weights"},
     "norm": {"name"},
-    "quadrature": {"scheme", "sample_count", "nodes_per_axis",
-                   "truncation_radius", "inner_cutoff"},
+    "quadrature": {"scheme", "sample_count", "truncation_radius",
+                   "inner_cutoff"},
     "inequality": {"name", "p", "q_prime", "q", "lambda", "alpha", "beta",
                    "variant", "region", "W_exponent", "U_exponent"},
     "trial": {"family", "params"},
@@ -138,18 +138,25 @@ def _build_quadrature(cfg: dict, seed: int) -> QuadratureSpec:
     return QuadratureSpec(
         scheme=sect["scheme"],
         sample_count=int(sect["sample_count"]),
-        nodes_per_axis=int(sect.get("nodes_per_axis", 96)),
         truncation_radius=sect.get("truncation_radius"),
         inner_cutoff=float(sect.get("inner_cutoff", 0.0)),
         seed=seed,
     )
 
 
-def _build_trial(cfg: dict, key: str = "trial"):
+def _trial_section(cfg: dict, key: str = "trial") -> dict:
     sect = cfg.get(key)
     if sect is None:
         raise ConfigError(f"config.{key}: section required for this command",
                           module=_MODULE, operation="build_trial")
+    if "family" not in sect:
+        raise ConfigError(f"config.{key}.family: required", module=_MODULE,
+                          operation="build_trial")
+    return sect
+
+
+def _build_trial(cfg: dict, key: str = "trial"):
+    sect = _trial_section(cfg, key)
     return make_profile(sect["family"], sect.get("params", []))
 
 
@@ -159,53 +166,12 @@ def _resolved(cfg: dict, seed: int) -> dict:
     return out
 
 
-def _sw_params(sect: dict, Q: float) -> ineq.InequalityParams:
-    p = float(sect["p"])
-    qp = float(sect["q_prime"])
-    alpha = float(sect.get("alpha", 0.0))
-    beta = float(sect.get("beta", 0.0))
-    lam = sect.get("lambda")
-    if lam is None:
-        lam = ineq.balanced_lambda(Q, p, qp, alpha, beta)
-    return ineq.InequalityParams(Q=Q, p=p, q_prime=qp, lam=float(lam),
-                                 alpha=alpha, beta=beta,
-                                 variant=sect.get("variant", "full"))
-
-
 def _verify_report(cfg, group, norm, spec) -> ineq.VerificationReport:
-    sect = cfg.get("inequality")
-    if not sect or "name" not in sect:
-        raise ConfigError("config.inequality.name: required", module=_MODULE,
-                          operation="verify")
-    name = sect["name"]
-    Q = group.homogeneous_dim
-
-    if name in ("reverse_hardy", "reverse_sobolev", "forward_hardy",
-                "forward_sobolev"):
-        f = _build_trial(cfg)
-        fn = getattr(ineq, f"verify_{name}")
-        return fn(f, float(sect["p"]), group, norm, spec)
-    if name in ("reverse_ckn", "forward_ckn"):
-        f = _build_trial(cfg)
-        fn = getattr(ineq, f"verify_{name}")
-        return fn(f, float(sect["p"]), float(sect.get("alpha", 0.0)),
-                  float(sect.get("beta", 0.0)), group, norm, spec)
-    if name in ("reverse_stein_weiss", "reverse_hls"):
-        f = _build_trial(cfg, "trial_f")
-        h = _build_trial(cfg, "trial_h")
-        params = _sw_params(sect, Q)
-        fn = (ineq.verify_stein_weiss if name == "reverse_stein_weiss"
-              else ineq.verify_reverse_hls)
-        return fn(f, h, params, group, norm, spec)
-    if name == "reverse_integral_hardy":
-        f = _build_trial(cfg)
-        return ineq.verify_reverse_integral_hardy(
-            sect.get("region", "ball"),
-            WeightSpec(float(sect["W_exponent"]), "W_outer"),
-            WeightSpec(float(sect["U_exponent"]), "U_inner"),
-            f, float(sect["p"]), float(sect["q"]), group, norm, spec)
-    raise ConfigError(f"config.inequality.name: unknown inequality {name!r}",
-                      module=_MODULE, operation="verify")
+    name, args = ineq.read_inequality(cfg.get("inequality"),
+                                      group.homogeneous_dim)
+    entry = ineq.INEQUALITIES[name]
+    profiles = [_build_trial(cfg, key) for key in entry.trials]
+    return entry.verify(*profiles, args, group, norm, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +214,12 @@ def cmd_estimate(cfg, group, norm, spec, out: Path) -> int:
                         budget=int(sect.get("budget", 80)),
                         restarts=int(sect.get("restarts", 2)),
                         seed=spec.seed)
-    families = sect.get("families") or [cfg["trial"]["family"]]
-    ineq_sect = cfg["inequality"]
-    name = ineq_sect["name"]
-    Q = group.homogeneous_dim
-    if name in ("reverse_stein_weiss", "reverse_hls"):
-        params = _sw_params(ineq_sect, Q)
-        fams = families if len(families) == 2 else families * 2
-    else:
-        params = ineq.InequalityParams(
-            Q=Q, p=float(ineq_sect["p"]),
-            alpha=float(ineq_sect.get("alpha", 0.0)),
-            beta=float(ineq_sect.get("beta", 0.0)))
-        fams = families[0]
+    name, params = ineq.read_inequality(cfg.get("inequality"),
+                                        group.homogeneous_dim)
+    families = sect.get("families") or [_trial_section(cfg)["family"]]
+    # one family per trial profile; a single family serves every profile
+    n = len(ineq.INEQUALITIES[name].trials)
+    fams = families * n if len(families) == 1 else families
     rec = estimate_best_constant(name, params, fams, search, group, norm, spec)
 
     doc = {"command": "estimate", "config": _resolved(cfg, spec.seed),
@@ -283,8 +242,10 @@ def _sweep_rows(cfg, group, norm, spec):
     if not sect or "grid" not in sect:
         raise ConfigError("config.sweep.grid: required for sweep",
                           module=_MODULE, operation="sweep")
-    name = sect.get("inequality", "reverse_stein_weiss")
-    if name not in ("reverse_stein_weiss", "reverse_hls"):
+    sweepable = [n for n, e in ineq.INEQUALITIES.items()
+                 if "sweep" in e.commands]
+    name = sect.get("inequality", sweepable[0])
+    if name not in sweepable:
         raise ConfigError("sweep currently targets the bilinear inequalities",
                           module=_MODULE, operation="sweep")
     grid = sect["grid"]

@@ -71,19 +71,25 @@ class QuasiNorm:
     is_true_norm: bool = False
 
     def __call__(self, x) -> Array:
-        return self.evaluate(np.asarray(x, dtype=float))
+        pts = np.asarray(x, dtype=float)
+        _check_last_axis(self.group, pts, self.name)
+        return self.evaluate(pts)
 
     def __repr__(self) -> str:
         return f"QuasiNorm({self.name} on {self.group.name})"
 
 
-def as_points(group: HomogeneousGroup, x, *, operation: str = "as_points") -> Array:
-    """Validate and return an (..., N) float array of chart coordinates."""
-    pts = np.asarray(x, dtype=float)
+def _check_last_axis(group: HomogeneousGroup, pts: Array, operation: str):
     if pts.shape[-1:] != (group.dim,):
         raise ShapeError(
             f"expected points with last axis {group.dim}, got shape {pts.shape}",
             module=_MODULE, operation=operation)
+
+
+def as_points(group: HomogeneousGroup, x, *, operation: str = "as_points") -> Array:
+    """Validate and return an (..., N) float array of chart coordinates."""
+    pts = np.asarray(x, dtype=float)
+    _check_last_axis(group, pts, operation)
     if not np.all(np.isfinite(pts)):
         raise ShapeError("points must have finite coordinates",
                          module=_MODULE, operation=operation)
@@ -257,11 +263,7 @@ def anisotropic_gauge(group: HomogeneousGroup, M: float | None = None) -> QuasiN
     root = 1.0 / (2.0 * M)
 
     def _eval(x):
-        ax = np.abs(np.asarray(x, dtype=float))
-        if ax.shape[-1:] != expo.shape:
-            raise ShapeError(f"expected points with last axis {len(expo)}, "
-                             f"got shape {ax.shape}",
-                             module=_MODULE, operation="anisotropic_gauge")
+        ax = np.abs(x)
         if len(expo) == 1:  # one column: see _power
             return np.sum(ax ** expo, axis=-1) ** root
         return _sum_columns([_power(ax[..., i], e)

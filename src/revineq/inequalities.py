@@ -19,13 +19,12 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exceptions import (DegenerateInputError, DivergenceError,
+from .exceptions import (ConfigError, DegenerateInputError, DivergenceError,
                          ParameterError, PreconditionError)
 from .groups import HomogeneousGroup, QuasiNorm
 from .operators import (RadialProfile, WeightSpec, lp_functional,
@@ -306,7 +305,6 @@ class VerificationReport:
     rhs_stderr: float = 0.0
     sphere_value: float = float("nan")
     sphere_stderr: float = 0.0
-    runtime_seconds: float = 0.0
     degenerate: str | None = None
     extras: dict = field(default_factory=dict)
 
@@ -348,116 +346,149 @@ class VerificationReport:
         }
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        rep = fn(*args, **kwargs)
-        rep.runtime_seconds = time.perf_counter() - t0
-        return rep
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
 # ---------------------------------------------------------------------------
-# pointwise reverse inequalities (radial pipeline)
+# radial ratios: reverse and forward Hardy, L^p-Sobolev and CKN
 # ---------------------------------------------------------------------------
 
-def _check_reverse_profile(f: RadialProfile, p: float, operation: str):
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p must lie in (0,1), got {p:g}",
-                             module=_MODULE, operation=operation)
-    if not f.monotone_decreasing:
-        raise PreconditionError("profile is not tagged radially decreasing",
-                                module=_MODULE, operation=operation)
-    f.check_decreasing(operation=operation)
+class _RadialForm(NamedTuple):
+    """The two sides of a radial inequality.
+
+    Each side is a product of factors I^{k/p}, one per term
+    (shift, use_derivative, k), with I = int |F|^p r^{shift} r^{Q-1} dr or
+    the same integral of |dF/dr|.  ``sides(p, Q, alpha, beta, gamma)``
+    returns (constant, lhs terms, rhs terms); ``conditions(p, Q, alpha,
+    gamma)`` returns the (holds, message) pairs checked before it.
+    """
+
+    name: str
+    weighted: bool          # CKN: the report lists alpha, beta and gamma
+    conditions: Callable
+    sides: Callable
 
 
-def _ratio_report(name, params, num, den, constant, S, direction="lower",
-                  extras=None) -> VerificationReport:
-    (nv, ne), (dv, de) = num, den
-    if dv == 0.0:
-        raise DegenerateInputError("rhs functional is zero; ratio undefined",
-                                   module=_MODULE, operation=name)
-    rel = ne / abs(nv) if nv else 0.0
-    rel += de / abs(dv)
-    ratio_err = abs(nv / dv) * rel
+_HARDY = _RadialForm(
+    "hardy", False, lambda p, Q, alpha, gamma: [(p < Q, "requires Q > p")],
+    lambda p, Q, alpha, beta, gamma: (
+        p / (Q - p), [(-p, False, 1.0)], [(0.0, True, 1.0)]))
+_SOBOLEV = _RadialForm(
+    "sobolev", False, lambda p, Q, alpha, gamma: [],
+    lambda p, Q, alpha, beta, gamma: (
+        p / Q, [(0.0, False, 1.0)], [(p, True, 1.0)]))
+_CKN = _RadialForm(
+    "ckn", True,
+    lambda p, Q, alpha, gamma: [
+        (gamma < Q, f"requires gamma = alpha+beta+1 < Q "
+                    f"(gamma={gamma:g}, Q={Q:g})"),
+        (Q > alpha * p, "requires Q > alpha p for profiles positive at the "
+                        "origin")],
+    lambda p, Q, alpha, beta, gamma: (
+        p / abs(Q - gamma), [(-gamma, False, p)],
+        [(-alpha * p, True, 1.0), (-beta * p / (p - 1.0), False, p - 1.0)]))
+
+
+def _radial_side(f: RadialProfile, p: float, Q: float,
+                 terms) -> tuple[float, float]:
+    """(v, error) of v = prod I^{k/p} over terms (shift, use_derivative, k);
+    each factor adds err/|I| * v * |k|/p.  (0, 0) when an I is 0."""
+    factors = [(*weighted_p_integral(f, p, shift, Q, use_derivative=deriv), k)
+               for shift, deriv, k in terms]
+    if not all(i for i, _, _ in factors):
+        return 0.0, 0.0
+    v = 1.0
+    for i, _, k in factors:
+        v *= i ** (k / p)
+    return v, sum(e / abs(i) * v * abs(k) / p for i, e, k in factors)
+
+
+def _verify_radial(direction: str, form: _RadialForm, f: RadialProfile,
+                   p: float, alpha: float, beta: float,
+                   group: HomogeneousGroup, norm: QuasiNorm,
+                   spec: QuadratureSpec) -> VerificationReport:
+    """The reverse ("lower": lhs >= C rhs for radially decreasing f and
+    p in (0, 1)) or forward ("upper": lhs <= C rhs for p > 1) inequality of
+    a radial form, gamma = alpha + beta + 1."""
+    label = ("reverse_" if direction == "lower" else "forward_") + form.name
+    op = f"verify_{label}"
+    Q = group.homogeneous_dim
+    gamma = alpha + beta + 1.0
+    if direction == "lower":
+        if not 0.0 < p < 1.0:
+            raise ParameterError(f"p must lie in (0,1), got {p:g}",
+                                 module=_MODULE, operation=op)
+        if not f.monotone_decreasing:
+            raise PreconditionError("profile is not tagged radially "
+                                    "decreasing", module=_MODULE, operation=op)
+        f.check_decreasing(operation=op)
+    elif not p > 1.0:
+        raise ParameterError(f"needs p > 1, got p={p:g}", module=_MODULE,
+                             operation=op)
+    for holds, message in form.conditions(p, Q, alpha, gamma):
+        if not holds:
+            raise ParameterError(message, module=_MODULE, operation=op)
+    S = sphere_measure(group, norm, spec)
+    constant, lhs_terms, rhs_terms = form.sides(p, Q, alpha, beta, gamma)
+    lhs, lhs_err = _radial_side(f, p, Q, lhs_terms)
+    rhs, rhs_err = _radial_side(f, p, Q, rhs_terms)
+    if rhs == 0.0:
+        raise DegenerateInputError("right side is zero; ratio undefined",
+                                   module=_MODULE, operation=op)
+    rel = lhs_err / abs(lhs) if lhs else 0.0
+    rel += rhs_err / abs(rhs)
+    params = {"Q": Q, "p": p}
+    if form.weighted:
+        params.update(alpha=alpha, beta=beta, gamma=gamma)
     return VerificationReport(
-        inequality=name, params=params, lhs=nv, rhs=dv,
+        inequality=label, params=params, lhs=lhs, rhs=rhs,
         analytic_constant=constant, direction=direction,
-        stderr=ratio_err, lhs_stderr=ne, rhs_stderr=de,
-        sphere_value=S.value, sphere_stderr=S.stderr,
-        extras=extras or {},
-    )
+        stderr=abs(lhs / rhs) * rel, lhs_stderr=lhs_err, rhs_stderr=rhs_err,
+        sphere_value=S.value, sphere_stderr=S.stderr)
 
 
-@_timed
 def verify_reverse_hardy(f: RadialProfile, p: float, group: HomogeneousGroup,
                          norm: QuasiNorm, spec: QuadratureSpec) -> VerificationReport:
     """||f/|x|||_p >= p/(Q-p) ||dF/dr||_p for radially decreasing f, p in (0,1)."""
-    _check_reverse_profile(f, p, "verify_reverse_hardy")
-    Q = group.homogeneous_dim
-    if Q - p <= 0:
-        raise ParameterError("requires Q > p", module=_MODULE,
-                             operation="verify_reverse_hardy")
-    S = sphere_measure(group, norm, spec)
-    il, el = weighted_p_integral(f, p, -p, Q)
-    ir, er = weighted_p_integral(f, p, 0.0, Q, use_derivative=True)
-    num = (il ** (1.0 / p), el / abs(il) * il ** (1.0 / p) / p if il else 0.0)
-    den = (ir ** (1.0 / p), er / abs(ir) * ir ** (1.0 / p) / p if ir else 0.0)
-    return _ratio_report("reverse_hardy", {"Q": Q, "p": p}, num, den,
-                         p / (Q - p), S)
+    return _verify_radial("lower", _HARDY, f, p, 0.0, 0.0, group, norm, spec)
 
 
-@_timed
 def verify_reverse_sobolev(f: RadialProfile, p: float, group: HomogeneousGroup,
                            norm: QuasiNorm, spec: QuadratureSpec) -> VerificationReport:
     """||f||_p >= (p/Q) ||r dF/dr||_p for radially decreasing f, p in (0,1)."""
-    _check_reverse_profile(f, p, "verify_reverse_sobolev")
-    Q = group.homogeneous_dim
-    S = sphere_measure(group, norm, spec)
-    il, el = weighted_p_integral(f, p, 0.0, Q)
-    ir, er = weighted_p_integral(f, p, p, Q, use_derivative=True)
-    num = (il ** (1.0 / p), el / abs(il) * il ** (1.0 / p) / p if il else 0.0)
-    den = (ir ** (1.0 / p), er / abs(ir) * ir ** (1.0 / p) / p if ir else 0.0)
-    return _ratio_report("reverse_sobolev", {"Q": Q, "p": p}, num, den,
-                         p / Q, S)
+    return _verify_radial("lower", _SOBOLEV, f, p, 0.0, 0.0, group, norm, spec)
 
 
-@_timed
 def verify_reverse_ckn(f: RadialProfile, p: float, alpha: float, beta: float,
                        group: HomogeneousGroup, norm: QuasiNorm,
                        spec: QuadratureSpec) -> VerificationReport:
     """||f/|x|^{g/p}||_p^p >= p/(Q-g) ||F'/|x|^a||_p ||f/|x|^{b/(p-1)}||_p^{p-1},
     g = a + b + 1 < Q, for radially decreasing f and p in (0, 1)."""
-    _check_reverse_profile(f, p, "verify_reverse_ckn")
-    Q = group.homogeneous_dim
-    gamma = alpha + beta + 1.0
-    if gamma >= Q:
-        raise ParameterError(f"requires gamma = alpha+beta+1 < Q "
-                             f"(gamma={gamma:g}, Q={Q:g})",
-                             module=_MODULE, operation="verify_reverse_ckn")
-    if Q <= alpha * p:
-        raise ParameterError("requires Q > alpha p for profiles positive at "
-                             "the origin", module=_MODULE,
-                             operation="verify_reverse_ckn")
-    S = sphere_measure(group, norm, spec)
-    il, el = weighted_p_integral(f, p, -gamma, Q)
-    ia, ea = weighted_p_integral(f, p, -alpha * p, Q, use_derivative=True)
-    ib, eb = weighted_p_integral(f, p, -beta * p / (p - 1.0), Q)
-    den_v = ia ** (1.0 / p) * ib ** ((p - 1.0) / p)
-    den_e = den_v * (ea / abs(ia) / p + eb / abs(ib) * abs(p - 1.0) / p)
-    return _ratio_report(
-        "reverse_ckn",
-        {"Q": Q, "p": p, "alpha": alpha, "beta": beta, "gamma": gamma},
-        (il, el), (den_v, den_e), p / (Q - gamma), S)
+    return _verify_radial("lower", _CKN, f, p, alpha, beta, group, norm, spec)
+
+
+def verify_forward_hardy(f: RadialProfile, p: float, group: HomogeneousGroup,
+                         norm: QuasiNorm, spec: QuadratureSpec) -> VerificationReport:
+    """||f/|x|||_p <= p/(Q-p) ||dF/dr||_p for 1 < p < Q."""
+    return _verify_radial("upper", _HARDY, f, p, 0.0, 0.0, group, norm, spec)
+
+
+def verify_forward_sobolev(f: RadialProfile, p: float, group: HomogeneousGroup,
+                           norm: QuasiNorm, spec: QuadratureSpec) -> VerificationReport:
+    """||f||_p <= (p/Q) ||r dF/dr||_p for 1 < p < inf."""
+    return _verify_radial("upper", _SOBOLEV, f, p, 0.0, 0.0, group, norm, spec)
+
+
+def verify_forward_ckn(f: RadialProfile, p: float, alpha: float, beta: float,
+                       group: HomogeneousGroup, norm: QuasiNorm,
+                       spec: QuadratureSpec) -> VerificationReport:
+    """(|Q-g|/p) ||f/|x|^{g/p}||_p^p <= ||F'/|x|^a||_p ||f/|x|^{b/(p-1)}||_p^{p-1},
+    g = a + b + 1 < Q (g > Q needs trial data vanishing near the origin),
+    for 1 < p < inf."""
+    return _verify_radial("upper", _CKN, f, p, alpha, beta, group, norm, spec)
 
 
 # ---------------------------------------------------------------------------
 # weighted bilinear form (Stein-Weiss type) and its unweighted corollary
 # ---------------------------------------------------------------------------
 
-@_timed
 def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
                        params: InequalityParams, group: HomogeneousGroup,
                        norm: QuasiNorm, spec: QuadratureSpec) -> VerificationReport:
@@ -543,7 +574,6 @@ def _inner_integral(f: RadialProfile, Q: float, sphere: float, r_hi: float,
     return lambda r: np.maximum(np.exp(np.interp(r, grid, log_tail)), 1e-300)
 
 
-@_timed
 def verify_reverse_integral_hardy(variant: str, W: WeightSpec, U: WeightSpec,
                                   f: RadialProfile, p: float, q: float,
                                   group: HomogeneousGroup, norm: QuasiNorm,
@@ -565,7 +595,7 @@ def verify_reverse_integral_hardy(variant: str, W: WeightSpec, U: WeightSpec,
     (+inf)^{1/q} = 0 and the report is returned with ``degenerate`` set and
     a truncated-window diagnostic in ``extras`` instead of a fake pass.
     With admissible power weights every input therefore ends in a degenerate
-    branch (or in the exception below); the finite branch is never reached.
+    branch (or in the exception below), so no finite branch is kept.
 
     ``extras["lhs_truncated"]`` is the left side with the outer integral
     restricted to ``extras["lhs_truncated_window"]``.  The outer integrand is
@@ -625,26 +655,23 @@ def verify_reverse_integral_hardy(variant: str, W: WeightSpec, U: WeightSpec,
     A = float((S.value / abs(mW)) ** (1.0 / q) * (S.value / abs(mU)) ** (1.0 / pp))
     kap = bracket_kappa(pp, q)
 
-    env_rhs = f.envelope.powered(p).boosted(u)
-    env_rhs.check_integrable(Q, op)
-    r_rhs = min(env_rhs.r_max(Q), f.support_radius)
-    iv, ie = integrate_radial_err(lambda r: np.abs(f(r)) ** p * r ** u, Q,
-                                  0.0, r_rhs)
+    iv, ie = weighted_p_integral(f, p, u, Q)
     rhs = float((S.value * iv) ** (1.0 / p))
     rhs_err = rhs * (ie / iv + S.stderr / S.value) / p
 
     # ---- divergence analysis of the outer integral ----
-    degenerate = None
+    # the parameter checks above leave no finite case: every branch below
+    # ends in a degenerate left side
     if variant == "ball":
         if f.envelope.boost <= -Q:
             degenerate = ("profile is not integrable at the origin, so every "
                           "inner ball integral is +inf and the left side is "
                           "0^{1/q} = +inf (trivially true by the convention; "
                           "no numerical content)")
-        elif Q * q + w + Q <= 0.0:
+        else:
             # near 0 the inner integral grows like r^Q, so the outer
-            # integrand is ~ r^{Qq + w + Q - 1}; with Q + w < 0 this is
-            # never integrable
+            # integrand is ~ r^{Qq + w + Q - 1}; with Q + w < 0 and q < 0
+            # this is never integrable
             degenerate = ("outer integral diverges at the origin "
                           f"(local exponent {Q * q + w + Q - 1.0:g} <= -1); "
                           "by the convention the left side is (+inf)^{1/q} = 0")
@@ -661,7 +688,10 @@ def verify_reverse_integral_hardy(variant: str, W: WeightSpec, U: WeightSpec,
                               "complement inner integral is +inf and the "
                               "left side is 0^{1/q} = +inf (trivially true "
                               "by the convention; no numerical content)")
-            elif (Q - s_eff) * q + w + Q >= 0.0:
+            else:
+                # the inner tail decays like r^{Q - s_eff}; with
+                # Q - s_eff < 0, q < 0 and Q + w > 0 the outer integrand
+                # r^{(Q - s_eff) q + w + Q - 1} is never integrable at infinity
                 degenerate = ("outer integral diverges at infinity "
                               f"(tail exponent {(Q - s_eff) * q + w + Q - 1.0:g}"
                               " >= -1); left side degenerates to 0")
@@ -674,19 +704,10 @@ def verify_reverse_integral_hardy(variant: str, W: WeightSpec, U: WeightSpec,
               "bracket": [kap * A, A], "variant": variant,
               "W_exponent": w, "U_exponent": u}
 
-    if degenerate is None:
-        # finite case: the outer integral over the tabulated inner integral
-        r_hi = max(r_rhs, f.envelope.r_max(Q)) * 4.0
-        inner = _inner_integral(f, Q, S.value, r_hi, variant)
-        ov, oe = integrate_radial_err(
-            lambda r: inner(r) ** q * np.abs(r) ** w, Q, r_hi * 1e-10 * 4.0,
-            r_hi, rtol=1e-8)
-        lhs = float((S.value * ov) ** (1.0 / q))
-        lhs_err = lhs * (oe / ov + S.stderr / S.value) / abs(q)
-    elif "trivially true" in degenerate:
-        lhs, lhs_err = math.inf, 0.0
+    if "trivially true" in degenerate:
+        lhs = math.inf
     else:
-        lhs, lhs_err = 0.0, 0.0
+        lhs = 0.0
         # truncated-window diagnostic: the same functional with the outer
         # integral restricted to [r_lo, r_hi]; finite because the inner
         # integral is bounded away from 0 there
@@ -702,17 +723,15 @@ def verify_reverse_integral_hardy(variant: str, W: WeightSpec, U: WeightSpec,
         except DivergenceError:
             pass
 
+    # lhs is exactly 0 or +inf: only the constant's |S| error enters
     const = kap * A
-    ratio_err = (lhs_err / rhs + abs(lhs) * rhs_err / rhs ** 2) \
-        if (rhs and math.isfinite(lhs)) else 0.0
     const_err = const * abs(1.0 / q + 1.0 / pp) * (S.stderr / S.value)
     rep = VerificationReport(
         inequality=f"reverse_integral_hardy[{variant}]",
         params={"Q": Q, "p": p, "q": q, "p_prime": pp,
                 "W_exponent": w, "U_exponent": u},
         lhs=lhs, rhs=rhs, analytic_constant=const,
-        stderr=ratio_err + const_err,
-        lhs_stderr=lhs_err, rhs_stderr=rhs_err,
+        stderr=const_err, rhs_stderr=rhs_err,
         sphere_value=S.value, sphere_stderr=S.stderr,
         degenerate=degenerate, extras=extras,
     )
@@ -720,79 +739,98 @@ def verify_reverse_integral_hardy(variant: str, W: WeightSpec, U: WeightSpec,
 
 
 # ---------------------------------------------------------------------------
-# forward cross-checks
+# inequality names
 # ---------------------------------------------------------------------------
 
-@_timed
-def verify_forward_hardy(f: RadialProfile, p: float, group: HomogeneousGroup,
-                         norm: QuasiNorm, spec: QuadratureSpec) -> VerificationReport:
-    """||f/|x|||_p <= p/(Q-p) ||dF/dr||_p for 1 < p < Q."""
-    Q = group.homogeneous_dim
-    if not 1.0 < p < Q:
-        raise ParameterError(f"forward Hardy needs 1 < p < Q, got p={p:g}",
-                             module=_MODULE, operation="verify_forward_hardy")
-    S = sphere_measure(group, norm, spec)
-    il, el = weighted_p_integral(f, p, -p, Q)
-    ir, er = weighted_p_integral(f, p, 0.0, Q, use_derivative=True)
-    if ir == 0.0:
-        raise DegenerateInputError("derivative side vanishes", module=_MODULE,
-                                   operation="verify_forward_hardy")
-    num = (il ** (1.0 / p), el / abs(il) * il ** (1.0 / p) / p if il else 0.0)
-    den = (ir ** (1.0 / p), er / abs(ir) * ir ** (1.0 / p) / p)
-    return _ratio_report("forward_hardy", {"Q": Q, "p": p}, num, den,
-                         p / (Q - p), S, direction="upper")
+class InequalityEntry(NamedTuple):
+    """How a config names one inequality (see read_inequality)."""
+
+    trials: tuple[str, ...]     # config sections of its profiles, in order
+    read: Callable              # (get, Q) -> the verifier's arguments
+    verify: Callable            # (*profiles, arguments, group, norm, spec)
+    commands: tuple[str, ...] = ("verify", "estimate")
 
 
-@_timed
-def verify_forward_sobolev(f: RadialProfile, p: float, group: HomogeneousGroup,
-                           norm: QuasiNorm, spec: QuadratureSpec) -> VerificationReport:
-    """||f||_p <= (p/Q) ||r dF/dr||_p for 1 < p < inf."""
-    Q = group.homogeneous_dim
-    if not p > 1.0:
-        raise ParameterError(f"forward Sobolev needs p > 1, got p={p:g}",
-                             module=_MODULE, operation="verify_forward_sobolev")
-    S = sphere_measure(group, norm, spec)
-    il, el = weighted_p_integral(f, p, 0.0, Q)
-    ir, er = weighted_p_integral(f, p, p, Q, use_derivative=True)
-    if ir == 0.0:
-        raise DegenerateInputError("Euler side vanishes", module=_MODULE,
-                                   operation="verify_forward_sobolev")
-    num = (il ** (1.0 / p), el / abs(il) * il ** (1.0 / p) / p if il else 0.0)
-    den = (ir ** (1.0 / p), er / abs(ir) * ir ** (1.0 / p) / p)
-    return _ratio_report("forward_sobolev", {"Q": Q, "p": p}, num, den,
-                         p / Q, S, direction="upper")
+def _read_p(get, Q: float) -> InequalityParams:
+    return InequalityParams(Q=Q, p=float(get("p")))
 
 
-@_timed
-def verify_forward_ckn(f: RadialProfile, p: float, alpha: float, beta: float,
-                       group: HomogeneousGroup, norm: QuasiNorm,
-                       spec: QuadratureSpec) -> VerificationReport:
-    """(|Q-g|/p) ||f/|x|^{g/p}||_p^p <= ||F'/|x|^a||_p ||f/|x|^{b/(p-1)}||_p^{p-1},
-    g = a + b + 1 != Q, for 1 < p < inf."""
-    Q = group.homogeneous_dim
-    if not p > 1.0:
-        raise ParameterError(f"forward CKN needs p > 1, got p={p:g}",
-                             module=_MODULE, operation="verify_forward_ckn")
-    gamma = alpha + beta + 1.0
-    if gamma >= Q:
-        raise ParameterError(
-            "gamma >= Q needs trial data vanishing near the origin; only "
-            "gamma < Q is supported for the built-in families",
-            module=_MODULE, operation="verify_forward_ckn")
-    if Q <= alpha * p:
-        raise ParameterError("requires Q > alpha p for profiles positive at "
-                             "the origin", module=_MODULE,
-                             operation="verify_forward_ckn")
-    S = sphere_measure(group, norm, spec)
-    il, el = weighted_p_integral(f, p, -gamma, Q)
-    ia, ea = weighted_p_integral(f, p, -alpha * p, Q, use_derivative=True)
-    ib, eb = weighted_p_integral(f, p, -beta * p / (p - 1.0), Q)
-    if ia == 0.0 or ib == 0.0:
-        raise DegenerateInputError("a right-hand factor vanishes",
-                                   module=_MODULE, operation="verify_forward_ckn")
-    den_v = ia ** (1.0 / p) * ib ** ((p - 1.0) / p)
-    den_e = den_v * (ea / abs(ia) / p + eb / abs(ib) * abs(p - 1.0) / p)
-    return _ratio_report(
-        "forward_ckn",
-        {"Q": Q, "p": p, "alpha": alpha, "beta": beta, "gamma": gamma},
-        (il, el), (den_v, den_e), p / abs(Q - gamma), S, direction="upper")
+def _read_ckn(get, Q: float) -> InequalityParams:
+    return InequalityParams(Q=Q, p=float(get("p")),
+                            alpha=float(get("alpha", 0.0)),
+                            beta=float(get("beta", 0.0)))
+
+
+def _read_bilinear(get, Q: float) -> InequalityParams:
+    """lambda defaults to the value solving the balance condition."""
+    p, qp = float(get("p")), float(get("q_prime"))
+    alpha, beta = float(get("alpha", 0.0)), float(get("beta", 0.0))
+    lam = get("lambda", None)
+    if lam is None:
+        lam = balanced_lambda(Q, p, qp, alpha, beta)
+    return InequalityParams(Q=Q, p=p, q_prime=qp, lam=float(lam),
+                            alpha=alpha, beta=beta,
+                            variant=get("variant", "full"))
+
+
+def _read_integral_hardy(get, Q: float) -> tuple:
+    """(variant, W, U, p, q): the profile goes between U and p."""
+    return (get("region", "ball"),
+            WeightSpec(float(get("W_exponent")), "W_outer"),
+            WeightSpec(float(get("U_exponent")), "U_inner"),
+            float(get("p")), float(get("q")))
+
+
+_TRIAL, _PAIR = ("trial",), ("trial_f", "trial_h")
+_SWEEP = ("verify", "estimate", "sweep")
+
+# The lambdas look the verifiers up as module attributes when called, so a
+# rebinding of verify_* (a tracer, a test double) is seen.  sweep defaults
+# to the first entry that accepts it.  estimate rejects the integral Hardy
+# pair: every one of its reports is degenerate.
+INEQUALITIES: dict[str, InequalityEntry] = {
+    "reverse_hardy": InequalityEntry(
+        _TRIAL, _read_p, lambda f, P, *r: verify_reverse_hardy(f, P.p, *r)),
+    "reverse_sobolev": InequalityEntry(
+        _TRIAL, _read_p, lambda f, P, *r: verify_reverse_sobolev(f, P.p, *r)),
+    "reverse_ckn": InequalityEntry(
+        _TRIAL, _read_ckn,
+        lambda f, P, *r: verify_reverse_ckn(f, P.p, P.alpha, P.beta, *r)),
+    "forward_hardy": InequalityEntry(
+        _TRIAL, _read_p, lambda f, P, *r: verify_forward_hardy(f, P.p, *r)),
+    "forward_sobolev": InequalityEntry(
+        _TRIAL, _read_p, lambda f, P, *r: verify_forward_sobolev(f, P.p, *r)),
+    "forward_ckn": InequalityEntry(
+        _TRIAL, _read_ckn,
+        lambda f, P, *r: verify_forward_ckn(f, P.p, P.alpha, P.beta, *r)),
+    "reverse_stein_weiss": InequalityEntry(
+        _PAIR, _read_bilinear, lambda *a: verify_stein_weiss(*a), _SWEEP),
+    "reverse_hls": InequalityEntry(
+        _PAIR, _read_bilinear, lambda *a: verify_reverse_hls(*a), _SWEEP),
+    "reverse_integral_hardy": InequalityEntry(
+        _TRIAL, _read_integral_hardy,
+        lambda f, a, *r: verify_reverse_integral_hardy(*a[:3], f, *a[3:], *r),
+        ("verify",)),
+}
+
+_REQUIRED = object()
+
+
+def read_inequality(sect: dict | None, Q: float) -> tuple[str, object]:
+    """The name in a config's ``inequality`` section and the verifier
+    arguments its entry reads from there through get(key[, default]); a
+    missing key raises ConfigError("config.inequality.<key>: required")."""
+    sect = sect or {}
+
+    def get(key: str, default=_REQUIRED):
+        if key not in sect and default is _REQUIRED:
+            raise ConfigError(f"config.inequality.{key}: required",
+                              module=_MODULE, operation="read_inequality")
+        return sect.get(key, default)
+
+    name = get("name")
+    if not isinstance(name, str) or name not in INEQUALITIES:
+        raise ConfigError(f"config.inequality.name: unknown inequality "
+                          f"{name!r}", module=_MODULE,
+                          operation="read_inequality")
+    return name, INEQUALITIES[name].read(get, Q)

@@ -28,12 +28,12 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import (DegenerateInputError, DivergenceError,
-                         EvaluationError, ParameterError)
+                         ParameterError)
 from .groups import (HomogeneousGroup, QuasiNorm, dilate, group_inv,
                      group_mul)
 from .quadrature import (DecayEnvelope, IntegralResult, QuadratureSpec,
-                         RadialSampler, integrate_radial_err, sample_group_points,
-                         sphere_measure)
+                         RadialSampler, _finalize, integrate_radial_err,
+                         sample_group_points, sphere_measure)
 
 _MODULE = "operators"
 
@@ -228,12 +228,8 @@ def riesz_potential(group: HomogeneousGroup, norm: QuasiNorm,
                             spec.inner_cutoff, r_hi)
     y, _, w = sample_group_points(group, sampler, spec.sample_count, rng)
     kern = norm(group_mul(group, group_inv(group, y), x)) ** lam
-    vals = kern * u(norm(y)) * w
-    n = spec.sample_count
-    value = float(np.sum(vals) / n)
-    if not np.all(np.isfinite(vals)) or abs(value) > 1e280:
-        return IntegralResult(math.inf, math.inf, n, divergent=True)
-    return IntegralResult(value, float(np.std(vals, ddof=1) / math.sqrt(n)), n)
+    return _finalize(kern * u(norm(y)) * w, spec.sample_count,
+                     "riesz_potential", y)
 
 
 def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
@@ -270,41 +266,7 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     kern = norm(group_mul(group, group_inv(group, y), x)) ** lam
     with np.errstate(over="ignore"):
         vals = (f(gx) * gx ** alpha * wx) * (h(gy) * gy ** beta * wy) * kern
-
-    if np.any(np.isnan(vals)):
-        raise EvaluationError("bilinear form integrand returned NaN",
-                              module=_MODULE, operation="stein_weiss_form")
-    value = float(np.sum(vals) / n)
-    if not np.all(np.isfinite(vals)) or abs(value) > 1e280:
-        return IntegralResult(math.inf, math.inf, n, divergent=True)
-    return IntegralResult(value, float(np.std(vals, ddof=1) / math.sqrt(n)), n)
-
-
-# ---------------------------------------------------------------------------
-# derivative operators
-# ---------------------------------------------------------------------------
-
-def radial_derivative(profile: RadialProfile) -> RadialProfile:
-    """The radial derivative dF/d r as a new profile."""
-    return RadialProfile(
-        value=profile.deriv,
-        envelope=profile.deriv_envelope,
-        family_tag=f"R[{profile.family_tag}]",
-        params=profile.params,
-        support_radius=profile.support_radius,
-    )
-
-
-def euler_apply(profile: RadialProfile) -> RadialProfile:
-    """The Euler operator r dF/dr as a new profile."""
-    base = profile.deriv
-    return RadialProfile(
-        value=lambda r: np.asarray(r, float) * base(r),
-        envelope=profile.deriv_envelope.boosted(1.0),
-        family_tag=f"E[{profile.family_tag}]",
-        params=profile.params,
-        support_radius=profile.support_radius,
-    )
+    return _finalize(vals, n, "stein_weiss_form")
 
 
 # ---------------------------------------------------------------------------

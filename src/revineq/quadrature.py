@@ -10,11 +10,9 @@ which is exact for any dilation weights v_i.  Radial integrands reduce to
 one-dimensional integrals against r^{Q-1} dr (``integrate_radial``), which
 a vectorised adaptive Gauss-Kronrod rule on per-decade panels evaluates with
 one numpy call of the integrand per refinement round, while
-genuinely multi-dimensional integrands are handled either by importance-
-sampled Monte Carlo (radius drawn from a declared decay envelope, direction
-uniform on S^{N-1}, the exact Jacobian above absorbed into the weight) or by
-a tensor product of a panelled Gauss-Legendre radial rule with a direction
-rule on the sphere.
+genuinely multi-dimensional integrands are handled by importance-sampled
+Monte Carlo (radius drawn from a declared decay envelope, direction uniform
+on S^{N-1}, the exact Jacobian above absorbed into the weight).
 
 The total mass |S| of the quasi-sphere measure in the polar decomposition
 
@@ -54,19 +52,18 @@ _DEFAULT_TAIL_MASS = 1e-8
 class QuadratureSpec:
     """How to integrate: scheme, effort, truncation and seed."""
 
-    scheme: str = "monte_carlo"          # "monte_carlo" | "tensor_grid"
+    scheme: str = "monte_carlo"          # the only scheme; configs name it
     sample_count: int = 20000            # Monte Carlo points
-    nodes_per_axis: int = 96             # radial nodes for tensor_grid
     truncation_radius: float | None = None   # R_max; None = from envelope mass
     inner_cutoff: float = 0.0            # epsilon >= 0
     seed: int = 0
 
     def __post_init__(self):
-        if self.scheme not in ("monte_carlo", "tensor_grid"):
+        if self.scheme != "monte_carlo":
             raise ParameterError(f"unknown scheme {self.scheme!r}",
                                  module=_MODULE, operation="QuadratureSpec")
-        if self.sample_count < 1 or self.nodes_per_axis < 4:
-            raise ParameterError("sample_count >= 1 and nodes_per_axis >= 4 required",
+        if self.sample_count < 1:
+            raise ParameterError("sample_count >= 1 required",
                                  module=_MODULE, operation="QuadratureSpec")
         if self.inner_cutoff < 0:
             raise ParameterError("inner_cutoff must be >= 0",
@@ -359,14 +356,6 @@ def sample_group_points(group: HomogeneousGroup, sampler: RadialSampler,
 # cartesian integration
 # ---------------------------------------------------------------------------
 
-def _resolve_radii(envelope: DecayEnvelope, Q: float,
-                   spec: QuadratureSpec) -> tuple[float, float]:
-    r_hi = spec.truncation_radius
-    if r_hi is None:
-        r_hi = envelope.r_max(Q)
-    return spec.inner_cutoff, float(r_hi)
-
-
 def _finalize(vals: np.ndarray, n: int, operation: str,
               points: np.ndarray | None = None) -> IntegralResult:
     bad = ~np.isfinite(vals)
@@ -393,59 +382,20 @@ def integrate_cartesian(group: HomogeneousGroup,
 
     ``integrand`` must accept an (n, N) array of points and return (n,)
     values.  The declared envelope drives both the truncation radius (tail
-    mass below 1e-8 of the envelope total) and, for the Monte Carlo scheme,
-    the radial importance distribution.
+    mass below 1e-8 of the envelope total) and the radial importance
+    distribution of the Monte Carlo estimate.
     """
     Q = group.homogeneous_dim
-    r_lo, r_hi = _resolve_radii(envelope, Q, spec)
-
-    if spec.scheme == "monte_carlo":
-        rng = np.random.default_rng(spec.seed)
-        sampler = RadialSampler(envelope, Q, r_lo, r_hi)
-        n = spec.sample_count
-        x, _, w = sample_group_points(group, sampler, n, rng)
-        with np.errstate(over="ignore"):
-            vals = np.asarray(integrand(x), dtype=float) * w
-        return _finalize(vals, n, "integrate_cartesian", x)
-
-    return _tensor_with_refinement(group, integrand, spec, r_lo, r_hi)
-
-
-def _tensor_value(group: HomogeneousGroup, integrand, n_r: int,
-                  r_lo: float, r_hi: float) -> float:
-    Q = group.homogeneous_dim
-    lo = max(r_lo, r_hi * 1e-8)
-    panels = np.geomspace(lo, r_hi, max(2, n_r // 12 + 1))
-    if r_lo == 0.0:
-        panels = np.concatenate([[0.0], panels])
-    gl_x, gl_w = np.polynomial.legendre.leggauss(12)
-    a, b = panels[:-1], panels[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    r = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    wr = (half[:, None] * gl_w[None, :]).ravel()
-
-    m = 32 if group.dim >= 3 else max(16, n_r // 2)
-    u, wu = _direction_rule(group.dim, m)
-    lam = dilation_quadratic_form(group, u)
-
-    pts = dilate(group, np.repeat(r, len(u)),
-                 np.tile(u, (len(r), 1)))
-    vals = np.asarray(integrand(pts), dtype=float).reshape(len(r), len(u))
-    if np.any(np.isnan(vals)):
-        raise EvaluationError("integrand returned NaN on tensor grid",
-                              module=_MODULE, operation="integrate_cartesian")
-    rad = vals @ (wu * lam)
-    return float(np.sum(rad * wr * r ** (Q - 1.0)))
-
-
-def _tensor_with_refinement(group, integrand, spec, r_lo, r_hi) -> IntegralResult:
-    fine = _tensor_value(group, integrand, spec.nodes_per_axis, r_lo, r_hi)
-    coarse = _tensor_value(group, integrand, max(4, spec.nodes_per_axis // 2),
-                           r_lo, r_hi)
-    if abs(fine) > _OVERFLOW_GUARD:
-        return IntegralResult(math.inf, math.inf, spec.nodes_per_axis,
-                              divergent=True)
-    return IntegralResult(fine, abs(fine - coarse), spec.nodes_per_axis)
+    r_hi = spec.truncation_radius
+    if r_hi is None:
+        r_hi = envelope.r_max(Q)
+    rng = np.random.default_rng(spec.seed)
+    sampler = RadialSampler(envelope, Q, spec.inner_cutoff, float(r_hi))
+    n = spec.sample_count
+    x, _, w = sample_group_points(group, sampler, n, rng)
+    with np.errstate(over="ignore"):
+        vals = np.asarray(integrand(x), dtype=float) * w
+    return _finalize(vals, n, "integrate_cartesian", x)
 
 
 # ---------------------------------------------------------------------------

@@ -186,59 +186,32 @@ class EstimateRecord:
 
 def _ratio_objective(inequality: str, params, group, norm, spec,
                      families) -> tuple[Callable, tuple, float]:
-    """Build (objective over concatenated family parameters, box, constant)."""
-    single = ("reverse_hardy", "reverse_sobolev", "reverse_ckn",
-              "forward_hardy", "forward_sobolev", "forward_ckn")
-    paired = ("reverse_stein_weiss", "reverse_hls")
+    """Build (objective over concatenated family parameters, box, constant);
+    ``families`` holds one family per trial profile of the inequality."""
+    entry = ineq.INEQUALITIES.get(inequality)
+    if entry is None or "estimate" not in entry.commands:
+        raise ParameterError(f"no ratio to estimate for {inequality!r}",
+                             module=_MODULE, operation="estimate_best_constant")
+    if not isinstance(families, (list, tuple)):
+        families = (families,)
+    if len(families) != len(entry.trials):
+        raise ParameterError(
+            f"{inequality} takes {len(entry.trials)} trial family(ies), got "
+            f"{len(families)}", module=_MODULE,
+            operation="estimate_best_constant")
+    fams = [FAMILIES[f] if isinstance(f, str) else f for f in families]
+    box = sum((fam.param_box for fam in fams), ())
 
-    if inequality in single:
-        fam = families[0] if isinstance(families, (list, tuple)) else families
-        fam = FAMILIES[fam] if isinstance(fam, str) else fam
-        box = fam.param_box
+    def objective(theta):
+        profiles, start = [], 0
+        for fam in fams:
+            profiles.append(make_profile(fam, theta[start:start + fam.dim]))
+            start += fam.dim
+        rep = entry.verify(*profiles, params, group, norm, spec)
+        return rep.ratio, rep.analytic_constant
 
-        def objective(theta):
-            prof = make_profile(fam, theta)
-            if inequality == "reverse_hardy":
-                rep = ineq.verify_reverse_hardy(prof, params.p, group, norm, spec)
-            elif inequality == "reverse_sobolev":
-                rep = ineq.verify_reverse_sobolev(prof, params.p, group, norm, spec)
-            elif inequality == "reverse_ckn":
-                rep = ineq.verify_reverse_ckn(prof, params.p, params.alpha,
-                                              params.beta, group, norm, spec)
-            elif inequality == "forward_hardy":
-                rep = ineq.verify_forward_hardy(prof, params.p, group, norm, spec)
-            elif inequality == "forward_sobolev":
-                rep = ineq.verify_forward_sobolev(prof, params.p, group, norm, spec)
-            else:
-                rep = ineq.verify_forward_ckn(prof, params.p, params.alpha,
-                                              params.beta, group, norm, spec)
-            return rep.ratio, rep.analytic_constant
-
-        probe = objective(tuple(0.5 * (lo + hi) for lo, hi in box))
-        return objective, box, probe[1]
-
-    if inequality in paired:
-        if not isinstance(families, (list, tuple)) or len(families) != 2:
-            raise ParameterError("bilinear estimates need a pair of families",
-                                 module=_MODULE, operation="estimate_best_constant")
-        fam_f, fam_h = (FAMILIES[f] if isinstance(f, str) else f
-                        for f in families)
-        box = fam_f.param_box + fam_h.param_box
-        verifier = (ineq.verify_stein_weiss
-                    if inequality == "reverse_stein_weiss"
-                    else ineq.verify_reverse_hls)
-
-        def objective(theta):
-            f = make_profile(fam_f, theta[:fam_f.dim])
-            h = make_profile(fam_h, theta[fam_f.dim:])
-            rep = verifier(f, h, params, group, norm, spec)
-            return rep.ratio, rep.analytic_constant
-
-        probe = objective(tuple(0.5 * (lo + hi) for lo, hi in box))
-        return objective, box, probe[1]
-
-    raise ParameterError(f"unknown inequality {inequality!r}",
-                         module=_MODULE, operation="estimate_best_constant")
+    probe = objective(tuple(0.5 * (lo + hi) for lo, hi in box))
+    return objective, box, probe[1]
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,48 @@ def test_margin_failure_maps_to_exit_1(tmp_path, monkeypatch):
     assert code == 1
 
 
+def _without(cfg: dict, path: str) -> dict:
+    """A copy of cfg without the key or section at the dotted path."""
+    out = json.loads(json.dumps(cfg))
+    *parents, key = path.split(".")
+    sect = out
+    for name in parents:
+        sect = sect[name]
+    del sect[key]
+    return out
+
+
+@pytest.mark.parametrize("command,missing", [
+    ("verify", "inequality.p"),
+    ("estimate", "inequality.p"),
+    ("verify", "inequality.name"),
+    ("verify", "trial.family"),
+    ("estimate", "trial"),
+])
+def test_missing_config_key_exits_2(tmp_path, capsys, command, missing):
+    """A config error exits 2 naming the key, never 1 (a failed margin)."""
+    cfg = write_cfg(tmp_path, _without(HARDY_CFG, missing))
+    code = main(["--config", str(cfg), "--command", command,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config.{missing}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("estimate", {**HARDY_CFG, "inequality": {
+        "name": "reverse_integral_hardy", "p": 0.5, "q": -1.0,
+        "W_exponent": -6.0, "U_exponent": -1.0}}),
+    ("sweep", {**HARDY_CFG, "sweep": {"inequality": "reverse_hardy",
+                                      "grid": {"p": [0.5]}}}),
+])
+def test_command_outside_inequality_row_exits_2(tmp_path, command, cfg):
+    """estimate has no ratio to minimise for the degenerate integral Hardy
+    pair, and sweep serves only the bilinear inequalities."""
+    code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
+                 command, "--out", str(tmp_path / "out")])
+    assert code == 2
+
+
 def test_load_config_rejects_non_object(tmp_path):
     path = tmp_path / "arr.json"
     path.write_text("[1, 2]")

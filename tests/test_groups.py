@@ -128,6 +128,14 @@ def test_anisotropic_gauge_rejects_wrong_point_shape():
             gauge(x)
 
 
+def test_gauges_reject_wrong_last_axis(plane, h1):
+    """A 3-D point is not a point of R^2, nor a 4-D one of H1."""
+    with pytest.raises(ShapeError):
+        euclidean_norm(plane)([1.0, 2.0, 2.0])
+    with pytest.raises(ShapeError):
+        koranyi_norm(h1)([1.0, 0.0, 0.0, 5.0])
+
+
 def test_heisenberg_law_leaves_inputs_unmodified(h1, rng):
     x = rng.standard_normal((100, 3))
     y = rng.standard_normal((100, 3))

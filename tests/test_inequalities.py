@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from scipy import integrate as sciint
 from scipy import special as sp
 
-from revineq import (DegenerateInputError, InequalityParams, ParameterError,
-                     PreconditionError, QuadratureSpec, WeightSpec,
+from revineq import (DecayEnvelope, DegenerateInputError, InequalityParams,
+                     ParameterError, PreconditionError, QuadratureSpec,
+                     RadialProfile, WeightSpec,
                      abelian_group, analytic_A1, analytic_A2, balanced_lambda,
                      bracket_kappa, conjugate_exponent, constant_bracket,
                      euclidean_norm, make_profile, stein_weiss_lower_constant,
@@ -437,6 +438,27 @@ def test_forward_range_errors(h1, koranyi, mc_spec):
         verify_forward_sobolev(bump, 0.5, h1, koranyi, mc_spec)
     with pytest.raises(ParameterError):
         verify_forward_ckn(bump, 0.5, 0.0, 1.0, h1, koranyi, mc_spec)
+
+
+@pytest.mark.parametrize("verify", [
+    lambda f, *run: verify_reverse_hardy(f, 0.5, *run),
+    lambda f, *run: verify_reverse_sobolev(f, 0.5, *run),
+    lambda f, *run: verify_reverse_ckn(f, 0.5, 1.0, 1.0, *run),
+    lambda f, *run: verify_forward_hardy(f, 2.0, *run),
+    lambda f, *run: verify_forward_sobolev(f, 2.0, *run),
+    lambda f, *run: verify_forward_ckn(f, 2.0, 0.5, 0.5, *run),
+], ids=["reverse_hardy", "reverse_sobolev", "reverse_ckn", "forward_hardy",
+        "forward_sobolev", "forward_ckn"])
+def test_flat_profile_is_degenerate(verify, h1, koranyi, mc_spec):
+    """F = 1 on [0, 2] has F' = 0, so every right side has a zero integral:
+    the ratio is undefined, for the CKN pair as well."""
+    flat = RadialProfile(
+        value=lambda r: np.ones_like(np.asarray(r, float)),
+        derivative=lambda r: np.zeros_like(np.asarray(r, float)),
+        envelope=DecayEnvelope("uniform", scale=2.0), support_radius=2.0,
+        monotone_decreasing=True)
+    with pytest.raises(DegenerateInputError):
+        verify(flat, h1, koranyi, mc_spec)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ from scipy import integrate as sciint
 from scipy import special as sp
 
 from revineq import (DecayEnvelope, DegenerateInputError, ParameterError,
-                     QuadratureSpec, RadialProfile, WeightSpec, euler_apply,
+                     QuadratureSpec, RadialProfile, WeightSpec,
                      kernel_bound_report, lp_functional, make_profile,
-                     radial_derivative, reverse_holder_gap, riesz_potential,
-                     sphere_measure, stein_weiss_form)
+                     reverse_holder_gap, riesz_potential, sphere_measure,
+                     stein_weiss_form)
 
 
 @pytest.fixture(scope="module")
@@ -77,28 +77,17 @@ def test_lp_zero_p_rejected(plane, plane_norm, mc_spec, expp):
 
 
 # ---------------------------------------------------------------------------
-# derivative operators
+# radial derivatives
 # ---------------------------------------------------------------------------
 
-def test_radial_derivative_exp(expp):
-    d = radial_derivative(expp)
-    r = np.array([0.2, 1.0, 4.0])
-    assert np.allclose(d(r), -np.exp(-r))
-
-
-def test_euler_operator(expp):
-    e = euler_apply(expp)
-    r = np.array([0.2, 1.0, 4.0])
-    assert np.allclose(e(r), -r * np.exp(-r))
-
-
 def test_identity_profile_derivative():
+    """Without a registered derivative, deriv falls back to central
+    differences; F(r) = r has F' = 1 and r F' = r."""
     ident = RadialProfile(value=lambda r: np.asarray(r, float),
                           envelope=DecayEnvelope("uniform", scale=10.0))
-    d = radial_derivative(ident)
-    assert np.allclose(d(np.array([0.5, 2.0])), 1.0, atol=1e-6)
-    e = euler_apply(ident)
-    assert np.allclose(e(np.array([0.5, 2.0])), [0.5, 2.0], atol=1e-6)
+    r = np.array([0.5, 2.0])
+    assert np.allclose(ident.deriv(r), 1.0, atol=1e-6)
+    assert np.allclose(r * ident.deriv(r), [0.5, 2.0], atol=1e-6)
 
 
 def test_power_profile_derivative():

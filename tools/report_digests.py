@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the SHA-256 of every report a fixed corpus of commands writes.
 
-Runs eight commands through ``revineq.cli.run``, each into its own folder of
+Runs a fixed corpus of commands through ``revineq.cli.run``, each into its own folder of
 a temporary directory, and prints one line ``<sha256>  <case>/<file>`` per
 ``report.json``, ``sweep.csv`` and ``trace.csv``.  ``run_meta.json`` holds
 timings and is left out.  Two checkouts that print the same lines write
@@ -27,6 +27,9 @@ _H1_KORANYI = {"group": {"name": "heisenberg"}, "norm": {"name": "koranyi"},
 _EXP_GAUSS = {"trial_f": {"family": "exp_decay", "params": [1.0]},
               "trial_h": {"family": "gaussian", "params": [1.0]}}
 _HARDY = {"inequality": {"name": "reverse_hardy", "p": 0.5}}
+_EXP = {"trial": {"family": "exp_decay", "params": [1.0]}}
+_BUMP = {"trial": {"family": "smooth_bump", "params": [1.0]}}
+_INTEGRAL_HARDY = {"name": "reverse_integral_hardy", "p": 0.5, "q": -1.0}
 
 # (case, command, config, seed)
 CORPUS = (
@@ -65,6 +68,40 @@ CORPUS = (
         "norm": {"name": "euclidean"}, **_EXP_GAUSS,
         "inequality": {"name": "reverse_stein_weiss", "p": 0.5,
                        "q_prime": 0.5, "alpha": 0.25, "beta": 0.5}}, 8),
+    # every row of the inequality table: the radial ratios, both variants
+    # of the integral Hardy pair (degenerate, exit 3) and a bilinear search
+    ("verify_reverse_sobolev_h1_koranyi", "verify", {
+        **_H1_KORANYI, **_EXP,
+        "inequality": {"name": "reverse_sobolev", "p": 0.5}}, 9),
+    ("verify_reverse_ckn_h1_koranyi", "verify", {
+        **_H1_KORANYI, **_EXP,
+        "inequality": {"name": "reverse_ckn", "p": 0.5, "alpha": 1.0,
+                       "beta": 1.0}}, 10),
+    ("verify_forward_hardy_h1_bump", "verify", {
+        **_H1_KORANYI, **_BUMP,
+        "inequality": {"name": "forward_hardy", "p": 2.0}}, 11),
+    ("verify_forward_sobolev_h1_bump", "verify", {
+        **_H1_KORANYI, **_BUMP,
+        "inequality": {"name": "forward_sobolev", "p": 2.0}}, 12),
+    ("verify_forward_ckn_h1_bump", "verify", {
+        **_H1_KORANYI, **_BUMP,
+        "inequality": {"name": "forward_ckn", "p": 2.0, "alpha": 0.5,
+                       "beta": 0.5}}, 13),
+    ("verify_reverse_integral_hardy_ball", "verify", {
+        **_H1_KORANYI, **_EXP,
+        "inequality": {**_INTEGRAL_HARDY, "region": "ball",
+                       "W_exponent": -6.0, "U_exponent": -1.0}}, 14),
+    ("verify_reverse_integral_hardy_complement", "verify", {
+        **_H1_KORANYI, **_EXP,
+        "inequality": {**_INTEGRAL_HARDY, "region": "complement",
+                       "W_exponent": -2.0, "U_exponent": -3.0}}, 15),
+    ("estimate_reverse_stein_weiss_pair", "estimate", {
+        **_H1_KORANYI, "quadrature": {"scheme": "monte_carlo",
+                                      "sample_count": 5000},
+        "inequality": {"name": "reverse_stein_weiss", "p": 0.5,
+                       "q_prime": 0.5, "alpha": 1.0, "beta": 2.0},
+        "estimate": {"method": "nelder_mead", "budget": 8, "restarts": 1,
+                     "families": ["exp_decay", "gaussian"]}}, 16),
 )
 
 REPORT_FILES = ("report.json", "sweep.csv", "trace.csv")
