@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -44,14 +44,17 @@ from .operators import kernel_bound_report
 from .quadrature import (DecayEnvelope, QuadratureSpec,
                          polar_consistency_check, sphere_measure,
                          sphere_measure_direct)
-from .trials import FAMILIES, SearchSpec, estimate_best_constant, make_profile
+from .trials import SearchSpec, estimate_best_constant, make_profile
 
 _MODULE = "cli"
 
 SWEEP_COLUMNS = ["inequality", "Q", "p", "q_prime", "alpha", "beta",
                  "lambda_or_gamma", "lhs", "rhs", "ratio", "constant",
                  "margin", "stderr", "pass", "note"]
+# the sweep grid's axes, outermost first
+_GRID_KEYS = ("p", "q_prime", "alpha", "beta", "lambda")
 
+# allowed keys per section; a nested section is named by its last key
 _SECTION_KEYS = {
     "": {"seed", "group", "norm", "quadrature", "inequality", "trial",
          "trial_f", "trial_h", "estimate", "sweep", "output"},
@@ -66,11 +69,12 @@ _SECTION_KEYS = {
     "trial_h": {"family", "params"},
     "estimate": {"method", "budget", "restarts", "families"},
     "sweep": {"inequality", "grid", "variant"},
+    "grid": set(_GRID_KEYS),
 }
 
 
 def _check_keys(cfg: dict, section: str = ""):
-    allowed = _SECTION_KEYS.get(section)
+    allowed = _SECTION_KEYS.get(section.rpartition(".")[2])
     if allowed is None:
         return
     for key in cfg:
@@ -79,7 +83,7 @@ def _check_keys(cfg: dict, section: str = ""):
             raise ConfigError(f"config.{path}: unknown key",
                               module=_MODULE, operation="load_config")
         if isinstance(cfg[key], dict) and key in _SECTION_KEYS:
-            _check_keys(cfg[key], key)
+            _check_keys(cfg[key], path)
 
 
 def load_config(path: str | Path) -> dict:
@@ -132,12 +136,13 @@ def _build_norm(cfg: dict, group):
 
 
 def _build_quadrature(cfg: dict, seed: int) -> QuadratureSpec:
-    sect = dict(cfg.get("quadrature", {}))
-    sect.setdefault("scheme", "monte_carlo")
-    sect.setdefault("sample_count", 40000)
+    sect = cfg.get("quadrature", {})
+    if sect.get("scheme", "monte_carlo") != "monte_carlo":   # the only one
+        raise ConfigError(f"config.quadrature.scheme: unknown scheme "
+                          f"{sect['scheme']!r}", module=_MODULE,
+                          operation="build_quadrature")
     return QuadratureSpec(
-        scheme=sect["scheme"],
-        sample_count=int(sect["sample_count"]),
+        sample_count=int(sect.get("sample_count", 40000)),
         truncation_radius=sect.get("truncation_radius"),
         inner_cutoff=float(sect.get("inner_cutoff", 0.0)),
         seed=seed,
@@ -238,6 +243,8 @@ def cmd_estimate(cfg, group, norm, spec, out: Path) -> int:
 
 
 def _sweep_rows(cfg, group, norm, spec):
+    """One row per grid point, each point read like the ``inequality``
+    section and verified as ``verify`` does."""
     sect = cfg.get("sweep")
     if not sect or "grid" not in sect:
         raise ConfigError("config.sweep.grid: required for sweep",
@@ -248,48 +255,35 @@ def _sweep_rows(cfg, group, norm, spec):
     if name not in sweepable:
         raise ConfigError("sweep currently targets the bilinear inequalities",
                           module=_MODULE, operation="sweep")
-    grid = sect["grid"]
-    Q = group.homogeneous_dim
-    f = _build_trial(cfg, "trial_f")
-    h = _build_trial(cfg, "trial_h")
-
-    keys = ["p", "q_prime", "alpha", "beta"]
-    axes = [grid.get(k, [0.0 if k in ("alpha", "beta") else None])
-            for k in keys]
-    for k, ax in zip(keys, axes):
-        if ax == [None]:
-            raise ConfigError(f"config.sweep.grid.{k}: required",
+    grid = sect["grid"]     # load_config has rejected keys off _GRID_KEYS
+    for key in ("p", "q_prime"):
+        if key not in grid:
+            raise ConfigError(f"config.sweep.grid.{key}: required",
                               module=_MODULE, operation="sweep")
+    entry = ineq.INEQUALITIES[name]
+    profiles = [_build_trial(cfg, key) for key in entry.trials]
+    keys = [k for k in _GRID_KEYS if k in grid]
 
-    for p in axes[0]:
-        for qp in axes[1]:
-            for alpha in axes[2]:
-                for beta in axes[3]:
-                    lam_list = grid.get("lambda", [None])
-                    for lam in lam_list:
-                        lam_val = (ineq.balanced_lambda(Q, p, qp, alpha, beta)
-                                   if lam is None else float(lam))
-                        params = ineq.InequalityParams(
-                            Q=Q, p=float(p), q_prime=float(qp),
-                            lam=lam_val, alpha=float(alpha), beta=float(beta),
-                            variant=sect.get("variant", "full"))
-                        base = {"inequality": name, "Q": Q, "p": p,
-                                "q_prime": qp, "alpha": alpha, "beta": beta,
-                                "lambda_or_gamma": lam_val}
-                        adm = ineq.validate_params(params)
-                        if not adm.admissible:
-                            yield {**base, "lhs": "", "rhs": "", "ratio": "",
-                                   "constant": "", "margin": "", "stderr": "",
-                                   "pass": "skip",
-                                   "note": "; ".join(adm.failures)}
-                            continue
-                        rep = ineq.verify_stein_weiss(f, h, params, group,
-                                                      norm, spec)
-                        yield {**base, "lhs": rep.lhs, "rhs": rep.rhs,
-                               "ratio": rep.ratio,
-                               "constant": rep.analytic_constant,
-                               "margin": rep.margin, "stderr": rep.stderr,
-                               "pass": str(rep.passed).lower(), "note": ""}
+    for values in itertools.product(*(grid[k] for k in keys)):
+        point = dict(zip(keys, values))
+        _, params = ineq.read_inequality(
+            {"name": name, "variant": sect.get("variant", "full"), **point},
+            group.homogeneous_dim)
+        # the cells keep the raw grid values; lambda is the resolved one
+        base = {"inequality": name, "Q": params.Q, "alpha": params.alpha,
+                "beta": params.beta, **point, "lambda_or_gamma": params.lam}
+        base.pop("lambda", None)
+        adm = ineq.validate_params(params)
+        if not adm.admissible:
+            yield {**base, "lhs": "", "rhs": "", "ratio": "", "constant": "",
+                   "margin": "", "stderr": "", "pass": "skip",
+                   "note": "; ".join(adm.failures)}
+            continue
+        rep = entry.verify(*profiles, params, group, norm, spec)
+        yield {**base, "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio,
+               "constant": rep.analytic_constant, "margin": rep.margin,
+               "stderr": rep.stderr, "pass": str(rep.passed).lower(),
+               "note": ""}
 
 
 def cmd_sweep(cfg, group, norm, spec, out: Path) -> int:

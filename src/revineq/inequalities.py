@@ -65,8 +65,6 @@ class InequalityParams:
       "full"        both weight sign conditions required,
       "improved_a"  only 0 <= alpha < -Q/q required,
       "improved_b"  only 0 <= beta < -Q/p' required.
-    gamma is only meaningful for the Caffarelli-Kohn-Nirenberg setting and
-    is always alpha + beta + 1 there.
     """
 
     Q: float
@@ -75,7 +73,6 @@ class InequalityParams:
     lam: float = 0.0
     alpha: float = 0.0
     beta: float = 0.0
-    gamma: float | None = None
     variant: str = "full"
 
     def __post_init__(self):
@@ -100,8 +97,6 @@ class InequalityParams:
         d = {"Q": self.Q, "p": self.p, "q_prime": self.q_prime,
              "lambda": self.lam, "alpha": self.alpha, "beta": self.beta,
              "variant": self.variant}
-        if self.gamma is not None:
-            d["gamma"] = self.gamma
         if not math.isnan(self.q_prime):
             d["p_prime"] = self.p_prime
             d["q"] = self.q

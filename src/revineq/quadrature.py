@@ -50,18 +50,14 @@ _DEFAULT_TAIL_MASS = 1e-8
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate: scheme, effort, truncation and seed."""
+    """How to integrate: effort, truncation and seed."""
 
-    scheme: str = "monte_carlo"          # the only scheme; configs name it
     sample_count: int = 20000            # Monte Carlo points
     truncation_radius: float | None = None   # R_max; None = from envelope mass
     inner_cutoff: float = 0.0            # epsilon >= 0
     seed: int = 0
 
     def __post_init__(self):
-        if self.scheme != "monte_carlo":
-            raise ParameterError(f"unknown scheme {self.scheme!r}",
-                                 module=_MODULE, operation="QuadratureSpec")
         if self.sample_count < 1:
             raise ParameterError("sample_count >= 1 required",
                                  module=_MODULE, operation="QuadratureSpec")

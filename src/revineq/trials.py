@@ -130,9 +130,18 @@ FAMILIES: dict[str, TrialFamily] = {
 }
 
 
+def _family(family: TrialFamily | str) -> TrialFamily:
+    """The family of that name, or the family itself."""
+    if isinstance(family, str) and family not in FAMILIES:
+        raise ParameterError(f"unknown trial family {family!r}; known: "
+                             + ", ".join(FAMILIES), module=_MODULE,
+                             operation="trial_family")
+    return FAMILIES[family] if isinstance(family, str) else family
+
+
 def make_profile(family: TrialFamily | str, params: Sequence[float]) -> RadialProfile:
     """Instantiate a family member; parameters must lie in the family box."""
-    fam = FAMILIES[family] if isinstance(family, str) else family
+    fam = _family(family)
     params = tuple(float(v) for v in params)
     if len(params) != fam.dim:
         raise ParameterError(
@@ -185,9 +194,10 @@ class EstimateRecord:
 # ---------------------------------------------------------------------------
 
 def _ratio_objective(inequality: str, params, group, norm, spec,
-                     families) -> tuple[Callable, tuple, float]:
-    """Build (objective over concatenated family parameters, box, constant);
-    ``families`` holds one family per trial profile of the inequality."""
+                     families) -> tuple[Callable, tuple]:
+    """Build (objective over concatenated family parameters, box); the
+    objective returns (ratio, analytic constant).  ``families`` holds one
+    family per trial profile of the inequality."""
     entry = ineq.INEQUALITIES.get(inequality)
     if entry is None or "estimate" not in entry.commands:
         raise ParameterError(f"no ratio to estimate for {inequality!r}",
@@ -199,7 +209,7 @@ def _ratio_objective(inequality: str, params, group, norm, spec,
             f"{inequality} takes {len(entry.trials)} trial family(ies), got "
             f"{len(families)}", module=_MODULE,
             operation="estimate_best_constant")
-    fams = [FAMILIES[f] if isinstance(f, str) else f for f in families]
+    fams = [_family(f) for f in families]
     box = sum((fam.param_box for fam in fams), ())
 
     def objective(theta):
@@ -210,8 +220,7 @@ def _ratio_objective(inequality: str, params, group, norm, spec,
         rep = entry.verify(*profiles, params, group, norm, spec)
         return rep.ratio, rep.analytic_constant
 
-    probe = objective(tuple(0.5 * (lo + hi) for lo, hi in box))
-    return objective, box, probe[1]
+    return objective, box
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +300,17 @@ def estimate_best_constant(inequality: str, params, families,
     random numbers), and results are a pure function of
     (inequality, params, families, search, spec).
     """
-    objective, box, constant = _ratio_objective(inequality, params, group,
-                                                norm, spec, families)
+    objective, box = _ratio_objective(inequality, params, group, norm, spec,
+                                      families)
     trace: list[tuple[tuple[float, ...], float]] = []
     degenerate = 0
+    constant = math.nan     # the same at every point: it has no profile
 
     def fn(theta) -> float:
-        nonlocal degenerate
+        nonlocal degenerate, constant
         theta = tuple(float(t) for t in np.atleast_1d(theta))
         try:
-            ratio, _ = objective(theta)
+            ratio, constant = objective(theta)
         except (DegenerateInputError, DivergenceError):
             degenerate += 1
             ratio = math.inf

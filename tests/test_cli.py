@@ -97,13 +97,18 @@ def test_axioms_on_heisenberg_passes(tmp_path):
     assert doc["checks"]["dilation_automorphism"]["value"] <= 1e-11
 
 
+SWEEP_CFG = {
+    "seed": 5,
+    "group": {"name": "abelian", "weights": [1.0, 1.0]},
+    "quadrature": {"sample_count": 8000},
+    "trial_f": {"family": "exp_decay", "params": [1.0]},
+    "trial_h": {"family": "exp_decay", "params": [1.0]},
+}
+
+
 def test_sweep_skips_inadmissible_with_reason(tmp_path):
     cfg = write_cfg(tmp_path, {
-        "seed": 5,
-        "group": {"name": "abelian", "weights": [1.0, 1.0]},
-        "quadrature": {"sample_count": 8000},
-        "trial_f": {"family": "exp_decay", "params": [1.0]},
-        "trial_h": {"family": "exp_decay", "params": [1.0]},
+        **SWEEP_CFG,
         "sweep": {
             "inequality": "reverse_stein_weiss",
             "grid": {"p": [0.5], "q_prime": [0.5], "alpha": [0.0],
@@ -259,6 +264,64 @@ def test_command_outside_inequality_row_exits_2(tmp_path, command, cfg):
     pair, and sweep serves only the bilinear inequalities."""
     code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
                  command, "--out", str(tmp_path / "out")])
+    assert code == 2
+
+
+@pytest.mark.parametrize("scheme", ["cubature", "tensor_grid"])
+def test_unknown_quadrature_scheme_exits_2(tmp_path, capsys, scheme):
+    """monte_carlo is the only scheme; configs may still name it."""
+    cfg = {**HARDY_CFG, "quadrature": {"scheme": scheme,
+                                       "sample_count": 15000}}
+    code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
+                 "verify", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config.quadrature.scheme: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("verify", {**HARDY_CFG, "trial": {"family": "exp_decy",
+                                       "params": [1.0]}}),
+    ("estimate", {**HARDY_CFG, "estimate": {"method": "grid", "budget": 2,
+                                            "families": ["exp_decy"]}}),
+])
+def test_unknown_trial_family_exits_2(tmp_path, capsys, command, cfg):
+    """A misspelt family is a parameter error (exit 2) naming the family and
+    the known ones, not a failed margin (exit 1)."""
+    code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
+                 command, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'exp_decy'" in err and "exp_decay" in err
+
+
+def test_sweep_unknown_grid_key_exits_2(tmp_path, capsys):
+    """A misspelt lambda is rejected, not silently replaced by the
+    balanced value."""
+    cfg = {**SWEEP_CFG, "sweep": {
+        "inequality": "reverse_stein_weiss",
+        "grid": {"p": [0.5], "q_prime": [0.5], "lamda": [3.0]}}}
+    code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
+                 "sweep", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config.sweep.grid.lamda: unknown key" in capsys.readouterr().err
+
+
+def test_sweep_weighted_reverse_hls_exits_2(tmp_path, capsys):
+    """Each sweep point is verified as verify does: reverse_hls is the
+    unweighted corollary, so alpha = 1, beta = 2 is rejected there too."""
+    cfg = {**SWEEP_CFG, "group": {"name": "heisenberg"}, "sweep": {
+        "inequality": "reverse_hls",
+        "grid": {"p": [0.5], "q_prime": [0.5], "alpha": [1.0],
+                 "beta": [2.0]}}}
+    code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
+                 "sweep", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "requires alpha = beta = 0" in capsys.readouterr().err
+    verify = {**cfg, "inequality": {"name": "reverse_hls", "p": 0.5,
+                                    "q_prime": 0.5, "alpha": 1.0,
+                                    "beta": 2.0}}
+    code = main(["--config", str(write_cfg(tmp_path, verify, "v.json")),
+                 "--command", "verify", "--out", str(tmp_path / "v")])
     assert code == 2
 
 

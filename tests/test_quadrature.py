@@ -591,9 +591,6 @@ def test_unit_sphere_area():
 
 
 def test_quadrature_spec_validation():
-    for scheme in ("cubature", "tensor_grid"):
-        with pytest.raises(ParameterError):
-            QuadratureSpec(scheme=scheme)
     with pytest.raises(ParameterError):
         QuadratureSpec(sample_count=0)
     with pytest.raises(ParameterError):

@@ -102,6 +102,20 @@ CORPUS = (
                        "q_prime": 0.5, "alpha": 1.0, "beta": 2.0},
         "estimate": {"method": "nelder_mead", "budget": 8, "restarts": 1,
                      "families": ["exp_decay", "gaussian"]}}, 16),
+    # every branch of sweep: the unweighted corollary, weights, a variant,
+    # an explicit and a balanced lambda, and inadmissible points (skip rows)
+    ("sweep_reverse_hls_3x3", "sweep", {
+        **_H1_KORANYI, **_EXP_GAUSS,
+        "sweep": {"inequality": "reverse_hls",
+                  "grid": {"p": [0.3, 0.5, 0.7],
+                           "q_prime": [0.3, 0.5, 0.7]}}}, 17),
+    ("sweep_reverse_stein_weiss_weighted", "sweep", {
+        **_MC, "group": {"name": "abelian", "weights": [1.0, 1.0]},
+        "norm": {"name": "euclidean"}, **_EXP_GAUSS,
+        "sweep": {"inequality": "reverse_stein_weiss", "variant": "improved_a",
+                  "grid": {"p": [0.5, 0.7], "q_prime": [0.5],
+                           "alpha": [0.0, 0.5], "beta": [0, 1.0],
+                           "lambda": [3.0, None]}}}, 18),
 )
 
 REPORT_FILES = ("report.json", "sweep.csv", "trace.csv")
