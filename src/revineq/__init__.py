@@ -16,10 +16,9 @@ from .groups import (GroupAxiomReport, HomogeneousGroup, NormAxiomReport,
                      check_group_axioms, check_quasi_norm_axioms, cygan_norm,
                      dilate, dilation_quadratic_form, euclidean_norm,
                      group_inv, group_mul, heisenberg_group, koranyi_norm)
-from .inequalities import (AdmissibilityReport, ConstantBracket,
-                           InequalityParams, VerificationReport, analytic_A1,
-                           analytic_A2, balanced_lambda, bracket_kappa,
-                           conjugate_exponent, constant_bracket,
+from .inequalities import (AdmissibilityReport, InequalityParams,
+                           VerificationReport, analytic_A1, analytic_A2,
+                           balanced_lambda, bracket_kappa, conjugate_exponent,
                            stein_weiss_lower_constant, validate_params,
                            verify_forward_ckn, verify_forward_hardy,
                            verify_forward_sobolev, verify_reverse_ckn,

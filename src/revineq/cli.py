@@ -60,8 +60,7 @@ _SECTION_KEYS = {
          "trial_f", "trial_h", "estimate", "sweep", "output"},
     "group": {"name", "weights"},
     "norm": {"name"},
-    "quadrature": {"scheme", "sample_count", "truncation_radius",
-                   "inner_cutoff"},
+    "quadrature": {"scheme", "sample_count"},
     "inequality": {"name", "p", "q_prime", "q", "lambda", "alpha", "beta",
                    "variant", "region", "W_exponent", "U_exponent"},
     "trial": {"family", "params"},
@@ -84,6 +83,18 @@ def _check_keys(cfg: dict, section: str = ""):
                               module=_MODULE, operation="load_config")
         if isinstance(cfg[key], dict) and key in _SECTION_KEYS:
             _check_keys(cfg[key], path)
+
+
+def _numbers(value, path: str, nullable: bool = False):
+    """A list of numbers (or nulls, if nullable) unchanged, or a
+    ConfigError naming the key path."""
+    if not isinstance(value, list):
+        raise ConfigError(f"config.{path}: expected a list of numbers, got "
+                          f"{value!r}", module=_MODULE, operation="read_config")
+    for v in value:
+        if not (nullable and v is None):
+            ineq.config_value(v, float, path)
+    return value
 
 
 def load_config(path: str | Path) -> dict:
@@ -116,7 +127,8 @@ def _build_group(cfg: dict):
     if name == "heisenberg":
         return heisenberg_group()
     if name == "abelian":
-        return abelian_group(tuple(sect.get("weights", [1.0])))
+        return abelian_group(tuple(_numbers(sect.get("weights", [1.0]),
+                                            "group.weights")))
     raise ConfigError(f"config.group.name: unknown group {name!r}",
                       module=_MODULE, operation="build_group")
 
@@ -142,11 +154,9 @@ def _build_quadrature(cfg: dict, seed: int) -> QuadratureSpec:
                           f"{sect['scheme']!r}", module=_MODULE,
                           operation="build_quadrature")
     return QuadratureSpec(
-        sample_count=int(sect.get("sample_count", 40000)),
-        truncation_radius=sect.get("truncation_radius"),
-        inner_cutoff=float(sect.get("inner_cutoff", 0.0)),
-        seed=seed,
-    )
+        sample_count=ineq.config_value(sect.get("sample_count", 40000), int,
+                                       "quadrature.sample_count"),
+        seed=seed)
 
 
 def _trial_section(cfg: dict, key: str = "trial") -> dict:
@@ -162,7 +172,8 @@ def _trial_section(cfg: dict, key: str = "trial") -> dict:
 
 def _build_trial(cfg: dict, key: str = "trial"):
     sect = _trial_section(cfg, key)
-    return make_profile(sect["family"], sect.get("params", []))
+    return make_profile(sect["family"],
+                        _numbers(sect.get("params", []), f"{key}.params"))
 
 
 def _resolved(cfg: dict, seed: int) -> dict:
@@ -216,8 +227,10 @@ def cmd_verify(cfg, group, norm, spec, out: Path) -> int:
 def cmd_estimate(cfg, group, norm, spec, out: Path) -> int:
     sect = cfg.get("estimate", {})
     search = SearchSpec(method=sect.get("method", "nelder_mead"),
-                        budget=int(sect.get("budget", 80)),
-                        restarts=int(sect.get("restarts", 2)),
+                        budget=ineq.config_value(sect.get("budget", 80), int,
+                                                 "estimate.budget"),
+                        restarts=ineq.config_value(sect.get("restarts", 2),
+                                                   int, "estimate.restarts"),
                         seed=spec.seed)
     name, params = ineq.read_inequality(cfg.get("inequality"),
                                         group.homogeneous_dim)
@@ -260,9 +273,11 @@ def _sweep_rows(cfg, group, norm, spec):
         if key not in grid:
             raise ConfigError(f"config.sweep.grid.{key}: required",
                               module=_MODULE, operation="sweep")
+    keys = [k for k in _GRID_KEYS if k in grid]
+    for k in keys:
+        _numbers(grid[k], f"sweep.grid.{k}", nullable=True)
     entry = ineq.INEQUALITIES[name]
     profiles = [_build_trial(cfg, key) for key in entry.trials]
-    keys = [k for k in _GRID_KEYS if k in grid]
 
     for values in itertools.product(*(grid[k] for k in keys)):
         point = dict(zip(keys, values))
@@ -356,8 +371,8 @@ def run(command: str, config: dict, out_dir: str | Path = ".",
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _check_keys(config)
-    seed = int(seed_override if seed_override is not None
-               else config.get("seed", 0))
+    seed = ineq.config_value(seed_override if seed_override is not None
+                             else config.get("seed", 0), int, "seed")
     group = _build_group(config)
     norm = _build_norm(config, group)
     spec = _build_quadrature(config, seed)

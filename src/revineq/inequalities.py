@@ -29,8 +29,7 @@ from .exceptions import (ConfigError, DegenerateInputError, DivergenceError,
 from .groups import HomogeneousGroup, QuasiNorm
 from .operators import (RadialProfile, WeightSpec, lp_functional,
                         stein_weiss_form, weighted_p_integral)
-from .quadrature import (DecayEnvelope, QuadratureSpec, integrate_radial_err,
-                         sphere_measure)
+from .quadrature import QuadratureSpec, integrate_radial_err, sphere_measure
 
 _MODULE = "inequalities"
 
@@ -225,22 +224,6 @@ def analytic_A2(params: InequalityParams, sphere: float) -> float:
     return float((sphere / d1) ** (1.0 / q) * (sphere / abs(d2)) ** (1.0 / pp))
 
 
-@dataclass(frozen=True)
-class ConstantBracket:
-    """Bracket [kappa A, A] for a biggest constant characterized by A."""
-
-    A: float
-    kappa: float
-
-    @property
-    def lower(self) -> float:
-        return self.kappa * self.A
-
-    @property
-    def upper(self) -> float:
-        return self.A
-
-
 def bracket_kappa(p_prime: float, q: float) -> float:
     """kappa = (p'/(p'+q))^{-1/q} (q/(p'+q))^{-1/p'}, in (0, 1] for
     negative conjugates."""
@@ -249,13 +232,6 @@ def bracket_kappa(p_prime: float, q: float) -> float:
                              module=_MODULE, operation="bracket_kappa")
     s = p_prime + q
     return float((p_prime / s) ** (-1.0 / q) * (q / s) ** (-1.0 / p_prime))
-
-
-def constant_bracket(A: float, p_prime: float, q: float) -> ConstantBracket:
-    if A <= 0:
-        raise ParameterError("A must be positive", module=_MODULE,
-                             operation="constant_bracket")
-    return ConstantBracket(A=A, kappa=bracket_kappa(p_prime, q))
 
 
 def stein_weiss_lower_constant(params: InequalityParams, sphere: float) -> float:
@@ -706,8 +682,8 @@ def verify_reverse_integral_hardy(variant: str, W: WeightSpec, U: WeightSpec,
         # truncated-window diagnostic: the same functional with the outer
         # integral restricted to [r_lo, r_hi]; finite because the inner
         # integral is bounded away from 0 there
-        r_hi = spec.truncation_radius or f.envelope.r_max(Q)
-        r_lo = max(spec.inner_cutoff, r_hi * 1e-4)
+        r_hi = f.envelope.r_max(Q)
+        r_lo = r_hi * 1e-4
         inner = _inner_integral(f, Q, S.value, r_hi * 4.0, variant)
         try:
             tv, _ = integrate_radial_err(
@@ -747,33 +723,31 @@ class InequalityEntry(NamedTuple):
 
 
 def _read_p(get, Q: float) -> InequalityParams:
-    return InequalityParams(Q=Q, p=float(get("p")))
+    return InequalityParams(Q=Q, p=get("p"))
 
 
 def _read_ckn(get, Q: float) -> InequalityParams:
-    return InequalityParams(Q=Q, p=float(get("p")),
-                            alpha=float(get("alpha", 0.0)),
-                            beta=float(get("beta", 0.0)))
+    return InequalityParams(Q=Q, p=get("p"), alpha=get("alpha", 0.0),
+                            beta=get("beta", 0.0))
 
 
 def _read_bilinear(get, Q: float) -> InequalityParams:
     """lambda defaults to the value solving the balance condition."""
-    p, qp = float(get("p")), float(get("q_prime"))
-    alpha, beta = float(get("alpha", 0.0)), float(get("beta", 0.0))
+    p, qp = get("p"), get("q_prime")
+    alpha, beta = get("alpha", 0.0), get("beta", 0.0)
     lam = get("lambda", None)
     if lam is None:
         lam = balanced_lambda(Q, p, qp, alpha, beta)
-    return InequalityParams(Q=Q, p=p, q_prime=qp, lam=float(lam),
-                            alpha=alpha, beta=beta,
-                            variant=get("variant", "full"))
+    return InequalityParams(Q=Q, p=p, q_prime=qp, lam=lam, alpha=alpha,
+                            beta=beta, variant=get("variant", "full", str))
 
 
 def _read_integral_hardy(get, Q: float) -> tuple:
     """(variant, W, U, p, q): the profile goes between U and p."""
-    return (get("region", "ball"),
-            WeightSpec(float(get("W_exponent")), "W_outer"),
-            WeightSpec(float(get("U_exponent")), "U_inner"),
-            float(get("p")), float(get("q")))
+    return (get("region", "ball", str),
+            WeightSpec(get("W_exponent"), "W_outer"),
+            WeightSpec(get("U_exponent"), "U_inner"),
+            get("p"), get("q"))
 
 
 _TRIAL, _PAIR = ("trial",), ("trial_f", "trial_h")
@@ -811,20 +785,34 @@ INEQUALITIES: dict[str, InequalityEntry] = {
 _REQUIRED = object()
 
 
+def config_value(value, kind: type, path: str):
+    """kind(value), or a ConfigError naming the key path ``path``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config.{path}: expected {kind.__name__}, got "
+                          f"{value!r}", module=_MODULE,
+                          operation="read_config") from None
+
+
 def read_inequality(sect: dict | None, Q: float) -> tuple[str, object]:
     """The name in a config's ``inequality`` section and the verifier
-    arguments its entry reads from there through get(key[, default]); a
-    missing key raises ConfigError("config.inequality.<key>: required")."""
+    arguments its entry reads from there through get(key[, default[, kind]]),
+    which converts a present value to kind (float unless stated).  A null
+    value counts as absent; a missing key without default raises
+    ConfigError("config.inequality.<key>: required")."""
     sect = sect or {}
 
-    def get(key: str, default=_REQUIRED):
-        if key not in sect and default is _REQUIRED:
-            raise ConfigError(f"config.inequality.{key}: required",
-                              module=_MODULE, operation="read_inequality")
-        return sect.get(key, default)
+    def get(key: str, default=_REQUIRED, kind: type = float):
+        if sect.get(key) is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"config.inequality.{key}: required",
+                                  module=_MODULE, operation="read_inequality")
+            return default
+        return config_value(sect[key], kind, f"inequality.{key}")
 
-    name = get("name")
-    if not isinstance(name, str) or name not in INEQUALITIES:
+    name = get("name", kind=str)
+    if name not in INEQUALITIES:
         raise ConfigError(f"config.inequality.name: unknown inequality "
                           f"{name!r}", module=_MODULE,
                           operation="read_inequality")

@@ -1,14 +1,14 @@
 """Integral operators and functionals entering the reverse inequalities.
 
 All trial data is radial: a profile F of the gauge radius r = |x| represents
-the function x -> F(|x|) on the group.  The L^p functional for any p != 0 is
+the function x -> F(|x|) on the group.  The L^p functional for p > 0 is
 
     ||f||_p = ( |S| int_0^inf F(r)^p r^{Q-1} dr )^{1/p},
 
 which for p in (0, 1) is the formal quasi-norm entering the reverse Hoelder
-inequality, and for p < 0 requires a strictly positive profile on a bounded
-integration window (the convention 0^q = +inf for q < 0 is enforced by
-raising DegenerateInputError rather than letting infinities into results).
+inequality.  Each radial integral runs over [0, R], where R is the radius
+beyond which the integrand's declared decay envelope holds less than 1e-8
+of its mass (capped at the profile's support radius).
 
 The growing-kernel potential and the doubly weighted bilinear form
 
@@ -22,13 +22,12 @@ Jacobian from the quadrature module; estimates are deterministic per seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .exceptions import (DegenerateInputError, DivergenceError,
-                         ParameterError)
+from .exceptions import DegenerateInputError, ParameterError
 from .groups import (HomogeneousGroup, QuasiNorm, dilate, group_inv,
                      group_mul)
 from .quadrature import (DecayEnvelope, IntegralResult, QuadratureSpec,
@@ -130,70 +129,35 @@ class WeightSpec:
 
 def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
                         Q: float, *, use_derivative: bool = False,
-                        r_min: float = 0.0, r_max: float | None = None,
                         ) -> tuple[float, float]:
-    """(int |F(r)|^p r^{power_shift} r^{Q-1} dr, error estimate).
+    """(int |F(r)|^p r^{power_shift} r^{Q-1} dr, error estimate) for p > 0.
 
     With use_derivative the integrand uses |dF/dr| instead of F.  The upper
-    limit defaults to the envelope-based truncation radius of the integrand
+    limit is the envelope-based truncation radius of the integrand
     (|F|^p r^shift), beyond which its mass is below 1e-8 of the total.
     """
-    if p == 0:
-        raise ParameterError("p must be nonzero", module=_MODULE,
+    if not p > 0:
+        raise ParameterError(f"p must be positive, got {p:g}", module=_MODULE,
                              operation="weighted_p_integral")
     env = (profile.deriv_envelope if use_derivative else profile.envelope)
-    env = env.powered(p).boosted(power_shift) if p > 0 else env
-    if r_max is None:
-        if p < 0:
-            raise ParameterError(
-                "negative exponents need an explicit truncation radius",
-                module=_MODULE, operation="weighted_p_integral")
-        env.check_integrable(Q, "weighted_p_integral")
-        r_max = min(env.r_max(Q), profile.support_radius)
+    env = env.powered(p).boosted(power_shift)
+    env.check_integrable(Q, "weighted_p_integral")
+    r_max = min(env.r_max(Q), profile.support_radius)
 
     fn = profile.deriv if use_derivative else profile.value
 
     def integrand(r):
         return np.abs(fn(r)) ** p * r ** power_shift
 
-    return integrate_radial_err(integrand, Q, r_min, r_max)
+    return integrate_radial_err(integrand, Q, 0.0, r_max)
 
 
 def lp_functional(profile: RadialProfile, p: float, group: HomogeneousGroup,
                   norm: QuasiNorm, spec: QuadratureSpec) -> float:
-    """( |S| int F(r)^p r^{Q-1} dr )^{1/p} for any p != 0.
-
-    For p < 0 the profile must be strictly positive on the integration
-    window [inner_cutoff, truncation_radius]: a zero value would make the
-    integrand +inf under the 0^q = (+inf)^{-q} = +inf convention for
-    negative exponents, so it is rejected as degenerate input instead.
-    """
-    if p == 0:
-        raise ParameterError("p must be nonzero", module=_MODULE,
-                             operation="lp_functional")
-    Q = group.homogeneous_dim
-    if p < 0:
-        if spec.truncation_radius is None:
-            raise ParameterError(
-                "p < 0 requires an explicit truncation_radius in the spec",
-                module=_MODULE, operation="lp_functional")
-        _require_positive(profile, spec, "lp_functional")
-    val, _ = weighted_p_integral(profile, p, 0.0, Q,
-                                 r_min=spec.inner_cutoff,
-                                 r_max=spec.truncation_radius)
+    """( |S| int F(r)^p r^{Q-1} dr )^{1/p} for p > 0."""
+    val, _ = weighted_p_integral(profile, p, 0.0, group.homogeneous_dim)
     S = sphere_measure(group, norm, spec).value
     return float((S * val) ** (1.0 / p))
-
-
-def _require_positive(profile: RadialProfile, spec: QuadratureSpec, op: str):
-    hi = spec.truncation_radius or min(profile.support_radius,
-                                       profile.envelope.r_max(1.0))
-    r = np.geomspace(max(spec.inner_cutoff, hi * 1e-9), hi, 512)
-    if not (profile.strictly_positive or bool(np.all(profile(r) > 0.0))):
-        raise DegenerateInputError(
-            "profile vanishes on the integration window; under the negative-"
-            "exponent convention 0^q = (+inf)^{-q} = +inf the integral "
-            "degenerates", module=_MODULE, operation=op)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +179,8 @@ def riesz_potential(group: HomogeneousGroup, norm: QuasiNorm,
     if np.allclose(x, 0.0):
         # |y^{-1} 0| = |y|: purely radial
         r_hi = min(env.r_max(Q), u.support_radius)
-        val, err = integrate_radial_err(lambda r: r ** lam * u(r), Q,
-                                        spec.inner_cutoff, r_hi)
+        val, err = integrate_radial_err(lambda r: r ** lam * u(r), Q, 0.0,
+                                        r_hi)
         S = sphere_measure(group, norm, spec)
         return IntegralResult(S.value * val,
                               S.stderr * abs(val) + S.value * err,
@@ -224,8 +188,7 @@ def riesz_potential(group: HomogeneousGroup, norm: QuasiNorm,
 
     rng = np.random.default_rng(spec.seed)
     r_hi = min(env.r_max(Q), u.support_radius)
-    sampler = RadialSampler(u.envelope.boosted(max(lam - 1.0, 0.0)), Q,
-                            spec.inner_cutoff, r_hi)
+    sampler = RadialSampler(u.envelope.boosted(max(lam - 1.0, 0.0)), Q, r_hi)
     y, _, w = sample_group_points(group, sampler, spec.sample_count, rng)
     kern = norm(group_mul(group, group_inv(group, y), x)) ** lam
     return _finalize(kern * u(norm(y)) * w, spec.sample_count,
@@ -255,10 +218,10 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
 
     rng = np.random.default_rng(spec.seed)
     n = spec.sample_count
-    sx = RadialSampler(env_x, Q, spec.inner_cutoff,
-                       min(env_x.boosted(lam / 2.0).r_max(Q), f.support_radius))
-    sy = RadialSampler(env_y, Q, spec.inner_cutoff,
-                       min(env_y.boosted(lam / 2.0).r_max(Q), h.support_radius))
+    sx = RadialSampler(env_x, Q, min(env_x.boosted(lam / 2.0).r_max(Q),
+                                     f.support_radius))
+    sy = RadialSampler(env_y, Q, min(env_y.boosted(lam / 2.0).r_max(Q),
+                                     h.support_radius))
     x, _, wx = sample_group_points(group, sx, n, rng)
     y, _, wy = sample_group_points(group, sy, n, rng)
 
@@ -273,58 +236,32 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
 # reverse Hoelder gap
 # ---------------------------------------------------------------------------
 
-def reverse_holder_gap(f, g, p: float, group: HomogeneousGroup | None = None,
-                       norm: QuasiNorm | None = None,
-                       spec: QuadratureSpec | None = None) -> float:
-    """gap = int f g - (int f^p)^{1/p} (int g^{p'})^{1/p'} for p in (0,1).
+def reverse_holder_gap(f, g, p: float) -> float:
+    """gap = sum f g - (sum f^p)^{1/p} (sum g^{p'})^{1/p'} for p in (0,1).
 
-    For nonnegative f and strictly positive g the reverse Hoelder inequality
-    makes the gap nonnegative (up to quadrature noise) on any measure space,
-    in particular on the truncated group window actually integrated.
-
-    Accepts either two 1-D sample arrays (counting measure) or two radial
-    profiles together with (group, norm, spec).
+    ``f`` and ``g`` are 1-D sample arrays (counting measure).  For
+    nonnegative f and strictly positive g the reverse Hoelder inequality
+    makes the gap nonnegative; a g that vanishes at a sample is rejected as
+    degenerate, as 0^{p'} = +inf for p' < 0.
     """
     if not 0.0 < p < 1.0:
         raise ParameterError("p must lie in (0, 1)", module=_MODULE,
                              operation="reverse_holder_gap")
     pp = p / (p - 1.0)
-
-    if isinstance(f, np.ndarray) or isinstance(f, (list, tuple)):
-        fv = np.asarray(f, dtype=float)
-        gv = np.asarray(g, dtype=float)
-        if fv.shape != gv.shape:
-            raise ParameterError("sample arrays must have matching shapes",
-                                 module=_MODULE, operation="reverse_holder_gap")
-        if np.any(fv < 0):
-            raise ParameterError("f must be nonnegative", module=_MODULE,
-                                 operation="reverse_holder_gap")
-        if np.any(gv <= 0):
-            raise DegenerateInputError(
-                "g vanishes at a sample; 0^{p'} = +inf for p' < 0",
-                module=_MODULE, operation="reverse_holder_gap")
-        lhs = float(np.sum(fv * gv))
-        rhs = float(np.sum(fv ** p) ** (1.0 / p) * np.sum(gv ** pp) ** (1.0 / pp))
-        return lhs - rhs
-
-    if group is None or norm is None or spec is None:
-        raise ParameterError("profile form needs group, norm and spec",
+    fv, gv = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
+    if fv.shape != gv.shape:
+        raise ParameterError("sample arrays must have matching shapes",
                              module=_MODULE, operation="reverse_holder_gap")
-    Q = group.homogeneous_dim
-    r_hi = spec.truncation_radius or min(f.envelope.r_max(Q),
-                                         f.support_radius)
-    r_lo = spec.inner_cutoff
-    _require_positive(replace(g, support_radius=math.inf),
-                      replace(spec, truncation_radius=r_hi),
-                      "reverse_holder_gap")
-    S = sphere_measure(group, norm, spec).value
-    prod, _ = integrate_radial_err(lambda r: f(r) * g(r), Q, r_lo, r_hi)
-    fp, _ = integrate_radial_err(lambda r: np.abs(f(r)) ** p, Q, r_lo, r_hi)
-    gp, _ = integrate_radial_err(lambda r: g(r) ** pp, Q, r_lo, r_hi)
-    if gp <= 0 or not math.isfinite(gp):
-        raise DegenerateInputError("int g^{p'} must be positive and finite",
-                                   module=_MODULE, operation="reverse_holder_gap")
-    return float(S * prod - (S * fp) ** (1.0 / p) * (S * gp) ** (1.0 / pp))
+    if np.any(fv < 0):
+        raise ParameterError("f must be nonnegative", module=_MODULE,
+                             operation="reverse_holder_gap")
+    if np.any(gv <= 0):
+        raise DegenerateInputError(
+            "g vanishes at a sample; 0^{p'} = +inf for p' < 0",
+            module=_MODULE, operation="reverse_holder_gap")
+    lhs = float(np.sum(fv * gv))
+    rhs = float(np.sum(fv ** p) ** (1.0 / p) * np.sum(gv ** pp) ** (1.0 / pp))
+    return lhs - rhs
 
 
 # ---------------------------------------------------------------------------

@@ -50,23 +50,14 @@ _DEFAULT_TAIL_MASS = 1e-8
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate: effort, truncation and seed."""
+    """Monte Carlo effort and seed; ranges come from decay envelopes."""
 
     sample_count: int = 20000            # Monte Carlo points
-    truncation_radius: float | None = None   # R_max; None = from envelope mass
-    inner_cutoff: float = 0.0            # epsilon >= 0
     seed: int = 0
 
     def __post_init__(self):
         if self.sample_count < 1:
             raise ParameterError("sample_count >= 1 required",
-                                 module=_MODULE, operation="QuadratureSpec")
-        if self.inner_cutoff < 0:
-            raise ParameterError("inner_cutoff must be >= 0",
-                                 module=_MODULE, operation="QuadratureSpec")
-        if self.truncation_radius is not None and \
-                self.truncation_radius <= self.inner_cutoff:
-            raise ParameterError("truncation_radius must exceed inner_cutoff",
                                  module=_MODULE, operation="QuadratureSpec")
 
 
@@ -238,7 +229,7 @@ def _direction_rule(n_dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 class RadialSampler:
     """Samples a radius from density proportional to env(r) r^{Q-1} on
-    [r_lo, r_hi], via an exactly invertible piecewise-linear density.
+    [0, r_hi], via an exactly invertible piecewise-linear density.
 
     The piecewise-linear interpolant is itself the proposal density (not an
     approximation of one), so importance weights computed from it are exact
@@ -254,14 +245,13 @@ class RadialSampler:
 
     _BUCKETS_PER_NODE = 2
 
-    def __init__(self, envelope: DecayEnvelope, Q: float,
-                 r_lo: float, r_hi: float, n_grid: int = 2048):
-        if not (0.0 <= r_lo < r_hi):
-            raise ParameterError("need 0 <= r_lo < r_hi", module=_MODULE,
+    def __init__(self, envelope: DecayEnvelope, Q: float, r_hi: float,
+                 n_grid: int = 2048):
+        if not r_hi > 0.0:
+            raise ParameterError("need r_hi > 0", module=_MODULE,
                                  operation="RadialSampler")
-        lo = max(r_lo, r_hi * 1e-10)
-        grid = np.geomspace(lo, r_hi, n_grid)
-        if r_lo == 0.0 and Q + envelope.boost > 1.0:
+        grid = np.geomspace(r_hi * 1e-10, r_hi, n_grid)
+        if Q + envelope.boost > 1.0:
             grid = np.concatenate([[0.0], grid])
         dens = envelope.values(grid) * np.where(grid > 0, grid, 1.0) ** (Q - 1.0)
         dens = np.where(grid > 0, dens, 0.0 if Q != 1.0 else dens)
@@ -271,7 +261,7 @@ class RadialSampler:
         seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(grid)
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         if not cum[-1] > 0:
-            raise ParameterError("envelope has zero mass on [r_lo, r_hi]",
+            raise ParameterError("envelope has zero mass on [0, r_hi]",
                                  module=_MODULE, operation="RadialSampler")
         self.grid, self.dens, self.cum = grid, dens, cum
         self.total = float(cum[-1])
@@ -382,11 +372,8 @@ def integrate_cartesian(group: HomogeneousGroup,
     distribution of the Monte Carlo estimate.
     """
     Q = group.homogeneous_dim
-    r_hi = spec.truncation_radius
-    if r_hi is None:
-        r_hi = envelope.r_max(Q)
     rng = np.random.default_rng(spec.seed)
-    sampler = RadialSampler(envelope, Q, spec.inner_cutoff, float(r_hi))
+    sampler = RadialSampler(envelope, Q, envelope.r_max(Q))
     n = spec.sample_count
     x, _, w = sample_group_points(group, sampler, n, rng)
     with np.errstate(over="ignore"):
@@ -657,8 +644,7 @@ def polar_consistency_check(group: HomogeneousGroup, norm: QuasiNorm,
     cart = integrate_cartesian(group, lambda x: profile(norm(x)), spec, envelope)
     sm = sphere_measure(group, norm, spec)
     Q = group.homogeneous_dim
-    r_hi = spec.truncation_radius or envelope.r_max(Q)
-    radial = integrate_radial(profile, Q, spec.inner_cutoff, r_hi)
+    radial = integrate_radial(profile, Q, 0.0, envelope.r_max(Q))
     fact = sm.value * radial
     sig = cart.stderr + abs(radial) * sm.stderr
     return PolarConsistencyReport(cart, fact, abs(cart.value - fact), sig)

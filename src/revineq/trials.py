@@ -45,8 +45,6 @@ class TrialFamily:
     family_tag: str
     param_names: tuple[str, ...]
     param_box: tuple[tuple[float, float], ...]
-    monotone_decreasing: bool
-    strictly_positive: bool
     builder: Callable[..., RadialProfile]
 
     @property
@@ -119,14 +117,12 @@ def _smooth_bump(R: float) -> RadialProfile:
 
 FAMILIES: dict[str, TrialFamily] = {
     "exp_decay": TrialFamily("exp_decay", ("c",), ((0.05, 20.0),),
-                             True, True, _exp_decay),
-    "gaussian": TrialFamily("gaussian", ("c",), ((0.05, 20.0),),
-                            True, True, _gaussian),
+                             _exp_decay),
+    "gaussian": TrialFamily("gaussian", ("c",), ((0.05, 20.0),), _gaussian),
     "power_decay": TrialFamily("power_decay", ("s", "a"),
-                               ((0.5, 120.0), (0.05, 20.0)),
-                               True, True, _power_decay),
+                               ((0.5, 120.0), (0.05, 20.0)), _power_decay),
     "smooth_bump": TrialFamily("smooth_bump", ("R",), ((0.2, 50.0),),
-                               True, False, _smooth_bump),
+                               _smooth_bump),
 }
 
 

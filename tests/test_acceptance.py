@@ -80,7 +80,6 @@ def test_criterion_01_axioms():
             assert rep.inverse <= 1e-10
             assert rep.associativity <= 1e-10
             assert rep.automorphism <= 1e-10
-            assert rep.q_equals_weight_sum
 
         from revineq import anisotropic_gauge
         for norm in (LINE_NORM, PLANE_NORM, KORANYI, CYGAN,

@@ -191,10 +191,13 @@ def test_malformed_json_exit_2(tmp_path, capsys):
 
 
 def test_unknown_key_exit_2(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"quadrature": {"sample_cout": 5}})
-    code = main(["--config", str(cfg), "--command", "verify"])
-    assert code == 2
-    assert "config.quadrature.sample_cout" in capsys.readouterr().err
+    # radial ranges come from decay envelopes, so no window key exists
+    for key in ("sample_cout", "truncation_radius", "inner_cutoff"):
+        cfg = write_cfg(tmp_path, {"quadrature": {key: 5}})
+        code = main(["--config", str(cfg), "--command", "verify"])
+        assert code == 2
+        assert f"config.quadrature.{key}: unknown key" in \
+            capsys.readouterr().err
 
 
 def test_bad_parameter_exit_2(tmp_path):
@@ -250,6 +253,26 @@ def test_missing_config_key_exits_2(tmp_path, capsys, command, missing):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"config.{missing}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,path,cfg", [
+    ("verify", "inequality.p", {**HARDY_CFG, "inequality": {
+        "name": "reverse_hardy", "p": "x"}}),
+    ("verify", "quadrature.sample_count", {
+        **HARDY_CFG, "quadrature": {"sample_count": "many"}}),
+    ("verify", "trial.params", {**HARDY_CFG, "trial": {
+        "family": "exp_decay", "params": 1.0}}),
+    ("sweep", "sweep.grid.p", {**SWEEP_CFG, "sweep": {
+        "inequality": "reverse_stein_weiss",
+        "grid": {"p": 0.5, "q_prime": [0.5]}}}),
+])
+def test_malformed_config_value_exits_2(tmp_path, capsys, command, path, cfg):
+    """A value of the wrong type exits 2 naming its key path, not with a
+    bare Python error and exit 1 (a failed margin)."""
+    code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
+                 command, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config.{path}: expected " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,cfg", [

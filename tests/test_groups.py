@@ -231,7 +231,6 @@ def test_group_axioms_and_automorphism(request, group_fixture):
     assert rep.inverse <= 1e-10
     assert rep.associativity <= 1e-10
     assert rep.automorphism <= 1e-10
-    assert rep.q_equals_weight_sum
 
 
 def test_automorphism_check_rejects_wrong_weights(h1):

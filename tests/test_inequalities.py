@@ -12,7 +12,7 @@ from revineq import (DecayEnvelope, DegenerateInputError, InequalityParams,
                      ParameterError, PreconditionError, QuadratureSpec,
                      RadialProfile, WeightSpec,
                      abelian_group, analytic_A1, analytic_A2, balanced_lambda,
-                     bracket_kappa, conjugate_exponent, constant_bracket,
+                     bracket_kappa, conjugate_exponent,
                      euclidean_norm, make_profile, stein_weiss_lower_constant,
                      validate_params, verify_forward_ckn, verify_forward_hardy,
                      verify_forward_sobolev, verify_reverse_ckn,
@@ -97,12 +97,6 @@ def test_analytic_constants_worked_example():
         13.0 / (256.0 * S ** 2), rel=1e-13)
 
 
-def test_constant_bracket():
-    br = constant_bracket(1.0, -1.0, -1.0)
-    assert br.lower == pytest.approx(0.25)
-    assert br.upper == 1.0
-
-
 def test_bracket_kappa_in_unit_interval():
     for pp in np.linspace(-8.0, -0.1, 17):
         for q in np.linspace(-8.0, -0.1, 17):
@@ -113,8 +107,6 @@ def test_bracket_kappa_in_unit_interval():
 def test_bracket_rejects_positive_exponents():
     with pytest.raises(ParameterError):
         bracket_kappa(2.0, -1.0)
-    with pytest.raises(ParameterError):
-        constant_bracket(-1.0, -1.0, -1.0)
 
 
 def test_analytic_A_requires_conditions():

@@ -54,7 +54,7 @@ def test_envelope_divergence_guard():
 
 def test_radial_sampler_matches_density():
     env = DecayEnvelope("exp", scale=1.0)
-    sampler = RadialSampler(env, 4.0, 0.0, env.r_max(4.0))
+    sampler = RadialSampler(env, 4.0, env.r_max(4.0))
     rng = np.random.default_rng(0)
     r, _ = sampler.sample(200000, rng)
     # moments of Gamma(4,1): mean 4, second moment 20
@@ -67,7 +67,7 @@ def test_radial_sampler_matches_density():
 
 def test_sampler_weights_are_unbiased(plane, plane_norm):
     env = DecayEnvelope("exp", scale=1.0)
-    sampler = RadialSampler(env, 2.0, 0.0, env.r_max(2.0))
+    sampler = RadialSampler(env, 2.0, env.r_max(2.0))
     rng = np.random.default_rng(5)
     x, r, w = sample_group_points(plane, sampler, 100000, rng)
     vals = np.exp(-np.sum(x ** 2, axis=-1) * np.pi) * w
@@ -125,22 +125,24 @@ class _FixedUniforms:
 
 
 _SAMPLER_CASES = [
-    # (envelope, Q, r_lo): Q + boost > 1 prepends r = 0 to the grid
-    (DecayEnvelope("exp", scale=1.0, boost=2.0), 4.0, 0.0),
-    (DecayEnvelope("exp", scale=0.5), 1.0, 0.0),
-    (DecayEnvelope("exp", scale=1.0, boost=-0.6), 1.0, 0.0),
-    (DecayEnvelope("gauss", scale=2.0), 3.0, 0.0),
-    (DecayEnvelope("power", scale=1.0, shape=1.6), 1.0, 0.0),
-    (DecayEnvelope("power", scale=2.0, shape=4.5, boost=0.3), 4.0, 0.0),
-    (DecayEnvelope("uniform", scale=2.0), 2.0, 0.0),
-    (DecayEnvelope("exp", scale=1.0), 4.0, 0.3),
+    # (envelope, Q): Q + boost > 1 prepends r = 0 to the grid
+    (DecayEnvelope("exp", scale=1.0, boost=2.0), 4.0),
+    (DecayEnvelope("exp", scale=0.5), 1.0),
+    (DecayEnvelope("exp", scale=1.0, boost=-0.6), 1.0),
+    (DecayEnvelope("gauss", scale=2.0), 3.0),
+    (DecayEnvelope("power", scale=1.0, shape=1.6), 1.0),
+    (DecayEnvelope("power", scale=2.0, shape=4.5, boost=0.3), 4.0),
+    (DecayEnvelope("uniform", scale=2.0), 2.0),
 ]
 
 
-@pytest.mark.parametrize("env,Q,r_lo", _SAMPLER_CASES)
-def test_radial_sampler_bit_identical_to_binary_search(env, Q, r_lo):
-    sampler = RadialSampler(env, Q, r_lo, env.r_max(Q))
-    assert (sampler.grid[0] == 0.0) == (r_lo == 0.0 and Q + env.boost > 1.0)
+# explicit ids keep each case's established name, whose last part is the
+# sampler's lower radius, 0
+@pytest.mark.parametrize("env,Q", _SAMPLER_CASES, ids=[
+    f"env{i}-{Q}-0.0" for i, (_, Q) in enumerate(_SAMPLER_CASES)])
+def test_radial_sampler_bit_identical_to_binary_search(env, Q):
+    sampler = RadialSampler(env, Q, env.r_max(Q))
+    assert (sampler.grid[0] == 0.0) == (Q + env.boost > 1.0)
     for seed in range(3):
         r_ref, pdf_ref = _reference_sample(sampler, 50000,
                                            np.random.default_rng(seed))
@@ -163,7 +165,7 @@ def test_radial_sampler_density_at_segment_end():
     """A root clipped onto b takes np.interp's value at the node, which on a
     coarse grid differs from the segment's line evaluated at b."""
     env = DecayEnvelope("exp", scale=1.0, boost=2.0)
-    sampler = RadialSampler(env, 4.0, 0.0, env.r_max(4.0), n_grid=64)
+    sampler = RadialSampler(env, 4.0, env.r_max(4.0), n_grid=64)
     u = _node_uniforms(sampler)
     r, pdf = sampler.sample(len(u), _FixedUniforms(u))
     _, pdf_ref = _reference_sample(sampler, len(u), _FixedUniforms(u))
@@ -179,7 +181,7 @@ def test_radial_sampler_guide_falls_back_to_binary_search():
     """Near r = 0 many segments share one equal-mass bucket; draws there
     take the binary search and still land on the reference segment."""
     env = DecayEnvelope("exp", scale=1.0)
-    sampler = RadialSampler(env, 4.0, 0.0, env.r_max(4.0))
+    sampler = RadialSampler(env, 4.0, env.r_max(4.0))
     t = np.random.default_rng(7).random(200000) * sampler.total
     assert np.any(sampler._wide[sampler._bucket(t)])
     r_ref, pdf_ref = _reference_sample(sampler, 200000,
@@ -204,7 +206,7 @@ def test_sample_group_points_bit_identical_to_reference(line, plane, h1):
     env = DecayEnvelope("exp", scale=1.0, boost=1.5)
     for g in (line, plane, h1):
         Q = g.homogeneous_dim
-        sampler = RadialSampler(env, Q, 0.0, env.r_max(Q))
+        sampler = RadialSampler(env, Q, env.r_max(Q))
         x, r, w = sample_group_points(g, sampler, 30000,
                                       np.random.default_rng(3))
         rng = np.random.default_rng(3)
@@ -593,7 +595,3 @@ def test_unit_sphere_area():
 def test_quadrature_spec_validation():
     with pytest.raises(ParameterError):
         QuadratureSpec(sample_count=0)
-    with pytest.raises(ParameterError):
-        QuadratureSpec(inner_cutoff=-1.0)
-    with pytest.raises(ParameterError):
-        QuadratureSpec(inner_cutoff=2.0, truncation_radius=1.0)
