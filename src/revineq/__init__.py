@@ -27,7 +27,7 @@ from .inequalities import (AdmissibilityReport, InequalityParams,
                            verify_reverse_sobolev, verify_stein_weiss)
 from .operators import (KernelBoundReport, RadialProfile, WeightSpec,
                         kernel_bound_report, lp_functional, reverse_holder_gap,
-                        riesz_potential, stein_weiss_form, weighted_p_integral)
+                        stein_weiss_form, weighted_p_integral)
 from .quadrature import (DecayEnvelope, IntegralResult, PolarConsistencyReport,
                          QuadratureSpec, RadialSampler, integrate_cartesian,
                          integrate_radial, polar_consistency_check,

@@ -19,6 +19,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -786,8 +787,13 @@ _REQUIRED = object()
 
 
 def config_value(value, kind: type, path: str):
-    """kind(value), or a ConfigError naming the key path ``path``."""
+    """kind(value), or a ConfigError naming the key path ``path``.  An int
+    is an integer or a float with an integral value, never a bool."""
     try:
+        if kind is int and (isinstance(value, bool) or not (
+                isinstance(value, numbers.Integral)
+                or isinstance(value, float) and value.is_integer())):
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"config.{path}: expected {kind.__name__}, got "

@@ -10,12 +10,11 @@ inequality.  Each radial integral runs over [0, R], where R is the radius
 beyond which the integrand's declared decay envelope holds less than 1e-8
 of its mass (capped at the profile's support radius).
 
-The growing-kernel potential and the doubly weighted bilinear form
+The doubly weighted bilinear form with growing kernel
 
-    I_лu(x) = int |y^{-1}x|^л u(y) dy,
     B(f, h) = int int |x|^a |y^{-1}x|^л f(|x|) h(|y|) |y|^b dx dy,   л > 0,
 
-are estimated by importance-sampled Monte Carlo with the exact polar
+is estimated by importance-sampled Monte Carlo with the exact polar
 Jacobian from the quadrature module; estimates are deterministic per seed.
 """
 
@@ -31,8 +30,9 @@ from .exceptions import DegenerateInputError, ParameterError
 from .groups import (HomogeneousGroup, QuasiNorm, dilate, group_inv,
                      group_mul)
 from .quadrature import (DecayEnvelope, IntegralResult, QuadratureSpec,
-                         RadialSampler, _finalize, integrate_radial_err,
-                         sample_group_points, sphere_measure)
+                         RadialSampler, _finalize, draw_block,
+                         integrate_radial_err, sample_group_points,
+                         sphere_measure)
 
 _MODULE = "operators"
 
@@ -127,6 +127,12 @@ class WeightSpec:
 # radial L^p machinery
 # ---------------------------------------------------------------------------
 
+# keyed by (profile, p, power_shift, Q, use_derivative); the oldest entries
+# are evicted beyond this many
+_P_INTEGRAL_CACHE_MAX = 1024
+_P_INTEGRAL_CACHE: dict[tuple, tuple[float, float]] = {}
+
+
 def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
                         Q: float, *, use_derivative: bool = False,
                         ) -> tuple[float, float]:
@@ -135,10 +141,17 @@ def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
     With use_derivative the integrand uses |dF/dr| instead of F.  The upper
     limit is the envelope-based truncation radius of the integrand
     (|F|^p r^shift), beyond which its mass is below 1e-8 of the total.
+    Results are cached per (profile, p, power_shift, Q, use_derivative);
+    a profile is a frozen dataclass, equal to another only when its
+    callables are the same objects.
     """
     if not p > 0:
         raise ParameterError(f"p must be positive, got {p:g}", module=_MODULE,
                              operation="weighted_p_integral")
+    key = (profile, p, power_shift, Q, use_derivative)
+    hit = _P_INTEGRAL_CACHE.get(key)
+    if hit is not None:
+        return hit
     env = (profile.deriv_envelope if use_derivative else profile.envelope)
     env = env.powered(p).boosted(power_shift)
     env.check_integrable(Q, "weighted_p_integral")
@@ -149,7 +162,11 @@ def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
     def integrand(r):
         return np.abs(fn(r)) ** p * r ** power_shift
 
-    return integrate_radial_err(integrand, Q, 0.0, r_max)
+    out = _P_INTEGRAL_CACHE[key] = integrate_radial_err(integrand, Q, 0.0,
+                                                        r_max)
+    if len(_P_INTEGRAL_CACHE) > _P_INTEGRAL_CACHE_MAX:
+        del _P_INTEGRAL_CACHE[next(iter(_P_INTEGRAL_CACHE))]
+    return out
 
 
 def lp_functional(profile: RadialProfile, p: float, group: HomogeneousGroup,
@@ -161,39 +178,8 @@ def lp_functional(profile: RadialProfile, p: float, group: HomogeneousGroup,
 
 
 # ---------------------------------------------------------------------------
-# potentials and bilinear forms
+# the bilinear form
 # ---------------------------------------------------------------------------
-
-def riesz_potential(group: HomogeneousGroup, norm: QuasiNorm,
-                    u: RadialProfile, lam: float, x,
-                    spec: QuadratureSpec) -> IntegralResult:
-    """I_л u(x) = int_G |y^{-1} x|^л u(|y|) dy with growing kernel л > 0."""
-    if lam <= 0:
-        raise ParameterError("lambda must be positive", module=_MODULE,
-                             operation="riesz_potential")
-    Q = group.homogeneous_dim
-    env = u.envelope.boosted(lam)
-    env.check_integrable(Q, "riesz_potential")   # growth must not beat decay
-
-    x = np.asarray(x, dtype=float)
-    if np.allclose(x, 0.0):
-        # |y^{-1} 0| = |y|: purely radial
-        r_hi = min(env.r_max(Q), u.support_radius)
-        val, err = integrate_radial_err(lambda r: r ** lam * u(r), Q, 0.0,
-                                        r_hi)
-        S = sphere_measure(group, norm, spec)
-        return IntegralResult(S.value * val,
-                              S.stderr * abs(val) + S.value * err,
-                              S.samples_used)
-
-    rng = np.random.default_rng(spec.seed)
-    r_hi = min(env.r_max(Q), u.support_radius)
-    sampler = RadialSampler(u.envelope.boosted(max(lam - 1.0, 0.0)), Q, r_hi)
-    y, _, w = sample_group_points(group, sampler, spec.sample_count, rng)
-    kern = norm(group_mul(group, group_inv(group, y), x)) ** lam
-    return _finalize(kern * u(norm(y)) * w, spec.sample_count,
-                     "riesz_potential", y)
-
 
 def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
                      beta: float, lam: float, group: HomogeneousGroup,
@@ -216,14 +202,13 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
         env.boosted(lam / 2.0).check_integrable(
             Q, f"stein_weiss_form[{side}-side]")
 
-    rng = np.random.default_rng(spec.seed)
     n = spec.sample_count
     sx = RadialSampler(env_x, Q, min(env_x.boosted(lam / 2.0).r_max(Q),
                                      f.support_radius))
     sy = RadialSampler(env_y, Q, min(env_y.boosted(lam / 2.0).r_max(Q),
                                      h.support_radius))
-    x, _, wx = sample_group_points(group, sx, n, rng)
-    y, _, wy = sample_group_points(group, sy, n, rng)
+    x, _, wx = sample_group_points(group, sx, n, draw_block(group, spec, 0))
+    y, _, wy = sample_group_points(group, sy, n, draw_block(group, spec, 1))
 
     gx, gy = norm(x), norm(y)
     kern = norm(group_mul(group, group_inv(group, y), x)) ** lam
@@ -281,10 +266,6 @@ class KernelBoundReport:
     outer_violations: int
     inner_worst: float          # max of |x|/2 - |y^{-1}x| (<= 0 when clean)
     outer_worst: float
-
-    @property
-    def clean(self) -> bool:
-        return self.inner_violations == 0 and self.outer_violations == 0
 
 
 def kernel_bound_report(group: HomogeneousGroup, norm: QuasiNorm,

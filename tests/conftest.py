@@ -49,3 +49,16 @@ def mc_spec():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240913)
+
+
+@pytest.fixture
+def clear_caches():
+    """Empties the per-seed caches (the draw stream and |S|) and the radial
+    L^p memo, so that the next estimate runs cold."""
+    from revineq import operators, quadrature
+
+    def clear():
+        quadrature._STREAMS.clear()
+        quadrature._SPHERE_CACHE.clear()
+        operators._P_INTEGRAL_CACHE.clear()
+    return clear

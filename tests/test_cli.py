@@ -127,6 +127,35 @@ def test_sweep_skips_inadmissible_with_reason(tmp_path):
     assert len(ran) == 1 and ran[0]["pass"] == "true"
 
 
+def test_sweep_rows_equal_standalone_verify(tmp_path, clear_caches):
+    """Each row of a 3x3 sweep on H1 holds, byte for byte, the numbers a
+    cold ``verify`` of its point writes, although the sweep draws its
+    Monte Carlo sample once and shares its radial integrals."""
+    cfg = {"seed": 3, "group": {"name": "heisenberg"},
+           "norm": {"name": "koranyi"},
+           "quadrature": {"scheme": "monte_carlo", "sample_count": 20000},
+           "trial_f": {"family": "exp_decay", "params": [1.0]},
+           "trial_h": {"family": "gaussian", "params": [1.0]}}
+    grid = [0.3, 0.5, 0.7]
+    assert run("sweep", {**cfg, "sweep": {
+        "inequality": "reverse_stein_weiss",
+        "grid": {"p": grid, "q_prime": grid}}}, tmp_path / "sweep") == 0
+    with (tmp_path / "sweep" / "sweep.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9
+    for i, row in enumerate(rows):
+        clear_caches()
+        out = tmp_path / f"verify{i}"
+        assert run("verify", {**cfg, "inequality": {
+            "name": "reverse_stein_weiss", "p": float(row["p"]),
+            "q_prime": float(row["q_prime"])}}, out) == 0
+        rep = json.loads((out / "report.json").read_text())["report"]
+        assert [row[k] for k in ("lhs", "rhs", "ratio", "constant", "margin",
+                                 "stderr")] == \
+            [str(rep[k]) for k in ("lhs", "rhs", "ratio", "analytic_constant",
+                                   "margin", "stderr")]
+
+
 def test_estimate_writes_trace(tmp_path):
     cfg = write_cfg(tmp_path, {
         "seed": 11,
@@ -265,6 +294,14 @@ def test_missing_config_key_exits_2(tmp_path, capsys, command, missing):
     ("sweep", "sweep.grid.p", {**SWEEP_CFG, "sweep": {
         "inequality": "reverse_stein_weiss",
         "grid": {"p": 0.5, "q_prime": [0.5]}}}),
+    # an integer key takes no fraction and no bool, which int() would
+    # truncate silently while the report kept the value as given
+    ("verify", "quadrature.sample_count", {
+        **HARDY_CFG, "quadrature": {"sample_count": 15000.9}}),
+    ("estimate", "estimate.budget", {
+        **HARDY_CFG, "estimate": {"method": "grid", "budget": 3.9}}),
+    ("verify", "quadrature.sample_count", {
+        **HARDY_CFG, "quadrature": {"sample_count": True}}),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, path, cfg):
     """A value of the wrong type exits 2 naming its key path, not with a

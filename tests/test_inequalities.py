@@ -224,6 +224,28 @@ def test_stein_weiss_worked_example(h1, koranyi, expp):
     assert rep.sphere_value == pytest.approx(2 * math.pi ** 2, rel=0.02)
 
 
+def test_stein_weiss_report_identical_cold_warm_and_after_eviction(
+        h1, koranyi, expp, clear_caches):
+    """The draw stream and the integral memo change no bit of a report:
+    cold (caches cleared), warm, and after a call at another seed has
+    evicted the stream."""
+    import json
+    from revineq import quadrature
+    gauss = make_profile("gaussian", [1.0])
+    spec = QuadratureSpec(sample_count=5000, seed=11)
+
+    def report(at):
+        return json.dumps(verify_stein_weiss(expp, gauss, WORKED, h1, koranyi,
+                                             at).as_dict(), sort_keys=True)
+
+    clear_caches()
+    cold = report(spec)
+    assert report(spec) == cold
+    report(QuadratureSpec(sample_count=5000, seed=12))
+    assert list(quadrature._STREAMS) == [(12, 5000, h1.weights)]
+    assert report(spec) == cold
+
+
 def test_stein_weiss_ratio_scale_free_in_amplitude(h1, koranyi, expp):
     from dataclasses import replace
     spec = QuadratureSpec(sample_count=20000, seed=2)

@@ -10,8 +10,8 @@ from scipy import special as sp
 from revineq import (DecayEnvelope, DegenerateInputError, ParameterError,
                      QuadratureSpec, RadialProfile, WeightSpec,
                      kernel_bound_report, lp_functional, make_profile,
-                     reverse_holder_gap, riesz_potential, sphere_measure,
-                     stein_weiss_form)
+                     reverse_holder_gap, sphere_measure, stein_weiss_form,
+                     weighted_p_integral)
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,30 @@ def test_lp_zero_p_rejected(plane, plane_norm, mc_spec, expp):
         lp_functional(expp, 0.0, plane, plane_norm, mc_spec)
 
 
+def test_weighted_p_integral_memoised():
+    """A repeated call reads the memo without calling the profile; p <= 0
+    raises on every call; a dilated profile is a key of its own."""
+    calls = []
+
+    def value(r):
+        calls.append(len(r))
+        return np.exp(-np.asarray(r, float))
+
+    prof = RadialProfile(value=value, envelope=DecayEnvelope("exp"))
+    first = weighted_p_integral(prof, 0.5, 1.0, 3.0)
+    evaluated = len(calls)
+    assert evaluated > 0
+    assert weighted_p_integral(prof, 0.5, 1.0, 3.0) == first
+    assert len(calls) == evaluated
+    for p in (0.0, -0.5, 0.0):
+        with pytest.raises(ParameterError):
+            weighted_p_integral(prof, p, 1.0, 3.0)
+    # int F(2r)^p r^{s+Q-1} dr = 2^{-(s+Q)} int F^p r^{s+Q-1} dr
+    dilated = weighted_p_integral(prof.dilated(2.0), 0.5, 1.0, 3.0)
+    assert len(calls) > evaluated
+    assert dilated[0] == pytest.approx(first[0] / 16.0, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # radial derivatives
 # ---------------------------------------------------------------------------
@@ -98,41 +122,8 @@ def test_finite_difference_fallback():
 
 
 # ---------------------------------------------------------------------------
-# Riesz-type potential
+# cartesian divergence
 # ---------------------------------------------------------------------------
-
-def test_riesz_at_origin_indicator(plane, plane_norm, mc_spec, box_profile):
-    res = riesz_potential(plane, plane_norm, box_profile, 2.0, [0.0, 0.0],
-                          mc_spec)
-    S = sphere_measure(plane, plane_norm, mc_spec).value
-    assert res.value == pytest.approx(S / 4.0, rel=1e-8)
-
-
-def test_riesz_zero_profile(plane, plane_norm, mc_spec):
-    zero = RadialProfile(value=lambda r: np.zeros_like(np.asarray(r, float)),
-                         envelope=DecayEnvelope("exp"))
-    res = riesz_potential(plane, plane_norm, zero, 1.5, [0.3, 0.1], mc_spec)
-    assert res.value == 0.0
-
-
-def test_riesz_far_field_line(line, line_norm, box_profile):
-    spec = QuadratureSpec(sample_count=100000, seed=3)
-    res = riesz_potential(line, line_norm, box_profile, 1.0, [10.0], spec)
-    assert 2 * (10 - 1) <= res.value <= 2 * (10 + 1)
-    assert res.value == pytest.approx(20.0, rel=5e-3)
-
-
-def test_riesz_rejects_nonpositive_lambda(plane, plane_norm, mc_spec, expp):
-    with pytest.raises(ParameterError):
-        riesz_potential(plane, plane_norm, expp, 0.0, [0.0, 0.0], mc_spec)
-
-
-def test_riesz_divergence_when_growth_beats_decay(plane, plane_norm, mc_spec):
-    from revineq import DivergenceError
-    slow = make_profile("power_decay", [3.0, 1.0])
-    with pytest.raises(DivergenceError):
-        riesz_potential(plane, plane_norm, slow, 2.0, [0.0, 0.0], mc_spec)
-
 
 def test_integrate_cartesian_divergence_flag(line, line_norm):
     from revineq import DecayEnvelope, integrate_cartesian
@@ -252,7 +243,7 @@ def test_gap_nonnegative_property(p, data):
 def test_kernel_bounds_clean(request, fixture):
     norm = request.getfixturevalue(fixture)
     rep = kernel_bound_report(norm.group, norm, 10000, seed=3)
-    assert rep.clean
+    assert rep.inner_violations == 0 and rep.outer_violations == 0
 
 
 def test_kernel_bounds_require_true_norm(h1, koranyi):

@@ -10,7 +10,7 @@ from revineq import (DecayEnvelope, DivergenceError, EvaluationError,
                      integrate_radial, make_profile, polar_consistency_check,
                      sample_group_points, sphere_measure,
                      sphere_measure_direct, unit_sphere_area)
-from revineq.quadrature import integrate_radial_err
+from revineq.quadrature import _STREAMS, draw_block, integrate_radial_err
 
 # |S| of the Koranyi unit sphere on H1; equals 2*pi^2 (frozen against the
 # closed-form direction integral 2*pi * int_{-1}^{1} (1+c^2)/(c^4-c^2+1) dc)
@@ -219,6 +219,35 @@ def test_sample_group_points_bit_identical_to_reference(line, plane, h1):
         np.testing.assert_array_equal(_bits(r), _bits(r_ref))
         np.testing.assert_array_equal(_bits(x), _bits(x_ref))
         np.testing.assert_array_equal(_bits(w), _bits(1.0 / q))
+
+
+def test_draw_blocks_match_a_fresh_generator(line, h1):
+    """Block k is what the (k+1)-th sample_group_points call on a fresh
+    default_rng(seed) draws, so every estimator side keeps its bits."""
+    env = DecayEnvelope("exp", scale=1.0, boost=1.5)
+    spec = QuadratureSpec(sample_count=3000, seed=9)
+    for g in (line, h1):
+        _STREAMS.clear()
+        Q = g.homogeneous_dim
+        sampler = RadialSampler(env, Q, env.r_max(Q))
+        rng = np.random.default_rng(spec.seed)
+        for k in (0, 1):
+            ref = sample_group_points(g, sampler, 3000, rng)
+            got = sample_group_points(g, sampler, 3000, draw_block(g, spec, k))
+            for a, b in zip(got, ref):
+                np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+def test_draw_stream_read_only_and_held_alone(plane, h1):
+    spec = QuadratureSpec(sample_count=1000, seed=5)
+    for a in draw_block(h1, spec, 1):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+    assert draw_block(h1, spec, 0) is draw_block(h1, spec, 0)
+    draw_block(plane, spec, 0)
+    assert list(_STREAMS) == [(5, 1000, plane.weights)]
+    draw_block(h1, QuadratureSpec(sample_count=1000, seed=6), 0)
+    assert list(_STREAMS) == [(6, 1000, h1.weights)]
 
 
 # ---------------------------------------------------------------------------
