@@ -18,9 +18,8 @@ finite witness: the left side over a bounded window, which bounds the true
 one from above, is already below the certified right side.
 """
 
-from revineq import (QuadratureSpec, WeightSpec, heisenberg_group,
-                     koranyi_norm, make_profile,
-                     verify_reverse_integral_hardy)
+from revineq import (QuadratureSpec, heisenberg_group, koranyi_norm,
+                     make_profile, verify_reverse_integral_hardy)
 
 h1 = heisenberg_group()
 nk = koranyi_norm(h1)
@@ -46,9 +45,8 @@ def print_witness(rep):
 # weights from the worked bilinear point: Q=4, p=q'=1/2 (p'=q=-1),
 # alpha=1, beta=2, lambda=5  ->  W = |x|^{-6}, U = |y|^{-1}
 print("ball variant, W = |x|^-6, U = |y|^-1, f = e^-r:")
-rep = verify_reverse_integral_hardy(
-    "ball", WeightSpec(-6.0, "W_outer"), WeightSpec(-1.0, "U_inner"),
-    f, 0.5, -1.0, h1, nk, spec)
+rep = verify_reverse_integral_hardy("ball", -6.0, -1.0, f, 0.5, -1.0, h1, nk,
+                                    spec)
 print(f"  certified constant kappa*A = {rep.analytic_constant:.6g} "
       f"(bracket {rep.extras['bracket']})")
 print(f"  right side  = {rep.analytic_constant * rep.rhs:.4f}   "
@@ -59,9 +57,8 @@ print_witness(rep)
 print(f"  pass        : {rep.passed}")
 
 print("\ncomplement variant, W = |x|^-1, U = |y|^-3.5:")
-rep2 = verify_reverse_integral_hardy(
-    "complement", WeightSpec(-1.0, "W_outer"), WeightSpec(-3.5, "U_inner"),
-    f, 0.5, -1.0, h1, nk, spec)
+rep2 = verify_reverse_integral_hardy("complement", -1.0, -3.5, f, 0.5, -1.0,
+                                     h1, nk, spec)
 print(f"  certified constant = {rep2.analytic_constant:.6g}")
 print(f"  degenerate  : {rep2.degenerate}")
 print_witness(rep2)

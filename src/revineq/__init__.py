@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .exceptions import (ConfigError, DegenerateInputError, DivergenceError,
                          EstimationError, EvaluationError, ParameterError,
-                         PreconditionError, RevineqError, ShapeError)
+                         RevineqError, ShapeError)
 from .groups import (GroupAxiomReport, HomogeneousGroup, NormAxiomReport,
                      QuasiNorm, abelian_group, anisotropic_gauge, as_points,
                      check_group_axioms, check_quasi_norm_axioms, cygan_norm,
@@ -25,9 +25,9 @@ from .inequalities import (AdmissibilityReport, InequalityParams,
                            verify_reverse_hardy, verify_reverse_hls,
                            verify_reverse_integral_hardy,
                            verify_reverse_sobolev, verify_stein_weiss)
-from .operators import (KernelBoundReport, RadialProfile, WeightSpec,
-                        kernel_bound_report, lp_functional, reverse_holder_gap,
-                        stein_weiss_form, weighted_p_integral)
+from .operators import (KernelBoundReport, RadialProfile, kernel_bound_report,
+                        lp_functional, reverse_holder_gap, stein_weiss_form,
+                        weighted_p_integral)
 from .quadrature import (DecayEnvelope, IntegralResult, PolarConsistencyReport,
                          QuadratureSpec, RadialSampler, integrate_cartesian,
                          integrate_radial, polar_consistency_check,

@@ -35,8 +35,7 @@ import scipy
 from . import __version__
 from . import inequalities as ineq
 from .exceptions import (ConfigError, DegenerateInputError, DivergenceError,
-                         EstimationError, EvaluationError, ParameterError,
-                         PreconditionError, RevineqError, ShapeError)
+                         EstimationError, EvaluationError, RevineqError)
 from .groups import (abelian_group, anisotropic_gauge, check_group_axioms,
                      check_quasi_norm_axioms, cygan_norm, euclidean_norm,
                      heisenberg_group, koranyi_norm)
@@ -402,14 +401,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         return run(args.command, cfg, args.out, args.seed)
-    except (ConfigError, ParameterError, PreconditionError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (DegenerateInputError, DivergenceError, EvaluationError,
             EstimationError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except RevineqError as exc:   # any other library error: treat as config
+    except RevineqError as exc:   # config, parameter and shape errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

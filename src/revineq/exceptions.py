@@ -19,10 +19,6 @@ class ParameterError(RevineqError):
     """A scalar parameter violates a stated admissibility condition."""
 
 
-class PreconditionError(RevineqError):
-    """An input function violates the hypothesis class of the inequality."""
-
-
 class ShapeError(RevineqError):
     """Point arrays do not match the group's topological dimension."""
 

@@ -248,17 +248,13 @@ def _rational_lcm(values) -> Fraction:
     return Fraction(num, den)
 
 
-def anisotropic_gauge(group: HomogeneousGroup, M: float | None = None) -> QuasiNorm:
+def anisotropic_gauge(group: HomogeneousGroup) -> QuasiNorm:
     """Gauge (sum_i |x_i|^{2M/v_i})^{1/(2M)} with M = lcm of the weights.
 
     The lcm choice keeps every exponent 2M/v_i >= 2, so the gauge is smooth
     away from the origin (no |x_i|^{1/v_i} kinks).
     """
-    if M is None:
-        M = float(_rational_lcm(group.weights))
-    if M <= 0:
-        raise ParameterError("M must be positive", module=_MODULE,
-                             operation="anisotropic_gauge")
+    M = float(_rational_lcm(group.weights))
     expo = np.array([2.0 * M / v for v in group.weights])
     root = 1.0 / (2.0 * M)
 

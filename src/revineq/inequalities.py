@@ -26,10 +26,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .exceptions import (ConfigError, DegenerateInputError, DivergenceError,
-                         ParameterError, PreconditionError)
+                         ParameterError)
 from .groups import HomogeneousGroup, QuasiNorm
-from .operators import (RadialProfile, WeightSpec, lp_functional,
-                        stein_weiss_form, weighted_p_integral)
+from .operators import (RadialProfile, lp_functional, stein_weiss_form,
+                        weighted_p_integral)
 from .quadrature import QuadratureSpec, integrate_radial_err, sphere_measure
 
 _MODULE = "inequalities"
@@ -387,9 +387,6 @@ def _verify_radial(direction: str, form: _RadialForm, f: RadialProfile,
         if not 0.0 < p < 1.0:
             raise ParameterError(f"p must lie in (0,1), got {p:g}",
                                  module=_MODULE, operation=op)
-        if not f.monotone_decreasing:
-            raise PreconditionError("profile is not tagged radially "
-                                    "decreasing", module=_MODULE, operation=op)
         f.check_decreasing(operation=op)
     elif not p > 1.0:
         raise ParameterError(f"needs p > 1, got p={p:g}", module=_MODULE,
@@ -546,11 +543,12 @@ def _inner_integral(f: RadialProfile, Q: float, sphere: float, r_hi: float,
     return lambda r: np.maximum(np.exp(np.interp(r, grid, log_tail)), 1e-300)
 
 
-def verify_reverse_integral_hardy(variant: str, W: WeightSpec, U: WeightSpec,
+def verify_reverse_integral_hardy(variant: str, w: float, u: float,
                                   f: RadialProfile, p: float, q: float,
                                   group: HomogeneousGroup, norm: QuasiNorm,
                                   spec: QuadratureSpec) -> VerificationReport:
-    """Reverse integral Hardy inequality with power weights, both variants:
+    """Reverse integral Hardy inequality with power weights W = |x|^w and
+    U = |x|^u, both variants:
 
     ball:        [int ( int_{B(0,|x|)} f )^q W dx]^{1/q}  >= C (int f^p U dx)^{1/p},
     complement:  [int ( int_{G \\ B(0,|x|)} f )^q W dx]^{1/q} >= C (...),
@@ -580,6 +578,9 @@ def verify_reverse_integral_hardy(variant: str, W: WeightSpec, U: WeightSpec,
     Q + u <= 0, where the functional is +inf.
     """
     op = "verify_reverse_integral_hardy"
+    if not (math.isfinite(w) and math.isfinite(u)):
+        raise ParameterError("weight exponents must be finite",
+                             module=_MODULE, operation=op)
     if variant not in ("ball", "complement"):
         raise ParameterError(f"unknown variant {variant!r}", module=_MODULE,
                              operation=op)
@@ -587,17 +588,13 @@ def verify_reverse_integral_hardy(variant: str, W: WeightSpec, U: WeightSpec,
         raise ParameterError("p must lie in (0,1)", module=_MODULE, operation=op)
     if q >= 0.0:
         raise ParameterError("q must be negative", module=_MODULE, operation=op)
-    if not f.strictly_positive:
+    if math.isfinite(f.support_radius):
         raise DegenerateInputError(
             "profile must be strictly positive (0^q = +inf convention)",
             module=_MODULE, operation=op)
-    if W.role != "W_outer" or U.role != "U_inner":
-        raise ParameterError("weights must be tagged W_outer / U_inner",
-                             module=_MODULE, operation=op)
 
     Q = group.homogeneous_dim
     pp = conjugate_exponent(p)
-    w, u = W.exponent, U.exponent
     mW, mU = Q + w, Q + u * (1.0 - pp)
 
     if variant == "ball":
@@ -633,9 +630,11 @@ def verify_reverse_integral_hardy(variant: str, W: WeightSpec, U: WeightSpec,
 
     # ---- divergence analysis of the outer integral ----
     # the parameter checks above leave no finite case: every branch below
-    # ends in a degenerate left side
+    # ends in a degenerate left side, which is +inf where ``trivial``
+    trivial = False
     if variant == "ball":
         if f.envelope.boost <= -Q:
+            trivial = True
             degenerate = ("profile is not integrable at the origin, so every "
                           "inner ball integral is +inf and the left side is "
                           "0^{1/q} = +inf (trivially true by the convention; "
@@ -656,6 +655,7 @@ def verify_reverse_integral_hardy(variant: str, W: WeightSpec, U: WeightSpec,
         elif kind == "power":
             s_eff = f.envelope.shape - f.envelope.boost
             if s_eff <= Q:
+                trivial = True
                 degenerate = ("profile is not integrable, so every outer-"
                               "complement inner integral is +inf and the "
                               "left side is 0^{1/q} = +inf (trivially true "
@@ -676,7 +676,7 @@ def verify_reverse_integral_hardy(variant: str, W: WeightSpec, U: WeightSpec,
               "bracket": [kap * A, A], "variant": variant,
               "W_exponent": w, "U_exponent": u}
 
-    if "trivially true" in degenerate:
+    if trivial:
         lhs = math.inf
     else:
         lhs = 0.0
@@ -744,11 +744,9 @@ def _read_bilinear(get, Q: float) -> InequalityParams:
 
 
 def _read_integral_hardy(get, Q: float) -> tuple:
-    """(variant, W, U, p, q): the profile goes between U and p."""
-    return (get("region", "ball", str),
-            WeightSpec(get("W_exponent"), "W_outer"),
-            WeightSpec(get("U_exponent"), "U_inner"),
-            get("p"), get("q"))
+    """(variant, w, u, p, q): the profile goes between u and p."""
+    return (get("region", "ball", str), get("W_exponent"),
+            get("U_exponent"), get("p"), get("q"))
 
 
 _TRIAL, _PAIR = ("trial",), ("trial_f", "trial_h")
@@ -788,11 +786,11 @@ _REQUIRED = object()
 
 def config_value(value, kind: type, path: str):
     """kind(value), or a ConfigError naming the key path ``path``.  An int
-    is an integer or a float with an integral value, never a bool."""
+    is an integer or a float with an integral value; no kind takes a bool."""
     try:
-        if kind is int and (isinstance(value, bool) or not (
+        if isinstance(value, bool) or kind is int and not (
                 isinstance(value, numbers.Integral)
-                or isinstance(value, float) and value.is_integer())):
+                or isinstance(value, float) and value.is_integer()):
             raise ValueError
         return kind(value)
     except (TypeError, ValueError):

@@ -36,44 +36,30 @@ from .quadrature import (DecayEnvelope, IntegralResult, QuadratureSpec,
 
 _MODULE = "operators"
 
-_FD_REL_STEP = 1e-6
-_FD_ABS_STEP = 1e-9
-
 
 @dataclass(frozen=True)
 class RadialProfile:
     """A scalar profile r -> value(r) on (0, inf) with its decay envelope.
 
-    ``derivative`` is the analytic radial derivative when registered;
-    otherwise central differences with step h = r*1e-6 + 1e-9 are used.
-    The envelope declares the decay used for truncation radii and Monte
-    Carlo importance sampling; ``derivative_envelope`` bounds |dF/dr|.
+    A profile is positive on [0, support_radius) and 0 beyond.
+    ``derivative`` is the analytic radial derivative dF/dr.  The envelope
+    declares the decay used for truncation radii and Monte Carlo importance
+    sampling; ``derivative_envelope`` bounds |dF/dr| in the same way.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     envelope: DecayEnvelope
-    derivative: Callable[[np.ndarray], np.ndarray] | None = None
-    derivative_envelope: DecayEnvelope | None = None
+    derivative: Callable[[np.ndarray], np.ndarray]
+    derivative_envelope: DecayEnvelope
     family_tag: str = "custom"
     params: tuple[float, ...] = ()
-    monotone_decreasing: bool = False
-    strictly_positive: bool = False
     support_radius: float = math.inf
 
     def __call__(self, r):
         return self.value(np.asarray(r, dtype=float))
 
     def deriv(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.derivative is not None:
-            return self.derivative(r)
-        h = r * _FD_REL_STEP + _FD_ABS_STEP
-        lo = np.maximum(r - h, 0.0)
-        return (self.value(r + h) - self.value(lo)) / (r + h - lo)
-
-    @property
-    def deriv_envelope(self) -> DecayEnvelope:
-        return self.derivative_envelope or self.envelope
+        return self.derivative(np.asarray(r, dtype=float))
 
     def dilated(self, s: float) -> "RadialProfile":
         """The profile of f(D_s x), i.e. r -> value(s r)."""
@@ -84,20 +70,18 @@ class RadialProfile:
         return replace(
             self,
             value=lambda r: base_v(np.asarray(r, float) * s),
-            derivative=(None if base_d is None
-                        else lambda r: s * base_d(np.asarray(r, float) * s)),
+            derivative=lambda r: s * base_d(np.asarray(r, float) * s),
             envelope=self.envelope.scaled(s),
-            derivative_envelope=(None if self.derivative_envelope is None
-                                 else self.derivative_envelope.scaled(s)),
+            derivative_envelope=self.derivative_envelope.scaled(s),
             family_tag=f"{self.family_tag}|D_{s:g}",
             support_radius=self.support_radius / s,
         )
 
-    def check_decreasing(self, n: int = 1000, operation: str = "profile"):
+    def check_decreasing(self, operation: str = "profile"):
         """Verify derivative <= 0 on a log grid (hypothesis of the reverse
         Hardy/Sobolev/CKN class)."""
         hi = min(self.support_radius, self.envelope.r_max(1.0, 1e-10))
-        r = np.geomspace(hi * 1e-6, hi * (1 - 1e-9), n)
+        r = np.geomspace(hi * 1e-6, hi * (1 - 1e-9), 1000)
         d = self.deriv(r)
         scale = float(np.max(np.abs(d))) + 1e-300
         if np.any(d > 1e-8 * scale):
@@ -105,22 +89,6 @@ class RadialProfile:
             raise ParameterError(
                 f"profile is not radially decreasing (derivative > 0 near "
                 f"r={bad:g})", module=_MODULE, operation=operation)
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """A power weight |x|^exponent and the side of the inequality it sits on."""
-
-    exponent: float
-    role: str = "W_outer"       # "W_outer" | "U_inner"
-
-    def __post_init__(self):
-        if not math.isfinite(self.exponent):
-            raise ParameterError("weight exponent must be finite",
-                                 module=_MODULE, operation="WeightSpec")
-        if self.role not in ("W_outer", "U_inner"):
-            raise ParameterError(f"unknown weight role {self.role!r}",
-                                 module=_MODULE, operation="WeightSpec")
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +120,7 @@ def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
     hit = _P_INTEGRAL_CACHE.get(key)
     if hit is not None:
         return hit
-    env = (profile.deriv_envelope if use_derivative else profile.envelope)
+    env = profile.derivative_envelope if use_derivative else profile.envelope
     env = env.powered(p).boosted(power_shift)
     env.check_integrable(Q, "weighted_p_integral")
     r_max = min(env.r_max(Q), profile.support_radius)

@@ -72,7 +72,6 @@ class QuadratureSpec:
 class IntegralResult:
     value: float
     stderr: float
-    samples_used: int
     divergent: bool = False
 
     def __post_init__(self):
@@ -409,12 +408,12 @@ def _finalize(vals: np.ndarray, n: int, operation: str,
                 where = f" at point {points[np.argmax(np.isnan(vals))]}"
             raise EvaluationError("integrand returned NaN" + where,
                                   module=_MODULE, operation=operation)
-        return IntegralResult(math.inf, math.inf, n, divergent=True)
+        return IntegralResult(math.inf, math.inf, divergent=True)
     value = float(np.sum(vals) / n)
     if abs(value) > _OVERFLOW_GUARD or np.max(np.abs(vals)) / n > _OVERFLOW_GUARD:
-        return IntegralResult(math.inf, math.inf, n, divergent=True)
+        return IntegralResult(math.inf, math.inf, divergent=True)
     stderr = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else math.inf
-    return IntegralResult(value, stderr, n)
+    return IntegralResult(value, stderr)
 
 
 def integrate_cartesian(group: HomogeneousGroup,
@@ -655,8 +654,7 @@ def sphere_measure(group: HomogeneousGroup, norm: QuasiNorm,
     res = integrate_cartesian(group, lambda x: np.exp(-norm(x)), spec,
                               DecayEnvelope("exp", scale=1.0))
     gam = float(_sp.gamma(Q))
-    out = IntegralResult(res.value / gam, res.stderr / gam, res.samples_used,
-                         res.divergent)
+    out = IntegralResult(res.value / gam, res.stderr / gam, res.divergent)
     _SPHERE_CACHE[key] = out
     if len(_SPHERE_CACHE) > _SPHERE_CACHE_MAX:
         del _SPHERE_CACHE[next(iter(_SPHERE_CACHE))]

@@ -1,7 +1,7 @@
 """Trial-function families and empirical best-constant estimation.
 
-Each family builds radially decreasing (where flagged) profiles with analytic
-derivatives and matching decay envelopes:
+Each family builds radially decreasing profiles with analytic derivatives
+and matching decay envelopes:
 
     exp_decay(c)      e^{-c r}
     gaussian(c)       e^{-c r^2}
@@ -59,7 +59,6 @@ def _exp_decay(c: float) -> RadialProfile:
         envelope=DecayEnvelope("exp", scale=c),
         derivative_envelope=DecayEnvelope("exp", scale=c),
         family_tag="exp_decay", params=(c,),
-        monotone_decreasing=True, strictly_positive=True,
     )
 
 
@@ -71,7 +70,6 @@ def _gaussian(c: float) -> RadialProfile:
         envelope=DecayEnvelope("gauss", scale=c),
         derivative_envelope=DecayEnvelope("gauss", scale=c, boost=1.0),
         family_tag="gaussian", params=(c,),
-        monotone_decreasing=True, strictly_positive=True,
     )
 
 
@@ -82,7 +80,6 @@ def _power_decay(s: float, a: float = 1.0) -> RadialProfile:
         envelope=DecayEnvelope("power", scale=a, shape=s),
         derivative_envelope=DecayEnvelope("power", scale=a, shape=s + 1.0),
         family_tag="power_decay", params=(s, a),
-        monotone_decreasing=True, strictly_positive=True,
     )
 
 
@@ -110,7 +107,6 @@ def _smooth_bump(R: float) -> RadialProfile:
         envelope=DecayEnvelope("uniform", scale=R),
         derivative_envelope=DecayEnvelope("uniform", scale=R),
         family_tag="smooth_bump", params=(R,),
-        monotone_decreasing=True, strictly_positive=False,
         support_radius=R,
     )
 

@@ -14,7 +14,7 @@ import pytest
 from scipy import integrate, special as sp
 
 from revineq import (DecayEnvelope, InequalityParams, QuadratureSpec,
-                     WeightSpec, abelian_group, analytic_A1, analytic_A2,
+                     abelian_group, analytic_A1, analytic_A2,
                      balanced_lambda, bracket_kappa,
                      check_group_axioms, check_quasi_norm_axioms,
                      conjugate_exponent, cygan_norm, dilate, euclidean_norm,
@@ -283,9 +283,7 @@ def test_criterion_09_reverse_integral_hardy_grid():
             ]
             for region, w_exp, u_exp, analytic_A, diverges_at in weight_sets:
                 case = f"{region} on {group.name} at {params.as_dict()}"
-                args = (region, WeightSpec(w_exp, "W_outer"),
-                        WeightSpec(u_exp, "U_inner"),
-                        f, p, q, group, norm, spec)
+                args = (region, w_exp, u_exp, f, p, q, group, norm, spec)
                 if Q + u_exp <= 0.0:
                     with pytest.raises(DivergenceError, match="not integrable"):
                         verify_reverse_integral_hardy(*args)

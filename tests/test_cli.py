@@ -105,6 +105,17 @@ SWEEP_CFG = {
     "trial_h": {"family": "exp_decay", "params": [1.0]},
 }
 
+SW_H1_CFG = {
+    "seed": 1,
+    "group": {"name": "heisenberg"},
+    "norm": {"name": "koranyi"},
+    "quadrature": {"sample_count": 5000},
+    "inequality": {"name": "reverse_stein_weiss", "p": 0.5, "q_prime": 0.5,
+                   "alpha": 1.0, "beta": 2.0},
+    "trial_f": {"family": "exp_decay", "params": [1.0]},
+    "trial_h": {"family": "gaussian", "params": [1.0]},
+}
+
 
 def test_sweep_skips_inadmissible_with_reason(tmp_path):
     cfg = write_cfg(tmp_path, {
@@ -302,6 +313,12 @@ def test_missing_config_key_exits_2(tmp_path, capsys, command, missing):
         **HARDY_CFG, "estimate": {"method": "grid", "budget": 3.9}}),
     ("verify", "quadrature.sample_count", {
         **HARDY_CFG, "quadrature": {"sample_count": True}}),
+    # a float key and a list of numbers take no bool either, which float()
+    # would read as 1.0 or 0.0
+    ("verify", "inequality.alpha", {**SW_H1_CFG, "inequality": {
+        **SW_H1_CFG["inequality"], "alpha": True}}),
+    ("verify", "trial_h.params", {**SW_H1_CFG, "trial_h": {
+        "family": "gaussian", "params": [True]}}),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, path, cfg):
     """A value of the wrong type exits 2 naming its key path, not with a

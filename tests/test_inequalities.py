@@ -9,8 +9,7 @@ from scipy import integrate as sciint
 from scipy import special as sp
 
 from revineq import (DecayEnvelope, DegenerateInputError, InequalityParams,
-                     ParameterError, PreconditionError, QuadratureSpec,
-                     RadialProfile, WeightSpec,
+                     ParameterError, QuadratureSpec, RadialProfile,
                      abelian_group, analytic_A1, analytic_A2, balanced_lambda,
                      bracket_kappa, conjugate_exponent,
                      euclidean_norm, make_profile, stein_weiss_lower_constant,
@@ -182,8 +181,8 @@ def test_reverse_hardy_requires_decreasing(h1, koranyi, mc_spec):
         derivative=lambda r: (1 - np.asarray(r, float))
         * np.exp(-np.asarray(r, float)),
         envelope=DecayEnvelope("exp", boost=1.0),
-        monotone_decreasing=True)   # mis-tagged on purpose
-    with pytest.raises((PreconditionError, ParameterError)):
+        derivative_envelope=DecayEnvelope("exp", boost=1.0))
+    with pytest.raises(ParameterError, match="not radially decreasing"):
         verify_reverse_hardy(humped, 0.5, h1, koranyi, mc_spec)
 
 
@@ -292,8 +291,10 @@ def test_hls_rejects_weights(plane, plane_norm, mc_spec, expp):
 
 def test_hls_zero_profile_degenerate(plane, plane_norm, mc_spec, expp):
     from revineq import DecayEnvelope, RadialProfile
-    zero = RadialProfile(value=lambda r: np.zeros_like(np.asarray(r, float)),
-                         envelope=DecayEnvelope("exp"))
+    zeros = lambda r: np.zeros_like(np.asarray(r, float))
+    zero = RadialProfile(value=zeros, envelope=DecayEnvelope("exp"),
+                         derivative=zeros,
+                         derivative_envelope=DecayEnvelope("exp"))
     P = InequalityParams(Q=2, p=0.5, q_prime=0.5,
                          lam=balanced_lambda(2.0, 0.5, 0.5))
     with pytest.raises(DegenerateInputError):
@@ -351,8 +352,7 @@ def test_integral_hardy_certified_side_worked_example(h1, koranyi, expp):
     the report says so instead of passing."""
     spec = QuadratureSpec(sample_count=30000, seed=2)
     rep = verify_reverse_integral_hardy(
-        "ball", WeightSpec(-6.0, "W_outer"), WeightSpec(-1.0, "U_inner"),
-        expp, 0.5, -1.0, h1, koranyi, spec)
+        "ball", -6.0, -1.0, expp, 0.5, -1.0, h1, koranyi, spec)
     assert rep.analytic_constant * rep.rhs == pytest.approx(256.0, rel=1e-6)
     assert rep.extras["kappa"] == pytest.approx(0.25)
     assert rep.degenerate is not None and "origin" in rep.degenerate
@@ -363,8 +363,7 @@ def test_integral_hardy_certified_side_worked_example(h1, koranyi, expp):
 def test_integral_hardy_complement_constant(h1, koranyi, expp):
     spec = QuadratureSpec(sample_count=30000, seed=2)
     rep = verify_reverse_integral_hardy(
-        "complement", WeightSpec(-1.0, "W_outer"), WeightSpec(-3.5, "U_inner"),
-        expp, 0.5, -1.0, h1, koranyi, spec)
+        "complement", -1.0, -3.5, expp, 0.5, -1.0, h1, koranyi, spec)
     S = rep.sphere_value
     assert rep.extras["A"] == pytest.approx(9.0 / S ** 2, rel=1e-12)
     assert rep.degenerate is not None
@@ -377,34 +376,66 @@ def test_integral_hardy_scaling_in_f(h1, koranyi, expp):
     from dataclasses import replace
     spec = QuadratureSpec(sample_count=20000, seed=2)
     rep1 = verify_reverse_integral_hardy(
-        "ball", WeightSpec(-6.0), WeightSpec(-1.0, "U_inner"),
-        expp, 0.5, -1.0, h1, koranyi, spec)
+        "ball", -6.0, -1.0, expp, 0.5, -1.0, h1, koranyi, spec)
     scaled = replace(expp, value=lambda r: 3.0 * np.exp(-np.asarray(r, float)))
     rep3 = verify_reverse_integral_hardy(
-        "ball", WeightSpec(-6.0), WeightSpec(-1.0, "U_inner"),
-        scaled, 0.5, -1.0, h1, koranyi, spec)
+        "ball", -6.0, -1.0, scaled, 0.5, -1.0, h1, koranyi, spec)
     assert rep3.rhs == pytest.approx(3.0 * rep1.rhs, rel=1e-10)
 
 
 def test_integral_hardy_parameter_errors(h1, koranyi, expp, mc_spec):
     with pytest.raises(ParameterError):
-        verify_reverse_integral_hardy("ball", WeightSpec(-6.0),
-                                      WeightSpec(-1.0, "U_inner"), expp,
-                                      0.5, 1.0, h1, koranyi, mc_spec)
+        verify_reverse_integral_hardy("ball", -6.0, -1.0, expp, 0.5, 1.0,
+                                      h1, koranyi, mc_spec)
     with pytest.raises(ParameterError):
-        verify_reverse_integral_hardy("ball", WeightSpec(2.0),
-                                      WeightSpec(-1.0, "U_inner"), expp,
-                                      0.5, -1.0, h1, koranyi, mc_spec)
+        verify_reverse_integral_hardy("ball", 2.0, -1.0, expp, 0.5, -1.0,
+                                      h1, koranyi, mc_spec)
     # unbalanced exponents: the scale power does not vanish
     with pytest.raises(ParameterError):
-        verify_reverse_integral_hardy("ball", WeightSpec(-6.0),
-                                      WeightSpec(-0.5, "U_inner"), expp,
-                                      0.5, -1.0, h1, koranyi, mc_spec)
+        verify_reverse_integral_hardy("ball", -6.0, -0.5, expp, 0.5, -1.0,
+                                      h1, koranyi, mc_spec)
     bump = make_profile("smooth_bump", [1.0])
     with pytest.raises(DegenerateInputError):
-        verify_reverse_integral_hardy("ball", WeightSpec(-6.0),
-                                      WeightSpec(-1.0, "U_inner"), bump,
-                                      0.5, -1.0, h1, koranyi, mc_spec)
+        verify_reverse_integral_hardy("ball", -6.0, -1.0, bump, 0.5, -1.0,
+                                      h1, koranyi, mc_spec)
+
+
+def test_integral_hardy_weight_exponents_must_be_finite(h1, koranyi, expp,
+                                                        mc_spec):
+    """The weight exponents are read from outside input, so the verifier
+    rejects a non-finite one as a parameter error."""
+    with pytest.raises(ParameterError, match="finite"):
+        verify_reverse_integral_hardy("ball", math.inf, -1.0, expp, 0.5, -1.0,
+                                      h1, koranyi, mc_spec)
+    with pytest.raises(ParameterError, match="finite"):
+        verify_reverse_integral_hardy("ball", -6.0, math.nan, expp, 0.5, -1.0,
+                                      h1, koranyi, mc_spec)
+
+
+def test_integral_hardy_complement_power_not_integrable(h1, koranyi, mc_spec):
+    """(1+r)^{-3} is not integrable on H1 (Q = 4), so every complement inner
+    integral is +inf and the left side is 0^{1/q} = +inf: trivially true."""
+    rep = verify_reverse_integral_hardy(
+        "complement", -2.0, -3.0, make_profile("power_decay", [3.0, 1.0]),
+        0.5, -1.0, h1, koranyi, mc_spec)
+    assert "not integrable" in rep.degenerate
+    assert rep.lhs == math.inf
+    assert "lhs_truncated" not in rep.extras
+    assert not rep.passed
+
+
+def test_integral_hardy_complement_power_diverges_at_infinity(h1, koranyi,
+                                                              mc_spec):
+    """The complement inner integral of (1+r)^{-8} decays like r^{-4}, so the
+    outer integrand r^{4 - 2 + 3} grows and the left side degenerates to 0,
+    while the windowed left side stays finite."""
+    rep = verify_reverse_integral_hardy(
+        "complement", -2.0, -3.0, make_profile("power_decay", [8.0, 1.0]),
+        0.5, -1.0, h1, koranyi, mc_spec)
+    assert "diverges at infinity" in rep.degenerate
+    assert rep.lhs == 0.0
+    assert 0.0 < rep.extras["lhs_truncated"] < math.inf
+    assert not rep.passed
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +500,9 @@ def test_flat_profile_is_degenerate(verify, h1, koranyi, mc_spec):
     flat = RadialProfile(
         value=lambda r: np.ones_like(np.asarray(r, float)),
         derivative=lambda r: np.zeros_like(np.asarray(r, float)),
-        envelope=DecayEnvelope("uniform", scale=2.0), support_radius=2.0,
-        monotone_decreasing=True)
+        envelope=DecayEnvelope("uniform", scale=2.0),
+        derivative_envelope=DecayEnvelope("uniform", scale=2.0),
+        support_radius=2.0)
     with pytest.raises(DegenerateInputError):
         verify(flat, h1, koranyi, mc_spec)
 

@@ -8,10 +8,9 @@ from scipy import integrate as sciint
 from scipy import special as sp
 
 from revineq import (DecayEnvelope, DegenerateInputError, ParameterError,
-                     QuadratureSpec, RadialProfile, WeightSpec,
-                     kernel_bound_report, lp_functional, make_profile,
-                     reverse_holder_gap, sphere_measure, stein_weiss_form,
-                     weighted_p_integral)
+                     QuadratureSpec, RadialProfile, kernel_bound_report,
+                     lp_functional, make_profile, reverse_holder_gap,
+                     sphere_measure, stein_weiss_form, weighted_p_integral)
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +23,8 @@ def box_profile():
     return RadialProfile(
         value=lambda r: (np.asarray(r, float) <= 1.0).astype(float),
         envelope=DecayEnvelope("uniform", scale=1.0),
+        derivative=lambda r: np.zeros_like(np.asarray(r, float)),
+        derivative_envelope=DecayEnvelope("uniform", scale=1.0),
         family_tag="indicator", support_radius=1.0)
 
 
@@ -79,7 +80,9 @@ def test_weighted_p_integral_memoised():
         calls.append(len(r))
         return np.exp(-np.asarray(r, float))
 
-    prof = RadialProfile(value=value, envelope=DecayEnvelope("exp"))
+    prof = RadialProfile(value=value, envelope=DecayEnvelope("exp"),
+                         derivative=lambda r: -np.exp(-np.asarray(r, float)),
+                         derivative_envelope=DecayEnvelope("exp"))
     first = weighted_p_integral(prof, 0.5, 1.0, 3.0)
     evaluated = len(calls)
     assert evaluated > 0
@@ -98,27 +101,10 @@ def test_weighted_p_integral_memoised():
 # radial derivatives
 # ---------------------------------------------------------------------------
 
-def test_identity_profile_derivative():
-    """Without a registered derivative, deriv falls back to central
-    differences; F(r) = r has F' = 1 and r F' = r."""
-    ident = RadialProfile(value=lambda r: np.asarray(r, float),
-                          envelope=DecayEnvelope("uniform", scale=10.0))
-    r = np.array([0.5, 2.0])
-    assert np.allclose(ident.deriv(r), 1.0, atol=1e-6)
-    assert np.allclose(r * ident.deriv(r), [0.5, 2.0], atol=1e-6)
-
-
 def test_power_profile_derivative():
     prof = make_profile("power_decay", [6.0, 1.0])
     r = np.array([0.3, 1.0, 2.5])
     assert np.allclose(prof.deriv(r), -6.0 * (1 + r) ** -7.0)
-
-
-def test_finite_difference_fallback():
-    prof = RadialProfile(value=lambda r: np.exp(-np.asarray(r, float)),
-                         envelope=DecayEnvelope("exp"))
-    r = np.array([0.5, 1.0, 10.0])
-    assert np.allclose(prof.deriv(r), -np.exp(-r), rtol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +124,10 @@ def test_integrate_cartesian_divergence_flag(line, line_norm):
 # ---------------------------------------------------------------------------
 
 def test_stein_weiss_zero(plane, plane_norm, mc_spec):
-    zero = RadialProfile(value=lambda r: np.zeros_like(np.asarray(r, float)),
-                         envelope=DecayEnvelope("exp"))
+    zeros = lambda r: np.zeros_like(np.asarray(r, float))
+    zero = RadialProfile(value=zeros, envelope=DecayEnvelope("exp"),
+                         derivative=zeros,
+                         derivative_envelope=DecayEnvelope("exp"))
     res = stein_weiss_form(zero, zero, 0.0, 0.0, 1.0, plane, plane_norm,
                            mc_spec)
     assert res.value == 0.0
@@ -249,10 +237,3 @@ def test_kernel_bounds_clean(request, fixture):
 def test_kernel_bounds_require_true_norm(h1, koranyi):
     with pytest.raises(ParameterError):
         kernel_bound_report(h1, koranyi)
-
-
-def test_weight_spec_validation():
-    with pytest.raises(ParameterError):
-        WeightSpec(float("inf"))
-    with pytest.raises(ParameterError):
-        WeightSpec(1.0, role="middle")

@@ -474,7 +474,7 @@ def test_radial_rule_cuts_far_cutoffs_per_decade(shift, use_derivative):
     these integrals while reporting errors near 1e-16."""
     f = make_profile("power_decay", [7.391775949669356, 13.31286386349279])
     fn = f.deriv if use_derivative else f.value
-    env = (f.deriv_envelope if use_derivative else f.envelope)
+    env = (f.derivative_envelope if use_derivative else f.envelope)
     r_max = env.powered(0.5).boosted(shift).r_max(4.0)
     assert r_max > 1e40
 

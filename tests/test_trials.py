@@ -27,7 +27,7 @@ def test_monotone_families_decrease():
     for tag, params in [("exp_decay", [0.7]), ("gaussian", [2.0]),
                         ("power_decay", [4.0, 0.5]), ("smooth_bump", [6.0])]:
         prof = make_profile(tag, params)
-        assert prof.monotone_decreasing
+        prof.check_decreasing()
         assert np.all(prof.deriv(r) <= 1e-12)
 
 

@@ -116,6 +116,17 @@ CORPUS = (
                   "grid": {"p": [0.5, 0.7], "q_prime": [0.5],
                            "alpha": [0.0, 0.5], "beta": [0, 1.0],
                            "lambda": [3.0, None]}}}, 18),
+    # the complement's power-tail branches: a profile that is not
+    # integrable (left side +inf) and one whose outer integral diverges at
+    # infinity (left side 0, with a finite windowed left side)
+    ("verify_reverse_integral_hardy_complement_power_3", "verify", {
+        **_H1_KORANYI, "trial": {"family": "power_decay", "params": [3.0, 1.0]},
+        "inequality": {**_INTEGRAL_HARDY, "region": "complement",
+                       "W_exponent": -2.0, "U_exponent": -3.0}}, 19),
+    ("verify_reverse_integral_hardy_complement_power_8", "verify", {
+        **_H1_KORANYI, "trial": {"family": "power_decay", "params": [8.0, 1.0]},
+        "inequality": {**_INTEGRAL_HARDY, "region": "complement",
+                       "W_exponent": -2.0, "U_exponent": -3.0}}, 20),
 )
 
 REPORT_FILES = ("report.json", "sweep.csv", "trace.csv")
