@@ -53,15 +53,14 @@ SWEEP_COLUMNS = ["inequality", "Q", "p", "q_prime", "alpha", "beta",
 # the sweep grid's axes, outermost first
 _GRID_KEYS = ("p", "q_prime", "alpha", "beta", "lambda")
 
-# allowed keys per section; a nested section is named by its last key
+# allowed keys per section; a nested section is named by its last key.
+# The inequality section's keys are those its entry reads (read_inequality).
 _SECTION_KEYS = {
     "": {"seed", "group", "norm", "quadrature", "inequality", "trial",
          "trial_f", "trial_h", "estimate", "sweep", "output"},
     "group": {"name", "weights"},
     "norm": {"name"},
     "quadrature": {"scheme", "sample_count"},
-    "inequality": {"name", "p", "q_prime", "q", "lambda", "alpha", "beta",
-                   "variant", "region", "W_exponent", "U_exponent"},
     "trial": {"family", "params"},
     "trial_f": {"family", "params"},
     "trial_h": {"family", "params"},

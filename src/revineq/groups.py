@@ -42,7 +42,6 @@ class HomogeneousGroup:
     name: str
     weights: tuple[float, ...]
     law: Callable[[Array, Array], Array]
-    inv: Callable[[Array], Array]
 
     @property
     def dim(self) -> int:
@@ -144,8 +143,9 @@ def group_mul(group: HomogeneousGroup, x, y) -> Array:
 
 
 def group_inv(group: HomogeneousGroup, x) -> Array:
-    """Group inverse; negation for all built-in groups."""
-    return group.inv(as_points(group, x, operation="group_inv"))
+    """Group inverse: negation, in the exponential coordinates of every
+    built-in group."""
+    return -as_points(group, x, operation="group_inv")
 
 
 def dilation_quadratic_form(group: HomogeneousGroup, u: Array) -> Array:
@@ -174,7 +174,6 @@ def abelian_group(weights=(1.0,), name: str | None = None) -> HomogeneousGroup:
         name=name or f"abelian{len(w)}",
         weights=w,
         law=lambda x, y: x + y,
-        inv=lambda x: -x,
     )
 
 
@@ -194,7 +193,6 @@ def heisenberg_group() -> HomogeneousGroup:
         name="heisenberg",
         weights=(1.0, 1.0, 2.0),
         law=_h1_law,
-        inv=lambda x: -x,
     )
 
 

@@ -94,13 +94,9 @@ class InequalityParams:
                 - (self.alpha + self.beta + self.lam) / self.Q - 2.0)
 
     def as_dict(self) -> dict:
-        d = {"Q": self.Q, "p": self.p, "q_prime": self.q_prime,
-             "lambda": self.lam, "alpha": self.alpha, "beta": self.beta,
-             "variant": self.variant}
-        if not math.isnan(self.q_prime):
-            d["p_prime"] = self.p_prime
-            d["q"] = self.q
-        return d
+        return {"Q": self.Q, "p": self.p, "q_prime": self.q_prime,
+                "lambda": self.lam, "alpha": self.alpha, "beta": self.beta,
+                "variant": self.variant, "p_prime": self.p_prime, "q": self.q}
 
 
 @dataclass(frozen=True)
@@ -108,7 +104,6 @@ class ConditionCheck:
     name: str
     satisfied: bool
     required: bool
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -132,6 +127,17 @@ class AdmissibilityReport:
                 if not c.required and not c.satisfied]
 
 
+def _regimes(P: InequalityParams) -> dict[str, tuple[float, float]]:
+    """(Q + w, Q + u(1-p')) of the power weights the bilinear proof feeds to
+    power_weight_A: the inner regime (ball) has W = |x|^{(alpha+lambda)q},
+    U = |y|^{-beta p}; the outer regime (complement) W = |x|^{alpha q},
+    U = |y|^{-(beta+lambda)p}, where Q + u(1-p') = Q + (beta+lambda)p'."""
+    q, pp = P.q, P.p_prime
+    return {"ball": (P.Q + (P.alpha + P.lam) * q,
+                     P.Q - P.beta * P.p * (1.0 - pp)),
+            "complement": (P.Q + P.alpha * q, P.Q + (P.beta + P.lam) * pp)}
+
+
 def validate_params(params: InequalityParams) -> AdmissibilityReport:
     """Check every hypothesis of the weighted bilinear lower bound and the
     derived sign facts its two-regime proof needs; report-only."""
@@ -140,36 +146,27 @@ def validate_params(params: InequalityParams) -> AdmissibilityReport:
     full = P.variant == "full"
     need_alpha = full or P.variant == "improved_a"
     need_beta = full or P.variant == "improved_b"
+    (mW_in, mU_in), (mW_out, mU_out) = _regimes(P).values()
 
     checks = [
-        ConditionCheck("p in (0,1)", 0.0 < P.p < 1.0, True, f"p={P.p:g}"),
-        ConditionCheck("q' in (0,1)", 0.0 < P.q_prime < 1.0, True,
-                       f"q'={P.q_prime:g}"),
-        ConditionCheck("lambda > 0", P.lam > 0.0, True, f"lambda={P.lam:g}"),
+        ConditionCheck("p in (0,1)", 0.0 < P.p < 1.0, True),
+        ConditionCheck("q' in (0,1)", 0.0 < P.q_prime < 1.0, True),
+        ConditionCheck("lambda > 0", P.lam > 0.0, True),
         ConditionCheck("balance 1/q'+1/p = (alpha+beta+lambda)/Q + 2",
-                       abs(P.balance_residual) <= _BALANCE_TOL, True,
-                       f"residual={P.balance_residual:.3e}"),
-        ConditionCheck("0 <= alpha", P.alpha >= 0.0, need_alpha,
-                       f"alpha={P.alpha:g}"),
-        ConditionCheck("alpha < -Q/q", P.alpha < -P.Q / q, need_alpha,
-                       f"alpha={P.alpha:g}, -Q/q={-P.Q / q:g}"),
-        ConditionCheck("0 <= beta", P.beta >= 0.0, need_beta,
-                       f"beta={P.beta:g}"),
-        ConditionCheck("beta < -Q/p'", P.beta < -P.Q / pp, need_beta,
-                       f"beta={P.beta:g}, -Q/p'={-P.Q / pp:g}"),
-        # derived facts used by the two regimes of the proof
+                       abs(P.balance_residual) <= _BALANCE_TOL, True),
+        ConditionCheck("0 <= alpha", P.alpha >= 0.0, need_alpha),
+        ConditionCheck("alpha < -Q/q", P.alpha < -P.Q / q, need_alpha),
+        ConditionCheck("0 <= beta", P.beta >= 0.0, need_beta),
+        ConditionCheck("beta < -Q/p'", P.beta < -P.Q / pp, need_beta),
+        # the sign conditions of power_weight_A in the two regimes
         ConditionCheck("Q + (alpha+lambda) q < 0 [inner regime]",
-                       P.Q + (P.alpha + P.lam) * q < 0.0, need_beta,
-                       f"value={P.Q + (P.alpha + P.lam) * q:g}"),
+                       mW_in < 0.0, need_beta),
         ConditionCheck("Q - beta p (1-p') > 0 [inner regime]",
-                       P.Q - P.beta * P.p * (1.0 - pp) > 0.0, need_beta,
-                       f"value={P.Q - P.beta * P.p * (1.0 - pp):g}"),
-        ConditionCheck("Q + alpha q > 0 [outer regime]",
-                       P.Q + P.alpha * q > 0.0, need_alpha,
-                       f"value={P.Q + P.alpha * q:g}"),
+                       mU_in > 0.0, need_beta),
+        ConditionCheck("Q + alpha q > 0 [outer regime]", mW_out > 0.0,
+                       need_alpha),
         ConditionCheck("Q + (beta+lambda) p' < 0 [outer regime]",
-                       P.Q + (P.beta + P.lam) * pp < 0.0, need_alpha,
-                       f"value={P.Q + (P.beta + P.lam) * pp:g}"),
+                       mU_out < 0.0, need_alpha),
     ]
     return AdmissibilityReport(params=P, conditions=tuple(checks))
 
@@ -187,42 +184,35 @@ def _require_admissible(params: InequalityParams, operation: str):
 # analytic constants
 # ---------------------------------------------------------------------------
 
-def analytic_A1(params: InequalityParams, sphere: float) -> float:
-    """Characteristic constant of the inner-ball weighted pair
-    W = |x|^{(alpha+lambda)q}, U = |y|^{-beta p}:
+def power_weight_A(region: str, mW: float, mU: float, q: float,
+                   p_prime: float, sphere: float) -> float:
+    """Characteristic constant of the reverse integral Hardy lemma for power
+    weights W = |x|^w, U = |x|^u, given mW = Q + w and mU = Q + u(1-p'):
+    A = (|S|/|mW|)^{1/q} (|S|/|mU|)^{1/p'}, finite and positive on the ball
+    when mW < 0 < mU and on the complement when mU < 0 < mW.  It takes the
+    exponents, not w and u, so that each caller keeps its own rounding."""
+    if not {"ball": mW < 0.0 < mU, "complement": mU < 0.0 < mW}.get(region):
+        raise ParameterError(
+            f"no power-weight A on {region!r} at Q + w = {mW:g}, Q + u(1-p') "
+            f"= {mU:g}: the ball needs Q + w < 0 < Q + u(1-p'), the "
+            "complement Q + u(1-p') < 0 < Q + w", module=_MODULE,
+            operation="power_weight_A")
+    return float((sphere / abs(mW)) ** (1.0 / q)
+                 * (sphere / abs(mU)) ** (1.0 / p_prime))
 
-        A1 = (|S| / |Q+(alpha+lambda)q|)^{1/q} (|S| / (Q - beta p (1-p')))^{1/p'}.
-    """
-    P, q, pp = params, params.q, params.p_prime
-    d1 = P.Q + (P.alpha + P.lam) * q
-    d2 = P.Q - P.beta * P.p * (1.0 - pp)
-    if d1 >= 0.0:
-        raise ParameterError("Q + (alpha+lambda) q < 0 violated; outer tail "
-                             "of W diverges", module=_MODULE,
-                             operation="analytic_A1")
-    if d2 <= 0.0:
-        raise ParameterError("Q - beta p (1-p') > 0 violated (needs beta < "
-                             "-Q/p')", module=_MODULE, operation="analytic_A1")
-    return float((sphere / abs(d1)) ** (1.0 / q) * (sphere / d2) ** (1.0 / pp))
+
+def analytic_A1(params: InequalityParams, sphere: float) -> float:
+    """A1: power_weight_A in the inner regime (ball) of the bilinear proof,
+    W = |x|^{(alpha+lambda)q}, U = |y|^{-beta p}."""
+    return power_weight_A("ball", *_regimes(params)["ball"], params.q,
+                          params.p_prime, sphere)
 
 
 def analytic_A2(params: InequalityParams, sphere: float) -> float:
-    """Characteristic constant of the outer-tail weighted pair
-    W = |x|^{alpha q}, U = |y|^{-(beta+lambda) p}:
-
-        A2 = (|S| / (Q + alpha q))^{1/q} (|S| / |Q+(beta+lambda)p'|)^{1/p'}.
-    """
-    P, q, pp = params, params.q, params.p_prime
-    d1 = P.Q + P.alpha * q
-    d2 = P.Q + (P.beta + P.lam) * pp
-    if d1 <= 0.0:
-        raise ParameterError("Q + alpha q > 0 violated (needs alpha < -Q/q)",
-                             module=_MODULE, operation="analytic_A2")
-    if d2 >= 0.0:
-        raise ParameterError("Q + (beta+lambda) p' < 0 violated; outer tail "
-                             "of U^{1-p'} diverges", module=_MODULE,
-                             operation="analytic_A2")
-    return float((sphere / d1) ** (1.0 / q) * (sphere / abs(d2)) ** (1.0 / pp))
+    """A2: power_weight_A in the outer regime (complement) of the bilinear
+    proof, W = |x|^{alpha q}, U = |y|^{-(beta+lambda)p}."""
+    return power_weight_A("complement", *_regimes(params)["complement"],
+                          params.q, params.p_prime, sphere)
 
 
 def bracket_kappa(p_prime: float, q: float) -> float:
@@ -553,9 +543,10 @@ def verify_reverse_integral_hardy(variant: str, w: float, u: float,
     ball:        [int ( int_{B(0,|x|)} f )^q W dx]^{1/q}  >= C (int f^p U dx)^{1/p},
     complement:  [int ( int_{G \\ B(0,|x|)} f )^q W dx]^{1/q} >= C (...),
 
-    with the certified constant C = kappa * A (A finite and positive exactly
-    when the weight exponents satisfy the tail/ball conditions and the scale
-    exponent of the characteristic quantity vanishes).
+    with the certified constant C = kappa * A, A = power_weight_A(variant,
+    Q + w, Q + u(1-p'), q, p', |S|) (A finite and positive exactly when the
+    weight exponents satisfy its sign conditions and the scale exponent of
+    the characteristic quantity vanishes).
 
     Degeneracy note: with pure power weights the admissibility conditions
     force the outer integral to diverge for every profile of finite positive
@@ -596,32 +587,14 @@ def verify_reverse_integral_hardy(variant: str, w: float, u: float,
     Q = group.homogeneous_dim
     pp = conjugate_exponent(p)
     mW, mU = Q + w, Q + u * (1.0 - pp)
-
-    if variant == "ball":
-        if mW >= 0.0:
-            raise ParameterError("ball variant needs Q + w < 0 (finite outer "
-                                 "tail of W)", module=_MODULE, operation=op)
-        if mU <= 0.0:
-            raise ParameterError("ball variant needs Q + u(1-p') > 0 (finite "
-                                 "ball integral of U^{1-p'})",
-                                 module=_MODULE, operation=op)
-    else:
-        if mW <= 0.0:
-            raise ParameterError("complement variant needs Q + w > 0",
-                                 module=_MODULE, operation=op)
-        if mU >= 0.0:
-            raise ParameterError("complement variant needs Q + u(1-p') < 0",
-                                 module=_MODULE, operation=op)
-
+    S = sphere_measure(group, norm, spec)
+    A = power_weight_A(variant, mW, mU, q, pp, S.value)
     scale_expo = mW / q + mU / pp
     if abs(scale_expo) > 1e-10:
         raise ParameterError(
             f"characteristic quantity scales like |x|^{scale_expo:g}; its "
             "infimum over x != 0 vanishes, so A = 0", module=_MODULE,
             operation=op)
-
-    S = sphere_measure(group, norm, spec)
-    A = float((S.value / abs(mW)) ** (1.0 / q) * (S.value / abs(mU)) ** (1.0 / pp))
     kap = bracket_kappa(pp, q)
 
     iv, ie = weighted_p_integral(f, p, u, Q)
@@ -804,10 +777,13 @@ def read_inequality(sect: dict | None, Q: float) -> tuple[str, object]:
     arguments its entry reads from there through get(key[, default[, kind]]),
     which converts a present value to kind (float unless stated).  A null
     value counts as absent; a missing key without default raises
-    ConfigError("config.inequality.<key>: required")."""
+    ConfigError("config.inequality.<key>: required"), and so does a present
+    key the entry never reads ("config.inequality.<key>: not read by ...")."""
     sect = sect or {}
+    read = set()
 
     def get(key: str, default=_REQUIRED, kind: type = float):
+        read.add(key)
         if sect.get(key) is None:
             if default is _REQUIRED:
                 raise ConfigError(f"config.inequality.{key}: required",
@@ -820,4 +796,9 @@ def read_inequality(sect: dict | None, Q: float) -> tuple[str, object]:
         raise ConfigError(f"config.inequality.name: unknown inequality "
                           f"{name!r}", module=_MODULE,
                           operation="read_inequality")
-    return name, INEQUALITIES[name].read(get, Q)
+    args = INEQUALITIES[name].read(get, Q)
+    for key, value in sect.items():
+        if value is not None and key not in read:
+            raise ConfigError(f"config.inequality.{key}: not read by {name}",
+                              module=_MODULE, operation="read_inequality")
+    return name, args

@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DegenerateInputError, ParameterError
-from .groups import (HomogeneousGroup, QuasiNorm, dilate, group_inv,
-                     group_mul)
+from .groups import (HomogeneousGroup, QuasiNorm, _sample_points, dilate,
+                     group_inv, group_mul)
 from .quadrature import (DecayEnvelope, IntegralResult, QuadratureSpec,
                          RadialSampler, _finalize, draw_block,
                          integrate_radial_err, sample_group_points,
@@ -251,8 +251,7 @@ def kernel_bound_report(group: HomogeneousGroup, norm: QuasiNorm,
                              operation="kernel_bound_report")
     rng = np.random.default_rng(seed)
     n = sample_count
-    scales = 10.0 ** rng.uniform(-2, 2, size=(n, 1))
-    x = rng.standard_normal((n, group.dim)) * scales
+    x = _sample_points(group, n, rng)
     nx = norm(x)
 
     # inner: y with |y| = frac * |x|/2, frac in (0, 1]; directions drawn on

@@ -240,6 +240,27 @@ def test_unknown_key_exit_2(tmp_path, capsys):
             capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key,cfg", [
+    # the first unread key in the section's order is named; null is absent
+    ("verify", "alpha", {**HARDY_CFG, "inequality": {
+        "name": "reverse_hardy", "p": 0.5, "alpha": 7, "q_prime": 0.3,
+        "region": "ball"}}),
+    ("estimate", "region", {**HARDY_CFG, "inequality": {
+        "name": "reverse_hardy", "p": 0.5, "q_prime": None,
+        "region": "ball"}}),
+    ("verify", "lamda", {**SW_H1_CFG, "inequality": {
+        **SW_H1_CFG["inequality"], "lamda": 3.0}}),
+])
+def test_unread_inequality_key_exits_2(tmp_path, capsys, command, key, cfg):
+    """A key the named inequality never reads is rejected, not echoed into
+    the report as if it had been used."""
+    code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
+                 command, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config.inequality.{key}: not read by " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_bad_parameter_exit_2(tmp_path):
     bad = dict(HARDY_CFG)
     bad["inequality"] = {"name": "reverse_hardy", "p": 1.5}

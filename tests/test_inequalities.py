@@ -18,6 +18,7 @@ from revineq import (DecayEnvelope, DegenerateInputError, InequalityParams,
                      verify_reverse_hardy, verify_reverse_hls,
                      verify_reverse_integral_hardy, verify_reverse_sobolev,
                      verify_stein_weiss)
+from revineq.inequalities import _regimes, power_weight_A
 
 WORKED = InequalityParams(Q=4, p=0.5, q_prime=0.5, lam=5.0, alpha=1.0, beta=2.0)
 
@@ -114,6 +115,34 @@ def test_analytic_A_requires_conditions():
     with pytest.raises(ParameterError):
         analytic_A1(bad_beta, 1.0)
     analytic_A2(bad_beta, 1.0)   # alpha side is fine
+
+
+@pytest.mark.parametrize("region,mW,mU", [
+    ("ball", 0.0, 1.0),             # Q + w < 0 fails
+    ("ball", -1.0, 0.0),            # Q + u(1-p') > 0 fails
+    ("complement", 0.0, -1.0),      # Q + w > 0 fails
+    ("complement", 1.0, 0.0),       # Q + u(1-p') < 0 fails
+    ("annulus", -1.0, 1.0),
+])
+def test_power_weight_A_requires_region_signs(region, mW, mU):
+    with pytest.raises(ParameterError, match="no power-weight A"):
+        power_weight_A(region, mW, mU, -1.0, -1.0, 2.0)
+
+
+def test_analytic_A1_A2_are_power_weight_A_at_the_regimes():
+    """A1 and A2 are the lemma's constant at the inner (ball) and outer
+    (complement) weights, bit for bit."""
+    regimes = _regimes(WORKED)
+    S = 2.0 * math.pi ** 2
+    args = (WORKED.q, WORKED.p_prime, S)
+    assert analytic_A1(WORKED, S) == power_weight_A(
+        "ball", *regimes["ball"], *args)
+    assert analytic_A2(WORKED, S) == power_weight_A(
+        "complement", *regimes["complement"], *args)
+    # Q + (beta+lambda)p' is the outer regime's Q + u(1-p')
+    u = -(WORKED.beta + WORKED.lam) * WORKED.p
+    assert regimes["complement"][1] == pytest.approx(
+        WORKED.Q + u * (1.0 - WORKED.p_prime), rel=1e-14)
 
 
 def test_constants_positive_on_grid():
@@ -358,6 +387,17 @@ def test_integral_hardy_certified_side_worked_example(h1, koranyi, expp):
     assert rep.degenerate is not None and "origin" in rep.degenerate
     assert rep.lhs == 0.0
     assert not rep.passed
+
+
+def test_integral_hardy_inner_regime_A_is_analytic_A1(h1, koranyi, expp):
+    """At the inner regime's weights the integral Hardy verifier and A1
+    compute the same lemma constant, bit for bit."""
+    P = WORKED
+    spec = QuadratureSpec(sample_count=5000, seed=2)
+    rep = verify_reverse_integral_hardy(
+        "ball", (P.alpha + P.lam) * P.q, -P.beta * P.p, expp, P.p, P.q,
+        h1, koranyi, spec)
+    assert rep.extras["A"] == analytic_A1(P, rep.sphere_value)
 
 
 def test_integral_hardy_complement_constant(h1, koranyi, expp):

@@ -127,6 +127,12 @@ CORPUS = (
         **_H1_KORANYI, "trial": {"family": "power_decay", "params": [8.0, 1.0]},
         "inequality": {**_INTEGRAL_HARDY, "region": "complement",
                        "W_exponent": -2.0, "U_exponent": -3.0}}, 20),
+    # the inner regime alone: the certified constant is 2^{-lambda} kappa A1
+    ("verify_reverse_stein_weiss_improved_b", "verify", {
+        **_H1_KORANYI, **_EXP_GAUSS,
+        "inequality": {"name": "reverse_stein_weiss", "p": 0.5,
+                       "q_prime": 0.5, "alpha": 1.0, "beta": 2.0,
+                       "variant": "improved_b"}}, 21),
 )
 
 REPORT_FILES = ("report.json", "sweep.csv", "trace.csv")
