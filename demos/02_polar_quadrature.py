@@ -15,8 +15,9 @@ from scipy import special as sp
 
 from revineq import (DecayEnvelope, QuadratureSpec, abelian_group,
                      euclidean_norm, heisenberg_group, integrate_cartesian,
-                     integrate_radial, koranyi_norm, polar_consistency_check,
-                     sphere_measure, sphere_measure_direct)
+                     integrate_radial_err, koranyi_norm,
+                     polar_consistency_check, sphere_measure,
+                     sphere_measure_direct)
 
 plane = abelian_group((1.0, 1.0), name="abelian2")
 h1 = heisenberg_group()
@@ -26,7 +27,7 @@ spec = QuadratureSpec(sample_count=200000, seed=0)
 # --- radial rule against Gamma integrals --------------------------------------
 print("radial rule vs Gamma(Q) = int e^{-r} r^{Q-1} dr:")
 for Q in (1, 2, 4, 6):
-    val = integrate_radial(lambda r: np.exp(-r), float(Q))
+    val = integrate_radial_err(lambda r: np.exp(-r), float(Q))[0]
     print(f"  Q={Q}: {val:.12f}   rel err {abs(val - sp.gamma(Q)) / sp.gamma(Q):.1e}")
 
 # --- cartesian Monte Carlo against closed forms --------------------------------

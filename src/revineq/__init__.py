@@ -30,7 +30,7 @@ from .operators import (KernelBoundReport, RadialProfile, kernel_bound_report,
                         weighted_p_integral)
 from .quadrature import (DecayEnvelope, IntegralResult, PolarConsistencyReport,
                          QuadratureSpec, RadialSampler, integrate_cartesian,
-                         integrate_radial, polar_consistency_check,
+                         integrate_radial_err, polar_consistency_check,
                          sample_group_points, sphere_measure,
                          sphere_measure_direct, unit_sphere_area)
 from .trials import (FAMILIES, EstimateRecord, SearchSpec, TrialFamily,

@@ -4,9 +4,11 @@ Usage:
     revineq --config run.json --command verify [--seed N] [--out DIR]
 
 The config is a single JSON file with flat sections (group, norm,
-quadrature, inequality, trial[,_f,_h], estimate, sweep, seed).  Every
-report embeds the fully resolved config and the quasi-sphere measure used
-in analytic constants, so a report is reproducible from itself.
+quadrature, inequality, trial[,_f,_h], estimate, sweep, seed).  Every key
+is read by the command or rejected, naming its key path, before any
+verifier runs or any file is written; a null value counts as absent.
+Every report embeds the fully resolved config and the quasi-sphere measure
+used in analytic constants, so a report is reproducible from itself.
 
 Outputs (in --out, default "."):
     report.json    deterministic: identical (config, seed) give identical bytes
@@ -25,6 +27,7 @@ import argparse
 import csv
 import itertools
 import json
+import numbers
 import sys
 import time
 from pathlib import Path
@@ -53,51 +56,91 @@ SWEEP_COLUMNS = ["inequality", "Q", "p", "q_prime", "alpha", "beta",
 # the sweep grid's axes, outermost first
 _GRID_KEYS = ("p", "q_prime", "alpha", "beta", "lambda")
 
-# allowed keys per section; a nested section is named by its last key.
-# The inequality section's keys are those its entry reads (read_inequality).
-_SECTION_KEYS = {
-    "": {"seed", "group", "norm", "quadrature", "inequality", "trial",
-         "trial_f", "trial_h", "estimate", "sweep", "output"},
-    "group": {"name", "weights"},
-    "norm": {"name"},
-    "quadrature": {"scheme", "sample_count"},
-    "trial": {"family", "params"},
-    "trial_f": {"family", "params"},
-    "trial_h": {"family", "params"},
-    "estimate": {"method", "budget", "restarts", "families"},
-    "sweep": {"inequality", "grid", "variant"},
-    "grid": set(_GRID_KEYS),
-}
+_REQUIRED = object()
+# the list kinds of Section.get, named as their messages name them; a list
+# is returned as written (a sweep cell shows its grid value as given)
+_NUMBERS, _AXIS, _NAMES = ("a list of numbers", "a list of numbers or nulls",
+                           "a list of names")
+_ITEM = {_NUMBERS: float, _AXIS: float, _NAMES: str}
 
 
-def _check_keys(cfg: dict, section: str = ""):
-    allowed = _SECTION_KEYS.get(section.rpartition(".")[2])
-    if allowed is None:
-        return
-    for key in cfg:
-        path = f"{section}.{key}" if section else key
-        if key not in allowed:
-            raise ConfigError(f"config.{path}: unknown key",
-                              module=_MODULE, operation="load_config")
-        if isinstance(cfg[key], dict) and key in _SECTION_KEYS:
-            _check_keys(cfg[key], path)
+def _scalar(value, kind: type):
+    """kind(value), or ValueError unless value is of that kind in JSON: an
+    int is an integer or a float with an integral value, a str is a string,
+    and no kind takes a bool."""
+    int_ok = kind is not int or isinstance(value, numbers.Integral) or \
+        isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not int_ok \
+            or kind is str and not isinstance(value, str):
+        raise ValueError
+    return kind(value)
 
 
-def _numbers(value, path: str, nullable: bool = False):
-    """A list of numbers (or nulls, if nullable) unchanged, or a
-    ConfigError naming the key path."""
-    if not isinstance(value, list):
-        raise ConfigError(f"config.{path}: expected a list of numbers, got "
-                          f"{value!r}", module=_MODULE, operation="read_config")
-    for v in value:
-        if not (nullable and v is None):
-            ineq.config_value(v, float, path)
-    return value
+def _value(value, kind, path: str):
+    """value as kind (float, int, str or a list kind), or a ConfigError
+    naming config.<path>."""
+    try:
+        if kind not in _ITEM:
+            return _scalar(value, kind)
+        if not isinstance(value, list):
+            raise TypeError
+        for v in value:
+            if v is not None or kind is not _AXIS:
+                _scalar(v, _ITEM[kind])
+        return value
+    except (TypeError, ValueError):
+        raise ConfigError(f"config.{path}: expected "
+                          f"{getattr(kind, '__name__', kind)}, got {value!r}",
+                          module=_MODULE, operation="read_config") from None
+
+
+class Section:
+    """One JSON object of a config, at a key path.  get and section note
+    every key they read, so that finish can reject the first key nothing
+    read.  A null value counts as absent."""
+
+    def __init__(self, values, path: str = ""):
+        if not isinstance(values, dict):
+            raise ConfigError(f"config.{path}: expected an object, got "
+                              f"{values!r}", module=_MODULE,
+                              operation="read_config")
+        self.values, self.path, self.read = values, path, set()
+
+    def _path(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def _raw(self, key: str, required: bool):
+        self.read.add(key)
+        value = self.values.get(key)
+        if value is None and required:
+            raise ConfigError(f"config.{self._path(key)}: required",
+                              module=_MODULE, operation="read_config")
+        return value
+
+    def get(self, key: str, default=_REQUIRED, kind=float):
+        """The value at key as kind, or default if it is absent."""
+        value = self._raw(key, default is _REQUIRED)
+        return default if value is None else _value(value, kind,
+                                                    self._path(key))
+
+    def section(self, key: str, required: bool = False) -> Section:
+        """The object at key; an empty one if it is absent."""
+        value = self._raw(key, required)
+        return Section({} if value is None else value, self._path(key))
+
+    def finish(self, reader: str | None = None) -> None:
+        """Reject the first key nothing read: "unknown key", or "not read by
+        <reader>" where what a section may hold depends on its reader."""
+        for key, value in self.values.items():
+            if value is not None and key not in self.read:
+                raise ConfigError(
+                    f"config.{self._path(key)}: " + (
+                        f"not read by {reader}" if reader else "unknown key"),
+                    module=_MODULE, operation="read_config")
 
 
 def load_config(path: str | Path) -> dict:
-    """Parse and structurally validate a config file; errors carry the
-    offending line or key path."""
+    """Parse a config file; errors carry the offending line."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -111,7 +154,6 @@ def load_config(path: str | Path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("top level must be a JSON object", module=_MODULE,
                           operation="load_config")
-    _check_keys(cfg)
     return cfg
 
 
@@ -119,20 +161,22 @@ def load_config(path: str | Path) -> dict:
 # resolving config sections
 # ---------------------------------------------------------------------------
 
-def _build_group(cfg: dict):
-    sect = cfg.get("group", {"name": "abelian", "weights": [1.0]})
-    name = sect.get("name", "abelian")
-    if name == "heisenberg":
-        return heisenberg_group()
+def _build_group(sect: Section):
+    name = sect.get("name", "abelian", str)
     if name == "abelian":
-        return abelian_group(tuple(_numbers(sect.get("weights", [1.0]),
-                                            "group.weights")))
-    raise ConfigError(f"config.group.name: unknown group {name!r}",
-                      module=_MODULE, operation="build_group")
+        group = abelian_group(tuple(sect.get("weights", [1.0], _NUMBERS)))
+    elif name == "heisenberg":
+        group = heisenberg_group()
+    else:
+        raise ConfigError(f"config.group.name: unknown group {name!r}",
+                          module=_MODULE, operation="build_group")
+    sect.finish()
+    return group
 
 
-def _build_norm(cfg: dict, group):
-    name = cfg.get("norm", {}).get("name", "auto")
+def _build_norm(sect: Section, group):
+    name = sect.get("name", "auto", str)
+    sect.finish()
     if name == "auto":
         name = "koranyi" if group.name == "heisenberg" else (
             "euclidean" if all(w == 1.0 for w in group.weights)
@@ -145,47 +189,43 @@ def _build_norm(cfg: dict, group):
     return builders[name](group)
 
 
-def _build_quadrature(cfg: dict, seed: int) -> QuadratureSpec:
-    sect = cfg.get("quadrature", {})
-    if sect.get("scheme", "monte_carlo") != "monte_carlo":   # the only one
+def _build_quadrature(sect: Section, seed: int) -> QuadratureSpec:
+    scheme = sect.get("scheme", "monte_carlo", str)
+    sample_count = sect.get("sample_count", 40000, int)
+    sect.finish()
+    if scheme != "monte_carlo":     # the only one
         raise ConfigError(f"config.quadrature.scheme: unknown scheme "
-                          f"{sect['scheme']!r}", module=_MODULE,
+                          f"{scheme!r}", module=_MODULE,
                           operation="build_quadrature")
-    return QuadratureSpec(
-        sample_count=ineq.config_value(sect.get("sample_count", 40000), int,
-                                       "quadrature.sample_count"),
-        seed=seed)
+    return QuadratureSpec(sample_count=sample_count, seed=seed)
 
 
-def _trial_section(cfg: dict, key: str = "trial") -> dict:
-    sect = cfg.get(key)
-    if sect is None:
-        raise ConfigError(f"config.{key}: section required for this command",
-                          module=_MODULE, operation="build_trial")
-    if "family" not in sect:
-        raise ConfigError(f"config.{key}.family: required", module=_MODULE,
-                          operation="build_trial")
-    return sect
+def _build_trial(cfg: Section, key: str = "trial"):
+    sect = cfg.section(key, required=True)
+    family = sect.get("family", kind=str)
+    params = sect.get("params", [], _NUMBERS)
+    sect.finish()
+    return make_profile(family, params)
 
 
-def _build_trial(cfg: dict, key: str = "trial"):
-    sect = _trial_section(cfg, key)
-    return make_profile(sect["family"],
-                        _numbers(sect.get("params", []), f"{key}.params"))
+def read_inequality(sect: Section, Q: float) -> tuple[str, object]:
+    """The name in an inequality section and the verifier arguments that its
+    INEQUALITIES entry reads from there through sect.get; a key the entry
+    does not read is rejected ("not read by <name>")."""
+    name = sect.get("name", kind=str)
+    if name not in ineq.INEQUALITIES:
+        raise ConfigError(f"config.{sect.path}.name: unknown inequality "
+                          f"{name!r}", module=_MODULE,
+                          operation="read_inequality")
+    args = ineq.INEQUALITIES[name].read(sect.get, Q)
+    sect.finish(name)
+    return name, args
 
 
-def _resolved(cfg: dict, seed: int) -> dict:
-    out = json.loads(json.dumps(cfg))   # deep copy, JSON-clean
+def _resolved(cfg: Section, seed: int) -> dict:
+    out = json.loads(json.dumps(cfg.values))   # deep copy, JSON-clean
     out["seed"] = seed
     return out
-
-
-def _verify_report(cfg, group, norm, spec) -> ineq.VerificationReport:
-    name, args = ineq.read_inequality(cfg.get("inequality"),
-                                      group.homogeneous_dim)
-    entry = ineq.INEQUALITIES[name]
-    profiles = [_build_trial(cfg, key) for key in entry.trials]
-    return entry.verify(*profiles, args, group, norm, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +247,13 @@ def _write_meta(out: Path, t0: float) -> None:
     _write_json(out / "run_meta.json", meta)
 
 
-def cmd_verify(cfg, group, norm, spec, out: Path) -> int:
-    rep = _verify_report(cfg, group, norm, spec)
+def cmd_verify(cfg: Section, group, norm, spec, out: Path) -> int:
+    name, args = read_inequality(cfg.section("inequality"),
+                                 group.homogeneous_dim)
+    entry = ineq.INEQUALITIES[name]
+    profiles = [_build_trial(cfg, key) for key in entry.trials]
+    cfg.finish("verify")
+    rep = entry.verify(*profiles, args, group, norm, spec)
     doc = {"command": "verify", "config": _resolved(cfg, spec.seed),
            "report": rep.as_dict()}
     _write_json(out / "report.json", doc)
@@ -222,17 +267,20 @@ def cmd_verify(cfg, group, norm, spec, out: Path) -> int:
     return 0 if rep.passed else 1
 
 
-def cmd_estimate(cfg, group, norm, spec, out: Path) -> int:
-    sect = cfg.get("estimate", {})
-    search = SearchSpec(method=sect.get("method", "nelder_mead"),
-                        budget=ineq.config_value(sect.get("budget", 80), int,
-                                                 "estimate.budget"),
-                        restarts=ineq.config_value(sect.get("restarts", 2),
-                                                   int, "estimate.restarts"),
+def cmd_estimate(cfg: Section, group, norm, spec, out: Path) -> int:
+    sect = cfg.section("estimate")
+    method = sect.get("method", "nelder_mead", str)
+    budget = sect.get("budget", 80, int)
+    restarts = sect.get("restarts", 2, int)
+    families = sect.get("families", None, _NAMES)
+    sect.finish()
+    name, params = read_inequality(cfg.section("inequality"),
+                                   group.homogeneous_dim)
+    # by default the family of the trial section, built as verify builds it
+    families = families or [_build_trial(cfg).family_tag]
+    cfg.finish("estimate")
+    search = SearchSpec(method=method, budget=budget, restarts=restarts,
                         seed=spec.seed)
-    name, params = ineq.read_inequality(cfg.get("inequality"),
-                                        group.homogeneous_dim)
-    families = sect.get("families") or [_trial_section(cfg)["family"]]
     # one family per trial profile; a single family serves every profile
     n = len(ineq.INEQUALITIES[name].trials)
     fams = families * n if len(families) == 1 else families
@@ -253,35 +301,34 @@ def cmd_estimate(cfg, group, norm, spec, out: Path) -> int:
     return 0 if ok else 1
 
 
-def _sweep_rows(cfg, group, norm, spec):
+def _sweep_rows(cfg: Section, group, norm, spec):
     """One row per grid point, each point read like the ``inequality``
     section and verified as ``verify`` does."""
-    sect = cfg.get("sweep")
-    if not sect or "grid" not in sect:
-        raise ConfigError("config.sweep.grid: required for sweep",
-                          module=_MODULE, operation="sweep")
+    sect = cfg.section("sweep", required=True)
     sweepable = [n for n, e in ineq.INEQUALITIES.items()
                  if "sweep" in e.commands]
-    name = sect.get("inequality", sweepable[0])
+    name = sect.get("inequality", sweepable[0], str)
     if name not in sweepable:
         raise ConfigError("sweep currently targets the bilinear inequalities",
                           module=_MODULE, operation="sweep")
-    grid = sect["grid"]     # load_config has rejected keys off _GRID_KEYS
-    for key in ("p", "q_prime"):
-        if key not in grid:
-            raise ConfigError(f"config.sweep.grid.{key}: required",
-                              module=_MODULE, operation="sweep")
-    keys = [k for k in _GRID_KEYS if k in grid]
-    for k in keys:
-        _numbers(grid[k], f"sweep.grid.{k}", nullable=True)
+    variant = sect.get("variant", "full", str)
+    grid = sect.section("grid", required=True)
+    axes = {k: grid.get(k, _REQUIRED if k in ("p", "q_prime") else None, _AXIS)
+            for k in _GRID_KEYS}
+    grid.finish()
+    sect.finish()
+    axes = {k: v for k, v in axes.items() if v is not None}
+    points = [dict(zip(axes, values))
+              for values in itertools.product(*axes.values())]
+    Q = group.homogeneous_dim
+    point_params = [read_inequality(Section(
+        {"name": name, "variant": variant, **point}, "sweep.grid"), Q)[1]
+        for point in points]
     entry = ineq.INEQUALITIES[name]
     profiles = [_build_trial(cfg, key) for key in entry.trials]
+    cfg.finish("sweep")
 
-    for values in itertools.product(*(grid[k] for k in keys)):
-        point = dict(zip(keys, values))
-        _, params = ineq.read_inequality(
-            {"name": name, "variant": sect.get("variant", "full"), **point},
-            group.homogeneous_dim)
+    for point, params in zip(points, point_params):
         # the cells keep the raw grid values; lambda is the resolved one
         base = {"inequality": name, "Q": params.Q, "alpha": params.alpha,
                 "beta": params.beta, **point, "lambda_or_gamma": params.lam}
@@ -299,7 +346,7 @@ def _sweep_rows(cfg, group, norm, spec):
                "note": ""}
 
 
-def cmd_sweep(cfg, group, norm, spec, out: Path) -> int:
+def cmd_sweep(cfg: Section, group, norm, spec, out: Path) -> int:
     rows = list(_sweep_rows(cfg, group, norm, spec))
     with (out / "sweep.csv").open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
@@ -317,7 +364,8 @@ def cmd_sweep(cfg, group, norm, spec, out: Path) -> int:
     return 1 if failed else 0
 
 
-def cmd_axioms(cfg, group, norm, spec, out: Path) -> int:
+def cmd_axioms(cfg: Section, group, norm, spec, out: Path) -> int:
+    cfg.finish("axioms")
     group_rep = check_group_axioms(group, 10000, seed=spec.seed)
     norm_rep = check_quasi_norm_axioms(norm, 1000, seed=spec.seed)
     polar = polar_consistency_check(group, norm, lambda r: np.exp(-r * r),
@@ -362,24 +410,27 @@ def cmd_axioms(cfg, group, norm, spec, out: Path) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+COMMANDS = {"verify": cmd_verify, "estimate": cmd_estimate,
+            "sweep": cmd_sweep, "axioms": cmd_axioms}
+
+
 def run(command: str, config: dict, out_dir: str | Path = ".",
         seed_override: int | None = None) -> int:
     """Dispatch one command against a parsed config; returns the exit code."""
     t0 = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _check_keys(config)
-    seed = ineq.config_value(seed_override if seed_override is not None
-                             else config.get("seed", 0), int, "seed")
-    group = _build_group(config)
-    norm = _build_norm(config, group)
-    spec = _build_quadrature(config, seed)
-    commands = {"verify": cmd_verify, "estimate": cmd_estimate,
-                "sweep": cmd_sweep, "axioms": cmd_axioms}
-    if command not in commands:
+    if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}", module=_MODULE,
                           operation="run")
-    code = commands[command](config, group, norm, spec, out)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    cfg = Section(config)
+    seed = cfg.get("seed", 0, int)      # read even when overridden
+    if seed_override is not None:
+        seed = _value(seed_override, int, "seed")
+    group = _build_group(cfg.section("group"))
+    norm = _build_norm(cfg.section("norm"), group)
+    spec = _build_quadrature(cfg.section("quadrature"), seed)
+    code = COMMANDS[command](cfg, group, norm, spec, out)
     _write_meta(out, t0)
     return code
 
@@ -390,8 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Numerical verification of reverse integral inequalities "
                     "on homogeneous Lie groups.")
     parser.add_argument("--config", required=True, help="path to JSON config")
-    parser.add_argument("--command", required=True,
-                        choices=["verify", "estimate", "sweep", "axioms"])
+    parser.add_argument("--command", required=True, choices=COMMANDS)
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--out", default=".", help="output directory")

@@ -19,14 +19,12 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exceptions import (ConfigError, DegenerateInputError, DivergenceError,
-                         ParameterError)
+from .exceptions import DegenerateInputError, DivergenceError, ParameterError
 from .groups import HomogeneousGroup, QuasiNorm
 from .operators import (RadialProfile, lp_functional, stein_weiss_form,
                         weighted_p_integral)
@@ -688,7 +686,7 @@ def verify_reverse_integral_hardy(variant: str, w: float, u: float,
 # ---------------------------------------------------------------------------
 
 class InequalityEntry(NamedTuple):
-    """How a config names one inequality (see read_inequality)."""
+    """How a config names one inequality (see cli.read_inequality)."""
 
     trials: tuple[str, ...]     # config sections of its profiles, in order
     read: Callable              # (get, Q) -> the verifier's arguments
@@ -753,52 +751,3 @@ INEQUALITIES: dict[str, InequalityEntry] = {
         lambda f, a, *r: verify_reverse_integral_hardy(*a[:3], f, *a[3:], *r),
         ("verify",)),
 }
-
-_REQUIRED = object()
-
-
-def config_value(value, kind: type, path: str):
-    """kind(value), or a ConfigError naming the key path ``path``.  An int
-    is an integer or a float with an integral value; no kind takes a bool."""
-    try:
-        if isinstance(value, bool) or kind is int and not (
-                isinstance(value, numbers.Integral)
-                or isinstance(value, float) and value.is_integer()):
-            raise ValueError
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config.{path}: expected {kind.__name__}, got "
-                          f"{value!r}", module=_MODULE,
-                          operation="read_config") from None
-
-
-def read_inequality(sect: dict | None, Q: float) -> tuple[str, object]:
-    """The name in a config's ``inequality`` section and the verifier
-    arguments its entry reads from there through get(key[, default[, kind]]),
-    which converts a present value to kind (float unless stated).  A null
-    value counts as absent; a missing key without default raises
-    ConfigError("config.inequality.<key>: required"), and so does a present
-    key the entry never reads ("config.inequality.<key>: not read by ...")."""
-    sect = sect or {}
-    read = set()
-
-    def get(key: str, default=_REQUIRED, kind: type = float):
-        read.add(key)
-        if sect.get(key) is None:
-            if default is _REQUIRED:
-                raise ConfigError(f"config.inequality.{key}: required",
-                                  module=_MODULE, operation="read_inequality")
-            return default
-        return config_value(sect[key], kind, f"inequality.{key}")
-
-    name = get("name", kind=str)
-    if name not in INEQUALITIES:
-        raise ConfigError(f"config.inequality.name: unknown inequality "
-                          f"{name!r}", module=_MODULE,
-                          operation="read_inequality")
-    args = INEQUALITIES[name].read(get, Q)
-    for key, value in sect.items():
-        if value is not None and key not in read:
-            raise ConfigError(f"config.inequality.{key}: not read by {name}",
-                              module=_MODULE, operation="read_inequality")
-    return name, args

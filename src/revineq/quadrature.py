@@ -7,9 +7,9 @@ sphere S^{N-1},
     dx = r^{Q-1} L(u) dr dS(u),      L(u) = sum_i v_i u_i^2,
 
 which is exact for any dilation weights v_i.  Radial integrands reduce to
-one-dimensional integrals against r^{Q-1} dr (``integrate_radial``), which
-a vectorised adaptive Gauss-Kronrod rule on per-decade panels evaluates with
-one numpy call of the integrand per refinement round, while
+one-dimensional integrals against r^{Q-1} dr (``integrate_radial_err``),
+which a vectorised adaptive Gauss-Kronrod rule on per-decade panels
+evaluates with one numpy call of the integrand per refinement round, while
 genuinely multi-dimensional integrands are handled by importance-sampled
 Monte Carlo (radius drawn from a declared decay envelope, direction uniform
 on S^{N-1}, the exact Jacobian above absorbed into the weight).
@@ -486,14 +486,6 @@ _EPS = float(np.finfo(float).eps)
 _DECADES = 10.0 ** np.arange(-12, 309)
 
 
-def integrate_radial(profile: Callable[[np.ndarray], np.ndarray], Q: float,
-                     r_min: float = 0.0, r_max: float = math.inf,
-                     rtol: float = 1e-11) -> float:
-    """High-accuracy value of int_{r_min}^{r_max} profile(r) r^{Q-1} dr."""
-    val, _ = integrate_radial_err(profile, Q, r_min, r_max, rtol)
-    return val
-
-
 def _qk21(profile, Q: float, a: np.ndarray, b: np.ndarray,
           tail: np.ndarray, tail_start: float):
     """Kronrod value and QUADPACK error estimate on each [a_i, b_i].
@@ -699,7 +691,7 @@ def polar_consistency_check(group: HomogeneousGroup, norm: QuasiNorm,
     cart = integrate_cartesian(group, lambda x: profile(norm(x)), spec, envelope)
     sm = sphere_measure(group, norm, spec)
     Q = group.homogeneous_dim
-    radial = integrate_radial(profile, Q, 0.0, envelope.r_max(Q))
+    radial = integrate_radial_err(profile, Q, 0.0, envelope.r_max(Q))[0]
     fact = sm.value * radial
     sig = cart.stderr + abs(radial) * sm.stderr
     return PolarConsistencyReport(cart, fact, abs(cart.value - fact), sig)

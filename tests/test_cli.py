@@ -14,6 +14,17 @@ def write_cfg(tmp_path: Path, cfg: dict, name: str = "cfg.json") -> Path:
     return path
 
 
+def _without(cfg: dict, path: str) -> dict:
+    """A copy of cfg without the key or section at the dotted path."""
+    out = json.loads(json.dumps(cfg))
+    *parents, key = path.split(".")
+    sect = out
+    for name in parents:
+        sect = sect[name]
+    del sect[key]
+    return out
+
+
 HARDY_CFG = {
     "seed": 7,
     "group": {"name": "heisenberg"},
@@ -261,6 +272,50 @@ def test_unread_inequality_key_exits_2(tmp_path, capsys, command, key, cfg):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("command,key,cfg", [
+    ("verify", "output", {**HARDY_CFG, "output": "x"}),
+    ("verify", "estimate", {**HARDY_CFG, "estimate": {"method": "grid"}}),
+    ("verify", "sweep", {**HARDY_CFG, "sweep": {
+        "inequality": "reverse_stein_weiss",
+        "grid": {"p": [0.5], "q_prime": [0.5]}}}),
+    ("verify", "trial_f", {**HARDY_CFG, "trial_f": HARDY_CFG["trial"]}),
+    # estimate.families replaces the trial section's family
+    ("estimate", "trial", {**HARDY_CFG, "estimate": {
+        "method": "grid", "budget": 2, "families": ["gaussian"]}}),
+    ("axioms", "inequality", HARDY_CFG),
+])
+def test_unread_top_level_key_exits_2(tmp_path, capsys, command, key, cfg):
+    """A section the command does not read is rejected before any verifier
+    runs, not echoed into the report as if it had been used."""
+    code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
+                 command, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config.{key}: not read by {command}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command,path,cfg", [
+    ("verify", "group.weigths", {**HARDY_CFG, "group": {
+        "name": "abelian", "weigths": [1.0, 2.0]}}),
+    # the Heisenberg group has its own weights
+    ("verify", "group.weights", {**HARDY_CFG, "group": {
+        "name": "heisenberg", "weights": [1.0, 1.0, 2.0]}}),
+    ("verify", "norm.nmae", {**HARDY_CFG, "norm": {"nmae": "cygan"}}),
+    ("verify", "trial.param", {**HARDY_CFG, "trial": {
+        "family": "exp_decay", "param": [2.0]}}),
+    ("estimate", "estimate.budjet", {**HARDY_CFG, "estimate": {
+        "method": "grid", "budjet": 2}}),
+    ("sweep", "sweep.varaint", {**SWEEP_CFG, "sweep": {
+        "varaint": "improved_a", "grid": {"p": [0.5], "q_prime": [0.5]}}}),
+])
+def test_unknown_section_key_exits_2(tmp_path, capsys, command, path, cfg):
+    code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
+                 command, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config.{path}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_bad_parameter_exit_2(tmp_path):
     bad = dict(HARDY_CFG)
     bad["inequality"] = {"name": "reverse_hardy", "p": 1.5}
@@ -287,17 +342,6 @@ def test_margin_failure_maps_to_exit_1(tmp_path, monkeypatch):
     code = main(["--config", str(cfg), "--command", "verify",
                  "--out", str(tmp_path / "out")])
     assert code == 1
-
-
-def _without(cfg: dict, path: str) -> dict:
-    """A copy of cfg without the key or section at the dotted path."""
-    out = json.loads(json.dumps(cfg))
-    *parents, key = path.split(".")
-    sect = out
-    for name in parents:
-        sect = sect[name]
-    del sect[key]
-    return out
 
 
 @pytest.mark.parametrize("command,missing", [
@@ -340,6 +384,21 @@ def test_missing_config_key_exits_2(tmp_path, capsys, command, missing):
         **SW_H1_CFG["inequality"], "alpha": True}}),
     ("verify", "trial_h.params", {**SW_H1_CFG, "trial_h": {
         "family": "gaussian", "params": [True]}}),
+    # a section that is not an object, and names that are not strings
+    ("verify", "inequality", {**HARDY_CFG, "inequality": [1]}),
+    ("verify", "group", {**HARDY_CFG, "group": [1]}),
+    ("verify", "norm", {**HARDY_CFG, "norm": "koranyi"}),
+    ("verify", "quadrature", {**HARDY_CFG, "quadrature": 15000}),
+    ("verify", "norm.name", {**HARDY_CFG, "norm": {"name": ["koranyi"]}}),
+    ("verify", "trial.family", {**HARDY_CFG, "trial": {
+        "family": ["exp_decay"], "params": [1.0]}}),
+    ("estimate", "estimate.families", {**HARDY_CFG, "estimate": {
+        "method": "grid", "budget": 2, "families": 5}}),
+    # one string is not a list of one family
+    ("estimate", "estimate.families", {
+        **_without(HARDY_CFG, "trial"),
+        "estimate": {"method": "grid", "budget": 2, "families": "gaussian"}}),
+    ("verify", "trial", {**HARDY_CFG, "trial": ["exp_decay", 1.0]}),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, path, cfg):
     """A value of the wrong type exits 2 naming its key path, not with a
@@ -348,6 +407,7 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, path, cfg):
                  command, "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"config.{path}: expected " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("command,cfg", [
@@ -379,8 +439,8 @@ def test_unknown_quadrature_scheme_exits_2(tmp_path, capsys, scheme):
 @pytest.mark.parametrize("command,cfg", [
     ("verify", {**HARDY_CFG, "trial": {"family": "exp_decy",
                                        "params": [1.0]}}),
-    ("estimate", {**HARDY_CFG, "estimate": {"method": "grid", "budget": 2,
-                                            "families": ["exp_decy"]}}),
+    ("estimate", {**_without(HARDY_CFG, "trial"), "estimate": {
+        "method": "grid", "budget": 2, "families": ["exp_decy"]}}),
 ])
 def test_unknown_trial_family_exits_2(tmp_path, capsys, command, cfg):
     """A misspelt family is a parameter error (exit 2) naming the family and
@@ -390,6 +450,17 @@ def test_unknown_trial_family_exits_2(tmp_path, capsys, command, cfg):
     assert code == 2
     err = capsys.readouterr().err
     assert "'exp_decy'" in err and "exp_decay" in err
+
+
+def test_estimate_checks_trial_params_against_family_box(tmp_path, capsys):
+    """Without families, estimate builds the trial section as verify does,
+    so parameters outside the family box are rejected there too."""
+    cfg = {**HARDY_CFG, "trial": {"family": "exp_decay", "params": [100.0]},
+           "estimate": {"method": "grid", "budget": 2}}
+    code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
+                 "estimate", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "exp_decay.c = 100 outside box" in capsys.readouterr().err
 
 
 def test_sweep_unknown_grid_key_exits_2(tmp_path, capsys):
@@ -415,12 +486,13 @@ def test_sweep_weighted_reverse_hls_exits_2(tmp_path, capsys):
                  "sweep", "--out", str(tmp_path / "out")])
     assert code == 2
     assert "requires alpha = beta = 0" in capsys.readouterr().err
-    verify = {**cfg, "inequality": {"name": "reverse_hls", "p": 0.5,
-                                    "q_prime": 0.5, "alpha": 1.0,
-                                    "beta": 2.0}}
+    verify = {**_without(cfg, "sweep"), "inequality": {
+        "name": "reverse_hls", "p": 0.5, "q_prime": 0.5, "alpha": 1.0,
+        "beta": 2.0}}
     code = main(["--config", str(write_cfg(tmp_path, verify, "v.json")),
                  "--command", "verify", "--out", str(tmp_path / "v")])
     assert code == 2
+    assert "requires alpha = beta = 0" in capsys.readouterr().err
 
 
 def test_load_config_rejects_non_object(tmp_path):

@@ -133,6 +133,10 @@ CORPUS = (
         "inequality": {"name": "reverse_stein_weiss", "p": 0.5,
                        "q_prime": 0.5, "alpha": 1.0, "beta": 2.0,
                        "variant": "improved_b"}}, 21),
+    # group, norm and quadrature left to their defaults (R1, Euclidean,
+    # 40000 samples)
+    ("verify_reverse_hardy_defaults", "verify", {
+        **_HARDY, "trial": {"family": "exp_decay", "params": [1]}}, 22),
 )
 
 REPORT_FILES = ("report.json", "sweep.csv", "trace.csv")
