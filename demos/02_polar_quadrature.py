@@ -5,7 +5,9 @@ Everything radial reduces to |S| * int g(r) r^{Q-1} dr.  |S| itself is
 recovered two independent ways: from the Monte Carlo identity
 |S| = (int e^{-|x|} dx) / Gamma(Q), and from the exact direction integral
 int_{S^{N-1}} (sum_i v_i u_i^2) |u|^{-Q} dS(u).  For the Koranyi gauge on
-the Heisenberg group the latter evaluates to 2 pi^2.
+the Heisenberg group the latter evaluates to 2 pi^2.  The verifiers use the
+direction integral (``sphere_measure``) wherever it is deterministic, in
+dimension <= 3; the Monte Carlo identity (``sphere_measure_mc``) checks it.
 """
 
 import math
@@ -16,8 +18,8 @@ from scipy import special as sp
 from revineq import (DecayEnvelope, QuadratureSpec, abelian_group,
                      euclidean_norm, heisenberg_group, integrate_cartesian,
                      integrate_radial_err, koranyi_norm,
-                     polar_consistency_check, sphere_measure,
-                     sphere_measure_direct)
+                     polar_consistency_check, sphere_measure_direct,
+                     sphere_measure_mc)
 
 plane = abelian_group((1.0, 1.0), name="abelian2")
 h1 = heisenberg_group()
@@ -38,7 +40,7 @@ print(f"\nint_R2 e^(-pi|x|^2) dx = {res.value:.6f} +- {res.stderr:.1e}  (exact 1
 # --- quasi-sphere measures ------------------------------------------------------
 print("\nquasi-sphere measures:")
 for group, norm, closed in ((plane, ne, 2 * math.pi), (h1, nk, 2 * math.pi**2)):
-    mc = sphere_measure(group, norm, spec)
+    mc = sphere_measure_mc(group, norm, spec)
     direct = sphere_measure_direct(group, norm)
     print(f"  {group.name}/{norm.name}: MC {mc.value:.6f} +- {mc.stderr:.1e}, "
           f"direct {direct:.12f}, closed form {closed:.12f}")

@@ -29,9 +29,10 @@ from .operators import (KernelBoundReport, RadialProfile, kernel_bound_report,
                         lp_functional, reverse_holder_gap, stein_weiss_form,
                         weighted_p_integral)
 from .quadrature import (DecayEnvelope, IntegralResult, PolarConsistencyReport,
-                         QuadratureSpec, RadialSampler, integrate_cartesian,
-                         integrate_radial_err, polar_consistency_check,
-                         sample_group_points, sphere_measure,
-                         sphere_measure_direct, unit_sphere_area)
+                         QuadratureSpec, RadialSampler, SphereMeasure,
+                         integrate_cartesian, integrate_radial_err,
+                         polar_consistency_check, sample_group_points,
+                         sphere_measure, sphere_measure_direct,
+                         sphere_measure_mc, unit_sphere_area)
 from .trials import (FAMILIES, EstimateRecord, SearchSpec, TrialFamily,
                      estimate_best_constant, make_profile)

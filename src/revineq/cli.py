@@ -44,8 +44,8 @@ from .groups import (abelian_group, anisotropic_gauge, check_group_axioms,
                      heisenberg_group, koranyi_norm)
 from .operators import kernel_bound_report
 from .quadrature import (DecayEnvelope, QuadratureSpec,
-                         polar_consistency_check, sphere_measure,
-                         sphere_measure_direct)
+                         polar_consistency_check, sphere_measure_direct,
+                         sphere_measure_mc)
 from .trials import SearchSpec, estimate_best_constant, make_profile
 
 _MODULE = "cli"
@@ -65,13 +65,16 @@ _ITEM = {_NUMBERS: float, _AXIS: float, _NAMES: str}
 
 
 def _scalar(value, kind: type):
-    """kind(value), or ValueError unless value is of that kind in JSON: an
-    int is an integer or a float with an integral value, a str is a string,
-    and no kind takes a bool."""
-    int_ok = kind is not int or isinstance(value, numbers.Integral) or \
-        isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not int_ok \
-            or kind is str and not isinstance(value, str):
+    """kind(value), or ValueError unless value is of that kind in JSON: a
+    float is a number, an int is an integer or a float with an integral
+    value, a str is a string, and no kind takes a bool."""
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) \
+            and (kind is float or isinstance(value, numbers.Integral)
+                 or float(value).is_integer())
+    if not ok:
         raise ValueError
     return kind(value)
 
@@ -370,7 +373,7 @@ def cmd_axioms(cfg: Section, group, norm, spec, out: Path) -> int:
     norm_rep = check_quasi_norm_axioms(norm, 1000, seed=spec.seed)
     polar = polar_consistency_check(group, norm, lambda r: np.exp(-r * r),
                                     DecayEnvelope("gauss"), spec)
-    sm = sphere_measure(group, norm, spec)
+    sm = sphere_measure_mc(group, norm, spec)
     sm_direct = sphere_measure_direct(group, norm)
 
     checks = {

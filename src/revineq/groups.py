@@ -106,9 +106,6 @@ def dilate(group: HomogeneousGroup, s, x) -> Array:
         raise ParameterError("dilation parameter must be positive and finite",
                              module=_MODULE, operation="dilate")
     pts = as_points(group, x, operation="dilate")
-    if group.dim == 1:
-        # the one weight is a stride-0 exponent here: see _power
-        return pts * s_arr[..., np.newaxis] ** np.asarray(group.weights)
     out = np.empty(np.broadcast_shapes(s_arr.shape + (group.dim,), pts.shape))
     scales = {1.0: s_arr}
     for i, v in enumerate(group.weights):
@@ -128,8 +125,8 @@ def _power(base: Array, e: float) -> Array:
     about 5% of values.  Against two or more exponents the broadcast runs
     the general loop for every value, and so does an exponent array shaped
     like the flattened base, even where the base is 0-d and a 0-d exponent
-    would have stride 0.  Against a single exponent the broadcast has stride
-    0 over many values, so one-column groups keep the broadcast expression.
+    would have stride 0.  Every group, one-column groups included, takes
+    this path, so a batch and its points one at a time get the same bits.
     """
     flat = base.reshape(-1)
     return np.power(flat, np.full_like(flat, e)).reshape(base.shape)
@@ -258,8 +255,6 @@ def anisotropic_gauge(group: HomogeneousGroup) -> QuasiNorm:
 
     def _eval(x):
         ax = np.abs(x)
-        if len(expo) == 1:  # one column: see _power
-            return np.sum(ax ** expo, axis=-1) ** root
         return _sum_columns([_power(ax[..., i], e)
                              for i, e in enumerate(expo)]) ** root
 

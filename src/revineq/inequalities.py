@@ -28,7 +28,8 @@ from .exceptions import DegenerateInputError, DivergenceError, ParameterError
 from .groups import HomogeneousGroup, QuasiNorm
 from .operators import (RadialProfile, lp_functional, stein_weiss_form,
                         weighted_p_integral)
-from .quadrature import QuadratureSpec, integrate_radial_err, sphere_measure
+from .quadrature import (QuadratureSpec, SphereMeasure, integrate_radial_err,
+                         sphere_measure)
 
 _MODULE = "inequalities"
 
@@ -259,12 +260,11 @@ class VerificationReport:
     lhs: float
     rhs: float
     analytic_constant: float
+    sphere: SphereMeasure
     direction: str = "lower"
     stderr: float = 0.0
     lhs_stderr: float = 0.0
     rhs_stderr: float = 0.0
-    sphere_value: float = float("nan")
-    sphere_stderr: float = 0.0
     degenerate: str | None = None
     extras: dict = field(default_factory=dict)
 
@@ -299,7 +299,7 @@ class VerificationReport:
             "stderr": self.stderr,
             "lhs_stderr": self.lhs_stderr,
             "rhs_stderr": self.rhs_stderr,
-            "sphere": {"value": self.sphere_value, "stderr": self.sphere_stderr},
+            "sphere": self.sphere.as_dict(),
             "pass": self.passed,
             "degenerate": self.degenerate,
             "extras": self.extras,
@@ -398,7 +398,7 @@ def _verify_radial(direction: str, form: _RadialForm, f: RadialProfile,
         inequality=label, params=params, lhs=lhs, rhs=rhs,
         analytic_constant=constant, direction=direction,
         stderr=abs(lhs / rhs) * rel, lhs_stderr=lhs_err, rhs_stderr=rhs_err,
-        sphere_value=S.value, sphere_stderr=S.stderr)
+        sphere=S)
 
 
 def verify_reverse_hardy(f: RadialProfile, p: float, group: HomogeneousGroup,
@@ -478,7 +478,7 @@ def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
         lhs=B.value, rhs=den, analytic_constant=const,
         stderr=B.stderr / den + const_err,
         lhs_stderr=B.stderr, rhs_stderr=0.0,
-        sphere_value=S.value, sphere_stderr=S.stderr,
+        sphere=S,
         extras={"f": f.family_tag, "h": h.family_tag,
                 "constant_stderr": const_err},
     )
@@ -675,7 +675,7 @@ def verify_reverse_integral_hardy(variant: str, w: float, u: float,
                 "W_exponent": w, "U_exponent": u},
         lhs=lhs, rhs=rhs, analytic_constant=const,
         stderr=const_err, rhs_stderr=rhs_err,
-        sphere_value=S.value, sphere_stderr=S.stderr,
+        sphere=S,
         degenerate=degenerate, extras=extras,
     )
     return rep

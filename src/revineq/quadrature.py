@@ -18,9 +18,14 @@ The total mass |S| of the quasi-sphere measure in the polar decomposition
 
     int_G f dx = int_0^inf int_S f(D_r y) r^{Q-1} dsigma(y) dr
 
-is recovered without parametrizing sigma, via |S| = (int_G e^{-|x|} dx)/Gamma(Q)
-(``sphere_measure``) or via the closed surface integral
-|S| = int_{S^{N-1}} L(u) |u|^{-Q} dS(u)  (``sphere_measure_direct``).
+is recovered without parametrizing sigma, via the closed surface integral
+|S| = int_{S^{N-1}} L(u) |u|^{-Q} dS(u)  (``sphere_measure_direct``), or via
+|S| = (int_G e^{-|x|} dx)/Gamma(Q) by Monte Carlo (``sphere_measure_mc``).
+``sphere_measure``, the |S| of every verifier, is the surface rule wherever
+it is deterministic (dim <= 3): computed once per (group, gauge) on first
+use, with its difference from the rule at half the resolution as its error.
+Only dim >= 4 falls back to the Monte Carlo estimate at the verifier's
+spec; elsewhere that estimate serves as an independent oracle.
 
 Determinism: Monte Carlo results are a pure function of the integrand and
 the spec with its seed.  The seed-determined part of a sample comes from the
@@ -635,8 +640,8 @@ _SPHERE_CACHE_MAX = 1024
 _SPHERE_CACHE: dict[tuple, IntegralResult] = {}
 
 
-def sphere_measure(group: HomogeneousGroup, norm: QuasiNorm,
-                   spec: QuadratureSpec) -> IntegralResult:
+def sphere_measure_mc(group: HomogeneousGroup, norm: QuasiNorm,
+                      spec: QuadratureSpec) -> IntegralResult:
     """|S| = (int_G e^{-|x|} dx) / Gamma(Q), cached per (group, norm, spec)."""
     key = (group.name, group.weights, norm.name, spec)
     hit = _SPHERE_CACHE.get(key)
@@ -653,12 +658,56 @@ def sphere_measure(group: HomogeneousGroup, norm: QuasiNorm,
     return out
 
 
+@dataclass(frozen=True)
+class SphereMeasure:
+    """|S| as the verifiers use it, and how it was obtained: ``"direct"``
+    (the surface rule at ``resolution``; stderr is its difference from the
+    rule at half that resolution) or ``"monte_carlo"``."""
+
+    value: float
+    stderr: float
+    method: str
+    resolution: int | None = None
+
+    def as_dict(self) -> dict:
+        out = {"value": self.value, "stderr": self.stderr,
+               "method": self.method}
+        if self.resolution is not None:
+            out["resolution"] = self.resolution
+        return out
+
+
+# the resolution of the direct rule, fixed by a convergence test
+_DIRECT_RESOLUTION = 256
+# keyed by (group name, weights, gauge name): the rule needs no spec
+_DIRECT_CACHE: dict[tuple, SphereMeasure] = {}
+
+
+def sphere_measure(group: HomogeneousGroup, norm: QuasiNorm,
+                   spec: QuadratureSpec) -> SphereMeasure:
+    """|S| for the verifiers: the direct surface rule for dim <= 3, computed
+    on first use and cached per (group, gauge); ``sphere_measure_mc`` at
+    ``spec`` for dim >= 4, where no deterministic rule exists."""
+    if group.dim > 3:
+        mc = sphere_measure_mc(group, norm, spec)
+        return SphereMeasure(mc.value, mc.stderr, "monte_carlo")
+    key = (group.name, group.weights, norm.name)
+    hit = _DIRECT_CACHE.get(key)
+    if hit is None:
+        m = _DIRECT_RESOLUTION
+        value = sphere_measure_direct(group, norm, m)
+        coarse = sphere_measure_direct(group, norm, m // 2)
+        hit = _DIRECT_CACHE[key] = SphereMeasure(value, abs(value - coarse),
+                                                 "direct", m)
+    return hit
+
+
 def sphere_measure_direct(group: HomogeneousGroup, norm: QuasiNorm,
-                          resolution: int = 256) -> float:
+                          resolution: int = _DIRECT_RESOLUTION) -> float:
     """Deterministic |S| via the surface integral int_{S^{N-1}} L(u)/|u|^Q dS.
 
     Exact for N=1; spectrally accurate trapezoid / Gauss-Legendre rules for
-    N in {2, 3}.  Serves as an independent oracle for ``sphere_measure``.
+    N in {2, 3}; a fixed 400000-point Monte Carlo average for N >= 4.
     """
     Q = group.homogeneous_dim
     if group.dim <= 3:
@@ -689,7 +738,7 @@ def polar_consistency_check(group: HomogeneousGroup, norm: QuasiNorm,
                             spec: QuadratureSpec) -> PolarConsistencyReport:
     """Compare a cartesian integral of g(|x|) with |S| x its radial reduction."""
     cart = integrate_cartesian(group, lambda x: profile(norm(x)), spec, envelope)
-    sm = sphere_measure(group, norm, spec)
+    sm = sphere_measure_mc(group, norm, spec)
     Q = group.homogeneous_dim
     radial = integrate_radial_err(profile, Q, 0.0, envelope.r_max(Q))[0]
     fact = sm.value * radial

@@ -21,7 +21,7 @@ from revineq import (DecayEnvelope, InequalityParams, QuadratureSpec,
                      group_inv, group_mul, heisenberg_group,
                      integrate_cartesian, integrate_radial_err,
                      kernel_bound_report, koranyi_norm, make_profile,
-                     reverse_holder_gap, sphere_measure, verify_forward_ckn,
+                     reverse_holder_gap, sphere_measure_mc, verify_forward_ckn,
                      verify_forward_hardy, verify_forward_sobolev,
                      verify_reverse_ckn, verify_reverse_hardy,
                      verify_reverse_integral_hardy, verify_reverse_sobolev,
@@ -125,8 +125,8 @@ def test_criterion_02_quadrature_oracles():
                     lambda r: np.exp(-p * r) * r ** (-p), Q)
                 ref = sp.gamma(Q - p) / p ** (Q - p)
                 assert abs(val - ref) <= 1e-8 * ref
-        res = sphere_measure(PLANE, PLANE_NORM,
-                             QuadratureSpec(sample_count=100000, seed=45))
+        res = sphere_measure_mc(PLANE, PLANE_NORM,
+                                QuadratureSpec(sample_count=100000, seed=45))
         assert abs(res.value - 2 * math.pi) <= 3 * res.stderr
 
 
@@ -295,7 +295,7 @@ def test_criterion_09_reverse_integral_hardy_grid():
                 counts[region] += 1
 
                 # certified constant kappa*A in closed form
-                S = rep.sphere_value
+                S = rep.sphere.value
                 A = analytic_A(params, S)
                 kappa = bracket_kappa(params.p_prime, q)
                 assert rep.extras["A"] == pytest.approx(A, rel=1e-12), case

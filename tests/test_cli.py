@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,55 @@ SW_H1_CFG = {
     "trial_f": {"family": "exp_decay", "params": [1.0]},
     "trial_h": {"family": "gaussian", "params": [1.0]},
 }
+
+
+def test_report_says_how_sphere_measure_was_obtained(tmp_path):
+    """Dimension <= 3 reads the direct rule with its resolution and its gap
+    to the rule at half that resolution; dimension 4 reads Monte Carlo."""
+    assert run("verify", SW_H1_CFG, tmp_path / "h1") == 0
+    sphere = json.loads((tmp_path / "h1" / "report.json").read_text())[
+        "report"]["sphere"]
+    assert sphere["method"] == "direct" and sphere["resolution"] == 256
+    assert sphere["value"] == pytest.approx(2 * math.pi ** 2, rel=1e-14)
+    assert 0.0 <= sphere["stderr"] <= 1e-12 * sphere["value"]
+    r4 = {**_without(HARDY_CFG, "norm"),
+          "group": {"name": "abelian", "weights": [1.0, 1.0, 1.0, 1.0]},
+          "quadrature": {"sample_count": 5000}}
+    assert run("verify", r4, tmp_path / "r4") == 0
+    sphere = json.loads((tmp_path / "r4" / "report.json").read_text())[
+        "report"]["sphere"]
+    assert sphere["method"] == "monte_carlo" and "resolution" not in sphere
+    assert sphere["stderr"] > 0.0
+
+
+class _MonteCarloSphereCalled(Exception):
+    pass
+
+
+def test_verify_never_reads_monte_carlo_sphere_measure(tmp_path, monkeypatch):
+    """verify on H1 and R^2, bilinear and radial, gets |S| from the direct
+    rule; axioms still checks the Monte Carlo |S| against it."""
+    from revineq import cli, quadrature
+
+    def refuse(*args):
+        raise _MonteCarloSphereCalled
+
+    monkeypatch.setattr(quadrature, "sphere_measure_mc", refuse)
+    monkeypatch.setattr(cli, "sphere_measure_mc", refuse)
+    monkeypatch.setattr(quadrature, "_DIRECT_CACHE", {})
+    r2 = {"group": {"name": "abelian", "weights": [1.0, 1.0]},
+          "norm": {"name": "euclidean"}}
+    hls = {"name": "reverse_hls", "p": 0.5, "q_prime": 0.5}
+    for name, cfg in [
+            ("h1_bilinear", SW_H1_CFG),
+            ("h1_radial", HARDY_CFG),
+            ("r2_bilinear", {**SW_H1_CFG, **r2, "inequality": hls}),
+            ("r2_radial", {**HARDY_CFG, **r2})]:
+        assert run("verify", cfg, tmp_path / name, 11) == 0
+    with pytest.raises(_MonteCarloSphereCalled):
+        run("axioms", {"group": {"name": "heisenberg"},
+                       "quadrature": {"sample_count": 2000}},
+            tmp_path / "axioms", 11)
 
 
 def test_sweep_skips_inadmissible_with_reason(tmp_path):
@@ -399,6 +449,14 @@ def test_missing_config_key_exits_2(tmp_path, capsys, command, missing):
         **_without(HARDY_CFG, "trial"),
         "estimate": {"method": "grid", "budget": 2, "families": "gaussian"}}),
     ("verify", "trial", {**HARDY_CFG, "trial": ["exp_decay", 1.0]}),
+    # a float key and a list of numbers take a JSON number, not a string
+    # that float() would parse
+    ("verify", "inequality.p", {**HARDY_CFG, "inequality": {
+        "name": "reverse_hardy", "p": "0.5"}}),
+    ("verify", "trial.params", {**HARDY_CFG, "trial": {
+        "family": "exp_decay", "params": ["1.0"]}}),
+    ("verify", "trial_f.params", {**SW_H1_CFG, "trial_f": {
+        "family": "exp_decay", "params": [1.0, "2"]}}),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, path, cfg):
     """A value of the wrong type exits 2 naming its key path, not with a

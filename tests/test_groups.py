@@ -44,6 +44,16 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def _general_power(base, expo):
+    """base ** expo, broadcast, through numpy's general power loop for every
+    value: a full exponent array gives the loop no stride-0 exponent to take
+    the s * s or sqrt fast path on, as a single exponent column over a batch
+    would."""
+    base, expo = np.broadcast_arrays(np.asarray(base, dtype=float),
+                                     np.asarray(expo, dtype=float))
+    return base ** expo.copy()
+
+
 # (weights, M = lcm of the weights, as anisotropic_gauge picks it)
 _PIN_GROUPS = [((1.0, 1.0, 2.0), 2.0), ((1.0,), 1.0), ((2.0,), 2.0),
                ((1.0, 1.0), 1.0), ((1.0, 2.0), 2.0), ((1.0, 1.5), 3.0),
@@ -88,10 +98,37 @@ def test_dilate_bit_identical_to_broadcast_power(weights):
     g = _pin_group(weights)
     rng = np.random.default_rng(17)
     for s, x in _dilation_cases(rng, g.dim):
-        ref = x * np.asarray(s)[..., np.newaxis] ** np.asarray(g.weights)
+        ref = x * _general_power(np.asarray(s)[..., np.newaxis], g.weights)
         out = dilate(g, s, x)
         assert out.shape == ref.shape
         np.testing.assert_array_equal(_bits(out), _bits(ref))
+
+
+def test_dilate_weight_one_line_keeps_broadcast_bits():
+    """On R^1 with weight 1 the general loop and the broadcast expression
+    that the R^1 reports were pinned to agree bit for bit."""
+    g = abelian_group((1.0,))
+    rng = np.random.default_rng(19)
+    for s, x in _dilation_cases(rng, 1):
+        ref = x * np.asarray(s)[..., np.newaxis] ** np.asarray(g.weights)
+        np.testing.assert_array_equal(_bits(dilate(g, s, x)), _bits(ref))
+
+
+def test_one_column_weight_two_batch_equals_points():
+    """One batched call of dilate or of the anisotropic gauge on
+    abelian_group((2.0,)) gives the bits of 2000 calls, one per point."""
+    g = abelian_group((2.0,))
+    gauge = anisotropic_gauge(g)
+    rng = np.random.default_rng(29)
+    x = _pin_points(rng, (2000, 1))
+    s = 10.0 ** rng.uniform(-3, 3, 2000)
+    for scale in (s, 2.7):
+        single = np.array([dilate(g, si, xi) for si, xi
+                           in zip(np.broadcast_to(scale, len(x)), x)])
+        np.testing.assert_array_equal(_bits(dilate(g, scale, x)),
+                                      _bits(single))
+    single = np.array([gauge(xi) for xi in x])
+    np.testing.assert_array_equal(_bits(gauge(x)), _bits(single))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
@@ -115,7 +152,11 @@ def test_anisotropic_gauge_bit_identical_to_sum(weights, M):
     rng = np.random.default_rng(23)
     for shape in _gauge_shapes(g.dim):
         x = _pin_points(rng, shape)
-        ref = np.sum(np.abs(x) ** expo, -1) ** (1 / (2 * M))
+        terms = _general_power(np.abs(x), expo)
+        # the gauge takes a lone column as its sum: a 0-d array, not the
+        # numpy scalar np.sum gives, for a single point
+        total = terms[..., 0] if g.dim == 1 else np.sum(terms, -1)
+        ref = total ** (1 / (2 * M))
         out = gauge(x)
         assert np.shape(out) == ref.shape
         np.testing.assert_array_equal(_bits(out), _bits(ref))

@@ -34,7 +34,7 @@ def box_profile():
 
 def test_lp_interval_measure(line, line_norm, mc_spec, box_profile):
     # constant 1 on [0,1] with p=1 on the line: total measure 2; the value
-    # carries the Monte Carlo |S| with its stderr
+    # carries |S| with its error
     val = lp_functional(box_profile, 1.0, line, line_norm, mc_spec)
     S = sphere_measure(line, line_norm, mc_spec)
     assert abs(val - 2.0) <= 3 * S.stderr + 1e-9

@@ -5,11 +5,15 @@ import pytest
 from scipy import special as sp
 
 from revineq import (DecayEnvelope, DivergenceError, EvaluationError,
-                     ParameterError, QuadratureSpec, RadialSampler, dilate,
-                     group_inv, group_mul, integrate_cartesian,
-                     make_profile, polar_consistency_check,
+                     ParameterError, QuadratureSpec, RadialSampler,
+                     abelian_group, anisotropic_gauge, cygan_norm, dilate,
+                     euclidean_norm, group_inv, group_mul, heisenberg_group,
+                     integrate_cartesian, koranyi_norm, make_profile,
+                     polar_consistency_check,
                      sample_group_points, sphere_measure,
-                     sphere_measure_direct, unit_sphere_area)
+                     sphere_measure_direct, sphere_measure_mc,
+                     unit_sphere_area)
+from revineq import quadrature
 from revineq.quadrature import _STREAMS, draw_block, integrate_radial_err
 
 # |S| of the Koranyi unit sphere on H1; equals 2*pi^2 (frozen against the
@@ -550,13 +554,13 @@ def test_radial_rule_stops_at_the_subinterval_cap():
 # ---------------------------------------------------------------------------
 
 def test_sphere_measure_line(line, line_norm, mc_spec):
-    res = sphere_measure(line, line_norm, mc_spec)
+    res = sphere_measure_mc(line, line_norm, mc_spec)
     assert abs(res.value - 2.0) <= 3 * res.stderr + 1e-6
     assert sphere_measure_direct(line, line_norm) == pytest.approx(2.0)
 
 
 def test_sphere_measure_plane(plane, plane_norm, mc_spec):
-    res = sphere_measure(plane, plane_norm, mc_spec)
+    res = sphere_measure_mc(plane, plane_norm, mc_spec)
     assert abs(res.value - 2 * np.pi) <= 3 * res.stderr
     assert sphere_measure_direct(plane, plane_norm) == pytest.approx(
         2 * np.pi, rel=1e-12)
@@ -566,14 +570,14 @@ def test_sphere_measure_koranyi(h1, koranyi):
     direct = sphere_measure_direct(h1, koranyi, resolution=512)
     assert direct == pytest.approx(KORANYI_SPHERE, rel=1e-10)
     for seed in (1, 2):
-        res = sphere_measure(h1, koranyi,
-                             QuadratureSpec(sample_count=100000, seed=seed))
+        res = sphere_measure_mc(h1, koranyi,
+                                QuadratureSpec(sample_count=100000, seed=seed))
         assert abs(res.value - direct) <= 3 * res.stderr
 
 
 def test_sphere_measure_cached(h1, koranyi, mc_spec):
-    a = sphere_measure(h1, koranyi, mc_spec)
-    b = sphere_measure(h1, koranyi, mc_spec)
+    a = sphere_measure_mc(h1, koranyi, mc_spec)
+    b = sphere_measure_mc(h1, koranyi, mc_spec)
     assert a is b
 
 
@@ -583,12 +587,88 @@ def test_sphere_measure_cache_is_bounded(monkeypatch, line, line_norm):
     bound = quadrature._SPHERE_CACHE_MAX
     assert bound >= 1024
     specs = [QuadratureSpec(sample_count=2, seed=s) for s in range(bound + 20)]
-    first = [sphere_measure(line, line_norm, spec) for spec in specs]
+    first = [sphere_measure_mc(line, line_norm, spec) for spec in specs]
     assert len(quadrature._SPHERE_CACHE) == bound
     # the newest entries still hit; the oldest were evicted
     for spec, res in zip(specs[-bound:], first[-bound:]):
-        assert sphere_measure(line, line_norm, spec) is res
-    assert sphere_measure(line, line_norm, specs[0]) is not first[0]
+        assert sphere_measure_mc(line, line_norm, spec) is res
+    assert sphere_measure_mc(line, line_norm, specs[0]) is not first[0]
+
+
+# every built-in (group, gauge) of dimension <= 3, with |S| in closed form;
+# {x^4 + y^2 <= 1} has area B(1/4, 3/2), and |S| = Q |unit ball|
+_DIRECT_PAIRS = [
+    ((1.0,), euclidean_norm, 2.0),
+    ((1.0, 1.0), euclidean_norm, 2.0 * math.pi),
+    ((1.0, 2.0), anisotropic_gauge, 3.0 * sp.beta(0.25, 1.5)),
+    ((1.0, 1.0, 2.0), koranyi_norm, 2.0 * math.pi ** 2),
+    ((1.0, 1.0, 2.0), cygan_norm, math.pi ** 2 / 2.0),
+]
+
+
+def _direct_pair(weights, gauge):
+    group = heisenberg_group() if len(weights) == 3 else abelian_group(weights)
+    return group, gauge(group)
+
+
+@pytest.mark.parametrize("weights,gauge,exact", _DIRECT_PAIRS,
+                         ids=["r1", "r2", "anisotropic_r2", "h1_koranyi",
+                              "h1_cygan"])
+def test_direct_rule_converged_at_its_resolution(weights, gauge, exact):
+    """Doubling the direct rule's resolution moves |S| by at most 1e-12 of
+    it, and the verifiers' |S| is that rule with its half-resolution gap."""
+    group, norm = _direct_pair(weights, gauge)
+    m = quadrature._DIRECT_RESOLUTION
+    assert m == 256
+    value = sphere_measure_direct(group, norm, m)
+    assert abs(value - sphere_measure_direct(group, norm, 2 * m)) <= \
+        1e-12 * value
+    assert value == pytest.approx(exact, rel=1e-12)
+    res = sphere_measure(group, norm, QuadratureSpec(sample_count=2, seed=1))
+    assert (res.value, res.method, res.resolution) == (value, "direct", m)
+    assert res.stderr == abs(value - sphere_measure_direct(group, norm, m // 2))
+    assert res.stderr <= 1e-12 * value
+
+
+def test_sphere_measure_rule_computed_once_per_group_and_gauge(monkeypatch):
+    monkeypatch.setattr(quadrature, "_DIRECT_CACHE", {})
+    calls = []
+    direct = quadrature.sphere_measure_direct
+
+    def counted(group, norm, resolution):
+        calls.append((group.name, norm.name, resolution))
+        return direct(group, norm, resolution)
+
+    monkeypatch.setattr(quadrature, "sphere_measure_direct", counted)
+    specs = [QuadratureSpec(sample_count=n, seed=s)
+             for n in (2, 20000) for s in range(3)]
+    pairs = [_direct_pair(w, gauge) for w, gauge, _ in _DIRECT_PAIRS]
+    first = [sphere_measure(g, n, specs[0]) for g, n in pairs]
+    for spec in specs:
+        for (weights, gauge, _), res in zip(_DIRECT_PAIRS, first):
+            # a group and gauge built afresh, as each CLI command builds
+            # them, hit the entry of the first
+            assert sphere_measure(*_direct_pair(weights, gauge), spec) is res
+    m = quadrature._DIRECT_RESOLUTION
+    assert sorted(calls) == sorted((g.name, n.name, k) for g, n in pairs
+                                   for k in (m, m // 2))
+
+
+def test_sphere_measure_in_dimension_four_is_monte_carlo_per_seed():
+    group = abelian_group((1.0,) * 4)
+    norm = euclidean_norm(group)
+    a, b = (sphere_measure(group, norm,
+                           QuadratureSpec(sample_count=20000, seed=s))
+            for s in (1, 2))
+    for s, res in ((1, a), (2, b)):
+        mc = sphere_measure_mc(group, norm,
+                               QuadratureSpec(sample_count=20000, seed=s))
+        assert (res.value, res.stderr) == (mc.value, mc.stderr)
+        assert res.method == "monte_carlo" and res.resolution is None
+        assert "resolution" not in res.as_dict()
+    assert a.value != b.value
+    # |S^3| = 2 pi^2
+    assert abs(a.value - 2 * math.pi ** 2) <= 3 * a.stderr
 
 
 def test_weighted_line_sphere():

@@ -137,6 +137,10 @@ CORPUS = (
     # 40000 samples)
     ("verify_reverse_hardy_defaults", "verify", {
         **_HARDY, "trial": {"family": "exp_decay", "params": [1]}}, 22),
+    # dimension 4, where |S| is still the Monte Carlo estimate at the seed
+    ("verify_reverse_hardy_r4", "verify", {
+        **_MC, "group": {"name": "abelian", "weights": [1.0, 1.0, 1.0, 1.0]},
+        "norm": {"name": "euclidean"}, **_HARDY, **_EXP}, 23),
 )
 
 REPORT_FILES = ("report.json", "sweep.csv", "trace.csv")
