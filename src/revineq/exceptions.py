@@ -32,7 +32,7 @@ class DegenerateInputError(RevineqError):
 
 
 class DivergenceError(RevineqError):
-    """A requested integral is divergent at the declared truncation level."""
+    """A requested integral diverges, or its estimate overflows."""
 
 
 class EvaluationError(RevineqError):

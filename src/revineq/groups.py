@@ -72,6 +72,10 @@ class QuasiNorm:
     def __call__(self, x) -> Array:
         pts = np.asarray(x, dtype=float)
         _check_last_axis(self.group, pts, self.name)
+        if pts.ndim == 1:
+            # a point runs as a batch of one: the powers of a numpy scalar
+            # are libm pow, which rounds differently from a batch's loop
+            return self.evaluate(pts[None])[0]
         return self.evaluate(pts)
 
     def __repr__(self) -> str:

@@ -457,10 +457,6 @@ def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
     S = sphere_measure(group, norm, spec)
     B = stein_weiss_form(f, h, params.alpha, params.beta, params.lam,
                          group, norm, spec)
-    if B.divergent:
-        raise DivergenceError("bilinear form estimate diverged; tighten the "
-                              "trial decay or reduce lambda", module=_MODULE,
-                              operation="verify_stein_weiss")
     nf = lp_functional(f, params.q_prime, group, norm, spec)
     nh = lp_functional(h, params.p, group, norm, spec)
     if nf == 0.0 or nh == 0.0:

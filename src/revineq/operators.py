@@ -182,7 +182,8 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     kern = norm(group_mul(group, group_inv(group, y), x)) ** lam
     with np.errstate(over="ignore"):
         vals = (f(gx) * gx ** alpha * wx) * (h(gy) * gy ** beta * wy) * kern
-    return _finalize(vals, n, "stein_weiss_form")
+    return _finalize(vals, n, "stein_weiss_form",
+                     hint="; tighten the trial decay or reduce lambda")
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,10 @@ use, with its difference from the rule at half the resolution as its error.
 Only dim >= 4 falls back to the Monte Carlo estimate at the verifier's
 spec; elsewhere that estimate serves as an independent oracle.
 
+State lives in two places only: the draw stream below and the |S| memo of
+``sphere_measure``.  Estimators keep none, and one that diverges (a sample
+or the mean infinite or above 1e280) raises ``DivergenceError``.
+
 Determinism: Monte Carlo results are a pure function of the integrand and
 the spec with its seed.  The seed-determined part of a sample comes from the
 draw stream of (seed, sample_count, group weights): one generator seeded
@@ -77,12 +81,6 @@ class QuadratureSpec:
 class IntegralResult:
     value: float
     stderr: float
-    divergent: bool = False
-
-    def __post_init__(self):
-        if not self.divergent and not math.isfinite(self.value):
-            raise EvaluationError("non-finite integral without divergence flag",
-                                  module=_MODULE, operation="IntegralResult")
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +402,20 @@ def sample_group_points(group: HomogeneousGroup, sampler: RadialSampler,
 # ---------------------------------------------------------------------------
 
 def _finalize(vals: np.ndarray, n: int, operation: str,
-              points: np.ndarray | None = None) -> IntegralResult:
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        if np.any(np.isnan(vals)):
-            where = ""
-            if points is not None:
-                where = f" at point {points[np.argmax(np.isnan(vals))]}"
-            raise EvaluationError("integrand returned NaN" + where,
-                                  module=_MODULE, operation=operation)
-        return IntegralResult(math.inf, math.inf, divergent=True)
-    value = float(np.sum(vals) / n)
-    if abs(value) > _OVERFLOW_GUARD or np.max(np.abs(vals)) / n > _OVERFLOW_GUARD:
-        return IntegralResult(math.inf, math.inf, divergent=True)
+              points: np.ndarray | None = None,
+              hint: str = "") -> IntegralResult:
+    """Mean and stderr of n weighted samples; ``hint`` ends a divergence."""
+    nan = np.isnan(vals)
+    if nan.any():
+        where = "" if points is None else f" at point {points[np.argmax(nan)]}"
+        raise EvaluationError("integrand returned NaN" + where,
+                              module=_MODULE, operation=operation)
+    peak = np.max(np.abs(vals)) / n
+    value = float(np.sum(vals) / n) if peak <= _OVERFLOW_GUARD else math.inf
+    if abs(value) > _OVERFLOW_GUARD:
+        raise DivergenceError(
+            f"Monte Carlo estimate diverged: a sample or the mean exceeds "
+            f"{_OVERFLOW_GUARD:g}{hint}", module=_MODULE, operation=operation)
     stderr = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else math.inf
     return IntegralResult(value, stderr)
 
@@ -634,28 +633,13 @@ def integrate_radial_err(profile, Q: float, r_min: float = 0.0,
 # quasi-sphere measure
 # ---------------------------------------------------------------------------
 
-# keyed by the full spec, seed included; the oldest entries are evicted
-# beyond this many
-_SPHERE_CACHE_MAX = 1024
-_SPHERE_CACHE: dict[tuple, IntegralResult] = {}
-
-
 def sphere_measure_mc(group: HomogeneousGroup, norm: QuasiNorm,
                       spec: QuadratureSpec) -> IntegralResult:
-    """|S| = (int_G e^{-|x|} dx) / Gamma(Q), cached per (group, norm, spec)."""
-    key = (group.name, group.weights, norm.name, spec)
-    hit = _SPHERE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    Q = group.homogeneous_dim
+    """|S| = (int_G e^{-|x|} dx) / Gamma(Q) by Monte Carlo at ``spec``."""
     res = integrate_cartesian(group, lambda x: np.exp(-norm(x)), spec,
                               DecayEnvelope("exp", scale=1.0))
-    gam = float(_sp.gamma(Q))
-    out = IntegralResult(res.value / gam, res.stderr / gam, res.divergent)
-    _SPHERE_CACHE[key] = out
-    if len(_SPHERE_CACHE) > _SPHERE_CACHE_MAX:
-        del _SPHERE_CACHE[next(iter(_SPHERE_CACHE))]
-    return out
+    gam = float(_sp.gamma(group.homogeneous_dim))
+    return IntegralResult(res.value / gam, res.stderr / gam)
 
 
 @dataclass(frozen=True)
@@ -679,26 +663,34 @@ class SphereMeasure:
 
 # the resolution of the direct rule, fixed by a convergence test
 _DIRECT_RESOLUTION = 256
-# keyed by (group name, weights, gauge name): the rule needs no spec
-_DIRECT_CACHE: dict[tuple, SphereMeasure] = {}
+# the |S| memo, keyed by (group name, weights, gauge name) and, where |S| is
+# the Monte Carlo estimate (dim >= 4), the spec; the oldest entries are
+# evicted beyond this many
+_SPHERE_CACHE_MAX = 1024
+_SPHERE_CACHE: dict[tuple, SphereMeasure] = {}
 
 
 def sphere_measure(group: HomogeneousGroup, norm: QuasiNorm,
                    spec: QuadratureSpec) -> SphereMeasure:
-    """|S| for the verifiers: the direct surface rule for dim <= 3, computed
-    on first use and cached per (group, gauge); ``sphere_measure_mc`` at
-    ``spec`` for dim >= 4, where no deterministic rule exists."""
-    if group.dim > 3:
-        mc = sphere_measure_mc(group, norm, spec)
-        return SphereMeasure(mc.value, mc.stderr, "monte_carlo")
-    key = (group.name, group.weights, norm.name)
-    hit = _DIRECT_CACHE.get(key)
-    if hit is None:
+    """|S| for the verifiers, computed on first use and memoised: the direct
+    surface rule for dim <= 3, once per (group, gauge); ``sphere_measure_mc``
+    at ``spec`` for dim >= 4, where no deterministic rule exists."""
+    mc = group.dim > 3
+    key = (group.name, group.weights, norm.name) + ((spec,) if mc else ())
+    hit = _SPHERE_CACHE.get(key)
+    if hit is not None:
+        return hit
+    if mc:
+        res = sphere_measure_mc(group, norm, spec)
+        hit = SphereMeasure(res.value, res.stderr, "monte_carlo")
+    else:
         m = _DIRECT_RESOLUTION
         value = sphere_measure_direct(group, norm, m)
         coarse = sphere_measure_direct(group, norm, m // 2)
-        hit = _DIRECT_CACHE[key] = SphereMeasure(value, abs(value - coarse),
-                                                 "direct", m)
+        hit = SphereMeasure(value, abs(value - coarse), "direct", m)
+    _SPHERE_CACHE[key] = hit
+    if len(_SPHERE_CACHE) > _SPHERE_CACHE_MAX:
+        del _SPHERE_CACHE[next(iter(_SPHERE_CACHE))]
     return hit
 
 
@@ -724,13 +716,18 @@ def sphere_measure_direct(group: HomogeneousGroup, norm: QuasiNorm,
 @dataclass(frozen=True)
 class PolarConsistencyReport:
     cartesian: IntegralResult
+    sphere: IntegralResult      # the Monte Carlo |S| at the spec
     factorized: float           # |S| * int profile r^{Q-1} dr
     discrepancy: float          # |cartesian - factorized|
     combined_stderr: float
 
     @property
+    def tolerance(self) -> float:
+        return 3.0 * self.combined_stderr + 1e-9
+
+    @property
     def consistent(self) -> bool:
-        return self.discrepancy <= 3.0 * self.combined_stderr + 1e-9
+        return self.discrepancy <= self.tolerance
 
 
 def polar_consistency_check(group: HomogeneousGroup, norm: QuasiNorm,
@@ -743,4 +740,4 @@ def polar_consistency_check(group: HomogeneousGroup, norm: QuasiNorm,
     radial = integrate_radial_err(profile, Q, 0.0, envelope.r_max(Q))[0]
     fact = sm.value * radial
     sig = cart.stderr + abs(radial) * sm.stderr
-    return PolarConsistencyReport(cart, fact, abs(cart.value - fact), sig)
+    return PolarConsistencyReport(cart, sm, fact, abs(cart.value - fact), sig)

@@ -53,14 +53,12 @@ def rng():
 
 @pytest.fixture
 def clear_caches():
-    """Empties the per-seed caches (the draw stream and Monte Carlo |S|),
-    the direct |S| and the radial L^p memo, so that the next estimate runs
-    cold."""
+    """Empties the draw stream, the |S| memo and the radial L^p memo, so
+    that the next estimate runs cold."""
     from revineq import operators, quadrature
 
     def clear():
         quadrature._STREAMS.clear()
         quadrature._SPHERE_CACHE.clear()
-        quadrature._DIRECT_CACHE.clear()
         operators._P_INTEGRAL_CACHE.clear()
     return clear

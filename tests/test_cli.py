@@ -155,14 +155,13 @@ class _MonteCarloSphereCalled(Exception):
 def test_verify_never_reads_monte_carlo_sphere_measure(tmp_path, monkeypatch):
     """verify on H1 and R^2, bilinear and radial, gets |S| from the direct
     rule; axioms still checks the Monte Carlo |S| against it."""
-    from revineq import cli, quadrature
+    from revineq import quadrature
 
     def refuse(*args):
         raise _MonteCarloSphereCalled
 
     monkeypatch.setattr(quadrature, "sphere_measure_mc", refuse)
-    monkeypatch.setattr(cli, "sphere_measure_mc", refuse)
-    monkeypatch.setattr(quadrature, "_DIRECT_CACHE", {})
+    monkeypatch.setattr(quadrature, "_SPHERE_CACHE", {})
     r2 = {"group": {"name": "abelian", "weights": [1.0, 1.0]},
           "norm": {"name": "euclidean"}}
     hls = {"name": "reverse_hls", "p": 0.5, "q_prime": 0.5}
@@ -176,6 +175,25 @@ def test_verify_never_reads_monte_carlo_sphere_measure(tmp_path, monkeypatch):
         run("axioms", {"group": {"name": "heisenberg"},
                        "quadrature": {"sample_count": 2000}},
             tmp_path / "axioms", 11)
+
+
+def test_axioms_computes_monte_carlo_sphere_measure_once(tmp_path,
+                                                         monkeypatch):
+    """axioms checks the |S| that polar_consistency used against the
+    direct rule, without estimating it a second time."""
+    from revineq import quadrature
+    calls = []
+    mc = quadrature.sphere_measure_mc
+
+    def counted(group, norm, spec):
+        calls.append(spec)
+        return mc(group, norm, spec)
+
+    monkeypatch.setattr(quadrature, "sphere_measure_mc", counted)
+    assert run("axioms", {"group": {"name": "heisenberg"},
+                          "quadrature": {"sample_count": 2000}},
+               tmp_path, 11) == 0
+    assert len(calls) == 1
 
 
 def test_sweep_skips_inadmissible_with_reason(tmp_path):

@@ -131,6 +131,21 @@ def test_one_column_weight_two_batch_equals_points():
     np.testing.assert_array_equal(_bits(gauge(x)), _bits(single))
 
 
+@pytest.mark.parametrize("weights,gauge", [
+    ((1.0, 2.0), anisotropic_gauge), ((1.0, 1.5), anisotropic_gauge),
+    ((1.0, 1.0, 2.0), anisotropic_gauge), ((1.0, 1.0, 2.0), koranyi_norm),
+    ((1.0, 1.0, 2.0), cygan_norm)],
+    ids=["anisotropic_r2_12", "anisotropic_r2_115", "anisotropic_h1",
+         "koranyi", "cygan"])
+def test_gauge_batch_equals_points(weights, gauge):
+    """One batched call of a gauge gives the bits of 2000 calls, one per
+    point, root and squares included."""
+    norm = gauge(_pin_group(weights))
+    x = _pin_points(np.random.default_rng(29), (2000, len(weights)))
+    single = np.array([norm(xi) for xi in x])
+    np.testing.assert_array_equal(_bits(norm(x)), _bits(single))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
 def test_euclidean_norm_bit_identical_to_sum(dim):
     norm = euclidean_norm(abelian_group((1.0,) * dim))
@@ -152,11 +167,10 @@ def test_anisotropic_gauge_bit_identical_to_sum(weights, M):
     rng = np.random.default_rng(23)
     for shape in _gauge_shapes(g.dim):
         x = _pin_points(rng, shape)
-        terms = _general_power(np.abs(x), expo)
-        # the gauge takes a lone column as its sum: a 0-d array, not the
-        # numpy scalar np.sum gives, for a single point
-        total = terms[..., 0] if g.dim == 1 else np.sum(terms, -1)
-        ref = total ** (1 / (2 * M))
+        total = np.sum(_general_power(np.abs(x), expo), -1)
+        # a single point runs as a batch of one, so its root is numpy's
+        # array loop, not the libm pow of the numpy scalar np.sum gives
+        ref = (np.atleast_1d(total) ** (1 / (2 * M))).reshape(np.shape(total))
         out = gauge(x)
         assert np.shape(out) == ref.shape
         np.testing.assert_array_equal(_bits(out), _bits(ref))

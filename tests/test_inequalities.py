@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from scipy import integrate as sciint
 from scipy import special as sp
 
-from revineq import (DecayEnvelope, DegenerateInputError, InequalityParams,
-                     ParameterError, QuadratureSpec, RadialProfile,
-                     abelian_group, analytic_A1, analytic_A2, balanced_lambda,
-                     bracket_kappa, conjugate_exponent,
+from revineq import (DecayEnvelope, DegenerateInputError, DivergenceError,
+                     InequalityParams, ParameterError, QuadratureSpec,
+                     RadialProfile, abelian_group, analytic_A1, analytic_A2,
+                     balanced_lambda, bracket_kappa, conjugate_exponent,
                      euclidean_norm, make_profile, stein_weiss_lower_constant,
                      validate_params, verify_forward_ckn, verify_forward_hardy,
                      verify_forward_sobolev, verify_reverse_ckn,
@@ -250,6 +250,19 @@ def test_stein_weiss_worked_example(h1, koranyi, expp):
     assert rep.passed
     assert rep.ratio > rep.analytic_constant
     assert rep.sphere.value == pytest.approx(2 * math.pi ** 2, rel=0.02)
+
+
+def test_stein_weiss_overflowing_form_raises_divergence(h1, koranyi, expp):
+    """A profile whose bilinear form overflows (e^r 1e300 against an e^{-r/2}
+    envelope, the integrand of the integrate_cartesian divergence test)
+    raises from the form itself, with the remedy in the message."""
+    grow = lambda r: np.exp(np.asarray(r, float)) * 1e300
+    f = RadialProfile(value=grow, envelope=DecayEnvelope("exp", scale=0.5),
+                      derivative=grow,
+                      derivative_envelope=DecayEnvelope("exp", scale=0.5))
+    with pytest.raises(DivergenceError, match="stein_weiss_form.*reduce lambda"):
+        verify_stein_weiss(f, expp, WORKED, h1, koranyi,
+                           QuadratureSpec(sample_count=2000, seed=1))
 
 
 def test_stein_weiss_report_identical_cold_warm_and_after_eviction(

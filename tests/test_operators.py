@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from scipy import integrate as sciint
 from scipy import special as sp
 
-from revineq import (DecayEnvelope, DegenerateInputError, ParameterError,
-                     QuadratureSpec, RadialProfile, kernel_bound_report,
-                     lp_functional, make_profile, reverse_holder_gap,
-                     sphere_measure, stein_weiss_form, weighted_p_integral)
+from revineq import (DecayEnvelope, DegenerateInputError, DivergenceError,
+                     ParameterError, QuadratureSpec, RadialProfile,
+                     kernel_bound_report, lp_functional, make_profile,
+                     reverse_holder_gap, sphere_measure, stein_weiss_form,
+                     weighted_p_integral)
 
 
 @pytest.fixture(scope="module")
@@ -114,9 +115,9 @@ def test_power_profile_derivative():
 def test_integrate_cartesian_divergence_flag(line, line_norm):
     from revineq import DecayEnvelope, integrate_cartesian
     spec = QuadratureSpec(sample_count=2000, seed=1)
-    res = integrate_cartesian(line, lambda x: np.exp(np.abs(x[:, 0])) * 1e300,
-                              spec, DecayEnvelope("exp", scale=0.5))
-    assert res.divergent
+    with pytest.raises(DivergenceError, match="integrate_cartesian"):
+        integrate_cartesian(line, lambda x: np.exp(np.abs(x[:, 0])) * 1e300,
+                            spec, DecayEnvelope("exp", scale=0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -575,24 +575,34 @@ def test_sphere_measure_koranyi(h1, koranyi):
         assert abs(res.value - direct) <= 3 * res.stderr
 
 
+def _r4():
+    group = abelian_group((1.0,) * 4)
+    return group, euclidean_norm(group)
+
+
 def test_sphere_measure_cached(h1, koranyi, mc_spec):
-    a = sphere_measure_mc(h1, koranyi, mc_spec)
+    """sphere_measure memoises the Monte Carlo |S| of R^4 per spec, while
+    sphere_measure_mc keeps no state and repeats its bits."""
+    group, norm = _r4()
+    a = sphere_measure(group, norm, mc_spec)
+    assert sphere_measure(*_r4(), mc_spec) is a
     b = sphere_measure_mc(h1, koranyi, mc_spec)
-    assert a is b
+    c = sphere_measure_mc(h1, koranyi, mc_spec)
+    assert b is not c and b == c
 
 
-def test_sphere_measure_cache_is_bounded(monkeypatch, line, line_norm):
-    from revineq import quadrature
+def test_sphere_measure_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(quadrature, "_SPHERE_CACHE", {})
     bound = quadrature._SPHERE_CACHE_MAX
     assert bound >= 1024
+    group, norm = _r4()
     specs = [QuadratureSpec(sample_count=2, seed=s) for s in range(bound + 20)]
-    first = [sphere_measure_mc(line, line_norm, spec) for spec in specs]
+    first = [sphere_measure(group, norm, spec) for spec in specs]
     assert len(quadrature._SPHERE_CACHE) == bound
     # the newest entries still hit; the oldest were evicted
     for spec, res in zip(specs[-bound:], first[-bound:]):
-        assert sphere_measure_mc(line, line_norm, spec) is res
-    assert sphere_measure_mc(line, line_norm, specs[0]) is not first[0]
+        assert sphere_measure(group, norm, spec) is res
+    assert sphere_measure(group, norm, specs[0]) is not first[0]
 
 
 # every built-in (group, gauge) of dimension <= 3, with |S| in closed form;
@@ -631,7 +641,7 @@ def test_direct_rule_converged_at_its_resolution(weights, gauge, exact):
 
 
 def test_sphere_measure_rule_computed_once_per_group_and_gauge(monkeypatch):
-    monkeypatch.setattr(quadrature, "_DIRECT_CACHE", {})
+    monkeypatch.setattr(quadrature, "_SPHERE_CACHE", {})
     calls = []
     direct = quadrature.sphere_measure_direct
 

@@ -30,6 +30,9 @@ _HARDY = {"inequality": {"name": "reverse_hardy", "p": 0.5}}
 _EXP = {"trial": {"family": "exp_decay", "params": [1.0]}}
 _BUMP = {"trial": {"family": "smooth_bump", "params": [1.0]}}
 _INTEGRAL_HARDY = {"name": "reverse_integral_hardy", "p": 0.5, "q": -1.0}
+_R4_ANISOTROPIC = {**_MC, "group": {"name": "abelian",
+                                    "weights": [1.0, 1.0, 1.0, 2.0]},
+                   "norm": {"name": "anisotropic"}}
 
 # (case, command, config, seed)
 CORPUS = (
@@ -141,6 +144,17 @@ CORPUS = (
     ("verify_reverse_hardy_r4", "verify", {
         **_MC, "group": {"name": "abelian", "weights": [1.0, 1.0, 1.0, 1.0]},
         "norm": {"name": "euclidean"}, **_HARDY, **_EXP}, 23),
+    # the |S| memo keyed by spec in dimension 4, read by the bilinear form,
+    # by each sweep point, and by axioms through polar_consistency
+    ("verify_reverse_stein_weiss_r4_anisotropic", "verify", {
+        **_R4_ANISOTROPIC, **_EXP_GAUSS,
+        "inequality": {"name": "reverse_stein_weiss", "p": 0.5,
+                       "q_prime": 0.5, "alpha": 1.0, "beta": 1.0}}, 24),
+    ("sweep_reverse_hls_r4_anisotropic", "sweep", {
+        **_R4_ANISOTROPIC, **_EXP_GAUSS,
+        "sweep": {"inequality": "reverse_hls",
+                  "grid": {"p": [0.5, 0.7], "q_prime": [0.5, 0.7]}}}, 25),
+    ("axioms_r4_anisotropic", "axioms", _R4_ANISOTROPIC, 26),
 )
 
 REPORT_FILES = ("report.json", "sweep.csv", "trace.csv")
