@@ -8,6 +8,21 @@ and matching decay envelopes:
     power_decay(s,a)  (1 + a r)^{-s}
     smooth_bump(R)    exp(1 - 1/(1 - (r/R)^2)) on [0, R), 0 beyond
 
+The first three build their value and derivative as ``ClosedForm``
+callables, whose moments int_0^R |F|^p r^{m-1} dr are
+
+    e^{-c r}          Gamma(m) P(m, pcR) / (pc)^m
+    e^{-c r^2}        Gamma(m/2) P(m/2, pcR^2) / (2 (pc)^{m/2})
+    (1 + a r)^{-s}    B(m, ps-m) I(m, ps-m) / a^m
+
+with P the regularized lower incomplete Gamma function and I the
+regularized incomplete Beta function at aR/(1+aR), taken as the
+complement of I(ps-m, m) at 1/(1+aR).  R = inf gives the complete
+integrals.  |F'|^p is c^p |F|^p, (2c)^p r^p |F|^p and (sa)^p times the
+power moment at s+1.  The callables evaluate the same numpy expressions as
+plain lambdas would, so Monte Carlo estimates are unchanged.  smooth_bump
+has no closed form and goes through quadrature.
+
 Every inequality ratio in scope is invariant under profile rescaling
 f -> c f, and the families are closed under dilation (f o D_s stays in the
 family with transformed parameters), which the optimizer exploits: ratios
@@ -29,12 +44,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import special as _sp
 
 from . import inequalities as ineq
 from .exceptions import (DegenerateInputError, DivergenceError,
                          EstimationError, ParameterError)
 from .groups import HomogeneousGroup, QuasiNorm
-from .operators import RadialProfile
+from .operators import ClosedForm, RadialProfile
 from .quadrature import DecayEnvelope, QuadratureSpec
 
 _MODULE = "trials"
@@ -52,10 +68,27 @@ class TrialFamily:
         return len(self.param_names)
 
 
+def _gamma_moment(k: float, m: float, R: float) -> float:
+    """int_0^R e^{-k r} r^{m-1} dr = Gamma(m) P(m, kR) / k^m."""
+    return _sp.gamma(m) * _sp.gammainc(m, k * R) / k ** m
+
+
+def _beta_moment(a: float, k: float, m: float, R: float) -> float:
+    """int_0^R (1 + a r)^{-k} r^{m-1} dr = B(m, k-m) I_t(m, k-m) / a^m with
+    t = aR/(1+aR), k > m.  I_t is taken as the complement of
+    I_{1/(1+aR)}(k-m, m), which keeps the tail that t rounded towards 1
+    would lose (truncation radii have aR >= 10)."""
+    return (_sp.beta(m, k - m) * _sp.betaincc(k - m, m, 1.0 / (1.0 + a * R))
+            / a ** m)
+
+
 def _exp_decay(c: float) -> RadialProfile:
     return RadialProfile(
-        value=lambda r: np.exp(-c * np.asarray(r, float)),
-        derivative=lambda r: -c * np.exp(-c * np.asarray(r, float)),
+        value=ClosedForm(lambda r: np.exp(-c * np.asarray(r, float)),
+                         lambda p, m, R: _gamma_moment(p * c, m, R)),
+        derivative=ClosedForm(
+            lambda r: -c * np.exp(-c * np.asarray(r, float)),
+            lambda p, m, R: c ** p * _gamma_moment(p * c, m, R)),
         envelope=DecayEnvelope("exp", scale=c),
         derivative_envelope=DecayEnvelope("exp", scale=c),
         family_tag="exp_decay", params=(c,),
@@ -63,10 +96,17 @@ def _exp_decay(c: float) -> RadialProfile:
 
 
 def _gaussian(c: float) -> RadialProfile:
+    def moment(p, m, R):
+        # u = r^2: int_0^{R^2} e^{-pc u} u^{m/2-1} du / 2
+        return 0.5 * _gamma_moment(p * c, m / 2.0, R * R)
+
     return RadialProfile(
-        value=lambda r: np.exp(-c * np.asarray(r, float) ** 2),
-        derivative=lambda r: -2.0 * c * np.asarray(r, float)
-        * np.exp(-c * np.asarray(r, float) ** 2),
+        value=ClosedForm(lambda r: np.exp(-c * np.asarray(r, float) ** 2),
+                         moment),
+        derivative=ClosedForm(
+            lambda r: -2.0 * c * np.asarray(r, float)
+            * np.exp(-c * np.asarray(r, float) ** 2),
+            lambda p, m, R: (2.0 * c) ** p * moment(p, m + p, R)),
         envelope=DecayEnvelope("gauss", scale=c),
         derivative_envelope=DecayEnvelope("gauss", scale=c, boost=1.0),
         family_tag="gaussian", params=(c,),
@@ -75,8 +115,12 @@ def _gaussian(c: float) -> RadialProfile:
 
 def _power_decay(s: float, a: float = 1.0) -> RadialProfile:
     return RadialProfile(
-        value=lambda r: (1.0 + a * np.asarray(r, float)) ** (-s),
-        derivative=lambda r: -s * a * (1.0 + a * np.asarray(r, float)) ** (-s - 1.0),
+        value=ClosedForm(lambda r: (1.0 + a * np.asarray(r, float)) ** (-s),
+                         lambda p, m, R: _beta_moment(a, p * s, m, R)),
+        derivative=ClosedForm(
+            lambda r: -s * a * (1.0 + a * np.asarray(r, float)) ** (-s - 1.0),
+            lambda p, m, R:
+            (s * a) ** p * _beta_moment(a, p * (s + 1.0), m, R)),
         envelope=DecayEnvelope("power", scale=a, shape=s),
         derivative_envelope=DecayEnvelope("power", scale=a, shape=s + 1.0),
         family_tag="power_decay", params=(s, a),

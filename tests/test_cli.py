@@ -267,9 +267,12 @@ def test_estimate_writes_trace(tmp_path):
 
 
 def test_estimate_counts_radial_overflow_as_degenerate(tmp_path):
-    """Near its integrability threshold a power_decay trial pushes the
-    radial integral's cutoff so far out that r^(Q-1) overflows; the search
-    counts that evaluation as degenerate instead of stopping."""
+    """A power_decay trial whose tail is not integrable (p s below the
+    degree of r^{-p} r^{Q-1}, e.g. s = 0.5) makes its radial integral
+    diverge; the search counts that evaluation as degenerate instead of
+    stopping.  Near the threshold the integral is finite however far out
+    its cutoff lies: at s = 7.0728 the cutoff is about 1e219, where the
+    quadrature's r^(Q-1) overflowed, and the closed form evaluates it."""
     code = run("estimate", {
         "group": {"name": "heisenberg"},
         "norm": {"name": "cygan"},
@@ -282,6 +285,12 @@ def test_estimate_counts_radial_overflow_as_degenerate(tmp_path):
     doc = json.loads((tmp_path / "out" / "report.json").read_text())
     assert doc["estimate"]["evaluations"] == 24
     assert doc["estimate"]["degenerate_evaluations"] >= 1
+    with (tmp_path / "out" / "trace.csv").open() as fh:
+        near = [float(row["ratio"]) for row in csv.DictReader(fh)
+                if json.loads(row["params"])
+                == pytest.approx([7.0728494, 20.0])]
+    assert near and all(math.isfinite(v) for v in near)
+    assert min(near) >= doc["estimate"]["analytic_constant"]
 
 
 def test_degenerate_integral_hardy_exits_3(tmp_path):

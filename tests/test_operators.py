@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from revineq import (DecayEnvelope, DegenerateInputError, DivergenceError,
                      kernel_bound_report, lp_functional, make_profile,
                      reverse_holder_gap, sphere_measure, stein_weiss_form,
                      weighted_p_integral)
+from revineq.operators import CLOSED_FORM_RTOL, ClosedForm
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +98,51 @@ def test_weighted_p_integral_memoised():
     dilated = weighted_p_integral(prof.dilated(2.0), 0.5, 1.0, 3.0)
     assert len(calls) > evaluated
     assert dilated[0] == pytest.approx(first[0] / 16.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("exp_decay", [1.0]), ("gaussian", [1.0]), ("power_decay", [9.0, 1.0])])
+def test_dilated_family_profile_keeps_closed_form(h1, koranyi, mc_spec,
+                                                  family, params):
+    """The dilated moments are s^{-m} M(p, m, sR) (times s^p for F'), so
+    for s a power of 2 ||f o D_s||_p = s^{-Q/p} ||f||_p holds bit for bit."""
+    prof = make_profile(family, params)
+    base = lp_functional(prof, 0.5, h1, koranyi, mc_spec)
+    for s in (0.5, 2.0):
+        dil = prof.dilated(s)
+        assert isinstance(dil.value, ClosedForm)
+        assert isinstance(dil.derivative, ClosedForm)
+        assert lp_functional(dil, 0.5, h1, koranyi, mc_spec) == \
+            s ** (-4.0 / 0.5) * base
+        d0, _ = weighted_p_integral(prof, 0.5, 0.5, 4.0, use_derivative=True)
+        d1, _ = weighted_p_integral(dil, 0.5, 0.5, 4.0, use_derivative=True)
+        assert d1 == s ** (0.5 - 4.5) * d0
+
+
+def test_replaced_callable_falls_back_to_quadrature(clear_caches, expp):
+    """A profile whose value is replaced loses the closed form of its value,
+    not of its derivative; only the quadrature result is memoised."""
+    from revineq import operators
+    clear_caches()
+    calls = []
+
+    def value(r):
+        calls.append(len(r))
+        return np.exp(-np.asarray(r, float))
+
+    plain = replace(expp, value=value)
+    assert not isinstance(plain.value, ClosedForm)
+    assert isinstance(plain.derivative, ClosedForm)
+    quad, _ = weighted_p_integral(plain, 0.5, 0.0, 4.0)
+    assert calls and len(operators._P_INTEGRAL_CACHE) == 1
+    closed, err = weighted_p_integral(expp, 0.5, 0.0, 4.0)
+    assert closed == pytest.approx(quad, rel=1e-11)
+    assert err == CLOSED_FORM_RTOL * closed
+    for prof in (expp, expp.dilated(2.0), plain):
+        weighted_p_integral(prof, 0.7, -0.5, 4.0, use_derivative=True)
+        weighted_p_integral(prof, 0.5, 1.0, 2.0)
+    # the one new entry is plain's value at (0.5, 1.0, 2.0)
+    assert len(operators._P_INTEGRAL_CACHE) == 2
 
 
 # ---------------------------------------------------------------------------

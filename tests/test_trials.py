@@ -1,10 +1,16 @@
+import itertools
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import special as sp
 
-from revineq import (EstimationError, InequalityParams, ParameterError,
-                     QuadratureSpec, SearchSpec, balanced_lambda,
-                     estimate_best_constant, make_profile)
+from revineq import (DivergenceError, EstimationError, InequalityParams,
+                     ParameterError, QuadratureSpec, SearchSpec,
+                     balanced_lambda, estimate_best_constant,
+                     integrate_radial_err, make_profile, weighted_p_integral)
+from revineq.operators import CLOSED_FORM_RTOL
 
 
 def test_families_build_expected_profiles():
@@ -132,3 +138,117 @@ def test_enlarging_budget_never_raises_minimum(h1, koranyi, quad):
             SearchSpec(method="grid", budget=budget, seed=3), h1, koranyi, quad)
         minima.append(rec.min_ratio)
     assert minima[0] >= minima[1] >= minima[2]
+
+
+# ---------------------------------------------------------------------------
+# closed-form radial L^p moments
+# ---------------------------------------------------------------------------
+
+CLOSED_FORM_PROFILES = [("exp_decay", (1.0,)), ("exp_decay", (7.3,)),
+                        ("gaussian", (1.0,)), ("gaussian", (0.05,)),
+                        ("power_decay", (3.1, 1.0)),
+                        ("power_decay", (9.0, 1.0)),
+                        ("power_decay", (40.0, 2.0))]
+
+# (family, params, p, shift, Q, use_derivative) where the quadrature loses
+# tail mass that the profile rounds to 0 before |F|^p is taken; the closed
+# form is pinned there by test_power_decay_underflow_points_against_mpmath
+QUADRATURE_UNDERFLOW = {
+    ("power_decay", (3.1, 1.0), 0.5, -0.5, 2.0, False),
+    ("power_decay", (3.1, 1.0), 0.5, 0.5, 1.0, False),    # the same integral
+    ("power_decay", (3.1, 1.0), 0.5, 0.0, 2.0, True),
+    ("power_decay", (9.0, 1.0), 0.3, 0.5, 2.0, False),
+}
+
+
+def _quadrature_twin(prof):
+    """The same profile with plain callables, so that weighted_p_integral
+    integrates it numerically over the same [0, R]."""
+    return replace(prof, value=prof.value.fn, derivative=prof.derivative.fn)
+
+
+@pytest.mark.parametrize("family, params", CLOSED_FORM_PROFILES)
+def test_closed_form_moments_agree_with_quadrature(family, params):
+    prof = make_profile(family, params)
+    twin = _quadrature_twin(prof)
+    checked = 0
+    for p, shift, Q, deriv in itertools.product(
+            (0.3, 0.5, 0.7, 1.5), (-0.5, 0.0, 0.5), (1.0, 2.0, 4.0),
+            (False, True)):
+        try:
+            closed, err = weighted_p_integral(prof, p, shift, Q,
+                                              use_derivative=deriv)
+        except DivergenceError:
+            with pytest.raises(DivergenceError):
+                weighted_p_integral(twin, p, shift, Q, use_derivative=deriv)
+            continue
+        quad, _ = weighted_p_integral(twin, p, shift, Q, use_derivative=deriv)
+        off = abs(closed - quad) / closed
+        case = (family, params, p, shift, Q, deriv)
+        if case in QUADRATURE_UNDERFLOW:
+            assert off > 1e-11, case
+        else:
+            assert off <= 1e-11, (case, closed, quad)
+        assert err == CLOSED_FORM_RTOL * closed
+        checked += 1
+    assert checked >= 36
+
+
+def _mp_power_moment(mp, s, a, p, m, R, deriv):
+    """int_0^R |F|^p r^{m-1} dr for F = (1 + a r)^{-s} (or |F'|), by mpmath
+    quadrature in u = ln r at 30 digits, on panels of width 8 in u."""
+    with mp.workdps(30):
+        s, a, p, m = (mp.mpf(v) for v in (s, a, p, m))
+        k, c = (s + 1, (s * a) ** p) if deriv else (s, 1)
+        top = mp.log(R)
+        edges = [-mp.inf] + [mp.mpf(u) for u in range(-40, int(top), 8)]
+        return mp.quad(lambda u: c * (1 + a * mp.exp(u)) ** (-k * p)
+                       * mp.exp(m * u), edges + [top])
+
+
+@pytest.mark.parametrize("params, p, shift, Q, deriv, expected", [
+    ((3.1, 1.0), 0.5, -0.5, 2.0, False, 19.4122264717687),
+    ((3.1, 1.0), 0.5, 0.0, 2.0, True, 33.5367936868397),
+    ((9.0, 1.0), 0.3, 0.5, 2.0, False, 3.95083176138625),
+])
+def test_power_decay_underflow_points_against_mpmath(params, p, shift, Q,
+                                                     deriv, expected):
+    """Where (1 + a r)^{-s} underflows while |F|^p r^{m-1} still holds
+    mass, the quadrature misses that mass by far more than its error bar;
+    the closed form matches an independent mpmath quadrature within its
+    own bar."""
+    mp = pytest.importorskip("mpmath")
+    prof = make_profile("power_decay", params)
+    env = prof.derivative_envelope if deriv else prof.envelope
+    R = env.powered(p).boosted(shift).r_max(Q)
+    exact = float(_mp_power_moment(mp, *params, p, Q + shift, R, deriv))
+    assert exact == pytest.approx(expected, rel=1e-14)
+
+    closed, err = weighted_p_integral(prof, p, shift, Q, use_derivative=deriv)
+    assert abs(closed - exact) <= err
+    quad, quad_err = weighted_p_integral(_quadrature_twin(prof), p, shift, Q,
+                                         use_derivative=deriv)
+    assert abs(quad - exact) > 100.0 * quad_err
+
+
+def test_closed_form_moments_at_infinite_and_small_radius():
+    p, m = 0.5, 3.0
+    exp = make_profile("exp_decay", [2.0])
+    assert exp.value.moment(p, m, math.inf) == pytest.approx(
+        sp.gamma(m) / (p * 2.0) ** m, rel=1e-14)
+    assert exp.derivative.moment(p, m, math.inf) == pytest.approx(
+        2.0 ** p * sp.gamma(m) / (p * 2.0) ** m, rel=1e-14)
+    gauss = make_profile("gaussian", [2.0])
+    assert gauss.value.moment(p, m, math.inf) == pytest.approx(
+        sp.gamma(m / 2) / (2.0 * (p * 2.0) ** (m / 2)), rel=1e-14)
+    s, a = 9.0, 2.0
+    power = make_profile("power_decay", [s, a])
+    assert power.value.moment(p, m, math.inf) == pytest.approx(
+        sp.beta(m, p * s - m) / a ** m, rel=1e-14)
+    assert power.derivative.moment(p, m, math.inf) == pytest.approx(
+        (s * a) ** p * sp.beta(m, p * (s + 1) - m) / a ** m, rel=1e-14)
+    for R in (0.1, 50.0):
+        for fn in (power.value, power.derivative):
+            quad, _ = integrate_radial_err(lambda r: np.abs(fn(r)) ** p, m,
+                                           0.0, R)
+            assert fn.moment(p, m, R) == pytest.approx(quad, rel=1e-12)

@@ -8,6 +8,12 @@ timings and is left out.  Two checkouts that print the same lines write
 byte-identical reports for the corpus:
 
     PYTHONPATH=src python3 tools/report_digests.py
+
+The output starts with the numpy and scipy versions, which the last bits
+of the reports depend on.  ``tests/report_digests.txt`` holds the expected
+output, and ``tests/test_report_digests.py`` compares it on those
+versions; a change that moves a report rewrites that file with this
+command.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from revineq import cli
 
@@ -175,9 +184,14 @@ def digests(root: Path) -> list[str]:
     return lines
 
 
+def versions() -> list[str]:
+    """The header lines naming the numpy and scipy the digests came from."""
+    return [f"# numpy {np.__version__}", f"# scipy {scipy.__version__}"]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for line in digests(Path(tmp)):
+        for line in versions() + digests(Path(tmp)):
             print(line)
     return 0
 
