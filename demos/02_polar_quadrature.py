@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """Integration over homogeneous groups and the quasi-sphere measure |S|.
 
-Everything radial reduces to |S| * int g(r) r^{Q-1} dr.  |S| itself is
-recovered two independent ways: from the Monte Carlo identity
-|S| = (int e^{-|x|} dx) / Gamma(Q), and from the exact direction integral
-int_{S^{N-1}} (sum_i v_i u_i^2) |u|^{-Q} dS(u).  For the Koranyi gauge on
-the Heisenberg group the latter evaluates to 2 pi^2.  The verifiers use the
-direction integral (``sphere_measure``) wherever it is deterministic, in
-dimension <= 3; the Monte Carlo identity (``sphere_measure_mc``) checks it.
+Everything radial reduces to |S| * int g(r) r^{Q-1} dr.  Every built-in
+gauge carries its exact |S| in closed form (``norm.sphere``; 2 pi^2 for the
+Koranyi gauge on the Heisenberg group), and the verifiers read it.  Two
+independent estimates check it: the Monte Carlo identity
+|S| = (int e^{-|x|} dx) / Gamma(Q) (``sphere_measure_mc``), and, in
+dimension <= 3, the direction integral
+int_{S^{N-1}} (sum_i v_i u_i^2) |u|^{-Q} dS(u) (``sphere_measure_direct``).
 """
-
-import math
 
 import numpy as np
 from scipy import special as sp
@@ -39,11 +37,11 @@ print(f"\nint_R2 e^(-pi|x|^2) dx = {res.value:.6f} +- {res.stderr:.1e}  (exact 1
 
 # --- quasi-sphere measures ------------------------------------------------------
 print("\nquasi-sphere measures:")
-for group, norm, closed in ((plane, ne, 2 * math.pi), (h1, nk, 2 * math.pi**2)):
+for group, norm in ((plane, ne), (h1, nk)):
     mc = sphere_measure_mc(group, norm, spec)
     direct = sphere_measure_direct(group, norm)
     print(f"  {group.name}/{norm.name}: MC {mc.value:.6f} +- {mc.stderr:.1e}, "
-          f"direct {direct:.12f}, closed form {closed:.12f}")
+          f"direct {direct:.12f}, exact {norm.sphere:.12f}")
 
 # --- polar factorization consistency -------------------------------------------
 print("\npolar factorization (cartesian vs |S| x radial):")

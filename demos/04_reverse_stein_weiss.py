@@ -18,8 +18,6 @@ validity (the intermediate integrals diverge), and at unbalanced points the
 assembled constant overshoots the true infimum by about 2 percent.
 """
 
-import numpy as np
-
 from revineq import (InequalityParams, QuadratureSpec, abelian_group,
                      analytic_A1, analytic_A2, balanced_lambda, bracket_kappa,
                      euclidean_norm, heisenberg_group, koranyi_norm,
@@ -37,7 +35,7 @@ print("admissibility:", "OK" if rep.admissible else rep.failures)
 print(f"  p' = {P.p_prime:g}, q = {P.q:g}, balance residual "
       f"{P.balance_residual:.1e}")
 
-S = 2 * np.pi**2   # Koranyi quasi-sphere measure
+S = nk.sphere   # Koranyi quasi-sphere measure, 2 pi^2
 print(f"  A1 = {analytic_A1(P, S):.6g}  (= 4/S^2),  "
       f"A2 = {analytic_A2(P, S):.6g}  (= 9/S^2),  "
       f"kappa = {bracket_kappa(P.p_prime, P.q):.4g}")

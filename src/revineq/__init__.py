@@ -29,7 +29,7 @@ from .operators import (KernelBoundReport, RadialProfile, kernel_bound_report,
                         lp_functional, reverse_holder_gap, stein_weiss_form,
                         weighted_p_integral)
 from .quadrature import (DecayEnvelope, IntegralResult, PolarConsistencyReport,
-                         QuadratureSpec, RadialSampler, SphereMeasure,
+                         QuadratureSpec, RadialSampler,
                          integrate_cartesian, integrate_radial_err,
                          polar_consistency_check, sample_group_points,
                          sphere_measure, sphere_measure_direct,

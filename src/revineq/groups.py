@@ -62,11 +62,18 @@ class HomogeneousGroup:
 
 @dataclass(frozen=True)
 class QuasiNorm:
-    """A homogeneous quasi-norm on a group; a gauge of homogeneous degree 1."""
+    """A homogeneous quasi-norm on a group; a gauge of homogeneous degree 1.
+
+    ``sphere`` is |S|, the exact total mass of the surface measure on the
+    unit quasi-sphere in the polar decomposition
+    int_G f dx = int_0^inf int_S f(D_r y) r^{Q-1} dsigma(y) dr;
+    it equals Q times the Lebesgue measure of the unit ball.
+    """
 
     name: str
     group: HomogeneousGroup
     evaluate: Callable[[Array], Array]
+    sphere: float
     is_true_norm: bool = False
 
     def __call__(self, x) -> Array:
@@ -221,6 +228,17 @@ def _euclidean(x) -> Array:
                                  for i in range(x.shape[-1])]))
 
 
+def _dirichlet_sphere(weights, two_m: float) -> float:
+    """|S| of the gauge (sum_i |x_i|^{2M/v_i})^{1/(2M)}: Q times the volume
+    2^N prod_i Gamma(1 + v_i/(2M)) / Gamma(1 + Q/(2M)) of its unit ball, a
+    Dirichlet body."""
+    Q = math.fsum(weights)
+    volume = 2.0 ** len(weights) / math.gamma(1.0 + Q / two_m)
+    for v in weights:
+        volume *= math.gamma(1.0 + v / two_m)
+    return Q * volume
+
+
 def euclidean_norm(group: HomogeneousGroup) -> QuasiNorm:
     """Euclidean norm; homogeneous of degree 1 only for unit weights."""
     if any(v != 1.0 for v in group.weights):
@@ -232,6 +250,7 @@ def euclidean_norm(group: HomogeneousGroup) -> QuasiNorm:
         name="euclidean",
         group=group,
         evaluate=_euclidean,
+        sphere=_dirichlet_sphere(group.weights, 2.0),
         is_true_norm=True,
     )
 
@@ -263,7 +282,13 @@ def anisotropic_gauge(group: HomogeneousGroup) -> QuasiNorm:
                              for i, e in enumerate(expo)]) ** root
 
     return QuasiNorm(name=f"anisotropic(M={M:g})", group=group, evaluate=_eval,
-                     is_true_norm=False)
+                     sphere=_dirichlet_sphere(group.weights, 2.0 * M))
+
+
+def _heisenberg_sphere(c: float) -> float:
+    """|S| of the gauge ((x1^2+x2^2)^2 + c t^2)^{1/4} on H1: Q = 4 times its
+    unit ball's volume (2/sqrt(c)) |S^1| B(1/2, 3/2) / 4 = pi^2/(2 sqrt(c))."""
+    return 2.0 * math.pi ** 2 / math.sqrt(c)
 
 
 def koranyi_norm(group: HomogeneousGroup) -> QuasiNorm:
@@ -278,7 +303,7 @@ def koranyi_norm(group: HomogeneousGroup) -> QuasiNorm:
         return (z2 ** 2 + x[..., 2] ** 2) ** 0.25
 
     return QuasiNorm(name="koranyi", group=group, evaluate=_eval,
-                     is_true_norm=False)
+                     sphere=_heisenberg_sphere(1.0))
 
 
 # Coefficient of t^2 in the subadditive gauge on H1 with the polarized law.
@@ -303,6 +328,7 @@ def cygan_norm(group: HomogeneousGroup) -> QuasiNorm:
         return (z2 ** 2 + CYGAN_T_COEFF * x[..., 2] ** 2) ** 0.25
 
     return QuasiNorm(name="cygan", group=group, evaluate=_eval,
+                     sphere=_heisenberg_sphere(CYGAN_T_COEFF),
                      is_true_norm=True)
 
 

@@ -28,8 +28,7 @@ from .exceptions import DegenerateInputError, DivergenceError, ParameterError
 from .groups import HomogeneousGroup, QuasiNorm
 from .operators import (RadialProfile, lp_functional, stein_weiss_form,
                         weighted_p_integral)
-from .quadrature import (QuadratureSpec, SphereMeasure, integrate_radial_err,
-                         sphere_measure)
+from .quadrature import QuadratureSpec, integrate_radial_err, sphere_measure
 
 _MODULE = "inequalities"
 
@@ -260,7 +259,7 @@ class VerificationReport:
     lhs: float
     rhs: float
     analytic_constant: float
-    sphere: SphereMeasure
+    sphere: float           # the exact |S| of the gauge
     direction: str = "lower"
     stderr: float = 0.0
     lhs_stderr: float = 0.0
@@ -299,7 +298,7 @@ class VerificationReport:
             "stderr": self.stderr,
             "lhs_stderr": self.lhs_stderr,
             "rhs_stderr": self.rhs_stderr,
-            "sphere": self.sphere.as_dict(),
+            "sphere": {"value": self.sphere, "method": "exact"},
             "pass": self.passed,
             "degenerate": self.degenerate,
             "extras": self.extras,
@@ -462,21 +461,15 @@ def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
     if nf == 0.0 or nh == 0.0:
         raise DegenerateInputError("a trial profile has zero quasi-norm",
                                    module=_MODULE, operation="verify_stein_weiss")
-    const = stein_weiss_lower_constant(params, S.value)
-    # constant depends on |S| through S^{1/q + 1/p'}; propagate its stderr
-    s_expo = abs(1.0 / params.q + 1.0 / params.p_prime)
-    const_err = const * s_expo * (S.stderr / S.value)
+    const = stein_weiss_lower_constant(params, S)
     den = nf * nh
     return VerificationReport(
         inequality="reverse_stein_weiss" if params.variant == "full"
         else f"reverse_stein_weiss[{params.variant}]",
         params=params.as_dict(),
         lhs=B.value, rhs=den, analytic_constant=const,
-        stderr=B.stderr / den + const_err,
-        lhs_stderr=B.stderr, rhs_stderr=0.0,
-        sphere=S,
-        extras={"f": f.family_tag, "h": h.family_tag,
-                "constant_stderr": const_err},
+        stderr=B.stderr / den, lhs_stderr=B.stderr, sphere=S,
+        extras={"f": f.family_tag, "h": h.family_tag},
     )
 
 
@@ -582,7 +575,7 @@ def verify_reverse_integral_hardy(variant: str, w: float, u: float,
     pp = conjugate_exponent(p)
     mW, mU = Q + w, Q + u * (1.0 - pp)
     S = sphere_measure(group, norm, spec)
-    A = power_weight_A(variant, mW, mU, q, pp, S.value)
+    A = power_weight_A(variant, mW, mU, q, pp, S)
     scale_expo = mW / q + mU / pp
     if abs(scale_expo) > 1e-10:
         raise ParameterError(
@@ -592,8 +585,8 @@ def verify_reverse_integral_hardy(variant: str, w: float, u: float,
     kap = bracket_kappa(pp, q)
 
     iv, ie = weighted_p_integral(f, p, u, Q)
-    rhs = float((S.value * iv) ** (1.0 / p))
-    rhs_err = rhs * (ie / iv + S.stderr / S.value) / p
+    rhs = float((S * iv) ** (1.0 / p))
+    rhs_err = rhs * (ie / iv) / p
 
     # ---- divergence analysis of the outer integral ----
     # the parameter checks above leave no finite case: every branch below
@@ -652,25 +645,23 @@ def verify_reverse_integral_hardy(variant: str, w: float, u: float,
         # integral is bounded away from 0 there
         r_hi = f.envelope.r_max(Q)
         r_lo = r_hi * 1e-4
-        inner = _inner_integral(f, Q, S.value, r_hi * 4.0, variant)
+        inner = _inner_integral(f, Q, S, r_hi * 4.0, variant)
         try:
             tv, _ = integrate_radial_err(
                 lambda r: inner(r) ** q * np.abs(r) ** w, Q, r_lo, r_hi,
                 rtol=1e-6)
             extras["lhs_truncated_window"] = [r_lo, r_hi]
-            extras["lhs_truncated"] = float((S.value * tv) ** (1.0 / q))
+            extras["lhs_truncated"] = float((S * tv) ** (1.0 / q))
         except DivergenceError:
             pass
 
-    # lhs is exactly 0 or +inf: only the constant's |S| error enters
-    const = kap * A
-    const_err = const * abs(1.0 / q + 1.0 / pp) * (S.stderr / S.value)
+    # lhs is exactly 0 or +inf and the constant exact: the ratio has no
+    # error bar
     rep = VerificationReport(
         inequality=f"reverse_integral_hardy[{variant}]",
         params={"Q": Q, "p": p, "q": q, "p_prime": pp,
                 "W_exponent": w, "U_exponent": u},
-        lhs=lhs, rhs=rhs, analytic_constant=const,
-        stderr=const_err, rhs_stderr=rhs_err,
+        lhs=lhs, rhs=rhs, analytic_constant=kap * A, rhs_stderr=rhs_err,
         sphere=S,
         degenerate=degenerate, extras=extras,
     )

@@ -6,12 +6,13 @@ the function x -> F(|x|) on the group.  The L^p functional for p > 0 is
     ||f||_p = ( |S| int_0^inf F(r)^p r^{Q-1} dr )^{1/p},
 
 which for p in (0, 1) is the formal quasi-norm entering the reverse Hoelder
-inequality.  Each radial integral runs over [0, R], where R is the radius
-beyond which the integrand's declared decay envelope holds less than 1e-8
-of its mass (capped at the profile's support radius).  A profile whose
-value or derivative is a ``ClosedForm`` (exp_decay, gaussian and
-power_decay, dilated or not) has that integral as an incomplete Gamma or
-Beta function, with a 1e-12 relative error bar; any other profile goes
+inequality; |S| is the gauge's exact quasi-sphere measure
+(``QuasiNorm.sphere``).  Each radial integral runs over [0, R], where R is
+the radius beyond which the integrand's declared decay envelope holds less
+than 1e-8 of its mass (capped at the profile's support radius).  A
+profile whose value or derivative is a ``ClosedForm`` (exp_decay, gaussian
+and power_decay, dilated or not) has that integral as an incomplete Gamma
+or Beta function, with a 1e-12 relative error bar; any other profile goes
 through adaptive Gauss-Kronrod quadrature, whose results are memoised.
 
 The doubly weighted bilinear form with growing kernel
@@ -183,8 +184,7 @@ def lp_functional(profile: RadialProfile, p: float, group: HomogeneousGroup,
                   norm: QuasiNorm, spec: QuadratureSpec) -> float:
     """( |S| int F(r)^p r^{Q-1} dr )^{1/p} for p > 0."""
     val, _ = weighted_p_integral(profile, p, 0.0, group.homogeneous_dim)
-    S = sphere_measure(group, norm, spec).value
-    return float((S * val) ** (1.0 / p))
+    return float((sphere_measure(group, norm, spec) * val) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

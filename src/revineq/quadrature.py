@@ -18,18 +18,16 @@ The total mass |S| of the quasi-sphere measure in the polar decomposition
 
     int_G f dx = int_0^inf int_S f(D_r y) r^{Q-1} dsigma(y) dr
 
-is recovered without parametrizing sigma, via the closed surface integral
-|S| = int_{S^{N-1}} L(u) |u|^{-Q} dS(u)  (``sphere_measure_direct``), or via
+is exact for every built-in gauge: each carries its closed form as
+``QuasiNorm.sphere``, and ``sphere_measure``, the |S| of every verifier,
+returns it.  Two independent estimates check it without parametrizing
+sigma: the closed surface integral |S| = int_{S^{N-1}} L(u) |u|^{-Q} dS(u)
+on a deterministic rule for dim <= 3 (``sphere_measure_direct``), and
 |S| = (int_G e^{-|x|} dx)/Gamma(Q) by Monte Carlo (``sphere_measure_mc``).
-``sphere_measure``, the |S| of every verifier, is the surface rule wherever
-it is deterministic (dim <= 3): computed once per (group, gauge) on first
-use, with its difference from the rule at half the resolution as its error.
-Only dim >= 4 falls back to the Monte Carlo estimate at the verifier's
-spec; elsewhere that estimate serves as an independent oracle.
 
-State lives in two places only: the draw stream below and the |S| memo of
-``sphere_measure``.  Estimators keep none, and one that diverges (a sample
-or the mean infinite or above 1e280) raises ``DivergenceError``.
+State lives in one place only: the draw stream below.  Estimators keep
+none, and one that diverges (a sample or the mean infinite or above 1e280)
+raises ``DivergenceError``.
 
 Determinism: Monte Carlo results are a pure function of the integrand and
 the spec with its seed.  The seed-determined part of a sample comes from the
@@ -62,6 +60,7 @@ _MODULE = "quadrature"
 
 _OVERFLOW_GUARD = 1e280
 _DEFAULT_TAIL_MASS = 1e-8
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,11 @@ class DecayEnvelope:
     def r_max(self, Q: float, tail_mass: float = _DEFAULT_TAIL_MASS) -> float:
         """Radius beyond which the envelope mass against r^{Q-1} dr is below
         ``tail_mass`` of the total.  Closed form per family, so that scaled
-        envelopes get exactly scaled radii (keeps dilated runs covariant)."""
+        envelopes get exactly scaled radii (keeps dilated runs covariant).
+
+        A power tail barely steeper than r^{-Q-boost} can put that radius
+        beyond the float range; it is then ``math.inf``, and an integral
+        up to it drops no tail."""
         self.check_integrable(Q, "r_max")
         m = Q + self.boost
         if self.kind == "exp":
@@ -176,6 +179,11 @@ class DecayEnvelope:
         if self.kind == "uniform":
             return self.scale
         # power: total = B(m, shape-m)/a^m; tail ~ (aR)^{m-shape}/(a^m (shape-m))
+        log_r = ((math.log(tail_mass * (self.shape - m))
+                  + _sp.betaln(m, self.shape - m)) / (m - self.shape)
+                 - math.log(self.scale))
+        if log_r > _LOG_FLOAT_MAX:
+            return math.inf
         total = _sp.beta(m, self.shape - m)
         ar = (tail_mass * (self.shape - m) * total) ** (1.0 / (m - self.shape))
         return float(max(ar, 10.0) / self.scale)
@@ -350,6 +358,15 @@ def _draw(group: HomogeneousGroup, n: int, rng) -> DrawBlock:
     u = _uniform_directions(group.dim, n, rng)
     return DrawBlock(uniforms, u, dilation_quadratic_form(group, u))
 
+
+# glibc maps an allocation above its mmap threshold afresh and returns the
+# heap top to the system beyond twice that threshold; the threshold starts
+# at 128 KiB and rises to the size of each larger mapping freed.  Freeing
+# one 2 MiB array lifts it above the 0.16-1 MB arrays of a Monte Carlo
+# estimate, whose pages are then reused rather than faulted in afresh
+# (glibc 2.36, x86-64: 10 to 23 minor page faults per perfbench sw_grid
+# operation with it, 440 without).
+np.empty(1 << 18)     # allocated and freed at once
 
 # the draw streams held, keyed by (seed, sample_count, weights); the oldest
 # is evicted beyond this many
@@ -642,75 +659,23 @@ def sphere_measure_mc(group: HomogeneousGroup, norm: QuasiNorm,
     return IntegralResult(res.value / gam, res.stderr / gam)
 
 
-@dataclass(frozen=True)
-class SphereMeasure:
-    """|S| as the verifiers use it, and how it was obtained: ``"direct"``
-    (the surface rule at ``resolution``; stderr is its difference from the
-    rule at half that resolution) or ``"monte_carlo"``."""
-
-    value: float
-    stderr: float
-    method: str
-    resolution: int | None = None
-
-    def as_dict(self) -> dict:
-        out = {"value": self.value, "stderr": self.stderr,
-               "method": self.method}
-        if self.resolution is not None:
-            out["resolution"] = self.resolution
-        return out
-
-
-# the resolution of the direct rule, fixed by a convergence test
-_DIRECT_RESOLUTION = 256
-# the |S| memo, keyed by (group name, weights, gauge name) and, where |S| is
-# the Monte Carlo estimate (dim >= 4), the spec; the oldest entries are
-# evicted beyond this many
-_SPHERE_CACHE_MAX = 1024
-_SPHERE_CACHE: dict[tuple, SphereMeasure] = {}
-
-
 def sphere_measure(group: HomogeneousGroup, norm: QuasiNorm,
-                   spec: QuadratureSpec) -> SphereMeasure:
-    """|S| for the verifiers, computed on first use and memoised: the direct
-    surface rule for dim <= 3, once per (group, gauge); ``sphere_measure_mc``
-    at ``spec`` for dim >= 4, where no deterministic rule exists."""
-    mc = group.dim > 3
-    key = (group.name, group.weights, norm.name) + ((spec,) if mc else ())
-    hit = _SPHERE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if mc:
-        res = sphere_measure_mc(group, norm, spec)
-        hit = SphereMeasure(res.value, res.stderr, "monte_carlo")
-    else:
-        m = _DIRECT_RESOLUTION
-        value = sphere_measure_direct(group, norm, m)
-        coarse = sphere_measure_direct(group, norm, m // 2)
-        hit = SphereMeasure(value, abs(value - coarse), "direct", m)
-    _SPHERE_CACHE[key] = hit
-    if len(_SPHERE_CACHE) > _SPHERE_CACHE_MAX:
-        del _SPHERE_CACHE[next(iter(_SPHERE_CACHE))]
-    return hit
+                   spec: QuadratureSpec) -> float:
+    """|S| for the verifiers: the exact ``norm.sphere``.  ``group`` and
+    ``spec`` are unused; every verifier passes the three it holds."""
+    return norm.sphere
 
 
 def sphere_measure_direct(group: HomogeneousGroup, norm: QuasiNorm,
-                          resolution: int = _DIRECT_RESOLUTION) -> float:
+                          resolution: int = 256) -> float:
     """Deterministic |S| via the surface integral int_{S^{N-1}} L(u)/|u|^Q dS.
 
     Exact for N=1; spectrally accurate trapezoid / Gauss-Legendre rules for
-    N in {2, 3}; a fixed 400000-point Monte Carlo average for N >= 4.
+    N in {2, 3}.  Raises ParameterError for N >= 4, where no rule exists.
     """
-    Q = group.homogeneous_dim
-    if group.dim <= 3:
-        u, w = _direction_rule(group.dim, resolution)
-        lam = dilation_quadratic_form(group, u)
-        return float(np.sum(w * lam * norm(u) ** (-Q)))
-    rng = np.random.default_rng(0)
-    u = _uniform_directions(group.dim, 400000, rng)
+    u, w = _direction_rule(group.dim, resolution)
     lam = dilation_quadratic_form(group, u)
-    area = unit_sphere_area(group.dim)
-    return float(area * np.mean(lam * norm(u) ** (-Q)))
+    return float(np.sum(w * lam * norm(u) ** (-group.homogeneous_dim)))
 
 
 @dataclass(frozen=True)

@@ -53,12 +53,11 @@ def rng():
 
 @pytest.fixture
 def clear_caches():
-    """Empties the draw stream, the |S| memo and the radial L^p memo, so
-    that the next estimate runs cold."""
+    """Empties the draw stream and the radial L^p memo, so that the next
+    estimate runs cold."""
     from revineq import operators, quadrature
 
     def clear():
         quadrature._STREAMS.clear()
-        quadrature._SPHERE_CACHE.clear()
         operators._P_INTEGRAL_CACHE.clear()
     return clear

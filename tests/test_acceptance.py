@@ -295,7 +295,7 @@ def test_criterion_09_reverse_integral_hardy_grid():
                 counts[region] += 1
 
                 # certified constant kappa*A in closed form
-                S = rep.sphere.value
+                S = rep.sphere
                 A = analytic_A(params, S)
                 kappa = bracket_kappa(params.p_prime, q)
                 assert rep.extras["A"] == pytest.approx(A, rel=1e-12), case

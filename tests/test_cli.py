@@ -130,22 +130,18 @@ SW_H1_CFG = {
 
 
 def test_report_says_how_sphere_measure_was_obtained(tmp_path):
-    """Dimension <= 3 reads the direct rule with its resolution and its gap
-    to the rule at half that resolution; dimension 4 reads Monte Carlo."""
-    assert run("verify", SW_H1_CFG, tmp_path / "h1") == 0
-    sphere = json.loads((tmp_path / "h1" / "report.json").read_text())[
-        "report"]["sphere"]
-    assert sphere["method"] == "direct" and sphere["resolution"] == 256
-    assert sphere["value"] == pytest.approx(2 * math.pi ** 2, rel=1e-14)
-    assert 0.0 <= sphere["stderr"] <= 1e-12 * sphere["value"]
+    """Every dimension reads the gauge's exact |S|: 2 pi^2 for Koranyi on
+    H1, |S^3| = 2 pi^2 for the Euclidean norm on R^4."""
     r4 = {**_without(HARDY_CFG, "norm"),
           "group": {"name": "abelian", "weights": [1.0, 1.0, 1.0, 1.0]},
           "quadrature": {"sample_count": 5000}}
-    assert run("verify", r4, tmp_path / "r4") == 0
-    sphere = json.loads((tmp_path / "r4" / "report.json").read_text())[
-        "report"]["sphere"]
-    assert sphere["method"] == "monte_carlo" and "resolution" not in sphere
-    assert sphere["stderr"] > 0.0
+    for name, cfg in [("h1", SW_H1_CFG), ("r4", r4)]:
+        assert run("verify", cfg, tmp_path / name) == 0
+        sphere = json.loads((tmp_path / name / "report.json").read_text())[
+            "report"]["sphere"]
+        assert sphere == {"value": pytest.approx(2 * math.pi ** 2,
+                                                 rel=1e-15),
+                          "method": "exact"}
 
 
 class _MonteCarloSphereCalled(Exception):
@@ -153,23 +149,27 @@ class _MonteCarloSphereCalled(Exception):
 
 
 def test_verify_never_reads_monte_carlo_sphere_measure(tmp_path, monkeypatch):
-    """verify on H1 and R^2, bilinear and radial, gets |S| from the direct
-    rule; axioms still checks the Monte Carlo |S| against it."""
+    """verify on H1, R^2 and R^4, bilinear and radial, reads the gauge's
+    exact |S| and neither estimate of it; axioms still checks the Monte
+    Carlo |S| against the exact one."""
     from revineq import quadrature
 
     def refuse(*args):
         raise _MonteCarloSphereCalled
 
     monkeypatch.setattr(quadrature, "sphere_measure_mc", refuse)
-    monkeypatch.setattr(quadrature, "_SPHERE_CACHE", {})
+    monkeypatch.setattr(quadrature, "sphere_measure_direct", refuse)
     r2 = {"group": {"name": "abelian", "weights": [1.0, 1.0]},
           "norm": {"name": "euclidean"}}
+    r4 = {"group": {"name": "abelian", "weights": [1.0, 1.0, 1.0, 2.0]},
+          "norm": {"name": "anisotropic"}}
     hls = {"name": "reverse_hls", "p": 0.5, "q_prime": 0.5}
     for name, cfg in [
             ("h1_bilinear", SW_H1_CFG),
             ("h1_radial", HARDY_CFG),
             ("r2_bilinear", {**SW_H1_CFG, **r2, "inequality": hls}),
-            ("r2_radial", {**HARDY_CFG, **r2})]:
+            ("r2_radial", {**HARDY_CFG, **r2}),
+            ("r4_bilinear", {**SW_H1_CFG, **r4})]:
         assert run("verify", cfg, tmp_path / name, 11) == 0
     with pytest.raises(_MonteCarloSphereCalled):
         run("axioms", {"group": {"name": "heisenberg"},
@@ -180,7 +180,7 @@ def test_verify_never_reads_monte_carlo_sphere_measure(tmp_path, monkeypatch):
 def test_axioms_computes_monte_carlo_sphere_measure_once(tmp_path,
                                                          monkeypatch):
     """axioms checks the |S| that polar_consistency used against the
-    direct rule, without estimating it a second time."""
+    exact one, without estimating it a second time."""
     from revineq import quadrature
     calls = []
     mc = quadrature.sphere_measure_mc

@@ -36,23 +36,22 @@ def box_profile():
 # ---------------------------------------------------------------------------
 
 def test_lp_interval_measure(line, line_norm, mc_spec, box_profile):
-    # constant 1 on [0,1] with p=1 on the line: total measure 2; the value
-    # carries |S| with its error
+    # constant 1 on [0,1] with p=1 on the line: total measure 2
     val = lp_functional(box_profile, 1.0, line, line_norm, mc_spec)
-    S = sphere_measure(line, line_norm, mc_spec)
-    assert abs(val - 2.0) <= 3 * S.stderr + 1e-9
+    assert sphere_measure(line, line_norm, mc_spec) == 2.0
+    assert val == pytest.approx(2.0, rel=1e-12)
 
 
 def test_lp_exp_plane(plane, plane_norm, mc_spec, expp):
     val = lp_functional(expp, 1.0, plane, plane_norm, mc_spec)
-    S = sphere_measure(plane, plane_norm, mc_spec).value
+    S = sphere_measure(plane, plane_norm, mc_spec)
     # Gamma(2) = 1 up to the declared 1e-8 envelope tail mass
     assert val == pytest.approx(S, rel=1e-7)
 
 
 def test_lp_half_exponent(h1, koranyi, mc_spec, expp):
     val = lp_functional(expp, 0.5, h1, koranyi, mc_spec)
-    S = sphere_measure(h1, koranyi, mc_spec).value
+    S = sphere_measure(h1, koranyi, mc_spec)
     assert val == pytest.approx((96.0 * S) ** 2, rel=1e-7)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,20 @@ def test_envelope_rmax_mass_rule():
     env = DecayEnvelope("exp", scale=1.0)
     r = env.r_max(4.0, 1e-8)
     assert sp.gammaincc(4.0, r) == pytest.approx(1e-8, rel=1e-10)
+
+
+def test_envelope_rmax_beyond_float_range_is_infinite():
+    """power_decay (7.392, 13.313), F', p = 0.3, shift 1/2, Q = 2: the tail
+    exponent 2.5176 sits just above m = 2.5, so the 1e-8 cutoff lies
+    beyond the float range.  r_max says so without a warning, and the
+    integral drops no tail; ordinary power cutoffs stay finite."""
+    profile = make_profile("power_decay", [7.392, 13.313])
+    env = profile.derivative_envelope.powered(0.3).boosted(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert env.r_max(2.0) == math.inf
+        assert DecayEnvelope("power", scale=2.0, shape=5.0).r_max(2.0) == \
+            pytest.approx(368.40314986403854, rel=1e-15)
 
 
 def test_envelope_families_closed_under_power_and_boost():
@@ -575,110 +590,64 @@ def test_sphere_measure_koranyi(h1, koranyi):
         assert abs(res.value - direct) <= 3 * res.stderr
 
 
-def _r4():
-    group = abelian_group((1.0,) * 4)
-    return group, euclidean_norm(group)
-
-
-def test_sphere_measure_cached(h1, koranyi, mc_spec):
-    """sphere_measure memoises the Monte Carlo |S| of R^4 per spec, while
-    sphere_measure_mc keeps no state and repeats its bits."""
-    group, norm = _r4()
-    a = sphere_measure(group, norm, mc_spec)
-    assert sphere_measure(*_r4(), mc_spec) is a
+def test_sphere_measure_mc_repeats_its_bits(h1, koranyi, mc_spec):
+    """sphere_measure_mc keeps no state and repeats its bits."""
     b = sphere_measure_mc(h1, koranyi, mc_spec)
     c = sphere_measure_mc(h1, koranyi, mc_spec)
     assert b is not c and b == c
 
 
-def test_sphere_measure_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(quadrature, "_SPHERE_CACHE", {})
-    bound = quadrature._SPHERE_CACHE_MAX
-    assert bound >= 1024
-    group, norm = _r4()
-    specs = [QuadratureSpec(sample_count=2, seed=s) for s in range(bound + 20)]
-    first = [sphere_measure(group, norm, spec) for spec in specs]
-    assert len(quadrature._SPHERE_CACHE) == bound
-    # the newest entries still hit; the oldest were evicted
-    for spec, res in zip(specs[-bound:], first[-bound:]):
-        assert sphere_measure(group, norm, spec) is res
-    assert sphere_measure(group, norm, specs[0]) is not first[0]
-
-
-# every built-in (group, gauge) of dimension <= 3, with |S| in closed form;
-# {x^4 + y^2 <= 1} has area B(1/4, 3/2), and |S| = Q |unit ball|
+# every built-in gauge on a group of dimension <= 3, with |S| in closed form;
+# |S| = Q |unit ball|, {x^4 + y^2 <= 1} has area B(1/4, 3/2), {x^6 + y^4 <= 1}
+# has area (2/3) B(1/6, 5/4), and {x^4 + y^4 + t^2 <= 1} has volume
+# 8 Gamma(5/4)^2 Gamma(3/2)
 _DIRECT_PAIRS = [
     ((1.0,), euclidean_norm, 2.0),
     ((1.0, 1.0), euclidean_norm, 2.0 * math.pi),
     ((1.0, 2.0), anisotropic_gauge, 3.0 * sp.beta(0.25, 1.5)),
-    ((1.0, 1.0, 2.0), koranyi_norm, 2.0 * math.pi ** 2),
-    ((1.0, 1.0, 2.0), cygan_norm, math.pi ** 2 / 2.0),
+    (heisenberg_group, koranyi_norm, 2.0 * math.pi ** 2),
+    (heisenberg_group, cygan_norm, math.pi ** 2 / 2.0),
+    (heisenberg_group, anisotropic_gauge,
+     4.0 * 8.0 * sp.gamma(1.25) ** 2 * sp.gamma(1.5)),
+    ((1.0, 1.5), anisotropic_gauge, 2.5 * 2.0 / 3.0 * sp.beta(1 / 6, 1.25)),
+    ((1.0, 1.0, 2.0), anisotropic_gauge,
+     4.0 * 8.0 * sp.gamma(1.25) ** 2 * sp.gamma(1.5)),
 ]
 
 
-def _direct_pair(weights, gauge):
-    group = heisenberg_group() if len(weights) == 3 else abelian_group(weights)
-    return group, gauge(group)
-
-
-@pytest.mark.parametrize("weights,gauge,exact", _DIRECT_PAIRS,
+@pytest.mark.parametrize("group,gauge,exact", _DIRECT_PAIRS,
                          ids=["r1", "r2", "anisotropic_r2", "h1_koranyi",
-                              "h1_cygan"])
-def test_direct_rule_converged_at_its_resolution(weights, gauge, exact):
+                              "h1_cygan", "h1_anisotropic",
+                              "anisotropic_r2_3_halves", "anisotropic_r3"])
+def test_direct_rule_converged_at_its_resolution(group, gauge, exact):
     """Doubling the direct rule's resolution moves |S| by at most 1e-12 of
-    it, and the verifiers' |S| is that rule with its half-resolution gap."""
-    group, norm = _direct_pair(weights, gauge)
-    m = quadrature._DIRECT_RESOLUTION
-    assert m == 256
-    value = sphere_measure_direct(group, norm, m)
-    assert abs(value - sphere_measure_direct(group, norm, 2 * m)) <= \
+    it, and the gauge's exact |S|, which the verifiers read, agrees with
+    the rule to 1e-14 and with the closed form written out above."""
+    # a weights tuple stands for R^N with those weights
+    group = group() if callable(group) else abelian_group(group)
+    norm = gauge(group)
+    value = sphere_measure_direct(group, norm)
+    assert value == sphere_measure_direct(group, norm, 256)
+    assert abs(value - sphere_measure_direct(group, norm, 512)) <= \
         1e-12 * value
-    assert value == pytest.approx(exact, rel=1e-12)
-    res = sphere_measure(group, norm, QuadratureSpec(sample_count=2, seed=1))
-    assert (res.value, res.method, res.resolution) == (value, "direct", m)
-    assert res.stderr == abs(value - sphere_measure_direct(group, norm, m // 2))
-    assert res.stderr <= 1e-12 * value
+    assert abs(norm.sphere - value) <= 1e-14 * value
+    assert norm.sphere == pytest.approx(exact, rel=1e-14)
+    assert sphere_measure(group, norm, QuadratureSpec(sample_count=2,
+                                                      seed=1)) == norm.sphere
 
 
-def test_sphere_measure_rule_computed_once_per_group_and_gauge(monkeypatch):
-    monkeypatch.setattr(quadrature, "_SPHERE_CACHE", {})
-    calls = []
-    direct = quadrature.sphere_measure_direct
-
-    def counted(group, norm, resolution):
-        calls.append((group.name, norm.name, resolution))
-        return direct(group, norm, resolution)
-
-    monkeypatch.setattr(quadrature, "sphere_measure_direct", counted)
-    specs = [QuadratureSpec(sample_count=n, seed=s)
-             for n in (2, 20000) for s in range(3)]
-    pairs = [_direct_pair(w, gauge) for w, gauge, _ in _DIRECT_PAIRS]
-    first = [sphere_measure(g, n, specs[0]) for g, n in pairs]
-    for spec in specs:
-        for (weights, gauge, _), res in zip(_DIRECT_PAIRS, first):
-            # a group and gauge built afresh, as each CLI command builds
-            # them, hit the entry of the first
-            assert sphere_measure(*_direct_pair(weights, gauge), spec) is res
-    m = quadrature._DIRECT_RESOLUTION
-    assert sorted(calls) == sorted((g.name, n.name, k) for g, n in pairs
-                                   for k in (m, m // 2))
-
-
-def test_sphere_measure_in_dimension_four_is_monte_carlo_per_seed():
-    group = abelian_group((1.0,) * 4)
-    norm = euclidean_norm(group)
-    a, b = (sphere_measure(group, norm,
-                           QuadratureSpec(sample_count=20000, seed=s))
-            for s in (1, 2))
-    for s, res in ((1, a), (2, b)):
-        mc = sphere_measure_mc(group, norm,
-                               QuadratureSpec(sample_count=20000, seed=s))
-        assert (res.value, res.stderr) == (mc.value, mc.stderr)
-        assert res.method == "monte_carlo" and res.resolution is None
-        assert "resolution" not in res.as_dict()
-    assert a.value != b.value
-    # |S^3| = 2 pi^2
-    assert abs(a.value - 2 * math.pi ** 2) <= 3 * a.stderr
+@pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0, 2.0),
+                                     (1.0, 2.0, 3.0, 4.0)])
+def test_exact_sphere_measure_in_dimension_four(weights):
+    """No deterministic rule exists in dimension 4; Monte Carlo at 1M
+    samples agrees with the exact |S| within 3 stderr."""
+    group = abelian_group(weights)
+    norm = anisotropic_gauge(group)
+    with pytest.raises(ParameterError):
+        sphere_measure_direct(group, norm)
+    res = sphere_measure_mc(group, norm,
+                            QuadratureSpec(sample_count=1_000_000, seed=1))
+    assert abs(res.value - norm.sphere) <= 3 * res.stderr
 
 
 def test_weighted_line_sphere():
@@ -687,6 +656,7 @@ def test_weighted_line_sphere():
     from revineq import abelian_group, anisotropic_gauge
     g = abelian_group((2.0,), name="weighted_line")
     gauge = anisotropic_gauge(g)
+    assert gauge.sphere == 4.0
     assert sphere_measure_direct(g, gauge) == pytest.approx(4.0)
 
 

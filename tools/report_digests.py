@@ -149,12 +149,14 @@ CORPUS = (
     # 40000 samples)
     ("verify_reverse_hardy_defaults", "verify", {
         **_HARDY, "trial": {"family": "exp_decay", "params": [1]}}, 22),
-    # dimension 4, where |S| is still the Monte Carlo estimate at the seed
+    # dimension 4, where no direct surface rule exists; |S| is exact there
+    # too
     ("verify_reverse_hardy_r4", "verify", {
         **_MC, "group": {"name": "abelian", "weights": [1.0, 1.0, 1.0, 1.0]},
         "norm": {"name": "euclidean"}, **_HARDY, **_EXP}, 23),
-    # the |S| memo keyed by spec in dimension 4, read by the bilinear form,
-    # by each sweep point, and by axioms through polar_consistency
+    # a dimension-4 anisotropic gauge's exact |S|, read by the bilinear
+    # form, by each sweep point, and by axioms, which checks the Monte Carlo
+    # |S| of polar_consistency against it
     ("verify_reverse_stein_weiss_r4_anisotropic", "verify", {
         **_R4_ANISOTROPIC, **_EXP_GAUSS,
         "inequality": {"name": "reverse_stein_weiss", "p": 0.5,
