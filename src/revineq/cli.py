@@ -329,6 +329,7 @@ def _sweep_rows(cfg: Section, group, norm, spec):
     profiles = [_build_trial(cfg, key) for key in entry.trials]
     cfg.finish("sweep")
 
+    forms = {}      # the bilinear forms of this sweep (see verify_stein_weiss)
     for point, params in zip(points, point_params):
         # the cells keep the raw grid values; lambda is the resolved one
         base = {"inequality": name, "Q": params.Q, "alpha": params.alpha,
@@ -340,7 +341,7 @@ def _sweep_rows(cfg: Section, group, norm, spec):
                    "margin": "", "stderr": "", "pass": "skip",
                    "note": "; ".join(adm.failures)}
             continue
-        rep = entry.verify(*profiles, params, group, norm, spec)
+        rep = entry.verify(*profiles, params, group, norm, spec, forms=forms)
         yield {**base, "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio,
                "constant": rep.analytic_constant, "margin": rep.margin,
                "stderr": rep.stderr, "pass": str(rep.passed).lower(),

@@ -447,15 +447,25 @@ def verify_forward_ckn(f: RadialProfile, p: float, alpha: float, beta: float,
 
 def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
                        params: InequalityParams, group: HomogeneousGroup,
-                       norm: QuasiNorm, spec: QuadratureSpec) -> VerificationReport:
-    """B(f,h) >= C ||f||_{q'} ||h||_p with the certified constant C."""
+                       norm: QuasiNorm, spec: QuadratureSpec, *,
+                       forms: dict | None = None) -> VerificationReport:
+    """B(f,h) >= C ||f||_{q'} ||h||_p with the certified constant C.
+
+    ``forms`` holds bilinear forms already computed, keyed by every input
+    of stein_weiss_form: B is read from it when there and stored in it when
+    not.  B does not depend on p and q' apart from lambda, so the points of
+    a sweep that share (alpha, beta, lambda) share one B."""
     _require_admissible(params, "verify_stein_weiss")
     if abs(params.Q - group.homogeneous_dim) > 1e-12:
         raise ParameterError("params.Q does not match the group",
                              module=_MODULE, operation="verify_stein_weiss")
     S = sphere_measure(group, norm, spec)
-    B = stein_weiss_form(f, h, params.alpha, params.beta, params.lam,
-                         group, norm, spec)
+    inputs = (f, h, params.alpha, params.beta, params.lam, group, norm, spec)
+    B = None if forms is None else forms.get(inputs)
+    if B is None:
+        B = stein_weiss_form(*inputs)
+        if forms is not None:
+            forms[inputs] = B
     nf = lp_functional(f, params.q_prime, group, norm, spec)
     nh = lp_functional(h, params.p, group, norm, spec)
     if nf == 0.0 or nh == 0.0:
@@ -475,13 +485,15 @@ def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
 
 def verify_reverse_hls(f: RadialProfile, h: RadialProfile,
                        params: InequalityParams, group: HomogeneousGroup,
-                       norm: QuasiNorm, spec: QuadratureSpec) -> VerificationReport:
-    """The unweighted corollary (alpha = beta = 0) of the bilinear bound."""
+                       norm: QuasiNorm, spec: QuadratureSpec, *,
+                       forms: dict | None = None) -> VerificationReport:
+    """The unweighted corollary (alpha = beta = 0) of the bilinear bound;
+    ``forms`` as in verify_stein_weiss."""
     if params.alpha != 0.0 or params.beta != 0.0:
         raise ParameterError("the unweighted corollary requires "
                              "alpha = beta = 0", module=_MODULE,
                              operation="verify_reverse_hls")
-    rep = verify_stein_weiss(f, h, params, group, norm, spec)
+    rep = verify_stein_weiss(f, h, params, group, norm, spec, forms=forms)
     rep.inequality = "reverse_hls"
     return rep
 
@@ -677,7 +689,9 @@ class InequalityEntry(NamedTuple):
 
     trials: tuple[str, ...]     # config sections of its profiles, in order
     read: Callable              # (get, Q) -> the verifier's arguments
-    verify: Callable            # (*profiles, arguments, group, norm, spec)
+    # (*profiles, arguments, group, norm, spec); the bilinear entries, which
+    # sweep serves, also take forms= (see verify_stein_weiss)
+    verify: Callable
     commands: tuple[str, ...] = ("verify", "estimate")
 
 
@@ -730,9 +744,11 @@ INEQUALITIES: dict[str, InequalityEntry] = {
         _TRIAL, _read_ckn,
         lambda f, P, *r: verify_forward_ckn(f, P.p, P.alpha, P.beta, *r)),
     "reverse_stein_weiss": InequalityEntry(
-        _PAIR, _read_bilinear, lambda *a: verify_stein_weiss(*a), _SWEEP),
+        _PAIR, _read_bilinear, lambda *a, **k: verify_stein_weiss(*a, **k),
+        _SWEEP),
     "reverse_hls": InequalityEntry(
-        _PAIR, _read_bilinear, lambda *a: verify_reverse_hls(*a), _SWEEP),
+        _PAIR, _read_bilinear, lambda *a, **k: verify_reverse_hls(*a, **k),
+        _SWEEP),
     "reverse_integral_hardy": InequalityEntry(
         _TRIAL, _read_integral_hardy,
         lambda f, a, *r: verify_reverse_integral_hardy(*a[:3], f, *a[3:], *r),

@@ -341,15 +341,21 @@ def estimate_best_constant(inequality: str, params, families,
     trace: list[tuple[tuple[float, ...], float]] = []
     degenerate = 0
     constant = math.nan     # the same at every point: it has no profile
+    # (ratio, degenerate) at each point evaluated: clipping to the box makes
+    # the simplex revisit points, and a revisit costs no second verifier call
+    seen: dict[tuple[float, ...], tuple[float, bool]] = {}
 
     def fn(theta) -> float:
         nonlocal degenerate, constant
         theta = tuple(float(t) for t in np.atleast_1d(theta))
-        try:
-            ratio, constant = objective(theta)
-        except (DegenerateInputError, DivergenceError):
-            degenerate += 1
-            ratio = math.inf
+        if theta not in seen:
+            try:
+                ratio, constant = objective(theta)
+                seen[theta] = ratio, False
+            except (DegenerateInputError, DivergenceError):
+                seen[theta] = math.inf, True
+        ratio, failed = seen[theta]
+        degenerate += failed
         trace.append((theta, ratio))
         return ratio
 

@@ -246,6 +246,48 @@ def test_sweep_rows_equal_standalone_verify(tmp_path, clear_caches):
                                    "margin", "stderr")]
 
 
+@pytest.mark.parametrize("name", ["reverse_stein_weiss", "reverse_hls"])
+def test_sweep_computes_each_bilinear_form_once(tmp_path, monkeypatch, name):
+    """B depends on p and q' only through lambda, which is symmetric in
+    them: the 3x3 H1 grid has 6 distinct forms, so the sweep calls
+    stein_weiss_form 6 times, not 9.  Each row still holds the bits of a
+    verify_stein_weiss of its point alone."""
+    from revineq import inequalities as ineq
+    from revineq import (InequalityParams, QuadratureSpec, balanced_lambda,
+                         heisenberg_group, koranyi_norm, make_profile)
+    calls = []
+    form = ineq.stein_weiss_form
+
+    def counted(*args):
+        calls.append(args[2:5])
+        return form(*args)
+
+    monkeypatch.setattr(ineq, "stein_weiss_form", counted)
+    grid = [0.3, 0.5, 0.7]
+    assert run("sweep", {
+        "seed": 3, "group": {"name": "heisenberg"},
+        "norm": {"name": "koranyi"},
+        "quadrature": {"scheme": "monte_carlo", "sample_count": 5000},
+        "trial_f": {"family": "exp_decay", "params": [1.0]},
+        "trial_h": {"family": "gaussian", "params": [1.0]},
+        "sweep": {"inequality": name, "grid": {"p": grid, "q_prime": grid}}},
+        tmp_path) == 0
+    assert len(calls) == 6 and len(set(calls)) == 6
+    with (tmp_path / "sweep.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9
+    h1 = heisenberg_group()
+    f, h = make_profile("exp_decay", [1.0]), make_profile("gaussian", [1.0])
+    for row in rows:
+        p, qp = float(row["p"]), float(row["q_prime"])
+        P = InequalityParams(Q=4.0, p=p, q_prime=qp,
+                             lam=balanced_lambda(4.0, p, qp))
+        rep = ineq.verify_stein_weiss(f, h, P, h1, koranyi_norm(h1),
+                                      QuadratureSpec(5000, seed=3))
+        assert [float(row[k]) for k in ("lhs", "rhs", "stderr")] == \
+            [rep.lhs, rep.rhs, rep.stderr]
+
+
 def test_estimate_writes_trace(tmp_path):
     cfg = write_cfg(tmp_path, {
         "seed": 11,

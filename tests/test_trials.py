@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from revineq import (DivergenceError, EstimationError, InequalityParams,
-                     ParameterError, QuadratureSpec, SearchSpec,
+from revineq import (DegenerateInputError, DivergenceError, EstimationError,
+                     InequalityParams, ParameterError, QuadratureSpec,
+                     SearchSpec,
                      balanced_lambda, estimate_best_constant,
                      integrate_radial_err, make_profile, weighted_p_integral)
 from revineq.operators import CLOSED_FORM_RTOL
@@ -99,6 +100,41 @@ def test_estimates_bit_identical_across_runs(h1, koranyi, quad):
     assert a.min_ratio == b.min_ratio
     assert a.argmin == b.argmin
     assert a.trace == b.trace
+
+
+@pytest.mark.parametrize("family", ["gaussian", "power_decay"])
+def test_estimate_evaluates_each_point_once(h1, cygan, quad, monkeypatch,
+                                            family):
+    """The simplex, clipped to the box, revisits points: the search calls
+    the verifier once per distinct point, but every visit is in the trace
+    and a revisited degenerate point counts again.  Each trace ratio is
+    that of a fresh verifier call at its point."""
+    from revineq import inequalities as ineq
+    P = InequalityParams(Q=4, p=0.5)
+    calls = []
+    verify = ineq.verify_reverse_hardy
+
+    def counted(f, *args):
+        calls.append(f.params)
+        return verify(f, *args)
+
+    monkeypatch.setattr(ineq, "verify_reverse_hardy", counted)
+    rec = estimate_best_constant(
+        "reverse_hardy", P, family,
+        SearchSpec(method="nelder_mead", budget=24, restarts=2, seed=5),
+        h1, cygan, quad)
+    points = [theta for theta, _ in rec.trace]
+    assert rec.evaluations == len(points) == 24
+    assert len(calls) == len(set(points)) < len(points)
+    assert rec.degenerate_evaluations == \
+        sum(ratio == math.inf for _, ratio in rec.trace)
+    for theta, ratio in rec.trace:
+        try:
+            fresh = verify(make_profile(family, theta), P.p, h1, cygan,
+                           quad).ratio
+        except (DegenerateInputError, DivergenceError):
+            fresh = math.inf
+        assert fresh == ratio
 
 
 def test_bilinear_estimate_pair(plane, plane_norm, quad):
