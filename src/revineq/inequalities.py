@@ -466,19 +466,22 @@ def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
         B = stein_weiss_form(*inputs)
         if forms is not None:
             forms[inputs] = B
-    nf = lp_functional(f, params.q_prime, group, norm, spec)
-    nh = lp_functional(h, params.p, group, norm, spec)
+    nf, nf_err = lp_functional(f, params.q_prime, group, norm, spec)
+    nh, nh_err = lp_functional(h, params.p, group, norm, spec)
     if nf == 0.0 or nh == 0.0:
         raise DegenerateInputError("a trial profile has zero quasi-norm",
                                    module=_MODULE, operation="verify_stein_weiss")
     const = stein_weiss_lower_constant(params, S)
     den = nf * nh
+    den_err = nf_err * nh + nf * nh_err
+    # the relative errors of the two sides add, as in _verify_radial
     return VerificationReport(
         inequality="reverse_stein_weiss" if params.variant == "full"
         else f"reverse_stein_weiss[{params.variant}]",
         params=params.as_dict(),
         lhs=B.value, rhs=den, analytic_constant=const,
-        stderr=B.stderr / den, lhs_stderr=B.stderr, sphere=S,
+        stderr=B.stderr / den + abs(B.value / den) * den_err / den,
+        lhs_stderr=B.stderr, rhs_stderr=den_err, sphere=S,
         extras={"f": f.family_tag, "h": h.family_tag},
     )
 

@@ -181,10 +181,13 @@ def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
 
 
 def lp_functional(profile: RadialProfile, p: float, group: HomogeneousGroup,
-                  norm: QuasiNorm, spec: QuadratureSpec) -> float:
-    """( |S| int F(r)^p r^{Q-1} dr )^{1/p} for p > 0."""
-    val, _ = weighted_p_integral(profile, p, 0.0, group.homogeneous_dim)
-    return float((sphere_measure(group, norm, spec) * val) ** (1.0 / p))
+                  norm: QuasiNorm, spec: QuadratureSpec) -> tuple[float, float]:
+    """(v, error estimate) of v = ( |S| int F(r)^p r^{Q-1} dr )^{1/p} for
+    p > 0; the radial integral's error e carries to first order, as
+    v e / (p I).  |S| is exact and adds none."""
+    val, err = weighted_p_integral(profile, p, 0.0, group.homogeneous_dim)
+    v = float((sphere_measure(group, norm, spec) * val) ** (1.0 / p))
+    return v, v * err / (p * val) if val else 0.0
 
 
 # ---------------------------------------------------------------------------

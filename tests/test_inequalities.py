@@ -17,7 +17,7 @@ from revineq import (DecayEnvelope, DegenerateInputError, DivergenceError,
                      verify_forward_sobolev, verify_reverse_ckn,
                      verify_reverse_hardy, verify_reverse_hls,
                      verify_reverse_integral_hardy, verify_reverse_sobolev,
-                     verify_stein_weiss)
+                     verify_stein_weiss, weighted_p_integral)
 from revineq.inequalities import _regimes, power_weight_A
 
 WORKED = InequalityParams(Q=4, p=0.5, q_prime=0.5, lam=5.0, alpha=1.0, beta=2.0)
@@ -250,6 +250,27 @@ def test_stein_weiss_worked_example(h1, koranyi, expp):
     assert rep.passed
     assert rep.ratio > rep.analytic_constant
     assert rep.sphere == pytest.approx(2 * math.pi ** 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("family, params", [("gaussian", [1.0]),
+                                            ("smooth_bump", [1.0])])
+def test_stein_weiss_rhs_stderr_carries_both_norms(h1, koranyi, mc_spec, expp,
+                                                   family, params):
+    """rhs = ||f||_{q'} ||h||_p carries the error bars of its two radial
+    integrals to first order, and the ratio's stderr adds that relative
+    error to B's.  A closed-form moment has a 1e-12 relative bar; the
+    smooth bump's comes from the Gauss-Kronrod rule."""
+    h = make_profile(family, params)
+    rep = verify_stein_weiss(expp, h, WORKED, h1, koranyi, mc_spec)
+    (i_f, e_f), (i_h, e_h) = (weighted_p_integral(g, 0.5, 0.0, 4.0)
+                              for g in (expp, h))
+    assert rep.rhs_stderr > 0.0
+    assert rep.rhs_stderr == pytest.approx(
+        rep.rhs * (e_f / i_f + e_h / i_h) / 0.5, rel=1e-12)
+    assert rep.stderr == pytest.approx(
+        rep.ratio * (rep.lhs_stderr / rep.lhs + rep.rhs_stderr / rep.rhs),
+        rel=1e-12)
+    assert rep.stderr > rep.lhs_stderr / rep.rhs
 
 
 def test_stein_weiss_overflowing_form_raises_divergence(h1, koranyi, expp):
