@@ -460,12 +460,11 @@ def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
         raise ParameterError("params.Q does not match the group",
                              module=_MODULE, operation="verify_stein_weiss")
     S = sphere_measure(group, norm, spec)
+    forms = {} if forms is None else forms
     inputs = (f, h, params.alpha, params.beta, params.lam, group, norm, spec)
-    B = None if forms is None else forms.get(inputs)
-    if B is None:
-        B = stein_weiss_form(*inputs)
-        if forms is not None:
-            forms[inputs] = B
+    if inputs not in forms:
+        forms[inputs] = stein_weiss_form(*inputs)
+    B = forms[inputs]
     nf, nf_err = lp_functional(f, params.q_prime, group, norm, spec)
     nh, nh_err = lp_functional(h, params.p, group, norm, spec)
     if nf == 0.0 or nh == 0.0:

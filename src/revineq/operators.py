@@ -187,7 +187,7 @@ def lp_functional(profile: RadialProfile, p: float, group: HomogeneousGroup,
     v e / (p I).  |S| is exact and adds none."""
     val, err = weighted_p_integral(profile, p, 0.0, group.homogeneous_dim)
     v = float((sphere_measure(group, norm, spec) * val) ** (1.0 / p))
-    return v, v * err / (p * val) if val else 0.0
+    return v, (v * err / (p * val) if val else 0.0)
 
 
 # ---------------------------------------------------------------------------
