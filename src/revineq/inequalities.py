@@ -481,7 +481,8 @@ def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
         lhs=B.value, rhs=den, analytic_constant=const,
         stderr=B.stderr / den + abs(B.value / den) * den_err / den,
         lhs_stderr=B.stderr, rhs_stderr=den_err, sphere=S,
-        extras={"f": f.family_tag, "h": h.family_tag},
+        extras={"f": f.family_tag, "h": h.family_tag,
+                "lhs_stderr_plain": B.plain_stderr},
     )
 
 

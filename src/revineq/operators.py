@@ -20,7 +20,9 @@ The doubly weighted bilinear form with growing kernel
     B(f, h) = int int |x|^a |y^{-1}x|^л f(|x|) h(|y|) |y|^b dx dy,   л > 0,
 
 is estimated by importance-sampled Monte Carlo with the exact polar
-Jacobian from the quadrature module; estimates are deterministic per seed.
+Jacobian from the quadrature module, corrected by two control variates
+whose means are products of radial moments; estimates are deterministic
+per seed.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .exceptions import DegenerateInputError, ParameterError
 from .groups import (HomogeneousGroup, QuasiNorm, _sample_points, dilate,
                      group_inv, group_mul)
 from .quadrature import (DecayEnvelope, IntegralResult, QuadratureSpec,
-                         RadialSampler, _finalize, draw_block,
+                         RadialSampler, _checked_mean, draw_block,
                          integrate_radial_err, sample_group_points,
                          sphere_measure)
 
@@ -194,9 +196,17 @@ def lp_functional(profile: RadialProfile, p: float, group: HomogeneousGroup,
 # the bilinear form
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class BilinearEstimate(IntegralResult):
+    """A bilinear form's estimate; ``plain_stderr`` is the stderr that the
+    plain mean of the same samples would have, without control variates."""
+
+    plain_stderr: float
+
+
 def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
                      beta: float, lam: float, group: HomogeneousGroup,
-                     norm: QuasiNorm, spec: QuadratureSpec) -> IntegralResult:
+                     norm: QuasiNorm, spec: QuadratureSpec) -> BilinearEstimate:
     """Monte Carlo estimate of the doubly weighted bilinear form
 
         B(f, h) = int int |x|^alpha |y^{-1}x|^л f(|x|) h(|y|) |y|^beta dx dy.
@@ -204,6 +214,20 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     x and y are drawn independently, each from its profile's envelope with a
     polynomial boost of alpha + л/2 (resp. beta + л/2) so the kernel growth
     is shared between the two radial proposals.
+
+    With weights w, a = w_x f(|x|) |x|^alpha and b = w_y h(|y|) |y|^beta,
+    the sample is Y = a b |y^{-1}x|^л.  The kernel is close to |x|^л where
+    |y| << |x| and to |y|^л where |x| << |y|, so C1 = a b |x|^л and
+    C2 = a b |y|^л are control variates, with the exact means
+
+        E C1 = |S|^2 M_f(alpha + л) M_h(beta),
+        E C2 = |S|^2 M_f(alpha) M_h(beta + л),
+
+    M_g(s) = int g(r) r^{s+Q-1} dr (``weighted_p_integral`` at p = 1).  These
+    are finite wherever B is.  They are truncated at their own cutoffs, the
+    samples at the samplers' cutoffs: the two drop different tails, each
+    below 1e-8 of the mass.  See ``_control_variate_estimate`` for the
+    estimate and its stderr.
     """
     if lam <= 0:
         raise ParameterError("lambda must be positive", module=_MODULE,
@@ -224,11 +248,72 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     y, _, wy = sample_group_points(group, sy, n, draw_block(group, spec, 1))
 
     gx, gy = norm(x), norm(y)
-    kern = norm(group_mul(group, group_inv(group, y), x)) ** lam
+    # (|y^{-1}x|, |x|, |y|)^л times a b: the rows Y, C1 and C2
+    rows = np.stack([norm(group_mul(group, group_inv(group, y), x)), gx, gy])
     with np.errstate(over="ignore"):
-        vals = (f(gx) * gx ** alpha * wx) * (h(gy) * gy ** beta * wy) * kern
-    return _finalize(vals, n, "stein_weiss_form",
-                     hint="; tighten the trial decay or reduce lambda")
+        rows **= lam
+        a, b = gx ** alpha, gy ** beta
+        a *= f(gx)
+        a *= wx                         # rounded as f(|x|) |x|^alpha w_x
+        b *= h(gy)
+        b *= wy
+        a *= b
+        rows *= a
+    mean_y = _checked_mean(rows[0], n, "stein_weiss_form",
+                           hint="; tighten the trial decay or reduce lambda")
+    S = sphere_measure(group, norm, spec)
+    controls = (_control_mean(f, alpha + lam, h, beta, Q, S),
+                _control_mean(f, alpha, h, beta + lam, Q, S))
+    return _control_variate_estimate(rows, n, mean_y, controls)
+
+
+def _control_mean(f: RadialProfile, f_shift: float, h: RadialProfile,
+                  h_shift: float, Q: float, S: float) -> tuple[float, float]:
+    """(|S|^2 M_f(f_shift) M_h(h_shift), its relative error); the error is
+    inf where the mean is 0."""
+    (mf, ef), (mh, eh) = (weighted_p_integral(f, 1.0, f_shift, Q),
+                          weighted_p_integral(h, 1.0, h_shift, Q))
+    mean = S * S * mf * mh
+    return mean, (ef / mf + eh / mh if mean else math.inf)
+
+
+def _control_variate_estimate(rows: np.ndarray, n: int, mean_y: float,
+                              controls) -> BilinearEstimate:
+    """The regression estimate of E Y from n samples of rows = (Y, C1, C2),
+    whose controls have the (mean, relative error) pairs ``controls``;
+    ``mean_y`` is the checked mean of Y.  Centres ``rows`` in place.
+
+    With each control divided by its mean, so that c_j = C_j / E C_j has
+    mean 1, b solves G_cc b = G_cy in the centred Gram matrix G of
+    (Y, c1, c2).  The estimate is mean(Y) - b . (mean(c) - 1).  Its stderr
+    is the residual standard deviation, sqrt((G_yy - b . G_cy) / (n - 3)),
+    over sqrt(n), plus |b_j| times the relative error of each control mean.
+    Where the controls are degenerate (a zero mean, a singular or
+    non-finite Gram matrix, or n <= 3) the plain mean of Y stands, with
+    its stderr sqrt(G_yy / (n - 1) / n).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # 1 / E C_j scales the sums of C_j to those of c_j
+        scale = 1.0 / np.array([1.0, *(mean for mean, _ in controls)])
+        avg = np.sum(rows, axis=1) / n
+        rows -= avg[:, None]
+        # einsum's own loops: a BLAS product rounds differently with the
+        # number of BLAS threads, and takes longer on rows this shape
+        gram = np.einsum("ij,kj->ik", rows, rows)
+        avg *= scale
+        gram *= np.outer(scale, scale)
+    plain = math.sqrt(gram[0, 0] / (n - 1) / n) if n > 1 else math.inf
+    gcc, gcy = gram[1:, 1:], gram[1:, 0]
+    det = gcc[0, 0] * gcc[1, 1] - gcc[0, 1] * gcc[0, 1]
+    if not (n > 3 and np.isfinite(gram).all()
+            and det > 1e-12 * gcc[0, 0] * gcc[1, 1]):
+        return BilinearEstimate(mean_y, plain, plain)
+    b = np.linalg.solve(gcc, gcy)
+    resid = max(float(gram[0, 0] - b @ gcy), 0.0)
+    stderr = (math.sqrt(resid / (n - 3) / n)
+              + float(np.abs(b) @ [rel for _, rel in controls]))
+    return BilinearEstimate(float(mean_y - b @ (avg[1:] - 1.0)), stderr,
+                            plain)
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,9 @@ class RadialSampler:
         # the node a draw is compared with; +inf after the last segment
         # keeps i(t) <= last
         self._next_cum = np.concatenate([cum[1:-1], [np.inf]])
+        # the right end of each segment, so that a draw reads it without
+        # forming i + 1
+        self._grid_hi = grid[1:]
 
     def _bucket(self, t: np.ndarray) -> np.ndarray:
         k = (t * self._bucket_scale).astype(np.intp)
@@ -325,20 +328,36 @@ class RadialSampler:
         u = rng if isinstance(rng, np.ndarray) else rng.random(n)
         t = u * self.total
         i = self._segment(t)
-        a, b = self.grid[i], self.grid[i + 1]
+        a, b = self.grid[i], self._grid_hi[i]
         d0, slope = self.dens[i], self._slope[i]
-        tl = t - self.cum[i]
+        # in place from here on: each step rounds as the expression in its
+        # comment does
+        tl = t
+        tl -= self.cum[i]                           # t - cum[i]
         # stable root of slope x^2/2 + d0 x = tl
-        disc = np.sqrt(np.maximum(d0 * d0 + 2.0 * slope * tl, 0.0))
-        x = 2.0 * tl / np.maximum(d0 + disc, 1e-300)
-        r = a + np.minimum(x, b - a)
+        disc = slope * 2.0
+        disc *= tl
+        disc += d0 * d0                             # d0^2 + 2 slope tl
+        np.maximum(disc, 0.0, out=disc)
+        np.sqrt(disc, out=disc)
+        disc += d0
+        np.maximum(disc, 1e-300, out=disc)          # max(d0 + disc, 1e-300)
+        x = tl
+        x *= 2.0
+        x /= disc                                   # 2 tl / max(...)
+        r = b - a
+        np.minimum(x, r, out=r)
+        r += a                                      # a + min(x, b - a)
         # np.interp's formula on the drawn segment; a radius clipped onto the
         # segment end takes np.interp's value there, the node's own
-        dens = slope * (r - a) + d0
+        dens = np.subtract(r, a, out=a)
+        dens *= slope
+        dens += d0                                  # slope (r - a) + d0
         at_end = ~(r < b)
         if at_end.any():
             dens[at_end] = np.interp(r[at_end], self.grid, self.dens)
-        return r, dens / self.total
+        dens /= self.total
+        return r, dens
 
     def pdf(self, r: np.ndarray) -> np.ndarray:
         return np.interp(r, self.grid, self.dens) / self.total
@@ -409,19 +428,21 @@ def sample_group_points(group: HomogeneousGroup, sampler: RadialSampler,
     block = rng if isinstance(rng, DrawBlock) else _draw(group, n, rng)
     r, pdf = sampler.sample(n, block.uniforms)
     x = dilate(group, r, block.directions)
-    area = unit_sphere_area(group.dim)
-    q = pdf / (area * r ** (group.homogeneous_dim - 1.0) * block.lam)
-    return x, r, 1.0 / q
+    jac = r ** (group.homogeneous_dim - 1.0)
+    jac *= unit_sphere_area(group.dim)
+    jac *= block.lam
+    q = np.divide(pdf, jac, out=pdf)       # pdf / (area r^{Q-1} L(u))
+    return x, r, np.divide(1.0, q, out=q)
 
 
 # ---------------------------------------------------------------------------
 # cartesian integration
 # ---------------------------------------------------------------------------
 
-def _finalize(vals: np.ndarray, n: int, operation: str,
-              points: np.ndarray | None = None,
-              hint: str = "") -> IntegralResult:
-    """Mean and stderr of n weighted samples; ``hint`` ends a divergence."""
+def _checked_mean(vals: np.ndarray, n: int, operation: str,
+                  points: np.ndarray | None = None, hint: str = "") -> float:
+    """Mean of n weighted samples, which must hold no NaN and stay within
+    the overflow guard; ``hint`` ends a divergence."""
     nan = np.isnan(vals)
     if nan.any():
         where = "" if points is None else f" at point {points[np.argmax(nan)]}"
@@ -433,6 +454,13 @@ def _finalize(vals: np.ndarray, n: int, operation: str,
         raise DivergenceError(
             f"Monte Carlo estimate diverged: a sample or the mean exceeds "
             f"{_OVERFLOW_GUARD:g}{hint}", module=_MODULE, operation=operation)
+    return value
+
+
+def _finalize(vals: np.ndarray, n: int, operation: str,
+              points: np.ndarray | None = None) -> IntegralResult:
+    """Checked mean and stderr of n weighted samples."""
+    value = _checked_mean(vals, n, operation, points)
     stderr = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else math.inf
     return IntegralResult(value, stderr)
 

@@ -252,6 +252,18 @@ def test_stein_weiss_worked_example(h1, koranyi, expp):
     assert rep.sphere == pytest.approx(2 * math.pi ** 2, rel=1e-15)
 
 
+def test_stein_weiss_report_records_the_plain_stderr(h1, koranyi, mc_spec,
+                                                     expp):
+    """A bilinear report keeps the stderr that B would have without its
+    control variates beside the one it has, so the variance reduction
+    shows in report.json."""
+    gauss = make_profile("gaussian", [1.0])
+    rep = verify_stein_weiss(expp, gauss, WORKED, h1, koranyi, mc_spec)
+    plain = rep.as_dict()["extras"]["lhs_stderr_plain"]
+    assert plain == rep.extras["lhs_stderr_plain"]
+    assert plain > 2.0 * rep.lhs_stderr > 0.0
+
+
 @pytest.mark.parametrize("family, params", [("gaussian", [1.0]),
                                             ("smooth_bump", [1.0])])
 def test_stein_weiss_rhs_stderr_carries_both_norms(h1, koranyi, mc_spec, expp,

@@ -10,6 +10,7 @@ from scipy import special as sp
 
 from revineq import (DecayEnvelope, DegenerateInputError, DivergenceError,
                      ParameterError, QuadratureSpec, RadialProfile,
+                     balanced_lambda, conjugate_exponent,
                      kernel_bound_report, lp_functional, make_profile,
                      reverse_holder_gap, sphere_measure, stein_weiss_form,
                      weighted_p_integral)
@@ -177,7 +178,9 @@ def test_stein_weiss_zero(plane, plane_norm, mc_spec):
                          derivative_envelope=DecayEnvelope("exp"))
     res = stein_weiss_form(zero, zero, 0.0, 0.0, 1.0, plane, plane_norm,
                            mc_spec)
+    # both control means are 0, so the plain mean stands
     assert res.value == 0.0
+    assert res.stderr == res.plain_stderr == 0.0
 
 
 def test_stein_weiss_box_oracle(line, line_norm, box_profile):
@@ -219,6 +222,95 @@ def test_stein_weiss_deterministic(plane, plane_norm, expp):
     r1 = stein_weiss_form(expp, expp, 0.0, 0.0, 2.0, plane, plane_norm, spec)
     r2 = stein_weiss_form(expp, expp, 0.0, 0.0, 2.0, plane, plane_norm, spec)
     assert r1.value == r2.value
+
+
+def _r1_point(p, q_prime, alpha_share, beta_share, f_family, h_family):
+    """A point of criterion 8's R^1 grid: alpha and beta as shares of their
+    upper bounds -Q/q and -Q/p', balanced lambda, and the grid's trial
+    profiles (power_decay with its steep default exponent)."""
+    q, pp = conjugate_exponent(q_prime), conjugate_exponent(p)
+    alpha, beta = alpha_share / -q, beta_share / -pp
+    lam = balanced_lambda(1.0, p, q_prime, alpha, beta)
+    s = max(1.0 / q_prime, 1.0 / p) + lam + 3.0
+    params = {"exp_decay": [1.0], "gaussian": [1.0], "power_decay": [s, 1.0]}
+    return (make_profile(f_family, params[f_family]),
+            make_profile(h_family, params[h_family]), alpha, beta, lam,
+            p, q_prime)
+
+
+CALIBRATION_POINTS = [
+    # README finding 2 and its mirror image
+    _r1_point(0.7, 0.3, 0.0, 0.5, "exp_decay", "power_decay"),
+    _r1_point(0.3, 0.7, 0.5, 0.0, "power_decay", "exp_decay"),
+    _r1_point(0.5, 0.5, 0.0, 0.0, "exp_decay", "gaussian"),
+    _r1_point(0.3, 0.3, 0.5, 0.5, "gaussian", "power_decay"),
+    _r1_point(0.5, 0.7, 0.5, 0.0, "power_decay", "power_decay"),
+]
+
+
+def _assert_calibrated(z):
+    z = np.asarray(z)
+    assert 0.6 <= np.std(z, ddof=1) <= 1.5, z
+    assert np.max(np.abs(z)) < 4.0, z
+
+
+@pytest.mark.parametrize("point", CALIBRATION_POINTS,
+                         ids=lambda pt: f"{pt[0].family_tag}x{pt[1].family_tag}"
+                                        f"-p{pt[5]}-q'{pt[6]}")
+def test_stein_weiss_stderr_calibrated_on_r1(line, line_norm, r1_bilinear,
+                                            point):
+    """Over 24 seeds the z-scores of B against the deterministic R^1 form
+    spread as a standard normal's would: the control-variate stderr is
+    neither too small nor far too large."""
+    f, h, alpha, beta, lam, p, q_prime = point
+    exact = r1_bilinear(f, h, alpha, beta, lam, p, q_prime)[0]
+    z = [(res.value - exact) / res.stderr for res in (
+        stein_weiss_form(f, h, alpha, beta, lam, line, line_norm,
+                         QuadratureSpec(sample_count=20000, seed=seed))
+        for seed in range(1, 25))]
+    _assert_calibrated(z)
+
+
+def test_stein_weiss_stderr_calibrated_on_h1(h1, koranyi, expp):
+    """The same on H^1/Koranyi, f = e^{-r}, h = e^{-r^2}, alpha = 0.5,
+    beta = 1, lambda = 1.5, against 32616.489 from a tabulated radial-
+    angular rule (ROADMAP item 6; m = 16 and m = 32 agree to 2e-8)."""
+    gauss = make_profile("gaussian", [1.0])
+    z = [(res.value - 32616.489) / res.stderr for res in (
+        stein_weiss_form(expp, gauss, 0.5, 1.0, 1.5, h1, koranyi,
+                         QuadratureSpec(sample_count=20000, seed=seed))
+        for seed in range(1, 21))]
+    _assert_calibrated(z)
+
+
+def test_stein_weiss_controls_on_the_quadrature_path(line, line_norm,
+                                                     r1_bilinear,
+                                                     monkeypatch):
+    """smooth_bump has no closed-form moments, so the control means come
+    from adaptive quadrature.  The estimate agrees with the R^1 double
+    integral, the controls cut the stderr, and the stderr carries the
+    error of the control means: biasing every moment by 5% and reporting
+    that 5% as its error moves the estimate by no more than the stderr
+    grows."""
+    from revineq import operators
+    bump = make_profile("smooth_bump", [1.0])
+    spec = QuadratureSpec(sample_count=20000, seed=5)
+    args = (bump, bump, 0.5, 0.25, 1.5, line, line_norm, spec)
+    base = stein_weiss_form(*args)
+    exact = r1_bilinear(bump, bump, 0.5, 0.25, 1.5, 0.5, 0.5, rtol=1e-7)[0]
+    assert abs(base.value - exact) <= 4.0 * base.stderr
+    assert base.stderr < base.plain_stderr
+
+    moment = operators.weighted_p_integral
+
+    def biased(*a, **kw):
+        value, _ = moment(*a, **kw)
+        return 1.05 * value, 0.05 * value
+    monkeypatch.setattr(operators, "weighted_p_integral", biased)
+    off = stein_weiss_form(*args)
+    shift = abs(off.value - base.value)
+    assert shift > 3.0 * base.stderr
+    assert shift <= off.stderr - base.stderr
 
 
 # ---------------------------------------------------------------------------
