@@ -235,9 +235,12 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     Q = group.homogeneous_dim
     env_x = f.envelope.boosted(alpha + lam / 2.0)
     env_y = h.envelope.boosted(beta + lam / 2.0)
+    # B is finite only if both moments of each profile are: the kernel
+    # grows like |x|^л far out and tends to |y|^л > 0 as x -> 0
     for env, side in ((env_x, "f"), (env_y, "h")):
-        env.boosted(lam / 2.0).check_integrable(
-            Q, f"stein_weiss_form[{side}-side]")
+        for k in (lam / 2.0, -lam / 2.0):
+            env.boosted(k).check_integrable(
+                Q, f"stein_weiss_form[{side}-side]")
 
     n = spec.sample_count
     sx = RadialSampler(env_x, Q, min(env_x.boosted(lam / 2.0).r_max(Q),

@@ -298,6 +298,22 @@ def test_stein_weiss_overflowing_form_raises_divergence(h1, koranyi, expp):
                            QuadratureSpec(sample_count=2000, seed=1))
 
 
+def test_stein_weiss_diverging_at_the_origin_raises(line, line_norm, expp):
+    """improved_b does not bound alpha from below.  At alpha = -1.2 on R^1
+    the point is admissible, but |x|^alpha is not integrable near x = 0,
+    where the kernel tends to |y|^lambda > 0, so B is infinite.  The form
+    says so instead of returning a finite mean."""
+    lam = balanced_lambda(1.0, 0.5, 0.5, -1.2, 0.0)
+    P = InequalityParams(Q=1.0, p=0.5, q_prime=0.5, lam=lam, alpha=-1.2,
+                         beta=0.0, variant="improved_b")
+    assert validate_params(P).admissible
+    with pytest.raises(DivergenceError,
+                       match=r"stein_weiss_form\[f-side\].*singularity"):
+        verify_stein_weiss(expp, make_profile("gaussian", [1.0]), P, line,
+                           line_norm, QuadratureSpec(sample_count=2000,
+                                                     seed=1))
+
+
 def test_stein_weiss_report_identical_cold_warm_and_after_eviction(
         h1, koranyi, expp, clear_caches):
     """The draw stream and the integral memo change no bit of a report:
