@@ -457,14 +457,6 @@ def _checked_mean(vals: np.ndarray, n: int, operation: str,
     return value
 
 
-def _finalize(vals: np.ndarray, n: int, operation: str,
-              points: np.ndarray | None = None) -> IntegralResult:
-    """Checked mean and stderr of n weighted samples."""
-    value = _checked_mean(vals, n, operation, points)
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else math.inf
-    return IntegralResult(value, stderr)
-
-
 def integrate_cartesian(group: HomogeneousGroup,
                         integrand: Callable[[np.ndarray], np.ndarray],
                         spec: QuadratureSpec,
@@ -483,7 +475,9 @@ def integrate_cartesian(group: HomogeneousGroup,
                                   draw_block(group, spec, 0))
     with np.errstate(over="ignore"):
         vals = np.asarray(integrand(x), dtype=float) * w
-    return _finalize(vals, n, "integrate_cartesian", x)
+    value = _checked_mean(vals, n, "integrate_cartesian", x)
+    stderr = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else math.inf
+    return IntegralResult(value, stderr)
 
 
 # ---------------------------------------------------------------------------
