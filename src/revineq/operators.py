@@ -287,10 +287,10 @@ def _control_variate_estimate(rows: np.ndarray, n: int, mean_y: float,
     ``mean_y`` is the checked mean of Y.  Centres ``rows`` in place.
 
     With each control divided by its mean, so that c_j = C_j / E C_j has
-    mean 1, b solves G_cc b = G_cy in the centred Gram matrix G of
-    (Y, c1, c2).  The estimate is mean(Y) - b . (mean(c) - 1).  Its stderr
-    is the residual standard deviation, sqrt((G_yy - b . G_cy) / (n - 3)),
-    over sqrt(n), plus |b_j| times the relative error of each control mean.
+    mean 1, k solves G_cc k = G_cy in the centred Gram matrix G of
+    (Y, c1, c2).  The estimate is mean(Y) - k . (mean(c) - 1).  Its stderr
+    is the residual standard deviation, sqrt((G_yy - k . G_cy) / (n - 3)),
+    over sqrt(n), plus |k_j| times the relative error of each control mean.
     Where the controls are degenerate (a zero mean, a singular or
     non-finite Gram matrix, or n <= 3) the plain mean of Y stands, with
     its stderr sqrt(G_yy / (n - 1) / n).
@@ -311,11 +311,11 @@ def _control_variate_estimate(rows: np.ndarray, n: int, mean_y: float,
     if not (n > 3 and np.isfinite(gram).all()
             and det > 1e-12 * gcc[0, 0] * gcc[1, 1]):
         return BilinearEstimate(mean_y, plain, plain)
-    b = np.linalg.solve(gcc, gcy)
-    resid = max(float(gram[0, 0] - b @ gcy), 0.0)
+    k = np.linalg.solve(gcc, gcy)
+    resid = max(float(gram[0, 0] - k @ gcy), 0.0)
     stderr = (math.sqrt(resid / (n - 3) / n)
-              + float(np.abs(b) @ [rel for _, rel in controls]))
-    return BilinearEstimate(float(mean_y - b @ (avg[1:] - 1.0)), stderr,
+              + float(np.abs(k) @ [rel for _, rel in controls]))
+    return BilinearEstimate(float(mean_y - k @ (avg[1:] - 1.0)), stderr,
                             plain)
 
 
