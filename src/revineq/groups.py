@@ -187,8 +187,12 @@ def abelian_group(weights=(1.0,), name: str | None = None) -> HomogeneousGroup:
 
 def _h1_law(x: Array, y: Array) -> Array:
     out = x + y
-    # symmetric polarized form; makes inversion exactly negation
-    out[..., 2] += 0.5 * (x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0])
+    # symmetric polarized form; makes inversion exactly negation.  In place,
+    # with the rounding of 0.5 * (x1 y2 - x2 y1)
+    cross = x[..., 0] * y[..., 1]
+    cross -= x[..., 1] * y[..., 0]
+    cross *= 0.5
+    out[..., 2] += cross
     return out
 
 

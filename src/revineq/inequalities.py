@@ -62,7 +62,9 @@ class InequalityParams:
     variant:
       "full"        both weight sign conditions required,
       "improved_a"  only 0 <= alpha < -Q/q required,
-      "improved_b"  only 0 <= beta < -Q/p' required.
+      "improved_b"  only 0 <= beta < -Q/p' required;
+    every variant requires alpha > -Q and beta > -Q, without which B is
+    infinite.
     """
 
     Q: float
@@ -152,6 +154,10 @@ def validate_params(params: InequalityParams) -> AdmissibilityReport:
         ConditionCheck("lambda > 0", P.lam > 0.0, True),
         ConditionCheck("balance 1/q'+1/p = (alpha+beta+lambda)/Q + 2",
                        abs(P.balance_residual) <= _BALANCE_TOL, True),
+        # |x|^alpha and |y|^beta must be integrable at the origin, where
+        # the kernel tends to a positive limit; otherwise B is infinite
+        ConditionCheck("alpha > -Q", P.alpha > -P.Q, True),
+        ConditionCheck("beta > -Q", P.beta > -P.Q, True),
         ConditionCheck("0 <= alpha", P.alpha >= 0.0, need_alpha),
         ConditionCheck("alpha < -Q/q", P.alpha < -P.Q / q, need_alpha),
         ConditionCheck("0 <= beta", P.beta >= 0.0, need_beta),

@@ -20,9 +20,9 @@ The doubly weighted bilinear form with growing kernel
     B(f, h) = int int |x|^a |y^{-1}x|^л f(|x|) h(|y|) |y|^b dx dy,   л > 0,
 
 is estimated by importance-sampled Monte Carlo with the exact polar
-Jacobian from the quadrature module, corrected by two control variates
-whose means are products of radial moments; estimates are deterministic
-per seed.
+Jacobian from the quadrature module, on antithetic pairs y, y^{-1} of
+draws, corrected by two control variates whose means are products of
+radial moments; estimates are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ class RadialProfile:
 # radial L^p machinery
 # ---------------------------------------------------------------------------
 
-# keyed by (profile, p, power_shift, Q, use_derivative); the oldest entries
-# are evicted beyond this many
+# keyed by (profile, p, power_shift, Q, use_derivative, to_support); the
+# oldest entries are evicted beyond this many
 _P_INTEGRAL_CACHE_MAX = 1024
 _P_INTEGRAL_CACHE: dict[tuple, tuple[float, float]] = {}
 # relative error bar of a closed-form moment.  Against 40-digit mpmath the
@@ -140,32 +140,35 @@ CLOSED_FORM_RTOL = 1e-12
 
 def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
                         Q: float, *, use_derivative: bool = False,
-                        ) -> tuple[float, float]:
+                        to_support: bool = False) -> tuple[float, float]:
     """(int |F(r)|^p r^{power_shift} r^{Q-1} dr, error estimate) for p > 0.
 
     With use_derivative the integrand uses |dF/dr| instead of F.  The upper
     limit R is the envelope-based truncation radius of the integrand
     (|F|^p r^shift), beyond which its mass is below 1e-8 of the total; the
-    error estimate leaves that mass out.
+    error estimate leaves that mass out.  With to_support R is the
+    profile's support radius instead (inf for the built-in families), and
+    no mass is left out.
 
     If the function integrated is a ``ClosedForm``, the value is its
     ``moment(p, Q + power_shift, R)`` and the error CLOSED_FORM_RTOL times
     its size; that is not memoised.  Otherwise ``integrate_radial_err``
     evaluates it, and the result is cached per (profile, p, power_shift,
-    Q, use_derivative); a profile is a frozen dataclass, equal to another
-    only when its callables are the same objects.
+    Q, use_derivative, to_support); a profile is a frozen dataclass, equal
+    to another only when its callables are the same objects.
     """
     if not p > 0:
         raise ParameterError(f"p must be positive, got {p:g}", module=_MODULE,
                              operation="weighted_p_integral")
-    key = (profile, p, power_shift, Q, use_derivative)
+    key = (profile, p, power_shift, Q, use_derivative, to_support)
     hit = _P_INTEGRAL_CACHE.get(key)
     if hit is not None:
         return hit
     env = profile.derivative_envelope if use_derivative else profile.envelope
     env = env.powered(p).boosted(power_shift)
     env.check_integrable(Q, "weighted_p_integral")
-    r_max = min(env.r_max(Q), profile.support_radius)
+    r_max = (profile.support_radius if to_support
+             else min(env.r_max(Q), profile.support_radius))
 
     fn = profile.derivative if use_derivative else profile.value
     if isinstance(fn, ClosedForm):
@@ -199,7 +202,8 @@ def lp_functional(profile: RadialProfile, p: float, group: HomogeneousGroup,
 @dataclass(frozen=True)
 class BilinearEstimate(IntegralResult):
     """A bilinear form's estimate; ``plain_stderr`` is the stderr that the
-    plain mean of the same samples would have, without control variates."""
+    plain mean of the unpaired samples a b |y^{-1}x|^л would have, without
+    the antithetic pair and the control variates."""
 
     plain_stderr: float
 
@@ -216,18 +220,23 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     is shared between the two radial proposals.
 
     With weights w, a = w_x f(|x|) |x|^alpha and b = w_y h(|y|) |y|^beta,
-    the sample is Y = a b |y^{-1}x|^л.  The kernel is close to |x|^л where
+    the sample is the antithetic pair Y = a b (|y^{-1}x|^л + |yx|^л) / 2.
+    Every built-in chart inverts by negation and every gauge is symmetric,
+    and the proposal density depends only on r and L(u), so -y = y^{-1} has
+    the density and the weight of y, and its kernel is |(-y)^{-1}x| = |yx|:
+    Y is unbiased, and the part of the kernel odd under y -> y^{-1} (the
+    x.y term on R^N) cancels.  The kernel is close to |x|^л where
     |y| << |x| and to |y|^л where |x| << |y|, so C1 = a b |x|^л and
     C2 = a b |y|^л are control variates, with the exact means
 
         E C1 = |S|^2 M_f(alpha + л) M_h(beta),
         E C2 = |S|^2 M_f(alpha) M_h(beta + л),
 
-    M_g(s) = int g(r) r^{s+Q-1} dr (``weighted_p_integral`` at p = 1).  These
-    are finite wherever B is.  They are truncated at their own cutoffs, the
-    samples at the samplers' cutoffs: the two drop different tails, each
-    below 1e-8 of the mass.  See ``_control_variate_estimate`` for the
-    estimate and its stderr.
+    M_g(s) = int g(r) r^{s+Q-1} dr up to g's support radius
+    (``weighted_p_integral`` at p = 1).  These are finite wherever B is.
+    At л = 2 on Euclidean R^N the parallelogram law makes Y = C1 + C2, and
+    the estimate is E C1 + E C2, exact to the moments' error bars.  See
+    ``_control_variate_estimate`` for the estimate and its stderr.
     """
     if lam <= 0:
         raise ParameterError("lambda must be positive", module=_MODULE,
@@ -251,8 +260,9 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     y, _, wy = sample_group_points(group, sy, n, draw_block(group, spec, 1))
 
     gx, gy = norm(x), norm(y)
-    # (|y^{-1}x|, |x|, |y|)^л times a b: the rows Y, C1 and C2
-    rows = np.stack([norm(group_mul(group, group_inv(group, y), x)), gx, gy])
+    # (|y^{-1}x|, |yx|, |x|, |y|)^л times a b; both products in one gauge call
+    pair = group_mul(group, np.stack([group_inv(group, y), y]), x)
+    rows = np.concatenate([norm(pair), gx[None], gy[None]])
     with np.errstate(over="ignore"):
         rows **= lam
         a, b = gx ** alpha, gy ** beta
@@ -262,38 +272,54 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
         b *= wy
         a *= b
         rows *= a
+        rows[1] += rows[0]
+        rows[1] *= 0.5
+    unpaired, rows = rows[0], rows[1:]  # a b |y^{-1}x|^л; Y, C1, C2
     mean_y = _checked_mean(rows[0], n, "stein_weiss_form",
                            hint="; tighten the trial decay or reduce lambda")
     S = sphere_measure(group, norm, spec)
     controls = (_control_mean(f, alpha + lam, h, beta, Q, S),
                 _control_mean(f, alpha, h, beta + lam, Q, S))
-    return _control_variate_estimate(rows, n, mean_y, controls)
+    return _control_variate_estimate(rows, n, mean_y, controls,
+                                     _plain_stderr(unpaired, n))
+
+
+def _plain_stderr(vals: np.ndarray, n: int) -> float:
+    """The stderr of the plain mean of n samples."""
+    if n <= 1:
+        return math.inf
+    dev = vals - np.sum(vals) / n
+    return math.sqrt(float(np.einsum("i,i->", dev, dev)) / (n - 1) / n)
 
 
 def _control_mean(f: RadialProfile, f_shift: float, h: RadialProfile,
                   h_shift: float, Q: float, S: float) -> tuple[float, float]:
-    """(|S|^2 M_f(f_shift) M_h(h_shift), its relative error); the error is
-    inf where the mean is 0."""
-    (mf, ef), (mh, eh) = (weighted_p_integral(f, 1.0, f_shift, Q),
-                          weighted_p_integral(h, 1.0, h_shift, Q))
+    """(|S|^2 M_f(f_shift) M_h(h_shift), its relative error), the moments
+    taken up to each profile's support radius; the error is inf where the
+    mean is 0."""
+    (mf, ef), (mh, eh) = (weighted_p_integral(f, 1.0, f_shift, Q,
+                                              to_support=True),
+                          weighted_p_integral(h, 1.0, h_shift, Q,
+                                              to_support=True))
     mean = S * S * mf * mh
     return mean, (ef / mf + eh / mh if mean else math.inf)
 
 
 def _control_variate_estimate(rows: np.ndarray, n: int, mean_y: float,
-                              controls) -> BilinearEstimate:
+                              controls, plain: float) -> BilinearEstimate:
     """The regression estimate of E Y from n samples of rows = (Y, C1, C2),
     whose controls have the (mean, relative error) pairs ``controls``;
-    ``mean_y`` is the checked mean of Y.  Centres ``rows`` in place.
+    ``mean_y`` is the checked mean of Y and ``plain`` the stderr to report
+    as ``plain_stderr``.  Overwrites ``rows``.
 
     With each control divided by its mean, so that c_j = C_j / E C_j has
     mean 1, k solves G_cc k = G_cy in the centred Gram matrix G of
     (Y, c1, c2).  The estimate is mean(Y) - k . (mean(c) - 1).  Its stderr
-    is the residual standard deviation, sqrt((G_yy - k . G_cy) / (n - 3)),
-    over sqrt(n), plus |k_j| times the relative error of each control mean.
-    Where the controls are degenerate (a zero mean, a singular or
-    non-finite Gram matrix, or n <= 3) the plain mean of Y stands, with
-    its stderr sqrt(G_yy / (n - 1) / n).
+    is the residual standard deviation of the centred samples,
+    sqrt(sum (Y - k . c)^2 / (n - 3)), over sqrt(n), plus |k_j| times the
+    relative error of each control mean.  Where the controls are degenerate (a zero mean, a singular or
+    non-finite Gram matrix, or n <= 3) the mean of Y stands, with its
+    stderr sqrt(G_yy / (n - 1) / n).
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # 1 / E C_j scales the sums of C_j to those of c_j
@@ -305,14 +331,18 @@ def _control_variate_estimate(rows: np.ndarray, n: int, mean_y: float,
         gram = np.einsum("ij,kj->ik", rows, rows)
         avg *= scale
         gram *= np.outer(scale, scale)
-    plain = math.sqrt(gram[0, 0] / (n - 1) / n) if n > 1 else math.inf
     gcc, gcy = gram[1:, 1:], gram[1:, 0]
     det = gcc[0, 0] * gcc[1, 1] - gcc[0, 1] * gcc[0, 1]
     if not (n > 3 and np.isfinite(gram).all()
             and det > 1e-12 * gcc[0, 0] * gcc[1, 1]):
-        return BilinearEstimate(mean_y, plain, plain)
+        stderr = math.sqrt(gram[0, 0] / (n - 1) / n) if n > 1 else math.inf
+        return BilinearEstimate(mean_y, stderr, plain)
     k = np.linalg.solve(gcc, gcy)
-    resid = max(float(gram[0, 0] - k @ gcy), 0.0)
+    # the residuals summed afresh: G_yy - k . G_cy cancels to rounding where
+    # Y is nearly a combination of the controls (л = 2 on R^N)
+    rows[0] -= k[0] * scale[1] * rows[1]
+    rows[0] -= k[1] * scale[2] * rows[2]
+    resid = float(np.einsum("i,i->", rows[0], rows[0]))
     stderr = (math.sqrt(resid / (n - 3) / n)
               + float(np.abs(k) @ [rel for _, rel in controls]))
     return BilinearEstimate(float(mean_y - k @ (avg[1:] - 1.0)), stderr,

@@ -12,8 +12,9 @@ from revineq import (DecayEnvelope, DegenerateInputError, DivergenceError,
                      InequalityParams, ParameterError, QuadratureSpec,
                      RadialProfile, abelian_group, analytic_A1, analytic_A2,
                      balanced_lambda, bracket_kappa, conjugate_exponent,
-                     euclidean_norm, make_profile, stein_weiss_lower_constant,
-                     validate_params, verify_forward_ckn, verify_forward_hardy,
+                     euclidean_norm, make_profile, stein_weiss_form,
+                     stein_weiss_lower_constant, validate_params,
+                     verify_forward_ckn, verify_forward_hardy,
                      verify_forward_sobolev, verify_reverse_ckn,
                      verify_reverse_hardy, verify_reverse_hls,
                      verify_reverse_integral_hardy, verify_reverse_sobolev,
@@ -299,19 +300,21 @@ def test_stein_weiss_overflowing_form_raises_divergence(h1, koranyi, expp):
 
 
 def test_stein_weiss_diverging_at_the_origin_raises(line, line_norm, expp):
-    """improved_b does not bound alpha from below.  At alpha = -1.2 on R^1
-    the point is admissible, but |x|^alpha is not integrable near x = 0,
-    where the kernel tends to |y|^lambda > 0, so B is infinite.  The form
-    says so instead of returning a finite mean."""
+    """At alpha = -1.2 on R^1, |x|^alpha is not integrable near x = 0, where
+    the kernel tends to |y|^lambda > 0, so B is infinite.  Every variant,
+    improved_b included, rejects the point as inadmissible, and the form
+    itself says so instead of returning a finite mean."""
     lam = balanced_lambda(1.0, 0.5, 0.5, -1.2, 0.0)
     P = InequalityParams(Q=1.0, p=0.5, q_prime=0.5, lam=lam, alpha=-1.2,
                          beta=0.0, variant="improved_b")
-    assert validate_params(P).admissible
+    assert validate_params(P).failures == ["alpha > -Q"]
+    gauss = make_profile("gaussian", [1.0])
+    spec = QuadratureSpec(sample_count=2000, seed=1)
+    with pytest.raises(ParameterError, match=r"inadmissible.*alpha > -Q"):
+        verify_stein_weiss(expp, gauss, P, line, line_norm, spec)
     with pytest.raises(DivergenceError,
                        match=r"stein_weiss_form\[f-side\].*singularity"):
-        verify_stein_weiss(expp, make_profile("gaussian", [1.0]), P, line,
-                           line_norm, QuadratureSpec(sample_count=2000,
-                                                     seed=1))
+        stein_weiss_form(expp, gauss, -1.2, 0.0, lam, line, line_norm, spec)
 
 
 def test_stein_weiss_report_identical_cold_warm_and_after_eviction(

@@ -260,15 +260,41 @@ def _assert_calibrated(z):
 def test_stein_weiss_stderr_calibrated_on_r1(line, line_norm, r1_bilinear,
                                             point):
     """Over 24 seeds the z-scores of B against the deterministic R^1 form
-    spread as a standard normal's would: the control-variate stderr is
-    neither too small nor far too large."""
+    spread as a standard normal's would: the stderr is neither too small
+    nor far too large.  At lambda = 2 the estimate is exact instead: the
+    antithetic pair makes each sample C1 + C2, so B is E C1 + E C2 =
+    4 sqrt(pi) + 2 sqrt(pi)/2 at every seed, within its stderr, which is
+    then the moments' error bar alone."""
     f, h, alpha, beta, lam, p, q_prime = point
+    results = [stein_weiss_form(f, h, alpha, beta, lam, line, line_norm,
+                                QuadratureSpec(sample_count=20000, seed=seed))
+               for seed in range(1, 25)]
+    if lam == 2.0:
+        exact = 5.0 * math.sqrt(math.pi)
+        for res in results:
+            assert abs(res.value - exact) <= res.stderr <= 1e-10 * exact
+        return
     exact = r1_bilinear(f, h, alpha, beta, lam, p, q_prime)[0]
-    z = [(res.value - exact) / res.stderr for res in (
-        stein_weiss_form(f, h, alpha, beta, lam, line, line_norm,
-                         QuadratureSpec(sample_count=20000, seed=seed))
-        for seed in range(1, 25))]
-    _assert_calibrated(z)
+    _assert_calibrated([(res.value - exact) / res.stderr for res in results])
+
+
+@pytest.mark.parametrize("seed", [3, 29])
+def test_stein_weiss_exact_at_lambda_2_on_r2(plane, plane_norm, expp, seed):
+    """At lambda = 2 on Euclidean R^2 the parallelogram law gives
+    |y^{-1}x|^2 + |yx|^2 = 2 |x|^2 + 2 |y|^2, so every antithetic sample is
+    C1 + C2 and B = |S|^2 (M_f(alpha+2) M_h(beta) + M_f(alpha) M_h(beta+2))
+    at any seed, with M_f(s) = Gamma(s+2) for e^{-r} and M_h(s) =
+    Gamma(s/2+1)/2 for e^{-r^2}."""
+    alpha, beta = 0.5, 1.0
+    gauss = make_profile("gaussian", [1.0])
+    M_f = lambda s: math.gamma(s + 2.0)
+    M_h = lambda s: math.gamma(s / 2.0 + 1.0) / 2.0
+    exact = (2.0 * math.pi) ** 2 * (M_f(alpha + 2.0) * M_h(beta)
+                                    + M_f(alpha) * M_h(beta + 2.0))
+    res = stein_weiss_form(expp, gauss, alpha, beta, 2.0, plane, plane_norm,
+                           QuadratureSpec(sample_count=20000, seed=seed))
+    assert res.value == pytest.approx(exact, rel=1e-12)
+    assert res.stderr <= 1e-10 * exact
 
 
 def test_stein_weiss_stderr_calibrated_on_h1(h1, koranyi, expp):
