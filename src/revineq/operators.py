@@ -280,8 +280,8 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     S = sphere_measure(group, norm, spec)
     controls = (_control_mean(f, alpha + lam, h, beta, Q, S),
                 _control_mean(f, alpha, h, beta + lam, Q, S))
-    return _control_variate_estimate(rows, n, mean_y, controls,
-                                     _plain_stderr(unpaired, n))
+    value, stderr = _control_variate_estimate(rows, n, mean_y, controls)
+    return BilinearEstimate(value, stderr, _plain_stderr(unpaired, n))
 
 
 def _plain_stderr(vals: np.ndarray, n: int) -> float:
@@ -306,20 +306,20 @@ def _control_mean(f: RadialProfile, f_shift: float, h: RadialProfile,
 
 
 def _control_variate_estimate(rows: np.ndarray, n: int, mean_y: float,
-                              controls, plain: float) -> BilinearEstimate:
-    """The regression estimate of E Y from n samples of rows = (Y, C1, C2),
-    whose controls have the (mean, relative error) pairs ``controls``;
-    ``mean_y`` is the checked mean of Y and ``plain`` the stderr to report
-    as ``plain_stderr``.  Overwrites ``rows``.
+                              controls) -> tuple[float, float]:
+    """(estimate, stderr): the regression estimate of E Y from n samples of
+    rows = (Y, C1, C2), whose controls have the (mean, relative error)
+    pairs ``controls``; ``mean_y`` is the checked mean of Y.  Overwrites
+    ``rows``.
 
     With each control divided by its mean, so that c_j = C_j / E C_j has
     mean 1, k solves G_cc k = G_cy in the centred Gram matrix G of
     (Y, c1, c2).  The estimate is mean(Y) - k . (mean(c) - 1).  Its stderr
     is the residual standard deviation of the centred samples,
     sqrt(sum (Y - k . c)^2 / (n - 3)), over sqrt(n), plus |k_j| times the
-    relative error of each control mean.  Where the controls are degenerate (a zero mean, a singular or
-    non-finite Gram matrix, or n <= 3) the mean of Y stands, with its
-    stderr sqrt(G_yy / (n - 1) / n).
+    relative error of each control mean.  Where the controls are
+    degenerate (a zero mean, a singular or non-finite Gram matrix, or
+    n <= 3) the mean of Y stands, with its stderr sqrt(G_yy / (n - 1) / n).
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # 1 / E C_j scales the sums of C_j to those of c_j
@@ -335,8 +335,8 @@ def _control_variate_estimate(rows: np.ndarray, n: int, mean_y: float,
     det = gcc[0, 0] * gcc[1, 1] - gcc[0, 1] * gcc[0, 1]
     if not (n > 3 and np.isfinite(gram).all()
             and det > 1e-12 * gcc[0, 0] * gcc[1, 1]):
-        stderr = math.sqrt(gram[0, 0] / (n - 1) / n) if n > 1 else math.inf
-        return BilinearEstimate(mean_y, stderr, plain)
+        return mean_y, (math.sqrt(gram[0, 0] / (n - 1) / n) if n > 1
+                         else math.inf)
     k = np.linalg.solve(gcc, gcy)
     # the residuals summed afresh: G_yy - k . G_cy cancels to rounding where
     # Y is nearly a combination of the controls (л = 2 on R^N)
@@ -345,8 +345,7 @@ def _control_variate_estimate(rows: np.ndarray, n: int, mean_y: float,
     resid = float(np.einsum("i,i->", rows[0], rows[0]))
     stderr = (math.sqrt(resid / (n - 3) / n)
               + float(np.abs(k) @ [rel for _, rel in controls]))
-    return BilinearEstimate(float(mean_y - k @ (avg[1:] - 1.0)), stderr,
-                            plain)
+    return float(mean_y - k @ (avg[1:] - 1.0)), stderr
 
 
 # ---------------------------------------------------------------------------
