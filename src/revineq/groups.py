@@ -289,25 +289,28 @@ def anisotropic_gauge(group: HomogeneousGroup) -> QuasiNorm:
                      sphere=_dirichlet_sphere(group.weights, 2.0 * M))
 
 
-def _heisenberg_sphere(c: float) -> float:
-    """|S| of the gauge ((x1^2+x2^2)^2 + c t^2)^{1/4} on H1: Q = 4 times its
-    unit ball's volume (2/sqrt(c)) |S^1| B(1/2, 3/2) / 4 = pi^2/(2 sqrt(c))."""
-    return 2.0 * math.pi ** 2 / math.sqrt(c)
-
-
-def koranyi_norm(group: HomogeneousGroup) -> QuasiNorm:
-    """Koranyi gauge ((x1^2+x2^2)^2 + t^2)^{1/4} on H1."""
+def _h1_gauge(group: HomogeneousGroup, name: str, c: float,
+              is_true_norm: bool = False) -> QuasiNorm:
+    """The gauge ((x1^2+x2^2)^2 + c t^2)^{1/4} on H1.  Its |S| is Q = 4
+    times its unit ball's volume (2/sqrt(c)) |S^1| B(1/2, 3/2) / 4, that
+    is 2 pi^2 / sqrt(c)."""
     if group.weights != (1.0, 1.0, 2.0):
-        raise ParameterError("koranyi norm is defined on the Heisenberg group",
-                             module=_MODULE, operation="koranyi_norm")
+        raise ParameterError(f"{name} norm is defined on the Heisenberg group",
+                             module=_MODULE, operation=f"{name}_norm")
 
     def _eval(x):
         x = np.asarray(x, dtype=float)
         z2 = x[..., 0] ** 2 + x[..., 1] ** 2
-        return (z2 ** 2 + x[..., 2] ** 2) ** 0.25
+        return (z2 ** 2 + c * x[..., 2] ** 2) ** 0.25
 
-    return QuasiNorm(name="koranyi", group=group, evaluate=_eval,
-                     sphere=_heisenberg_sphere(1.0))
+    return QuasiNorm(name=name, group=group, evaluate=_eval,
+                     sphere=2.0 * math.pi ** 2 / math.sqrt(c),
+                     is_true_norm=is_true_norm)
+
+
+def koranyi_norm(group: HomogeneousGroup) -> QuasiNorm:
+    """Koranyi gauge ((x1^2+x2^2)^2 + t^2)^{1/4} on H1."""
+    return _h1_gauge(group, "koranyi", 1.0)
 
 
 # Coefficient of t^2 in the subadditive gauge on H1 with the polarized law.
@@ -322,18 +325,7 @@ def cygan_norm(group: HomogeneousGroup) -> QuasiNorm:
     gauge subadditive, so it can serve wherever the triangle inequality is
     needed (kernel bounds for the weighted bilinear form).
     """
-    if group.weights != (1.0, 1.0, 2.0):
-        raise ParameterError("cygan norm is defined on the Heisenberg group",
-                             module=_MODULE, operation="cygan_norm")
-
-    def _eval(x):
-        x = np.asarray(x, dtype=float)
-        z2 = x[..., 0] ** 2 + x[..., 1] ** 2
-        return (z2 ** 2 + CYGAN_T_COEFF * x[..., 2] ** 2) ** 0.25
-
-    return QuasiNorm(name="cygan", group=group, evaluate=_eval,
-                     sphere=_heisenberg_sphere(CYGAN_T_COEFF),
-                     is_true_norm=True)
+    return _h1_gauge(group, "cygan", CYGAN_T_COEFF, is_true_norm=True)
 
 
 # ---------------------------------------------------------------------------

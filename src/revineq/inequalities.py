@@ -28,7 +28,7 @@ from .exceptions import DegenerateInputError, DivergenceError, ParameterError
 from .groups import HomogeneousGroup, QuasiNorm
 from .operators import (RadialProfile, lp_functional, stein_weiss_form,
                         weighted_p_integral)
-from .quadrature import QuadratureSpec, integrate_radial_err, sphere_measure
+from .quadrature import QuadratureSpec, integrate_radial_err
 
 _MODULE = "inequalities"
 
@@ -367,11 +367,13 @@ def _radial_side(f: RadialProfile, p: float, Q: float,
 
 def _verify_radial(direction: str, form: _RadialForm, f: RadialProfile,
                    p: float, alpha: float, beta: float,
-                   group: HomogeneousGroup, norm: QuasiNorm,
-                   spec: QuadratureSpec) -> VerificationReport:
+                   group: HomogeneousGroup,
+                   norm: QuasiNorm) -> VerificationReport:
     """The reverse ("lower": lhs >= C rhs for radially decreasing f and
     p in (0, 1)) or forward ("upper": lhs <= C rhs for p > 1) inequality of
-    a radial form, gamma = alpha + beta + 1."""
+    a radial form, gamma = alpha + beta + 1.  Nothing here is Monte Carlo:
+    the six public verifiers take a ``spec`` only for the shared verifier
+    signature, and their reports do not depend on it."""
     label = ("reverse_" if direction == "lower" else "forward_") + form.name
     op = f"verify_{label}"
     Q = group.homogeneous_dim
@@ -387,7 +389,6 @@ def _verify_radial(direction: str, form: _RadialForm, f: RadialProfile,
     for holds, message in form.conditions(p, Q, alpha, gamma):
         if not holds:
             raise ParameterError(message, module=_MODULE, operation=op)
-    S = sphere_measure(group, norm, spec)
     constant, lhs_terms, rhs_terms = form.sides(p, Q, alpha, beta, gamma)
     lhs, lhs_err = _radial_side(f, p, Q, lhs_terms)
     rhs, rhs_err = _radial_side(f, p, Q, rhs_terms)
@@ -403,19 +404,19 @@ def _verify_radial(direction: str, form: _RadialForm, f: RadialProfile,
         inequality=label, params=params, lhs=lhs, rhs=rhs,
         analytic_constant=constant, direction=direction,
         stderr=abs(lhs / rhs) * rel, lhs_stderr=lhs_err, rhs_stderr=rhs_err,
-        sphere=S)
+        sphere=norm.sphere)
 
 
 def verify_reverse_hardy(f: RadialProfile, p: float, group: HomogeneousGroup,
                          norm: QuasiNorm, spec: QuadratureSpec) -> VerificationReport:
     """||f/|x|||_p >= p/(Q-p) ||dF/dr||_p for radially decreasing f, p in (0,1)."""
-    return _verify_radial("lower", _HARDY, f, p, 0.0, 0.0, group, norm, spec)
+    return _verify_radial("lower", _HARDY, f, p, 0.0, 0.0, group, norm)
 
 
 def verify_reverse_sobolev(f: RadialProfile, p: float, group: HomogeneousGroup,
                            norm: QuasiNorm, spec: QuadratureSpec) -> VerificationReport:
     """||f||_p >= (p/Q) ||r dF/dr||_p for radially decreasing f, p in (0,1)."""
-    return _verify_radial("lower", _SOBOLEV, f, p, 0.0, 0.0, group, norm, spec)
+    return _verify_radial("lower", _SOBOLEV, f, p, 0.0, 0.0, group, norm)
 
 
 def verify_reverse_ckn(f: RadialProfile, p: float, alpha: float, beta: float,
@@ -423,19 +424,19 @@ def verify_reverse_ckn(f: RadialProfile, p: float, alpha: float, beta: float,
                        spec: QuadratureSpec) -> VerificationReport:
     """||f/|x|^{g/p}||_p^p >= p/(Q-g) ||F'/|x|^a||_p ||f/|x|^{b/(p-1)}||_p^{p-1},
     g = a + b + 1 < Q, for radially decreasing f and p in (0, 1)."""
-    return _verify_radial("lower", _CKN, f, p, alpha, beta, group, norm, spec)
+    return _verify_radial("lower", _CKN, f, p, alpha, beta, group, norm)
 
 
 def verify_forward_hardy(f: RadialProfile, p: float, group: HomogeneousGroup,
                          norm: QuasiNorm, spec: QuadratureSpec) -> VerificationReport:
     """||f/|x|||_p <= p/(Q-p) ||dF/dr||_p for 1 < p < Q."""
-    return _verify_radial("upper", _HARDY, f, p, 0.0, 0.0, group, norm, spec)
+    return _verify_radial("upper", _HARDY, f, p, 0.0, 0.0, group, norm)
 
 
 def verify_forward_sobolev(f: RadialProfile, p: float, group: HomogeneousGroup,
                            norm: QuasiNorm, spec: QuadratureSpec) -> VerificationReport:
     """||f||_p <= (p/Q) ||r dF/dr||_p for 1 < p < inf."""
-    return _verify_radial("upper", _SOBOLEV, f, p, 0.0, 0.0, group, norm, spec)
+    return _verify_radial("upper", _SOBOLEV, f, p, 0.0, 0.0, group, norm)
 
 
 def verify_forward_ckn(f: RadialProfile, p: float, alpha: float, beta: float,
@@ -444,7 +445,7 @@ def verify_forward_ckn(f: RadialProfile, p: float, alpha: float, beta: float,
     """(|Q-g|/p) ||f/|x|^{g/p}||_p^p <= ||F'/|x|^a||_p ||f/|x|^{b/(p-1)}||_p^{p-1},
     g = a + b + 1 < Q (g > Q needs trial data vanishing near the origin),
     for 1 < p < inf."""
-    return _verify_radial("upper", _CKN, f, p, alpha, beta, group, norm, spec)
+    return _verify_radial("upper", _CKN, f, p, alpha, beta, group, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -465,18 +466,17 @@ def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
     if abs(params.Q - group.homogeneous_dim) > 1e-12:
         raise ParameterError("params.Q does not match the group",
                              module=_MODULE, operation="verify_stein_weiss")
-    S = sphere_measure(group, norm, spec)
     forms = {} if forms is None else forms
     inputs = (f, h, params.alpha, params.beta, params.lam, group, norm, spec)
     if inputs not in forms:
         forms[inputs] = stein_weiss_form(*inputs)
     B = forms[inputs]
-    nf, nf_err = lp_functional(f, params.q_prime, group, norm, spec)
-    nh, nh_err = lp_functional(h, params.p, group, norm, spec)
+    nf, nf_err = lp_functional(f, params.q_prime, norm)
+    nh, nh_err = lp_functional(h, params.p, norm)
     if nf == 0.0 or nh == 0.0:
         raise DegenerateInputError("a trial profile has zero quasi-norm",
                                    module=_MODULE, operation="verify_stein_weiss")
-    const = stein_weiss_lower_constant(params, S)
+    const = stein_weiss_lower_constant(params, norm.sphere)
     den = nf * nh
     den_err = nf_err * nh + nf * nh_err
     # the relative errors of the two sides add, as in _verify_radial
@@ -486,7 +486,7 @@ def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
         params=params.as_dict(),
         lhs=B.value, rhs=den, analytic_constant=const,
         stderr=B.stderr / den + abs(B.value / den) * den_err / den,
-        lhs_stderr=B.stderr, rhs_stderr=den_err, sphere=S,
+        lhs_stderr=B.stderr, rhs_stderr=den_err, sphere=norm.sphere,
         extras={"f": f.family_tag, "h": h.family_tag,
                 "lhs_stderr_plain": B.plain_stderr},
     )
@@ -574,7 +574,8 @@ def verify_reverse_integral_hardy(variant: str, w: float, u: float,
 
     Raises DivergenceError when the right-hand functional int f^p |y|^u dy
     diverges; for a profile positive at the origin that is exactly when
-    Q + u <= 0, where the functional is +inf.
+    Q + u <= 0, where the functional is +inf.  Nothing here is Monte Carlo:
+    ``spec`` is kept for the shared verifier signature and not read.
     """
     op = "verify_reverse_integral_hardy"
     if not (math.isfinite(w) and math.isfinite(u)):
@@ -595,7 +596,7 @@ def verify_reverse_integral_hardy(variant: str, w: float, u: float,
     Q = group.homogeneous_dim
     pp = conjugate_exponent(p)
     mW, mU = Q + w, Q + u * (1.0 - pp)
-    S = sphere_measure(group, norm, spec)
+    S = norm.sphere
     A = power_weight_A(variant, mW, mU, q, pp, S)
     scale_expo = mW / q + mU / pp
     if abs(scale_expo) > 1e-10:

@@ -38,8 +38,7 @@ from .groups import (HomogeneousGroup, QuasiNorm, _sample_points, dilate,
                      group_inv, group_mul)
 from .quadrature import (DecayEnvelope, IntegralResult, QuadratureSpec,
                          RadialSampler, _checked_mean, draw_block,
-                         integrate_radial_err, sample_group_points,
-                         sphere_measure)
+                         integrate_radial_err, sample_group_points)
 
 _MODULE = "operators"
 
@@ -185,13 +184,14 @@ def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
     return out
 
 
-def lp_functional(profile: RadialProfile, p: float, group: HomogeneousGroup,
-                  norm: QuasiNorm, spec: QuadratureSpec) -> tuple[float, float]:
+def lp_functional(profile: RadialProfile, p: float,
+                  norm: QuasiNorm) -> tuple[float, float]:
     """(v, error estimate) of v = ( |S| int F(r)^p r^{Q-1} dr )^{1/p} for
-    p > 0; the radial integral's error e carries to first order, as
-    v e / (p I).  |S| is exact and adds none."""
-    val, err = weighted_p_integral(profile, p, 0.0, group.homogeneous_dim)
-    v = float((sphere_measure(group, norm, spec) * val) ** (1.0 / p))
+    p > 0 on the gauge's group; the radial integral's error e carries to
+    first order, as v e / (p I).  |S| is the gauge's exact ``sphere`` and
+    adds none."""
+    val, err = weighted_p_integral(profile, p, 0.0, norm.group.homogeneous_dim)
+    v = float((norm.sphere * val) ** (1.0 / p))
     return v, (v * err / (p * val) if val else 0.0)
 
 
@@ -277,9 +277,8 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     unpaired, rows = rows[0], rows[1:]  # a b |y^{-1}x|^л; Y, C1, C2
     mean_y = _checked_mean(rows[0], n, "stein_weiss_form",
                            hint="; tighten the trial decay or reduce lambda")
-    S = sphere_measure(group, norm, spec)
-    controls = (_control_mean(f, alpha + lam, h, beta, Q, S),
-                _control_mean(f, alpha, h, beta + lam, Q, S))
+    controls = (_control_mean(f, alpha + lam, h, beta, Q, norm.sphere),
+                _control_mean(f, alpha, h, beta + lam, Q, norm.sphere))
     value, stderr = _control_variate_estimate(rows, n, mean_y, controls)
     return BilinearEstimate(value, stderr, _plain_stderr(unpaired, n))
 

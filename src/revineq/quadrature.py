@@ -19,10 +19,11 @@ The total mass |S| of the quasi-sphere measure in the polar decomposition
     int_G f dx = int_0^inf int_S f(D_r y) r^{Q-1} dsigma(y) dr
 
 is exact for every built-in gauge: each carries its closed form as
-``QuasiNorm.sphere``, and ``sphere_measure``, the |S| of every verifier,
-returns it.  Two independent estimates check it without parametrizing
-sigma: the closed surface integral |S| = int_{S^{N-1}} L(u) |u|^{-Q} dS(u)
-on a deterministic rule for dim <= 3 (``sphere_measure_direct``), and
+``QuasiNorm.sphere``, which every verifier reads.  ``sphere_measure``
+returns it for outside callers; nothing in the package calls it.  Two
+independent estimates check it without parametrizing sigma: the closed
+surface integral |S| = int_{S^{N-1}} L(u) |u|^{-Q} dS(u) on a
+deterministic rule for dim <= 3 (``sphere_measure_direct``), and
 |S| = (int_G e^{-|x|} dx)/Gamma(Q) by Monte Carlo (``sphere_measure_mc``).
 
 State lives in one place only: the draw stream below.  Estimators keep
@@ -426,7 +427,9 @@ def sample_group_points(group: HomogeneousGroup, sampler: RadialSampler,
     q(x) = pdf(r) / (area(S^{N-1}) r^{Q-1} L(u)).
     """
     block = rng if isinstance(rng, DrawBlock) else _draw(group, n, rng)
-    r, pdf = sampler.sample(n, block.uniforms)
+    # a zero uniform gives r = 0 where the radial grid starts there; the
+    # other uniforms of Generator.random are multiples of 2^-53, unchanged
+    r, pdf = sampler.sample(n, np.maximum(block.uniforms, 2.0 ** -54))
     x = dilate(group, r, block.directions)
     jac = r ** (group.homogeneous_dim - 1.0)
     jac *= unit_sphere_area(group.dim)
@@ -683,8 +686,9 @@ def sphere_measure_mc(group: HomogeneousGroup, norm: QuasiNorm,
 
 def sphere_measure(group: HomogeneousGroup, norm: QuasiNorm,
                    spec: QuadratureSpec) -> float:
-    """|S| for the verifiers: the exact ``norm.sphere``.  ``group`` and
-    ``spec`` are unused; every verifier passes the three it holds."""
+    """The exact |S|, ``norm.sphere``.  Kept for outside callers: the
+    package itself reads ``norm.sphere``, and ``group`` and ``spec`` are
+    unused."""
     return norm.sphere
 
 

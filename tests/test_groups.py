@@ -176,6 +176,24 @@ def test_anisotropic_gauge_bit_identical_to_sum(weights, M):
         np.testing.assert_array_equal(_bits(out), _bits(ref))
 
 
+@pytest.mark.parametrize("gauge,c", [(koranyi_norm, None),
+                                     (cygan_norm, 16.0)])
+def test_h1_gauges_bit_identical_to_formula(gauge, c):
+    """Koranyi and Cygan come from one constructor of
+    ((x1^2+x2^2)^2 + c t^2)^{1/4}; Koranyi's c = 1 multiplies exactly, so
+    it keeps the bits of the formula without the factor."""
+    norm = gauge(heisenberg_group())
+    rng = np.random.default_rng(31)
+    for shape in _gauge_shapes(3):
+        x = _pin_points(rng, shape)
+        # a single point runs as a batch of one
+        pts = x.reshape(-1, 3)
+        t2 = pts[:, 2] ** 2 if c is None else c * pts[:, 2] ** 2
+        ref = ((pts[:, 0] ** 2 + pts[:, 1] ** 2) ** 2 + t2) ** 0.25
+        np.testing.assert_array_equal(_bits(norm(x)),
+                                      _bits(ref.reshape(shape[:-1])))
+
+
 def test_anisotropic_gauge_rejects_wrong_point_shape():
     gauge = anisotropic_gauge(abelian_group((1.0, 2.0)))
     for x in ([1.0, 2.0, 3.0], [1.0], np.ones((5, 3))):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -241,6 +242,28 @@ def test_ckn_rejects_gamma_above_Q(h1, koranyi, mc_spec, expp):
         verify_reverse_ckn(expp, 0.5, 2.0, 2.0, h1, koranyi, mc_spec)
 
 
+@pytest.mark.parametrize("verify", [
+    lambda f, *r: verify_reverse_hardy(f, 0.5, *r),
+    lambda f, *r: verify_reverse_sobolev(f, 0.5, *r),
+    lambda f, *r: verify_reverse_ckn(f, 0.5, 0.5, 0.25, *r),
+    lambda f, *r: verify_forward_hardy(f, 2.0, *r),
+    lambda f, *r: verify_forward_sobolev(f, 2.0, *r),
+    lambda f, *r: verify_forward_ckn(f, 2.0, 0.5, 0.25, *r),
+    lambda f, *r: verify_reverse_integral_hardy("ball", -6.0, -1.0, f, 0.5,
+                                                -1.0, *r)],
+    ids=["reverse_hardy", "reverse_sobolev", "reverse_ckn", "forward_hardy",
+         "forward_sobolev", "forward_ckn", "reverse_integral_hardy"])
+def test_deterministic_reports_do_not_depend_on_the_spec(verify, h1, koranyi,
+                                                         expp):
+    """The radial and integral Hardy verifiers run no Monte Carlo: their
+    reports are byte-identical whatever the seed and sample count."""
+    reports = {json.dumps(verify(expp, h1, koranyi,
+                                 QuadratureSpec(sample_count=n, seed=seed))
+                          .as_dict())
+               for seed, n in ((1, 20000), (2, 20000), (3, 7))}
+    assert len(reports) == 1
+
+
 # ---------------------------------------------------------------------------
 # weighted bilinear verification
 # ---------------------------------------------------------------------------
@@ -434,6 +457,111 @@ def test_certified_constant_violated_at_admissible_point():
     assert ratio == pytest.approx(0.0077734, rel=1e-3)
     assert ratio < L                       # the claimed bound fails here
     assert ratio / L > 0.97                # ... by about two percent
+
+
+def _r2_exp_gauss_ratio(alpha, beta, lam, p, q_prime):
+    """B(f, h) / (||f||_{q'} ||h||_p) on Euclidean R^2 for f = e^{-r},
+    h = e^{-r^2}, by quadrature independent of the library.  With x = r sigma
+    and y = s tau the angular integral of |x - y|^л is
+
+        K(r, s) = (2 pi)^2 M^л 2F1(-л/2, -л/2; 1; t^2),  M = max, t = min/M,
+
+    and B = int int F(r) H(s) r^{alpha+1} s^{beta+1} K dr ds, split at
+    r = s: s = t r on one side, r = t s on the other, t in [0, 1]."""
+    def quad(fn, a, b):
+        return sciint.quad(fn, a, b, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+
+    def kernel(t):
+        return sp.hyp2f1(-lam / 2.0, -lam / 2.0, 1.0, t * t)
+
+    m = alpha + beta + lam + 3.0
+    outer = quad(lambda t: kernel(t) * t ** (beta + 1.0) * quad(
+        lambda r: math.exp(-r - (t * r) ** 2) * r ** m, 0.0, math.inf),
+        0.0, 1.0)
+    inner = quad(lambda t: kernel(t) * t ** (alpha + 1.0) * quad(
+        lambda s: math.exp(-t * s - s * s) * s ** m, 0.0, math.inf), 0.0, 1.0)
+    B = (2.0 * math.pi) ** 2 * (outer + inner)
+    nf = (2.0 * math.pi / q_prime ** 2) ** (1.0 / q_prime)
+    nh = (math.pi / p) ** (1.0 / p)
+    return B / (nf * nh)
+
+
+@pytest.mark.parametrize("alpha,expected", [(0.0, 0.0202232),
+                                            (0.5, 0.0183797)])
+def test_improved_a_violated_at_weighted_sweep_rows(plane, plane_norm, alpha,
+                                                    expected):
+    """README finding 3: the two improved_a rows of the digest case
+    sweep_reverse_stein_weiss_weighted (R^2, p=0.7, q'=0.5, beta=1,
+    balanced л, e^{-r} x e^{-r^2}, seed 18) read violated, and the
+    quadrature reference agrees."""
+    P = InequalityParams(Q=2.0, p=0.7, q_prime=0.5,
+                         lam=balanced_lambda(2.0, 0.7, 0.5, alpha, 1.0),
+                         alpha=alpha, beta=1.0, variant="improved_a")
+    assert validate_params(P).admissible
+    ref = _r2_exp_gauss_ratio(alpha, 1.0, P.lam, P.p, P.q_prime)
+    assert ref == pytest.approx(expected, rel=1e-5)
+    rep = verify_stein_weiss(make_profile("exp_decay", [1.0]),
+                             make_profile("gaussian", [1.0]), P, plane,
+                             plane_norm,
+                             QuadratureSpec(sample_count=20000, seed=18))
+    assert abs(rep.ratio - ref) < 4.0 * rep.stderr
+    assert ref < rep.analytic_constant
+    assert rep.margin < -3.0 * rep.stderr and not rep.passed
+
+
+def test_improved_a_collapses_under_separated_dilations(line, line_norm):
+    """README finding 3's mechanism on R^1 (improved_a, p=0.7, q'=0.3,
+    alpha=0, beta=2): with f = e^{-r/R} and h = e^{-Rr}, scale ratio R^2,
+    B tends to int f |x|^{alpha+л} int h |y|^beta, and ratio/C falls like
+    (R^2)^{-(beta + Q/p')}.  The reference integrates the exponentials'
+    radial product in closed form (s = t r on one side of r = s, r = t s
+    on the other):
+
+        B = 2 Gamma(m+1) int_0^1 k(t) (t^beta (1/R + R t)^{-m-1}
+                                       + t^alpha (t/R + R)^{-m-1}) dt,
+
+    k(t) = (1 - t)^л + (1 + t)^л, m = alpha + beta + л + 1."""
+    alpha, beta, p, qp = 0.0, 2.0, 0.7, 0.3
+    P = InequalityParams(Q=1.0, p=p, q_prime=qp,
+                         lam=balanced_lambda(1.0, p, qp, alpha, beta),
+                         alpha=alpha, beta=beta, variant="improved_a")
+    assert validate_params(P).admissible
+    lam, m = P.lam, alpha + beta + P.lam + 1.0
+    C = stein_weiss_lower_constant(P, 2.0)
+    exponent = beta + P.Q / P.p_prime
+    assert exponent == pytest.approx(11.0 / 7.0, rel=1e-12)
+
+    def reference(R):
+        def quad(fn):
+            return sciint.quad(fn, 0.0, 1.0, epsabs=0.0, epsrel=1e-12,
+                               limit=200)[0]
+
+        def k(t):
+            return (1.0 - t) ** lam + (1.0 + t) ** lam
+        B = 2.0 * math.gamma(m + 1.0) * (
+            quad(lambda t: t ** beta * k(t) * (1 / R + R * t) ** (-m - 1.0))
+            + quad(lambda t: t ** alpha * k(t) * (t / R + R) ** (-m - 1.0)))
+        nf = (2.0 * R / qp) ** (1.0 / qp)
+        nh = (2.0 / (R * p)) ** (1.0 / p)
+        return B / (nf * nh) / C
+
+    scale_ratios = (1.0, 9.0, 100.0, 900.0)
+    ref = [reference(math.sqrt(s)) for s in scale_ratios]
+    for got, want in zip(ref, (0.134, 1.81e-3, 3.89e-5, 1.23e-6)):
+        assert got == pytest.approx(want, rel=3e-3)
+    local = [math.log(ref[i] / ref[i + 1])
+             / math.log(scale_ratios[i + 1] / scale_ratios[i])
+             for i in range(1, 3)]
+    assert abs(local[0] - exponent) < 0.03
+    assert abs(local[1] - exponent) < 0.002
+    e = make_profile("exp_decay", [1.0])
+    spec = QuadratureSpec(sample_count=20000, seed=3)
+    for s, want in zip(scale_ratios[:3], ref):
+        R = math.sqrt(s)
+        rep = verify_stein_weiss(e.dilated(1.0 / R), e.dilated(R), P, line,
+                                 line_norm, spec)
+        assert abs(rep.ratio / C - want) < 4.0 * rep.stderr / C
+        assert rep.margin < -3.0 * rep.stderr and not rep.passed
 
 
 # ---------------------------------------------------------------------------

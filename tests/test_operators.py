@@ -38,40 +38,40 @@ def box_profile():
 
 def test_lp_interval_measure(line, line_norm, mc_spec, box_profile):
     # constant 1 on [0,1] with p=1 on the line: total measure 2
-    val, _ = lp_functional(box_profile, 1.0, line, line_norm, mc_spec)
+    val, _ = lp_functional(box_profile, 1.0, line_norm)
     assert sphere_measure(line, line_norm, mc_spec) == 2.0
     assert val == pytest.approx(2.0, rel=1e-12)
 
 
 def test_lp_exp_plane(plane, plane_norm, mc_spec, expp):
-    val, _ = lp_functional(expp, 1.0, plane, plane_norm, mc_spec)
+    val, _ = lp_functional(expp, 1.0, plane_norm)
     S = sphere_measure(plane, plane_norm, mc_spec)
     # Gamma(2) = 1 up to the declared 1e-8 envelope tail mass
     assert val == pytest.approx(S, rel=1e-7)
 
 
 def test_lp_half_exponent(h1, koranyi, mc_spec, expp):
-    val, _ = lp_functional(expp, 0.5, h1, koranyi, mc_spec)
+    val, _ = lp_functional(expp, 0.5, koranyi)
     S = sphere_measure(h1, koranyi, mc_spec)
     assert val == pytest.approx((96.0 * S) ** 2, rel=1e-7)
 
 
 def test_lp_dilation_covariance(h1, koranyi, mc_spec, expp):
     """||f o D_s||_p = s^{-Q/p} ||f||_p; exact through the scaled envelope."""
-    base, _ = lp_functional(expp, 0.5, h1, koranyi, mc_spec)
+    base, _ = lp_functional(expp, 0.5, koranyi)
     for s in (0.5, 2.0):
-        val, _ = lp_functional(expp.dilated(s), 0.5, h1, koranyi, mc_spec)
+        val, _ = lp_functional(expp.dilated(s), 0.5, koranyi)
         assert val == pytest.approx(s ** (-4.0 / 0.5) * base, rel=1e-9)
 
 
 def test_lp_negative_exponent_needs_window(plane, plane_norm, mc_spec, expp):
     with pytest.raises(ParameterError):
-        lp_functional(expp, -1.0, plane, plane_norm, mc_spec)
+        lp_functional(expp, -1.0, plane_norm)
 
 
 def test_lp_zero_p_rejected(plane, plane_norm, mc_spec, expp):
     with pytest.raises(ParameterError):
-        lp_functional(expp, 0.0, plane, plane_norm, mc_spec)
+        lp_functional(expp, 0.0, plane_norm)
 
 
 def test_weighted_p_integral_memoised():
@@ -107,12 +107,12 @@ def test_dilated_family_profile_keeps_closed_form(h1, koranyi, mc_spec,
     """The dilated moments are s^{-m} M(p, m, sR) (times s^p for F'), so
     for s a power of 2 ||f o D_s||_p = s^{-Q/p} ||f||_p holds bit for bit."""
     prof = make_profile(family, params)
-    base, _ = lp_functional(prof, 0.5, h1, koranyi, mc_spec)
+    base, _ = lp_functional(prof, 0.5, koranyi)
     for s in (0.5, 2.0):
         dil = prof.dilated(s)
         assert isinstance(dil.value, ClosedForm)
         assert isinstance(dil.derivative, ClosedForm)
-        assert lp_functional(dil, 0.5, h1, koranyi, mc_spec)[0] == \
+        assert lp_functional(dil, 0.5, koranyi)[0] == \
             s ** (-4.0 / 0.5) * base
         d0, _ = weighted_p_integral(prof, 0.5, 0.5, 4.0, use_derivative=True)
         d1, _ = weighted_p_integral(dil, 0.5, 0.5, 4.0, use_derivative=True)

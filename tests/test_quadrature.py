@@ -257,6 +257,30 @@ def test_draw_blocks_match_a_fresh_generator(line, h1):
                 np.testing.assert_array_equal(_bits(a), _bits(b))
 
 
+@pytest.mark.parametrize("weights,boost,alpha", [
+    ((1.0, 1.0, 2.0), 1.0, -1.5), ((1.0, 1.0, 2.0), -1.5, -3.0),
+    ((1.0,), 1.0, -0.5)], ids=["h1", "h1_negative_boost", "r1"])
+def test_zero_uniform_gives_a_finite_sample(weights, boost, alpha):
+    """Generator.random can return 0.0.  Where the radial grid starts at
+    r = 0 (Q + boost > 1), that uniform gives a positive radius below every
+    other draw's, with a finite positive weight, and |x|^alpha w stays
+    finite for alpha < 0; the other uniforms keep their bits."""
+    g = heisenberg_group() if len(weights) == 3 else abelian_group(weights)
+    norm = koranyi_norm(g) if len(weights) == 3 else euclidean_norm(g)
+    env = DecayEnvelope("exp", scale=1.0, boost=boost)
+    Q = g.homogeneous_dim
+    sampler = RadialSampler(env, Q, env.r_max(Q))
+    assert sampler.grid[0] == 0.0
+    u = np.array([0.0, 2.0 ** -53, 0.25, np.nextafter(1.0, 0.0)])
+    block = draw_block(g, QuadratureSpec(sample_count=4, seed=1), 0)
+    x, r, w = sample_group_points(g, sampler, 4, block._replace(uniforms=u))
+    assert np.all(r > 0.0) and r[0] < r[1]
+    assert np.all(np.isfinite(w)) and np.all(w > 0.0)
+    assert np.all(np.isfinite(norm(x) ** alpha * w))
+    r_ref, _ = sampler.sample(3, u[1:])
+    np.testing.assert_array_equal(_bits(r[1:]), _bits(r_ref))
+
+
 def test_draw_stream_read_only_and_held_alone(plane, h1):
     spec = QuadratureSpec(sample_count=1000, seed=5)
     for a in draw_block(h1, spec, 1):
