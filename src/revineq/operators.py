@@ -260,16 +260,20 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     y, _, wy = sample_group_points(group, sy, n, draw_block(group, spec, 1))
 
     gx, gy = norm(x), norm(y)
-    # (|y^{-1}x|, |yx|, |x|, |y|)^л times a b; both products in one gauge call
-    pair = group_mul(group, np.stack([group_inv(group, y), y]), x)
+    # (y^{-1}, y) in one buffer, y^{-1} = -y in every built-in chart; both
+    # products in one group_mul and one gauge call
+    ys = np.empty((2,) + y.shape)
+    np.negative(y, out=ys[0])
+    ys[1] = y
+    pair = group_mul(group, ys, x)
+    # (|y^{-1}x|, |yx|, |x|, |y|)^л times a b, every power as exp(s log)
     rows = np.concatenate([norm(pair), gx[None], gy[None]])
-    with np.errstate(over="ignore"):
-        rows **= lam
-        a, b = gx ** alpha, gy ** beta
-        a *= f(gx)
-        a *= wx                         # rounded as f(|x|) |x|^alpha w_x
-        b *= h(gy)
-        b *= wy
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        np.log(rows, out=rows)
+        a = _times_power(f(gx) * wx, alpha, rows[2])
+        b = _times_power(h(gy) * wy, beta, rows[3])
+        rows *= lam
+        np.exp(rows, out=rows)
         a *= b
         rows *= a
         rows[1] += rows[0]
@@ -281,6 +285,14 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
                 _control_mean(f, alpha, h, beta + lam, Q, norm.sphere))
     value, stderr = _control_variate_estimate(rows, n, mean_y, controls)
     return BilinearEstimate(value, stderr, _plain_stderr(unpaired, n))
+
+
+def _times_power(vals: np.ndarray, s: float, log_r: np.ndarray) -> np.ndarray:
+    """vals r^s in place, r^s taken as exp(s log r); an exponent of 0 is
+    skipped, as exp(0 log 0) would be NaN where r^0 is 1."""
+    if s:
+        vals *= np.exp(s * log_r)
+    return vals
 
 
 def _plain_stderr(vals: np.ndarray, n: int) -> float:

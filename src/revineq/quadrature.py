@@ -12,7 +12,11 @@ which a vectorised adaptive Gauss-Kronrod rule on per-decade panels
 evaluates with one numpy call of the integrand per refinement round, while
 genuinely multi-dimensional integrands are handled by importance-sampled
 Monte Carlo (radius drawn from a declared decay envelope, direction uniform
-on S^{N-1}, the exact Jacobian above absorbed into the weight).
+on S^{N-1}, the exact Jacobian above absorbed into the weight).  On S^1 and
+S^2 a direction comes from a point of the unit disk drawn by rejection from
+a square (von Neumann, Marsaglia), with no Gaussians and no trigonometry;
+r^{Q-1} and the columns of D_r whose weight is not 1 are formed as
+exp(v log r) from one logarithm of r.
 
 The total mass |S| of the quasi-sphere measure in the polar decomposition
 
@@ -35,6 +39,9 @@ the spec with its seed.  The seed-determined part of a sample comes from the
 draw stream of (seed, sample_count, group weights): one generator seeded
 from the spec fills block 0, then block 1, each with sample_count uniforms
 (drawn first), as many unit directions, and L(u) at them (``draw_block``).
+A direction on S^1 or S^2 takes a seed-fixed but variable number of
+uniforms (rejection), so the stream's length in uniforms is not a fixed
+multiple of sample_count; a block still holds what a fresh generator gives.
 Side k of an estimator reads block k, so every estimate at one spec sees
 the numbers a fresh generator would give it, and a block is drawn once
 however many estimates read it.  One stream is held at a time, and its
@@ -54,7 +61,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .exceptions import (DivergenceError, EvaluationError, ParameterError)
-from .groups import (HomogeneousGroup, QuasiNorm, dilate,
+from .groups import (HomogeneousGroup, QuasiNorm, _dilate_log,
                      dilation_quadratic_form)
 
 _MODULE = "quadrature"
@@ -125,6 +132,14 @@ class DecayEnvelope:
         if self.kind == "power":
             return poly * (1.0 + self.scale * r) ** (-self.shape)
         return poly * (r <= self.scale)
+
+    @property
+    def length(self) -> float:
+        """The envelope's own length scale: 1/scale for exp and power,
+        1/sqrt(scale) for gauss, and the support radius for uniform."""
+        if self.kind == "gauss":
+            return 1.0 / math.sqrt(self.scale)
+        return self.scale if self.kind == "uniform" else 1.0 / self.scale
 
     def powered(self, p: float) -> "DecayEnvelope":
         """Envelope of (r^boost base)^p; closed within the family."""
@@ -201,9 +216,60 @@ def unit_sphere_area(n: int) -> float:
     return float(2.0 * np.pi ** (n / 2.0) / _sp.gamma(n / 2.0))
 
 
+def _disk_points(n: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v1, v2, s = v1^2 + v2^2) for n points uniform in the unit disk
+    without its centre, by rejection from the square [-1, 1)^2.
+
+    A batch draws m = k + k // 3 + 16 pairs for the k points still needed,
+    as a (2, m) array of uniforms u mapped to v = 2u - 1 (exact), and keeps
+    those with 0 < s < 1 in order, up to k.  A batch accepts pi/4 of its
+    pairs; it falls short with a probability of at most 1.1e-3 (near
+    n = 230) and 8e-45 at n = 20000, and another batch follows.  So the
+    count of uniforms drawn varies, but is fixed by the seed."""
+    parts = []
+    need = n
+    while need > 0:
+        v = rng.random((2, need + need // 3 + 16))
+        v *= 2.0
+        v -= 1.0
+        s = v[0] * v[0]
+        s += v[1] * v[1]
+        keep = np.flatnonzero((s < 1.0) & (s > 0.0))[:need]
+        parts.append((v[0][keep], v[1][keep], s[keep]))
+        need -= len(keep)
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(c) for c in zip(*parts))
+
+
 def _uniform_directions(n_dim: int, n: int, rng) -> np.ndarray:
+    """n directions uniform on S^{n_dim - 1}.
+
+    S^0: random signs.  S^1 and S^2 from points v of the unit disk
+    (``_disk_points``), with no Gaussians and no trigonometry: von
+    Neumann's (v1^2 - v2^2, 2 v1 v2) / s on S^1, whose angle is twice v's,
+    and Marsaglia's (2 v1 sqrt(1 - s), 2 v2 sqrt(1 - s), 1 - 2 s) on S^2
+    (Ann. Math. Statist. 43, 1972), whose last coordinate 1 - 2s is
+    uniform on [-1, 1] as Archimedes' theorem needs.  Both are exactly
+    uniform.  Higher dimensions normalise standard Gaussians."""
     if n_dim == 1:
         return rng.choice([-1.0, 1.0], size=(n, 1))
+    if n_dim <= 3:
+        v1, v2, s = _disk_points(n, rng)
+        u = np.empty((n, n_dim))
+        if n_dim == 2:
+            np.divide(v1 * v1 - v2 * v2, s, out=u[:, 0])
+            np.divide(2.0 * v1 * v2, s, out=u[:, 1])
+            return u
+        t = np.subtract(1.0, s)
+        np.sqrt(t, out=t)
+        t *= 2.0                        # 2 v t rounds as (2 v) t: 2 is exact
+        np.multiply(v1, t, out=u[:, 0])
+        np.multiply(v2, t, out=u[:, 1])
+        s *= -2.0
+        s += 1.0
+        u[:, 2] = s
+        return u
     u = rng.standard_normal((n, n_dim))
     if n_dim >= 8:
         return u / np.linalg.norm(u, axis=-1, keepdims=True)
@@ -254,6 +320,14 @@ class RadialSampler:
     and the resulting estimators unbiased; the grid resolution only affects
     variance.
 
+    The nodes are geometric from r_hi 1e-10 up to r_hi, ``n_grid`` of them,
+    plus r = 0 where the density vanishes there.  Where 1e-8 of the
+    envelope's own length lies lower, the grid starts there instead, with
+    ``n_grid`` nodes per 10 decades: a power envelope near its
+    integrability threshold has its 1e-8 tail radius r_hi many decades
+    above its bulk, and a grid tied to r_hi alone would put the bulk in the
+    straight first segment from 0, where the sample never visits it.
+
     A draw inverts the cumulative mass ``cum`` in O(1) through a guide table
     (Chen & Asau 1974): equal-mass buckets of [0, total) each store the range
     of segments their draws can fall in, so one comparison finds the segment
@@ -268,7 +342,11 @@ class RadialSampler:
         if not r_hi > 0.0:
             raise ParameterError("need r_hi > 0", module=_MODULE,
                                  operation="RadialSampler")
-        grid = np.geomspace(r_hi * 1e-10, r_hi, n_grid)
+        lo, anchor = r_hi * 1e-10, 1e-8 * envelope.length
+        if anchor < lo:
+            n_grid = math.ceil(n_grid * math.log10(r_hi / anchor) / 10.0)
+            lo = anchor
+        grid = np.geomspace(lo, r_hi, n_grid)
         if Q + envelope.boost > 1.0:
             grid = np.concatenate([[0.0], grid])
         dens = envelope.values(grid) * np.where(grid > 0, grid, 1.0) ** (Q - 1.0)
@@ -366,7 +444,8 @@ class RadialSampler:
 
 class DrawBlock(NamedTuple):
     """The seed-determined draws of one sample of n points: n uniforms for
-    the radii, then n unit directions u, and L(u) at them."""
+    the radii, then n unit directions u (``_uniform_directions``, drawn
+    after the radii's uniforms), and L(u) at them."""
 
     uniforms: np.ndarray
     directions: np.ndarray
@@ -424,14 +503,20 @@ def sample_group_points(group: HomogeneousGroup, sampler: RadialSampler,
 
     ``rng`` is a generator or a ``DrawBlock`` of n points.  Returns
     (points, radii, weights); q is the density of x in the chart,
-    q(x) = pdf(r) / (area(S^{N-1}) r^{Q-1} L(u)).
+    q(x) = pdf(r) / (area(S^{N-1}) r^{Q-1} L(u)), with r^{Q-1} formed as
+    exp((Q-1) log r) and D_r by ``_dilate_log``.
     """
     block = rng if isinstance(rng, DrawBlock) else _draw(group, n, rng)
     # a zero uniform gives r = 0 where the radial grid starts there; the
     # other uniforms of Generator.random are multiples of 2^-53, unchanged
     r, pdf = sampler.sample(n, np.maximum(block.uniforms, 2.0 ** -54))
-    x = dilate(group, r, block.directions)
-    jac = r ** (group.homogeneous_dim - 1.0)
+    # one logarithm for every power of r: exp(v log r) costs a fraction of
+    # a general pow, and D_r checks r through it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_r = np.log(r)
+    x = _dilate_log(group, r, log_r, block.directions)
+    jac = np.multiply(group.homogeneous_dim - 1.0, log_r, out=log_r)
+    np.exp(jac, out=jac)                   # r^{Q-1}
     jac *= unit_sphere_area(group.dim)
     jac *= block.lam
     q = np.divide(pdf, jac, out=pdf)       # pdf / (area r^{Q-1} L(u))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -64,36 +66,70 @@ def clear_caches():
     return clear
 
 
-def _r1_bilinear(f, h, alpha, beta, lam, p, q_prime, cutoff=200.0,
-                 rtol=1e-10):
+def _r1_bilinear(f, h, alpha, beta, lam, p, q_prime, rtol=1e-10):
     """(B, ||f||_{q'}, ||h||_p) on R^1 by adaptive quadrature, independent
     of the library's sampler and moments.  With x = +-r and y = +-s,
 
-        B = int_0^R int_0^R F(r) H(s) r^alpha s^beta
-                2 (|r - s|^л + (r + s)^л) ds dr,
+        B = int int F(r) H(s) r^alpha s^beta K(r, s) ds dr,
+        K(r, s) = 2 (|r - s|^л + (r + s)^л),
 
-    the inner integral split at s = r, where |r - s|^л has a cusp.  R is the
-    smaller of ``cutoff`` and the support radius; the profiles tested here
-    hold less than 1e-12 of any of these integrals beyond r = 200.  Each
-    quadrature asks for relative accuracy ``rtol``.
+    taken as E C1 + E C2 + D: the control means
+
+        E C1 = 4 M_f(alpha + л) M_h(beta),  E C2 = 4 M_f(alpha) M_h(beta + л),
+
+    M_g(k) = int g(r) r^k dr, are products of 1-D integrals, and the
+    remainder D integrates K - 4 r^л - 4 s^л, which is O((s/r)^min(л, 2))
+    of K where s << r, and the mirror where r << s.  So no double integral
+    has to resolve the mass of profiles at separated scales, or the heavy
+    power tail of |x|^л f.  The inner integral of D is split at
+    s = r, where |r - s|^л has a cusp.  Every integral runs to the support
+    radius (inf for the built-in families) in u = log r, where a power tail
+    decays exponentially; each asks for relative accuracy ``rtol``.
     """
-    def quad(fn, a, b):
-        return integrate.quad(fn, a, b, epsabs=0.0, epsrel=rtol,
-                              limit=200)[0]
+    def quad(fn, a, b, epsabs=0.0):
+        def g(u):
+            try:
+                r = math.exp(u)
+                return fn(r) * r if r > 0.0 else 0.0
+            except OverflowError:       # a power of r beyond 1e308, where
+                return 0.0              # the profile has long underflowed
+        lo = math.log(a) if a > 0.0 else -math.inf
+        return integrate.quad(g, lo, math.log(b), epsabs=epsabs,
+                              epsrel=rtol, limit=200)[0]
 
-    rf, rh = min(cutoff, f.support_radius), min(cutoff, h.support_radius)
+    rf, rh = f.support_radius, h.support_radius
 
-    def inner(r):
-        def g(s):
-            return float(h(s)) * s ** beta * 2.0 * (abs(r - s) ** lam
-                                                    + (r + s) ** lam)
-        mid = min(r, rh)
-        return quad(g, 0.0, mid) + (quad(g, mid, rh) if mid < rh else 0.0)
+    def F(r):
+        return float(f(r))
 
-    B = quad(lambda r: float(f(r)) * r ** alpha * inner(r), 0.0, rf)
-    nf = (2.0 * quad(lambda r: float(f(r)) ** q_prime, 0.0, rf)) \
-        ** (1.0 / q_prime)
-    nh = (2.0 * quad(lambda r: float(h(r)) ** p, 0.0, rh)) ** (1.0 / p)
+    def H(s):
+        return float(h(s))
+
+    # the profiles are evaluated far out in u, where their values underflow
+    with np.errstate(over="ignore", under="ignore"):
+        mf = [quad(lambda r: F(r) * r ** (alpha + k), 0.0, rf)
+              for k in (0.0, lam)]
+        mh = [quad(lambda s: H(s) * s ** (beta + k), 0.0, rh)
+              for k in (0.0, lam)]
+        controls = 4.0 * (mf[1] * mh[0] + mf[0] * mh[1])
+
+        # D cancels far below its terms, so its integrals take an absolute
+        # tolerance of rtol times the terms' size
+        def inner(r):
+            def g(s):
+                return H(s) * s ** beta * (2.0 * (abs(r - s) ** lam
+                                                  + (r + s) ** lam)
+                                           - 4.0 * r ** lam - 4.0 * s ** lam)
+            tol = rtol * 4.0 * (r ** lam * mh[0] + mh[1])
+            mid = min(r, rh)
+            return quad(g, 0.0, mid, tol) + (quad(g, mid, rh, tol)
+                                             if mid < rh else 0.0)
+
+        B = controls + quad(lambda r: F(r) * r ** alpha * inner(r), 0.0, rf,
+                            rtol * controls)
+        nf = (2.0 * quad(lambda r: F(r) ** q_prime, 0.0, rf)) \
+            ** (1.0 / q_prime)
+        nh = (2.0 * quad(lambda r: H(r) ** p, 0.0, rh)) ** (1.0 / p)
     return B, nf, nh
 
 

@@ -564,6 +564,41 @@ def test_improved_a_collapses_under_separated_dilations(line, line_norm):
         assert rep.margin < -3.0 * rep.stderr and not rep.passed
 
 
+def _separated_exp_B(R, alpha, beta, lam):
+    """B on R^1 for f = e^{-r/R}, h = e^{-Rr} with the exponentials' radial
+    product in closed form, as in the finding-3 test above."""
+    m = alpha + beta + lam + 1.0
+
+    def quad(fn):
+        return sciint.quad(fn, 0.0, 1.0, epsabs=0.0, epsrel=1e-12,
+                           limit=200)[0]
+
+    def k(t):
+        return (1.0 - t) ** lam + (1.0 + t) ** lam
+    return 2.0 * math.gamma(m + 1.0) * (
+        quad(lambda t: t ** beta * k(t) * (1 / R + R * t) ** (-m - 1.0))
+        + quad(lambda t: t ** alpha * k(t) * (t / R + R) ** (-m - 1.0)))
+
+
+@pytest.mark.parametrize("scale_ratio", [1.0, 9.0, 100.0])
+def test_r1_bilinear_fixture_at_separated_scales(r1_bilinear, scale_ratio):
+    """The R^1 reference of the calibration tests and criterion 8 agrees
+    with the closed-form product at finding 3's point.  At scale ratio 100
+    (f = e^{-r/10}, h = e^{-10r}) a nested quad of the whole kernel up to
+    r = 200 missed 0.8% of B; split into control means and a remainder it
+    agrees to 1e-12."""
+    alpha, beta, p, qp = 0.0, 2.0, 0.7, 0.3
+    lam = balanced_lambda(1.0, p, qp, alpha, beta)
+    R = math.sqrt(scale_ratio)
+    e = make_profile("exp_decay", [1.0])
+    B, nf, nh = r1_bilinear(e.dilated(1.0 / R), e.dilated(R), alpha, beta,
+                            lam, p, qp)
+    assert B == pytest.approx(_separated_exp_B(R, alpha, beta, lam),
+                              rel=1e-12)
+    assert nf == pytest.approx((2.0 * R / qp) ** (1.0 / qp), rel=1e-12)
+    assert nh == pytest.approx((2.0 / (R * p)) ** (1.0 / p), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # reverse integral Hardy pair
 # ---------------------------------------------------------------------------
