@@ -317,7 +317,7 @@ def test_sample_group_points_bit_identical_to_reference(line, plane, h1):
         log_r = np.log(r_ref)
         x_ref = u * np.stack([r_ref if v == 1.0 else np.exp(v * log_r)
                               for v in nu], -1)
-        lam_ref = np.einsum("...i,i->...", u ** 2, nu)
+        lam_ref = sum(u[:, i] ** 2 * v for i, v in enumerate(nu))
         q = pdf_ref / (unit_sphere_area(g.dim) * np.exp((Q - 1.0) * log_r)
                        * lam_ref)
         np.testing.assert_array_equal(_bits(r), _bits(r_ref))

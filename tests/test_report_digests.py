@@ -31,3 +31,29 @@ def test_corpus_reports_are_byte_identical(tmp_path, clear_caches):
     assert len(expected) == 58
     clear_caches()
     assert report_digests.digests(tmp_path) == expected
+
+
+def test_report_diff_scores_moves_and_flags_flips():
+    """report_diff scores a moved ratio by its stderr and a moved lhs by
+    its lhs_stderr on both sides, says where a sigma is missing, and lists
+    a changed pass field as a verdict flip."""
+    import report_diff
+    a = {"report": {"ratio": 1.0, "stderr": 0.3, "lhs": 5.0,
+                    "lhs_stderr": 0.0, "pass": True}}
+    b = {"report": {"ratio": 1.5, "stderr": 0.4, "lhs": 5.0,
+                    "lhs_stderr": 0.1, "pass": False}}
+    rows_a = [{"ratio": 2.0, "stderr": 1.0, "lhs": 3.0, "pass": "true"}]
+    rows_b = [{"ratio": 2.5, "stderr": 0.0, "lhs": 3.5, "pass": "true"}]
+    assert list(report_diff.z_scores(a, b)) == [("report.ratio",
+                                                 pytest.approx(1.0))]
+    assert list(report_diff.z_scores(rows_a, rows_b)) == [
+        ("[0].ratio", pytest.approx(0.5)), ("[0].lhs", None)]
+    lines, zs, flips = report_diff.diff_file("case/report.json", a, b)
+    assert flips == [("case/report.json:report.pass", True, False)]
+    assert "    report.ratio: z 1" in lines
+    text = report_diff.summary(zs + [("case/sweep.csv:[0].lhs", None)],
+                               flips)
+    assert "largest z-score: 1 (case/report.json:report.ratio)" in text
+    assert "1 without sigma" in text
+    assert "verdict flips: case/report.json:report.pass True -> False" \
+        in text
