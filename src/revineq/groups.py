@@ -113,10 +113,10 @@ def dilate(group: HomogeneousGroup, s, x) -> Array:
     leading axes of ``x``.
     """
     s_arr = np.asarray(s, dtype=float)
-    _check_dilation(not np.any(s_arr <= 0.0) and np.all(np.isfinite(s_arr)))
+    valid = np.all(s_arr > 0.0) and np.all(np.isfinite(s_arr))
     # an array exponent: numpy's fast paths for a scalar exponent (s * s for
     # 2, sqrt for 0.5) round differently
-    return _scale_columns(group, s_arr, x, lambda v: _power(s_arr, v))
+    return _dilate_by(group, s_arr, x, valid, lambda v: _power(s_arr, v))
 
 
 def _dilate_log(group: HomogeneousGroup, s: Array, log_s: Array,
@@ -125,19 +125,17 @@ def _dilate_log(group: HomogeneousGroup, s: Array, log_s: Array,
     Checks what ``dilate`` checks, s through log s, which is finite only
     for a positive finite s.  Its bits differ from ``dilate``'s, which
     stays the same for a point alone as inside a batch."""
-    _check_dilation(np.all(np.isfinite(log_s)))
-    return _scale_columns(group, s, x, lambda v: np.exp(v * log_s))
+    return _dilate_by(group, s, x, np.all(np.isfinite(log_s)),
+                      lambda v: np.exp(v * log_s))
 
 
-def _check_dilation(ok) -> None:
-    if not ok:
+def _dilate_by(group: HomogeneousGroup, s: Array, x, valid,
+               power) -> Array:
+    """x_i times s for weight 1 and times power(v) once per other distinct
+    weight v; raises unless ``valid`` says s is positive and finite."""
+    if not valid:
         raise ParameterError("dilation parameter must be positive and finite",
                              module=_MODULE, operation="dilate")
-
-
-def _scale_columns(group: HomogeneousGroup, s: Array, x, power) -> Array:
-    """x_i times s for weight 1 and times power(v) once per other distinct
-    weight v."""
     pts = as_points(group, x, operation="dilate")
     out = np.empty(np.broadcast_shapes(s.shape + (group.dim,), pts.shape))
     scales = {1.0: s}

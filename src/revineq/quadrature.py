@@ -343,7 +343,7 @@ class RadialSampler:
             raise ParameterError("need r_hi > 0", module=_MODULE,
                                  operation="RadialSampler")
         lo, anchor = r_hi * 1e-10, 1e-8 * envelope.length
-        if anchor < lo:
+        if anchor < lo < math.inf:
             n_grid = math.ceil(n_grid * math.log10(r_hi / anchor) / 10.0)
             lo = anchor
         grid = np.geomspace(lo, r_hi, n_grid)

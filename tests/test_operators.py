@@ -9,8 +9,8 @@ from scipy import integrate as sciint
 from scipy import special as sp
 
 from revineq import (DecayEnvelope, DegenerateInputError, DivergenceError,
-                     ParameterError, QuadratureSpec, RadialProfile,
-                     balanced_lambda, conjugate_exponent,
+                     EvaluationError, ParameterError, QuadratureSpec,
+                     RadialProfile, balanced_lambda, conjugate_exponent,
                      kernel_bound_report, lp_functional, make_profile,
                      reverse_holder_gap, sphere_measure, stein_weiss_form,
                      weighted_p_integral)
@@ -327,6 +327,18 @@ def test_stein_weiss_near_critical_power_tail(line, line_norm, r1_bilinear,
         res = stein_weiss_form(f, h, 0.0, 0.0, 0.5, line, line_norm,
                                QuadratureSpec(sample_count=40000, seed=seed))
         assert abs(res.value - ref) < 4.0 * res.stderr, (seed, res)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stein_weiss_tail_radius_beyond_float_range(h1, cygan):
+    """f = (1+r)^{-6.01} on H^1 at л = 2: the x-side tail radius is beyond
+    the float range, so no grid can be built up to it, and the form raises
+    EvaluationError (exit 3), anchored grid or not."""
+    f, h = make_profile("power_decay", [6.01, 1.0]), make_profile("gaussian",
+                                                                   [1.0])
+    with pytest.raises(EvaluationError, match="non-finite on radial grid"):
+        stein_weiss_form(f, h, 0.0, 0.0, 2.0, h1, cygan,
+                         QuadratureSpec(sample_count=1000, seed=1))
 
 
 def test_stein_weiss_controls_on_the_quadrature_path(line, line_norm,
