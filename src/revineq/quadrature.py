@@ -326,7 +326,8 @@ class RadialSampler:
     ``n_grid`` nodes per 10 decades: a power envelope near its
     integrability threshold has its 1e-8 tail radius r_hi many decades
     above its bulk, and a grid tied to r_hi alone would put the bulk in the
-    straight first segment from 0, where the sample never visits it.
+    straight first segment from 0, where the sample never visits it.  An
+    infinite r_hi admits no grid either way, and raises EvaluationError.
 
     A draw inverts the cumulative mass ``cum`` in O(1) through a guide table
     (Chen & Asau 1974): equal-mass buckets of [0, total) each store the range
