@@ -21,8 +21,10 @@ The doubly weighted bilinear form with growing kernel
 
 is estimated by importance-sampled Monte Carlo with the exact polar
 Jacobian from the quadrature module, on antithetic pairs y, y^{-1} of
-draws, corrected by two control variates whose means are products of
-radial moments; estimates are deterministic per seed.
+draws, and quadruples y, y^{-1}, Jy, (Jy)^{-1} with J a quarter turn of
+the first two coordinates where their dilation weights are equal (R^N
+for N >= 2, H1), corrected by two control variates whose means are
+products of radial moments; estimates are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ def lp_functional(profile: RadialProfile, p: float,
 class BilinearEstimate(IntegralResult):
     """A bilinear form's estimate; ``plain_stderr`` is the stderr that the
     plain mean of the unpaired samples a b |y^{-1}x|^л would have, without
-    the antithetic pair and the control variates."""
+    the antithetic pair or quadruple and the control variates."""
 
     plain_stderr: float
 
@@ -225,9 +227,22 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     and the proposal density depends only on r and L(u), so -y = y^{-1} has
     the density and the weight of y, and its kernel is |(-y)^{-1}x| = |yx|:
     Y is unbiased, and the part of the kernel odd under y -> y^{-1} (the
-    x.y term on R^N) cancels.  The kernel is close to |x|^л where
-    |y| << |x| and to |y|^л where |x| << |y|, so C1 = a b |x|^л and
-    C2 = a b |y|^л are control variates, with the exact means
+    x.y term on R^N) cancels.
+
+    Where the first two dilation weights are equal, the quarter turn
+    J (y1, y2, ...) = (-y2, y1, ...) commutes with D_r, keeps Lebesgue
+    measure and L(u), and so Jy too has the density and the weight of y.
+    Where the gauge also gives |Jy| = |y| bit for bit on the draw, as
+    every built-in gauge does, b is that of y, and the sample is the
+    quadruple Y = a b (|y^{-1}x|^л + |yx|^л + |(Jy)^{-1}x|^л + |(Jy)x|^л)
+    / 4, whose turned pair runs as a second pass through the buffer of
+    the first; for any other gauge Y stays the pair.  On R^2 the
+    Euclidean kernel depends on the angle between x and y alone, which the
+    quadruple samples at four points 90 degrees apart.
+
+    The kernel is close to |x|^л where |y| << |x| and to |y|^л where
+    |x| << |y|, so C1 = a b |x|^л and C2 = a b |y|^л are control
+    variates, with the exact means
 
         E C1 = |S|^2 M_f(alpha + л) M_h(beta),
         E C2 = |S|^2 M_f(alpha) M_h(beta + л),
@@ -265,26 +280,45 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     ys = np.empty((2,) + y.shape)
     np.negative(y, out=ys[0])
     ys[1] = y
-    pair = group_mul(group, ys, x)
-    # (|y^{-1}x|, |yx|, |x|, |y|)^л times a b, every power as exp(s log)
-    rows = np.concatenate([norm(pair), gx[None], gy[None]])
+    kernel = [norm(group_mul(group, ys, x))]
+    # the second pass turns the buffer to ((Jy)^{-1}, Jy), where J keeps
+    # the draw's density and the gauge keeps b
+    if group.dim >= 2 and group.weights[0] == group.weights[1]:
+        _quarter_turn(y, ys)
+        if np.array_equal(norm(ys[1]), gy):
+            kernel.append(norm(group_mul(group, ys, x)))
+    m = 2 * len(kernel)                 # kernel rows
+    # (|y^{-1}x|, |yx|, ..., |x|, |y|)^л times a b, every power as exp(s log)
+    rows = np.concatenate(kernel + [gx[None], gy[None]])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         np.log(rows, out=rows)
-        a = _times_power(f(gx) * wx, alpha, rows[2])
-        b = _times_power(h(gy) * wy, beta, rows[3])
+        a = _times_power(f(gx) * wx, alpha, rows[m])
+        b = _times_power(h(gy) * wy, beta, rows[m + 1])
         rows *= lam
         np.exp(rows, out=rows)
         a *= b
         rows *= a
-        rows[1] += rows[0]
-        rows[1] *= 0.5
-    unpaired, rows = rows[0], rows[1:]  # a b |y^{-1}x|^л; Y, C1, C2
+        # Y, the mean of the kernel rows, summed pair by pair into row m - 1
+        rows[1:m:2] += rows[0:m:2]
+        if m == 4:
+            rows[3] += rows[1]
+        rows[m - 1] *= 1.0 / m
+    unpaired, rows = rows[0], rows[m - 1:]  # a b |y^{-1}x|^л; Y, C1, C2
     mean_y = _checked_mean(rows[0], n, "stein_weiss_form",
                            hint="; tighten the trial decay or reduce lambda")
     controls = (_control_mean(f, alpha + lam, h, beta, Q, norm.sphere),
                 _control_mean(f, alpha, h, beta + lam, Q, norm.sphere))
     value, stderr = _control_variate_estimate(rows, n, mean_y, controls)
     return BilinearEstimate(value, stderr, _plain_stderr(unpaired, n))
+
+
+def _quarter_turn(y: np.ndarray, ys: np.ndarray) -> None:
+    """Turns ys = (-y, y) into (-Jy, Jy) in place, J (y1, y2, ...) =
+    (-y2, y1, ...); only the first two columns change, exactly."""
+    np.negative(y[:, 1], out=ys[1, :, 0])
+    ys[1, :, 1] = y[:, 0]
+    ys[0, :, 0] = y[:, 1]
+    np.negative(y[:, 0], out=ys[0, :, 1])
 
 
 def _times_power(vals: np.ndarray, s: float, log_r: np.ndarray) -> np.ndarray:

@@ -320,10 +320,12 @@ class RadialSampler:
     and the resulting estimators unbiased; the grid resolution only affects
     variance.
 
-    The nodes are geometric from r_hi 1e-10 up to r_hi, ``n_grid`` of them,
-    plus r = 0 where the density vanishes there.  Where 1e-8 of the
-    envelope's own length lies lower, the grid starts there instead, with
-    ``n_grid`` nodes per 10 decades: a power envelope near its
+    The nodes are geometric from r_hi 1e-10 up to r_hi, ``n_grid`` of them
+    (512 by default: over the 972 bilinear forms of criterion 8's grid,
+    2048 gave the same median stderr to about 1%, for a slower build and
+    draw), plus r = 0 where the density vanishes there.  Where 1e-8 of
+    the envelope's own length lies lower, the grid starts there instead,
+    with ``n_grid`` nodes per 10 decades: a power envelope near its
     integrability threshold has its 1e-8 tail radius r_hi many decades
     above its bulk, and a grid tied to r_hi alone would put the bulk in the
     straight first segment from 0, where the sample never visits it.  An
@@ -339,7 +341,7 @@ class RadialSampler:
     _BUCKETS_PER_NODE = 2
 
     def __init__(self, envelope: DecayEnvelope, Q: float, r_hi: float,
-                 n_grid: int = 2048):
+                 n_grid: int = 512):
         if not r_hi > 0.0:
             raise ParameterError("need r_hi > 0", module=_MODULE,
                                  operation="RadialSampler")
@@ -462,11 +464,14 @@ def _draw(group: HomogeneousGroup, n: int, rng) -> DrawBlock:
 # glibc maps an allocation above its mmap threshold afresh and returns the
 # heap top to the system beyond twice that threshold; the threshold starts
 # at 128 KiB and rises to the size of each larger mapping freed.  Freeing
-# one 2 MiB array lifts it above the 0.16-1 MB arrays of a Monte Carlo
-# estimate, whose pages are then reused rather than faulted in afresh
-# (glibc 2.36, x86-64: 10 to 23 minor page faults per perfbench sw_grid
-# operation with it, 440 without).
-np.empty(1 << 18)     # allocated and freed at once
+# one 4 MiB array lifts it above the 0.16-1 MB arrays of a Monte Carlo
+# estimate, whose pages are then reused rather than faulted in afresh,
+# with room for the bilinear kernel's second pass (glibc 2.36, x86-64:
+# 0.2 to 0.4 minor page faults per perfbench sw_grid operation).  With a
+# 2 MiB array glibc trimmed the heap top under a version of that kernel
+# that made more temporaries: 190 and 320 faults per operation on two of
+# three seeds.
+np.empty(1 << 19)     # allocated and freed at once
 
 # the draw streams held, keyed by (seed, sample_count, weights); the oldest
 # is evicted beyond this many

@@ -66,6 +66,20 @@ def clear_caches():
     return clear
 
 
+def _assert_z_gate(z):
+    """The calibration gate on the z-scores of at least 20 seeds: standard
+    deviation at most 1.3, and at most one seed beyond 3 sigma."""
+    z = np.asarray(z)
+    assert len(z) >= 20
+    assert np.std(z, ddof=1) <= 1.3, z
+    assert np.sum(np.abs(z) > 3.0) <= 1, z
+
+
+@pytest.fixture(scope="session")
+def z_gate():
+    return _assert_z_gate
+
+
 def _r1_bilinear(f, h, alpha, beta, lam, p, q_prime, rtol=1e-10):
     """(B, ||f||_{q'}, ||h||_p) on R^1 by adaptive quadrature, independent
     of the library's sampler and moments.  With x = +-r and y = +-s,

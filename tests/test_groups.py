@@ -180,8 +180,10 @@ def test_anisotropic_gauge_bit_identical_to_sum(weights, M):
                                      (cygan_norm, 16.0)])
 def test_h1_gauges_bit_identical_to_formula(gauge, c):
     """Koranyi and Cygan come from one constructor of
-    ((x1^2+x2^2)^2 + c t^2)^{1/4}; Koranyi's c = 1 multiplies exactly, so
-    it keeps the bits of the formula without the factor."""
+    ((x1^2+x2^2)^2 + c t^2)^{1/4}, the fourth root taken as two square
+    roots; Koranyi's c = 1 multiplies exactly, so it keeps the bits of the
+    formula without the factor.  The two roots stay within 1 ulp of
+    ** 0.25."""
     norm = gauge(heisenberg_group())
     rng = np.random.default_rng(31)
     for shape in _gauge_shapes(3):
@@ -189,9 +191,12 @@ def test_h1_gauges_bit_identical_to_formula(gauge, c):
         # a single point runs as a batch of one
         pts = x.reshape(-1, 3)
         t2 = pts[:, 2] ** 2 if c is None else c * pts[:, 2] ** 2
-        ref = ((pts[:, 0] ** 2 + pts[:, 1] ** 2) ** 2 + t2) ** 0.25
-        np.testing.assert_array_equal(_bits(norm(x)),
-                                      _bits(ref.reshape(shape[:-1])))
+        inner = (pts[:, 0] ** 2 + pts[:, 1] ** 2) ** 2 + t2
+        ref = np.sqrt(np.sqrt(inner)).reshape(shape[:-1])
+        got = norm(x)
+        np.testing.assert_array_equal(_bits(got), _bits(ref))
+        np.testing.assert_array_max_ulp(
+            got, (inner ** 0.25).reshape(shape[:-1]), maxulp=1)
 
 
 def test_anisotropic_gauge_rejects_wrong_point_shape():

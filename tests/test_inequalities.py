@@ -11,9 +11,10 @@ from scipy import special as sp
 
 from revineq import (DecayEnvelope, DegenerateInputError, DivergenceError,
                      InequalityParams, ParameterError, QuadratureSpec,
-                     RadialProfile, abelian_group, analytic_A1, analytic_A2,
-                     balanced_lambda, bracket_kappa, conjugate_exponent,
-                     euclidean_norm, make_profile, stein_weiss_form,
+                     QuasiNorm, RadialProfile, abelian_group, analytic_A1,
+                     analytic_A2, balanced_lambda, bracket_kappa,
+                     conjugate_exponent, euclidean_norm, make_profile,
+                     stein_weiss_form,
                      stein_weiss_lower_constant, validate_params,
                      verify_forward_ckn, verify_forward_hardy,
                      verify_forward_sobolev, verify_reverse_ckn,
@@ -459,10 +460,10 @@ def test_certified_constant_violated_at_admissible_point():
     assert ratio / L > 0.97                # ... by about two percent
 
 
-def _r2_exp_gauss_ratio(alpha, beta, lam, p, q_prime):
-    """B(f, h) / (||f||_{q'} ||h||_p) on Euclidean R^2 for f = e^{-r},
-    h = e^{-r^2}, by quadrature independent of the library.  With x = r sigma
-    and y = s tau the angular integral of |x - y|^л is
+def _r2_exp_gauss_form(alpha, beta, lam):
+    """B(f, h) on Euclidean R^2 for f = e^{-r}, h = e^{-r^2}, by quadrature
+    independent of the library.  With x = r sigma and y = s tau the angular
+    integral of |x - y|^л is
 
         K(r, s) = (2 pi)^2 M^л 2F1(-л/2, -л/2; 1; t^2),  M = max, t = min/M,
 
@@ -480,10 +481,52 @@ def _r2_exp_gauss_ratio(alpha, beta, lam, p, q_prime):
         0.0, 1.0)
     inner = quad(lambda t: kernel(t) * t ** (alpha + 1.0) * quad(
         lambda s: math.exp(-t * s - s * s) * s ** m, 0.0, math.inf), 0.0, 1.0)
-    B = (2.0 * math.pi) ** 2 * (outer + inner)
+    return (2.0 * math.pi) ** 2 * (outer + inner)
+
+
+def _r2_exp_gauss_ratio(alpha, beta, lam, p, q_prime):
+    """B(f, h) / (||f||_{q'} ||h||_p) for the form above."""
     nf = (2.0 * math.pi / q_prime ** 2) ** (1.0 / q_prime)
     nh = (math.pi / p) ** (1.0 / p)
-    return B / (nf * nh)
+    return _r2_exp_gauss_form(alpha, beta, lam) / (nf * nh)
+
+
+# finding 3's two rows (balanced л at p = 0.7, q' = 0.5, beta = 1), and
+# л = 1.5 as at the H^1 calibration point
+R2_CALIBRATION_POINTS = [(0.0, balanced_lambda(2.0, 0.7, 0.5, 0.0, 1.0)),
+                         (0.5, balanced_lambda(2.0, 0.7, 0.5, 0.5, 1.0)),
+                         (0.5, 1.5)]
+
+
+@pytest.mark.parametrize("alpha,lam", R2_CALIBRATION_POINTS)
+def test_stein_weiss_quadruples_calibrated_on_r2(plane, plane_norm, z_gate,
+                                                 alpha, lam):
+    """On Euclidean R^2 every sample is a quarter-turn quadruple.  Over 24
+    seeds at beta = 1, f = e^{-r}, h = e^{-r^2}, the z-scores of B against
+    the quadrature reference pass the calibration gate."""
+    ref = _r2_exp_gauss_form(alpha, 1.0, lam)
+    f, h = make_profile("exp_decay", [1.0]), make_profile("gaussian", [1.0])
+    z_gate([(res.value - ref) / res.stderr for res in (
+        stein_weiss_form(f, h, alpha, 1.0, lam, plane, plane_norm,
+                         QuadratureSpec(sample_count=20000, seed=seed))
+        for seed in range(1, 25))])
+
+
+def test_stein_weiss_unbiased_under_a_gauge_the_turn_moves(plane, z_gate):
+    """The gauge sqrt(x1^2 + 4 x2^2) on R^2, whose unit ball is an ellipse
+    of area pi/2 (|S| = pi), gives |Jy| != |y| for the quarter turn J, so
+    b = w h(|y|) |y|^beta does not carry over to Jy.  x2 -> 2 x2 maps it to
+    the Euclidean gauge, so its B is the Euclidean B / 4 exactly; over 24
+    seeds the estimate is unbiased against that reference."""
+    ellipse = QuasiNorm("ellipse", plane,
+                        lambda x: np.sqrt(x[..., 0] ** 2 + 4.0 * x[..., 1] ** 2),
+                        math.pi)
+    ref = _r2_exp_gauss_form(0.5, 1.0, 1.5) / 4.0
+    f, h = make_profile("exp_decay", [1.0]), make_profile("gaussian", [1.0])
+    z_gate([(res.value - ref) / res.stderr for res in (
+        stein_weiss_form(f, h, 0.5, 1.0, 1.5, plane, ellipse,
+                         QuadratureSpec(sample_count=20000, seed=seed))
+        for seed in range(1, 25))])
 
 
 @pytest.mark.parametrize("alpha,expected", [(0.0, 0.0202232),

@@ -10,10 +10,12 @@ from scipy import special as sp
 
 from revineq import (DecayEnvelope, DegenerateInputError, DivergenceError,
                      EvaluationError, ParameterError, QuadratureSpec,
-                     RadialProfile, balanced_lambda, conjugate_exponent,
-                     kernel_bound_report, lp_functional, make_profile,
-                     reverse_holder_gap, sphere_measure, stein_weiss_form,
-                     weighted_p_integral)
+                     QuasiNorm, RadialProfile, abelian_group,
+                     anisotropic_gauge, balanced_lambda, conjugate_exponent,
+                     cygan_norm, euclidean_norm, heisenberg_group,
+                     kernel_bound_report, koranyi_norm, lp_functional,
+                     make_profile, reverse_holder_gap, sphere_measure,
+                     stein_weiss_form, weighted_p_integral)
 from revineq.operators import CLOSED_FORM_RTOL, ClosedForm
 
 
@@ -307,6 +309,57 @@ def test_stein_weiss_stderr_calibrated_on_h1(h1, koranyi, expp):
                          QuadratureSpec(sample_count=20000, seed=seed))
         for seed in range(1, 21))]
     _assert_calibrated(z)
+
+
+def _ellipse(group):
+    return QuasiNorm("ellipse", group, lambda x: np.sqrt(
+        x[..., 0] ** 2 + 4.0 * x[..., 1] ** 2), math.pi)
+
+
+@pytest.mark.parametrize("group,gauge,calls", [
+    (abelian_group((1.0,)), euclidean_norm, 3),
+    (abelian_group((1.0, 2.0)), anisotropic_gauge, 3),
+    (abelian_group((1.0, 1.0)), euclidean_norm, 5),
+    (abelian_group((1.0, 1.0, 1.0, 2.0)), anisotropic_gauge, 5),
+    (heisenberg_group(), koranyi_norm, 5),
+    (heisenberg_group(), cygan_norm, 5),
+    (heisenberg_group(), anisotropic_gauge, 5),
+    (abelian_group((1.0, 1.0)), _ellipse, 4)],
+    ids=["R1", "R2(1,2)", "R2", "R4(1,1,1,2)", "koranyi", "cygan",
+         "h1-anisotropic", "ellipse"])
+def test_stein_weiss_turns_where_weights_and_gauge_allow(expp, group, gauge,
+                                                         calls):
+    """The form evaluates the gauge at x, at y and on the pair (y^{-1}x,
+    yx).  Where the first two dilation weights are equal it evaluates the
+    gauge at Jy, and where that gives |y| bit for bit on the draw, as for
+    every built-in gauge, on the turned pair as well: 5 calls.  Unequal
+    weights make 3 calls, and a gauge that the turn moves makes 4."""
+    norm = gauge(group)
+    seen = []
+
+    def evaluate(x):
+        seen.append(x.shape)
+        return norm.evaluate(x)
+    stein_weiss_form(expp, expp, 0.5, 1.0, 1.5, group,
+                     replace(norm, evaluate=evaluate),
+                     QuadratureSpec(sample_count=2000, seed=3))
+    assert len(seen) == calls, seen
+
+
+@pytest.mark.parametrize("gauge,exact", [("koranyi", 32616.489),
+                                         ("cygan", 2073.4)])
+def test_stein_weiss_quadruples_calibrated_on_h1(h1, request, z_gate, expp,
+                                                 gauge, exact):
+    """Every sample on H^1 is a quarter-turn quadruple.  At the point
+    above, over 24 seeds the z-scores pass the calibration gate on Koranyi
+    and on Cygan, whose B = 2073.4 comes from the same tabulated rule
+    (m = 24 and m = 32 agree to 1.3e-5)."""
+    norm = request.getfixturevalue(gauge)
+    gauss = make_profile("gaussian", [1.0])
+    z_gate([(res.value - exact) / res.stderr for res in (
+        stein_weiss_form(expp, gauss, 0.5, 1.0, 1.5, h1, norm,
+                         QuadratureSpec(sample_count=20000, seed=seed))
+        for seed in range(1, 25))])
 
 
 @pytest.mark.parametrize("s,exact", [(1.8, 10.399446), (2.0, 5.875315)])

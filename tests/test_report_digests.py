@@ -35,8 +35,9 @@ def test_corpus_reports_are_byte_identical(tmp_path, clear_caches):
 
 def test_report_diff_scores_moves_and_flags_flips():
     """report_diff scores a moved ratio by its stderr and a moved lhs by
-    its lhs_stderr on both sides, says where a sigma is missing, and lists
-    a changed pass field as a verdict flip."""
+    its lhs_stderr on both sides, says where a sigma is missing, gives the
+    new stderr over the old for a moved ratio, and lists a changed pass
+    field as a verdict flip."""
     import report_diff
     a = {"report": {"ratio": 1.0, "stderr": 0.3, "lhs": 5.0,
                     "lhs_stderr": 0.0, "pass": True}}
@@ -48,12 +49,17 @@ def test_report_diff_scores_moves_and_flags_flips():
                                                  pytest.approx(1.0))]
     assert list(report_diff.z_scores(rows_a, rows_b)) == [
         ("[0].ratio", pytest.approx(0.5)), ("[0].lhs", None)]
-    lines, zs, flips = report_diff.diff_file("case/report.json", a, b)
+    assert list(report_diff.stderr_ratios(rows_a, rows_b)) == []
+    lines, zs, flips, ratios = report_diff.diff_file("case/report.json",
+                                                     a, b)
     assert flips == [("case/report.json:report.pass", True, False)]
     assert "    report.ratio: z 1" in lines
+    assert ratios == [("case/report.json:report.ratio", pytest.approx(4 / 3))]
+    assert "    report.ratio: stderr new/old 1.33" in lines
     text = report_diff.summary(zs + [("case/sweep.csv:[0].lhs", None)],
-                               flips)
+                               flips, ratios + [("case/x", 0.5)])
     assert "largest z-score: 1 (case/report.json:report.ratio)" in text
     assert "1 without sigma" in text
+    assert "median stderr new/old: 0.917 over 2 moved ratios" in text
     assert "verdict flips: case/report.json:report.pass True -> False" \
         in text

@@ -13,10 +13,13 @@ for every ``report.json``, ``sweep.csv`` and ``trace.csv``:
 - for every ``ratio`` or ``lhs`` that moved, its z-score
   |a - b| / sqrt(sigma_a^2 + sigma_b^2), with sigma the ``stderr`` (for
   ``ratio``) or ``lhs_stderr`` (for ``lhs``) of the same report or
-  ``sweep.csv`` row on each side, or "no sigma" where either side has none.
+  ``sweep.csv`` row on each side, or "no sigma" where either side has none;
+- for every ``ratio`` that moved with a positive ``stderr`` on both sides
+  (a bilinear report: every other ratio is deterministic), this stderr
+  over the other's.
 
-The last lines summarise the run: the largest z-score, and every verdict
-flip (a changed ``pass`` field or exit code).
+The last lines summarise the run: the largest z-score, the median stderr
+ratio, and every verdict flip (a changed ``pass`` field or exit code).
 
 Byte digests gate refactors that must not move a single bit; this gates
 changes that move report values by rounding only:
@@ -31,6 +34,7 @@ import csv
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -121,29 +125,46 @@ def _sigma(x) -> float | None:
     return float(x) if _is_number(x) and math.isfinite(x) else None
 
 
-def z_scores(a, b, path: str = ""):
+def _moved(a, b, path: str = ""):
+    """Yield (path, key, a_obj, b_obj) for each ``ratio`` or ``lhs`` that
+    moved between a and b, with the object that holds it on each side."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in SIGMA_OF:
+            x, y = a.get(key), b.get(key)
+            if _is_number(x) and _is_number(y) and x != y:
+                yield f"{path}.{key}" if path else key, key, a, b
+        for key in sorted(a.keys() & b.keys(), key=str):
+            yield from _moved(a[key], b[key],
+                              f"{path}.{key}" if path else str(key))
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _moved(x, y, f"{path}[{i}]")
+
+
+def z_scores(a, b):
     """Yield (path, z) for each ``ratio`` or ``lhs`` that moved between a
     and b, z = |a - b| / sqrt(sigma_a^2 + sigma_b^2), with sigma from the
     same object on each side; z is None where a sigma is missing or both
     are 0."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        for key, sigma_key in SIGMA_OF.items():
-            x, y = a.get(key), b.get(key)
-            if _is_number(x) and _is_number(y) and x != y:
-                sx, sy = _sigma(a.get(sigma_key)), _sigma(b.get(sigma_key))
-                both = sx is not None and sy is not None and (sx or sy)
-                yield (f"{path}.{key}" if path else key,
-                       abs(x - y) / math.hypot(sx, sy) if both else None)
-        for key in sorted(a.keys() & b.keys(), key=str):
-            yield from z_scores(a[key], b[key],
-                                f"{path}.{key}" if path else str(key))
-    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        for i, (x, y) in enumerate(zip(a, b)):
-            yield from z_scores(x, y, f"{path}[{i}]")
+    for path, key, x, y in _moved(a, b):
+        sx, sy = _sigma(x.get(SIGMA_OF[key])), _sigma(y.get(SIGMA_OF[key]))
+        both = sx is not None and sy is not None and (sx or sy)
+        yield path, (abs(x[key] - y[key]) / math.hypot(sx, sy) if both
+                     else None)
 
 
-def diff_file(name: str, a, b) -> tuple[list[str], list, list]:
-    """(lines, z-scores as (path, z), verdict flips as (path, a, b))."""
+def stderr_ratios(a, b):
+    """Yield (path, b's stderr / a's) for each ``ratio`` that moved between
+    a and b with a positive finite ``stderr`` on both sides."""
+    for path, key, x, y in _moved(a, b):
+        sx, sy = _sigma(x.get("stderr")), _sigma(y.get("stderr"))
+        if key == "ratio" and sx and sy:
+            yield path, sy / sx
+
+
+def diff_file(name: str, a, b) -> tuple[list[str], list, list, list]:
+    """(lines, z-scores as (path, z), verdict flips as (path, a, b),
+    stderr ratios as (path, b's stderr / a's))."""
     worst, worst_path, lines, flips = 0.0, "-", [], []
     for item in compare(a, b):
         if len(item) == 2:
@@ -161,8 +182,11 @@ def diff_file(name: str, a, b) -> tuple[list[str], list, list]:
     for path, z in zs:
         lines.append(f"    {path.split(':', 1)[1]}: "
                      + ("no sigma" if z is None else f"z {z:.3g}"))
+    ratios = [(f"{name}:{path}", r) for path, r in stderr_ratios(a, b)]
+    lines += [f"    {path.split(':', 1)[1]}: stderr new/old {r:.3g}"
+              for path, r in ratios]
     return [f"{name}: max relative {worst:.3g} ({worst_path})"] + lines, \
-        zs, flips
+        zs, flips, ratios
 
 
 def main(argv=None) -> int:
@@ -170,7 +194,7 @@ def main(argv=None) -> int:
     parser.add_argument("other", type=Path,
                         help="checkout to compare with (its src/ is run)")
     args = parser.parse_args(argv)
-    zs, flips = [], []
+    zs, flips, ratios = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         here, there = Path(tmp) / "this", Path(tmp) / "other"
         codes_here = run_corpus(TOOLS.parent, here)
@@ -182,29 +206,34 @@ def main(argv=None) -> int:
                     print(f"{case}/{name}: only in "
                           f"{'other' if pa.exists() else 'this'}")
                 elif pa.exists():
-                    lines, z, flip = diff_file(f"{case}/{name}", _load(pa),
-                                               _load(pb))
+                    lines, z, flip, ratio = diff_file(
+                        f"{case}/{name}", _load(pa), _load(pb))
                     print("\n".join(lines))
                     zs += z
                     flips += flip
+                    ratios += ratio
             a, b = codes_there[case], codes_here.get(case, "<missing>")
             print(f"exit {a} -> {b}  {case}" if a != b
                   else f"exit {a}  {case}")
             if a != b:
                 flips.append((f"{case}: exit", a, b))
-    print(summary(zs, flips))
+    print(summary(zs, flips, ratios))
     return 0
 
 
-def summary(zs, flips) -> str:
+def summary(zs, flips, ratios) -> str:
     """The largest z-score of the moved ratios and lhs values, how many had
-    no sigma, and every verdict flip."""
+    no sigma, the median stderr ratio, and every verdict flip."""
     scored = [(z, path) for path, z in zs if z is not None]
     out = [f"moved ratio/lhs values: {len(zs)}, {len(zs) - len(scored)} "
            "without sigma"]
     if scored:
         z, path = max(scored)
         out.append(f"largest z-score: {z:.3g} ({path})")
+    if ratios:
+        out.append(f"median stderr new/old: "
+                   f"{statistics.median(r for _, r in ratios):.3g} over "
+                   f"{len(ratios)} moved ratios")
     out.append("verdict flips: " + ("none" if not flips else "; ".join(
         f"{path} {a!r} -> {b!r}" for path, a, b in flips)))
     return "\n".join(out)
