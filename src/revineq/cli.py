@@ -277,15 +277,15 @@ def cmd_estimate(cfg: Section, group, norm, spec, out: Path) -> int:
     sect.finish()
     name, params = read_inequality(cfg.section("inequality"),
                                    group.homogeneous_dim)
-    # by default the family of the trial section, built as verify builds it
-    families = families or [_build_trial(cfg).family_tag]
+    # by default the families of the trial sections, built as verify
+    # builds them
+    families = families or [_build_trial(cfg, key).family_tag
+                            for key in ineq.INEQUALITIES[name].trials]
     cfg.finish("estimate")
     search = SearchSpec(method=method, budget=budget, restarts=restarts,
                         seed=spec.seed)
-    # one family per trial profile; a single family serves every profile
-    n = len(ineq.INEQUALITIES[name].trials)
-    fams = families * n if len(families) == 1 else families
-    rec = estimate_best_constant(name, params, fams, search, group, norm, spec)
+    rec = estimate_best_constant(name, params, families, search, group, norm,
+                                 spec)
 
     doc = {"command": "estimate", "config": _resolved(cfg, spec.seed),
            "estimate": rec.as_dict()}

@@ -29,6 +29,7 @@ products of radial moments; estimates are deterministic per seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -127,10 +128,6 @@ class RadialProfile:
 # radial L^p machinery
 # ---------------------------------------------------------------------------
 
-# keyed by (profile, p, power_shift, Q, use_derivative, to_support); the
-# oldest entries are evicted beyond this many
-_P_INTEGRAL_CACHE_MAX = 1024
-_P_INTEGRAL_CACHE: dict[tuple, tuple[float, float]] = {}
 # relative error bar of a closed-form moment.  Against 40-digit mpmath the
 # built-in families' moments were off by at most 5.5e-13 over their
 # parameter boxes, p <= 3 and Q + shift <= 9: the complete Beta function
@@ -153,18 +150,12 @@ def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
 
     If the function integrated is a ``ClosedForm``, the value is its
     ``moment(p, Q + power_shift, R)`` and the error CLOSED_FORM_RTOL times
-    its size; that is not memoised.  Otherwise ``integrate_radial_err``
-    evaluates it, and the result is cached per (profile, p, power_shift,
-    Q, use_derivative, to_support); a profile is a frozen dataclass, equal
-    to another only when its callables are the same objects.
+    its size; that is not memoised.  Otherwise ``_radial_p_integral``
+    evaluates and memoises it.
     """
     if not p > 0:
         raise ParameterError(f"p must be positive, got {p:g}", module=_MODULE,
                              operation="weighted_p_integral")
-    key = (profile, p, power_shift, Q, use_derivative, to_support)
-    hit = _P_INTEGRAL_CACHE.get(key)
-    if hit is not None:
-        return hit
     env = profile.derivative_envelope if use_derivative else profile.envelope
     env = env.powered(p).boosted(power_shift)
     env.check_integrable(Q, "weighted_p_integral")
@@ -175,15 +166,20 @@ def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
     if isinstance(fn, ClosedForm):
         value = float(fn.moment(p, Q + power_shift, r_max))
         return value, CLOSED_FORM_RTOL * abs(value)
+    return _radial_p_integral(fn, p, power_shift, Q, r_max)
+
+
+@functools.lru_cache(maxsize=1024)
+def _radial_p_integral(fn: Callable, p: float, power_shift: float, Q: float,
+                       r_max: float) -> tuple[float, float]:
+    """``integrate_radial_err`` of |fn(r)|^p r^{power_shift} r^{Q-1} over
+    [0, r_max], memoised on what it depends on; a function equals only
+    itself, so ``fn`` is compared by identity."""
 
     def integrand(r):
         return np.abs(fn(r)) ** p * r ** power_shift
 
-    out = _P_INTEGRAL_CACHE[key] = integrate_radial_err(integrand, Q, 0.0,
-                                                        r_max)
-    if len(_P_INTEGRAL_CACHE) > _P_INTEGRAL_CACHE_MAX:
-        del _P_INTEGRAL_CACHE[next(iter(_P_INTEGRAL_CACHE))]
-    return out
+    return integrate_radial_err(integrand, Q, 0.0, r_max)
 
 
 def lp_functional(profile: RadialProfile, p: float,
@@ -271,8 +267,8 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
                                      f.support_radius))
     sy = RadialSampler(env_y, Q, min(env_y.boosted(lam / 2.0).r_max(Q),
                                      h.support_radius))
-    x, _, wx = sample_group_points(group, sx, n, draw_block(group, spec, 0))
-    y, _, wy = sample_group_points(group, sy, n, draw_block(group, spec, 1))
+    x, _, wx = sample_group_points(group, sx, draw_block(group, spec, 0))
+    y, _, wy = sample_group_points(group, sy, draw_block(group, spec, 1))
 
     gx, gy = norm(x), norm(y)
     # (y^{-1}, y) in one buffer, y^{-1} = -y in every built-in chart; both

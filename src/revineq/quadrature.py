@@ -30,9 +30,10 @@ surface integral |S| = int_{S^{N-1}} L(u) |u|^{-Q} dS(u) on a
 deterministic rule for dim <= 3 (``sphere_measure_direct``), and
 |S| = (int_G e^{-|x|} dx)/Gamma(Q) by Monte Carlo (``sphere_measure_mc``).
 
-State lives in one place only: the draw stream below.  Estimators keep
-none, and one that diverges (a sample or the mean infinite or above 1e280)
-raises ``DivergenceError``.
+State lives in two ``lru_cache`` slots: the draw stream below and the
+radial L^p memo in ``operators``.  Estimators keep none, and one that
+diverges (a sample or the mean infinite or above 1e280) raises
+``DivergenceError``.
 
 Determinism: Monte Carlo results are a pure function of the integrand and
 the spec with its seed.  The seed-determined part of a sample comes from the
@@ -44,15 +45,16 @@ uniforms (rejection), so the stream's length in uniforms is not a fixed
 multiple of sample_count; a block still holds what a fresh generator gives.
 Side k of an estimator reads block k, so every estimate at one spec sees
 the numbers a fresh generator would give it, and a block is drawn once
-however many estimates read it.  One stream is held at a time, and its
-arrays are read-only, so that a write in place raises instead of changing
-a later estimate.  Each sum is a single numpy reduction over the whole
-sample, in the fixed order of numpy's pairwise summation, so repeated runs
-are bit-identical.  Splitting a sample into batches would change those sums.
+however many estimates read it.  ``_stream`` holds one stream at a time,
+and its arrays are read-only, so that a write in place raises instead of
+changing a later estimate.  Each sum is a single numpy reduction over the
+whole sample, in the fixed order of numpy's pairwise summation, so repeated
+runs are bit-identical.  Splitting a sample into batches would change them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -271,14 +273,7 @@ def _uniform_directions(n_dim: int, n: int, rng) -> np.ndarray:
         u[:, 2] = s
         return u
     u = rng.standard_normal((n, n_dim))
-    if n_dim >= 8:
-        return u / np.linalg.norm(u, axis=-1, keepdims=True)
-    # numpy sums an axis shorter than 8 left to right; adding the columns in
-    # that order gives np.linalg.norm's values without its per-row reduction
-    ss = u[:, 0] * u[:, 0]
-    for k in range(1, n_dim):
-        ss += u[:, k] * u[:, k]
-    return u / np.sqrt(ss)[:, None]
+    return u / np.linalg.norm(u, axis=-1, keepdims=True)
 
 
 def _direction_rule(n_dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -345,14 +340,22 @@ class RadialSampler:
         if not r_hi > 0.0:
             raise ParameterError("need r_hi > 0", module=_MODULE,
                                  operation="RadialSampler")
+        if math.isinf(r_hi):
+            raise EvaluationError("envelope density non-finite on radial grid "
+                                  "(r_hi is infinite)", module=_MODULE,
+                                  operation="RadialSampler")
         lo, anchor = r_hi * 1e-10, 1e-8 * envelope.length
-        if anchor < lo < math.inf:
+        if anchor < lo:
             n_grid = math.ceil(n_grid * math.log10(r_hi / anchor) / 10.0)
             lo = anchor
         grid = np.geomspace(lo, r_hi, n_grid)
         if Q + envelope.boost > 1.0:
             grid = np.concatenate([[0.0], grid])
-        dens = envelope.values(grid) * np.where(grid > 0, grid, 1.0) ** (Q - 1.0)
+        # where the envelope underflows to 0 and r^{Q-1} overflows, their
+        # product is NaN, which raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            dens = (envelope.values(grid)
+                    * np.where(grid > 0, grid, 1.0) ** (Q - 1.0))
         dens = np.where(grid > 0, dens, 0.0 if Q != 1.0 else dens)
         if not np.all(np.isfinite(dens)):
             raise EvaluationError("envelope density non-finite on radial grid",
@@ -473,49 +476,44 @@ def _draw(group: HomogeneousGroup, n: int, rng) -> DrawBlock:
 # three seeds.
 np.empty(1 << 19)     # allocated and freed at once
 
-# the draw streams held, keyed by (seed, sample_count, weights); the oldest
-# is evicted beyond this many
-_STREAMS_MAX = 1
-_STREAMS: dict[tuple, tuple[list, np.random.Generator]] = {}
+
+@functools.lru_cache(maxsize=1)
+def _stream(seed: int, n: int,
+            weights: tuple[float, ...]) -> tuple[list, np.random.Generator]:
+    """The blocks of the draw stream of (seed, n, weights) drawn so far and
+    the generator that draws the next; the one slot holds the stream last
+    asked for."""
+    return [], np.random.default_rng(seed)
 
 
 def draw_block(group: HomogeneousGroup, spec: QuadratureSpec,
                k: int) -> DrawBlock:
     """Block k of the draw stream of (spec.seed, spec.sample_count,
-    group.weights): what the (k+1)-th ``sample_group_points`` call on a
-    fresh ``default_rng(spec.seed)`` draws.  Blocks are drawn once, in
-    order, and their arrays are read-only."""
-    key = (spec.seed, spec.sample_count, group.weights)
-    stream = _STREAMS.get(key)
-    if stream is None:
-        stream = _STREAMS[key] = ([], np.random.default_rng(spec.seed))
-    blocks, rng = stream
+    group.weights): the (k+1)-th ``_draw`` on a fresh
+    ``default_rng(spec.seed)``.  ``_stream`` holds the blocks drawn so far;
+    each is drawn once, in order, and its arrays are read-only."""
+    blocks, rng = _stream(spec.seed, spec.sample_count, group.weights)
     while len(blocks) <= k:
         block = _draw(group, spec.sample_count, rng)
         for a in block:
             a.flags.writeable = False
         blocks.append(block)
-    # evicting after the draw, not before it, halves the page faults of a
-    # stream miss (measured with glibc: 460 against 930 per sw_grid
-    # operation), as the freed blocks then serve the estimate's temporaries
-    if len(_STREAMS) > _STREAMS_MAX:
-        del _STREAMS[next(iter(_STREAMS))]
     return blocks[k]
 
 
 def sample_group_points(group: HomogeneousGroup, sampler: RadialSampler,
-                        n: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw n points x = D_r(u) plus exact importance weights 1/q(x).
+                        block: DrawBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points x = D_r(u) of a ``DrawBlock`` plus exact importance
+    weights 1/q(x), with r drawn by ``sampler`` from the block's uniforms.
 
-    ``rng`` is a generator or a ``DrawBlock`` of n points.  Returns
-    (points, radii, weights); q is the density of x in the chart,
+    Returns (points, radii, weights); q is the density of x in the chart,
     q(x) = pdf(r) / (area(S^{N-1}) r^{Q-1} L(u)), with r^{Q-1} formed as
     exp((Q-1) log r) and D_r by ``_dilate_log``.
     """
-    block = rng if isinstance(rng, DrawBlock) else _draw(group, n, rng)
     # a zero uniform gives r = 0 where the radial grid starts there; the
     # other uniforms of Generator.random are multiples of 2^-53, unchanged
-    r, pdf = sampler.sample(n, np.maximum(block.uniforms, 2.0 ** -54))
+    r, pdf = sampler.sample(len(block.uniforms),
+                            np.maximum(block.uniforms, 2.0 ** -54))
     # one logarithm for every power of r: exp(v log r) costs a fraction of
     # a general pow, and D_r checks r through it
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -565,8 +563,7 @@ def integrate_cartesian(group: HomogeneousGroup,
     Q = group.homogeneous_dim
     sampler = RadialSampler(envelope, Q, envelope.r_max(Q))
     n = spec.sample_count
-    x, _, w = sample_group_points(group, sampler, n,
-                                  draw_block(group, spec, 0))
+    x, _, w = sample_group_points(group, sampler, draw_block(group, spec, 0))
     with np.errstate(over="ignore"):
         vals = np.asarray(integrand(x), dtype=float) * w
     value = _checked_mean(vals, n, "integrate_cartesian", x)

@@ -48,7 +48,7 @@ from scipy import special as _sp
 
 from . import inequalities as ineq
 from .exceptions import (DegenerateInputError, DivergenceError,
-                         EstimationError, ParameterError)
+                         EstimationError, EvaluationError, ParameterError)
 from .groups import HomogeneousGroup, QuasiNorm
 from .operators import ClosedForm, RadialProfile
 from .quadrature import DecayEnvelope, QuadratureSpec
@@ -233,13 +233,16 @@ def _ratio_objective(inequality: str, params, group, norm, spec,
                      families) -> tuple[Callable, tuple]:
     """Build (objective over concatenated family parameters, box); the
     objective returns (ratio, analytic constant).  ``families`` holds one
-    family per trial profile of the inequality."""
+    family per trial profile of the inequality, or a single family, which
+    serves every profile."""
     entry = ineq.INEQUALITIES.get(inequality)
     if entry is None or "estimate" not in entry.commands:
         raise ParameterError(f"no ratio to estimate for {inequality!r}",
                              module=_MODULE, operation="estimate_best_constant")
     if not isinstance(families, (list, tuple)):
         families = (families,)
+    if len(families) == 1:
+        families = tuple(families) * len(entry.trials)
     if len(families) != len(entry.trials):
         raise ParameterError(
             f"{inequality} takes {len(entry.trials)} trial family(ies), got "
@@ -334,7 +337,9 @@ def estimate_best_constant(inequality: str, params, families,
     above; the inequality's analytic constant bounds it from below.  The
     quadrature seed in ``spec`` is reused for every evaluation (common
     random numbers), and results are a pure function of
-    (inequality, params, families, search, spec).
+    (inequality, params, families, search, spec).  A point whose verifier
+    raises DegenerateInputError, DivergenceError or EvaluationError counts
+    as a degenerate evaluation with ratio inf.
     """
     objective, box = _ratio_objective(inequality, params, group, norm, spec,
                                       families)
@@ -352,7 +357,7 @@ def estimate_best_constant(inequality: str, params, families,
             try:
                 ratio, constant = objective(theta)
                 seen[theta] = ratio, False
-            except (DegenerateInputError, DivergenceError):
+            except (DegenerateInputError, DivergenceError, EvaluationError):
                 seen[theta] = math.inf, True
         ratio, failed = seen[theta]
         degenerate += failed

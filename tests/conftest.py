@@ -61,8 +61,8 @@ def clear_caches():
     from revineq import operators, quadrature
 
     def clear():
-        quadrature._STREAMS.clear()
-        operators._P_INTEGRAL_CACHE.clear()
+        quadrature._stream.cache_clear()
+        operators._radial_p_integral.cache_clear()
     return clear
 
 

@@ -579,6 +579,29 @@ def test_unknown_trial_family_exits_2(tmp_path, capsys, command, cfg):
     assert "'exp_decy'" in err and "exp_decay" in err
 
 
+def test_bilinear_estimate_searches_the_trial_sections(tmp_path):
+    """Without families, a bilinear estimate builds trial_f and trial_h as
+    verify does and searches their families, (exp_decay, gaussian), as the
+    same search with those families named does."""
+    base = {"group": {"name": "abelian", "weights": [1.0]},
+            "norm": {"name": "euclidean"},
+            "quadrature": {"sample_count": 5000},
+            "inequality": {"name": "reverse_hls", "p": 0.5, "q_prime": 0.5}}
+    cfg = {**base, "trial_f": {"family": "exp_decay", "params": [1.0]},
+           "trial_h": {"family": "gaussian", "params": [1.0]},
+           "estimate": {"method": "grid", "budget": 6}}
+    named = {**base, "estimate": {"method": "grid", "budget": 6,
+                                  "families": ["exp_decay", "gaussian"]}}
+    assert run("estimate", cfg, tmp_path / "trials", 3) == 0
+    assert run("estimate", named, tmp_path / "named", 3) == 0
+    trace = (tmp_path / "trials" / "trace.csv").read_text()
+    assert trace == (tmp_path / "named" / "trace.csv").read_text()
+    with (tmp_path / "trials" / "trace.csv").open() as fh:
+        points = [json.loads(row["params"]) for row in csv.DictReader(fh)]
+    # one c of each family, each over its family box
+    assert points == [[c, d] for c in (0.05, 20.0) for d in (0.05, 20.0)]
+
+
 def test_estimate_checks_trial_params_against_family_box(tmp_path, capsys):
     """Without families, estimate builds the trial section as verify does,
     so parameters outside the family box are rejected there too."""

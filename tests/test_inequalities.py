@@ -359,7 +359,11 @@ def test_stein_weiss_report_identical_cold_warm_and_after_eviction(
     cold = report(spec)
     assert report(spec) == cold
     report(QuadratureSpec(sample_count=5000, seed=12))
-    assert list(quadrature._STREAMS) == [(12, 5000, h1.weights)]
+    # the one stream held is seed 12's: asking for it is a hit
+    hits = quadrature._stream.cache_info().hits
+    quadrature._stream(12, 5000, h1.weights)
+    assert quadrature._stream.cache_info().hits == hits + 1
+    assert quadrature._stream.cache_info().currsize == 1
     assert report(spec) == cold
 
 

@@ -15,7 +15,8 @@ from revineq import (DecayEnvelope, DivergenceError, EvaluationError,
                      sphere_measure_direct, sphere_measure_mc,
                      unit_sphere_area)
 from revineq import quadrature
-from revineq.quadrature import _STREAMS, draw_block, integrate_radial_err
+from revineq.quadrature import (_draw, _stream, draw_block,
+                                integrate_radial_err)
 
 # |S| of the Koranyi unit sphere on H1; equals 2*pi^2 (frozen against the
 # closed-form direction integral 2*pi * int_{-1}^{1} (1+c^2)/(c^4-c^2+1) dc)
@@ -88,7 +89,7 @@ def test_sampler_weights_are_unbiased(plane, plane_norm):
     env = DecayEnvelope("exp", scale=1.0)
     sampler = RadialSampler(env, 2.0, env.r_max(2.0))
     rng = np.random.default_rng(5)
-    x, r, w = sample_group_points(plane, sampler, 100000, rng)
+    x, r, w = sample_group_points(plane, sampler, _draw(plane, 100000, rng))
     vals = np.exp(-np.sum(x ** 2, axis=-1) * np.pi) * w
     assert np.mean(vals) == pytest.approx(1.0, abs=4 * np.std(vals) / 316.0)
 
@@ -308,8 +309,8 @@ def test_sample_group_points_bit_identical_to_reference(line, plane, h1):
     for g in (line, plane, h1):
         Q = g.homogeneous_dim
         sampler = RadialSampler(env, Q, env.r_max(Q))
-        x, r, w = sample_group_points(g, sampler, 30000,
-                                      np.random.default_rng(3))
+        x, r, w = sample_group_points(
+            g, sampler, _draw(g, 30000, np.random.default_rng(3)))
         rng = np.random.default_rng(3)
         r_ref, pdf_ref = _reference_sample(sampler, 30000, rng)
         u = _reference_directions(g.dim, 30000, rng)
@@ -326,18 +327,18 @@ def test_sample_group_points_bit_identical_to_reference(line, plane, h1):
 
 
 def test_draw_blocks_match_a_fresh_generator(line, h1):
-    """Block k is what the (k+1)-th sample_group_points call on a fresh
-    default_rng(seed) draws, so every estimator side keeps its bits."""
+    """Block k is what the (k+1)-th _draw on a fresh default_rng(seed)
+    gives, so every estimator side keeps its bits."""
     env = DecayEnvelope("exp", scale=1.0, boost=1.5)
     spec = QuadratureSpec(sample_count=3000, seed=9)
     for g in (line, h1):
-        _STREAMS.clear()
+        _stream.cache_clear()
         Q = g.homogeneous_dim
         sampler = RadialSampler(env, Q, env.r_max(Q))
         rng = np.random.default_rng(spec.seed)
         for k in (0, 1):
-            ref = sample_group_points(g, sampler, 3000, rng)
-            got = sample_group_points(g, sampler, 3000, draw_block(g, spec, k))
+            ref = sample_group_points(g, sampler, _draw(g, 3000, rng))
+            got = sample_group_points(g, sampler, draw_block(g, spec, k))
             for a, b in zip(got, ref):
                 np.testing.assert_array_equal(_bits(a), _bits(b))
 
@@ -358,7 +359,7 @@ def test_zero_uniform_gives_a_finite_sample(weights, boost, alpha):
     assert sampler.grid[0] == 0.0
     u = np.array([0.0, 2.0 ** -53, 0.25, np.nextafter(1.0, 0.0)])
     block = draw_block(g, QuadratureSpec(sample_count=4, seed=1), 0)
-    x, r, w = sample_group_points(g, sampler, 4, block._replace(uniforms=u))
+    x, r, w = sample_group_points(g, sampler, block._replace(uniforms=u))
     assert np.all(r > 0.0) and r[0] < r[1]
     assert np.all(np.isfinite(w)) and np.all(w > 0.0)
     assert np.all(np.isfinite(norm(x) ** alpha * w))
@@ -372,10 +373,16 @@ def test_draw_stream_read_only_and_held_alone(plane, h1):
         with pytest.raises(ValueError):
             a[0] = 0.5
     assert draw_block(h1, spec, 0) is draw_block(h1, spec, 0)
-    draw_block(plane, spec, 0)
-    assert list(_STREAMS) == [(5, 1000, plane.weights)]
+    block = draw_block(plane, spec, 0)
+    assert draw_block(plane, spec, 0) is block
+    assert _stream.cache_info().currsize == 1
+    # a stream at another seed evicts the plane's, which is drawn afresh
     draw_block(h1, QuadratureSpec(sample_count=1000, seed=6), 0)
-    assert list(_STREAMS) == [(6, 1000, h1.weights)]
+    assert _stream.cache_info().currsize == 1
+    again = draw_block(plane, spec, 0)
+    assert again is not block
+    for a, b in zip(again, block):
+        np.testing.assert_array_equal(_bits(a), _bits(b))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from revineq import (DegenerateInputError, DivergenceError, EstimationError,
-                     InequalityParams, ParameterError, QuadratureSpec,
-                     SearchSpec,
+from revineq import (FAMILIES, DegenerateInputError, DivergenceError,
+                     EstimationError, InequalityParams, ParameterError,
+                     QuadratureSpec, SearchSpec, TrialFamily,
                      balanced_lambda, estimate_best_constant,
                      integrate_radial_err, make_profile, weighted_p_integral)
 from revineq.operators import CLOSED_FORM_RTOL
@@ -148,11 +148,38 @@ def test_bilinear_estimate_pair(plane, plane_norm, quad):
 
 
 def test_bilinear_estimate_needs_two_families(plane, plane_norm, quad):
+    """One family serves both profiles; two name one each, and any other
+    count is rejected."""
     P = InequalityParams(Q=2, p=0.5, q_prime=0.5,
                          lam=balanced_lambda(2.0, 0.5, 0.5))
-    with pytest.raises(ParameterError):
-        estimate_best_constant("reverse_hls", P, "exp_decay",
-                               SearchSpec(budget=4), plane, plane_norm, quad)
+    search = SearchSpec(method="grid", budget=4)
+    one = estimate_best_constant("reverse_hls", P, "exp_decay", search,
+                                 plane, plane_norm, quad)
+    both = estimate_best_constant("reverse_hls", P, ("exp_decay",) * 2,
+                                  search, plane, plane_norm, quad)
+    assert one.trace == both.trace
+    with pytest.raises(ParameterError, match="2 trial family"):
+        estimate_best_constant("reverse_hls", P, ("exp_decay",) * 3, search,
+                               plane, plane_norm, quad)
+
+
+def test_near_critical_power_tail_counts_as_degenerate(h1, cygan):
+    """On H1 at p = q' = 0.8 and lambda = 2 a power_decay f with s just
+    above 6 has a tail radius beyond the float range (or a radial density
+    that overflows), and the sampler raises EvaluationError.  The search
+    counts those points as degenerate and goes on to a finite minimum."""
+    P = InequalityParams(Q=4, p=0.8, q_prime=0.8, lam=2.0)
+    near = TrialFamily("power_decay", ("s", "a"), ((6.005, 6.3), (0.5, 2.0)),
+                       FAMILIES["power_decay"].builder)
+    rec = estimate_best_constant(
+        "reverse_hls", P, (near, "gaussian"),
+        SearchSpec(method="grid", budget=8),
+        h1, cygan, QuadratureSpec(sample_count=5000, seed=3))
+    assert rec.evaluations == 8
+    assert rec.degenerate_evaluations == 4
+    assert all((ratio == math.inf) == (theta[0] == 6.005)
+               for theta, ratio in rec.trace)
+    assert math.isfinite(rec.min_ratio) and rec.argmin[0] == 6.3
 
 
 def test_budget_never_exceeded(h1, koranyi, quad):

@@ -166,6 +166,13 @@ CORPUS = (
         "sweep": {"inequality": "reverse_hls",
                   "grid": {"p": [0.5, 0.7], "q_prime": [0.5, 0.7]}}}, 25),
     ("axioms_r4_anisotropic", "axioms", _R4_ANISOTROPIC, 26),
+    # a bilinear search without estimate.families: the families of the
+    # trial_f and trial_h sections
+    ("estimate_reverse_hls_trial_sections", "estimate", {
+        **_H1_KORANYI, **_EXP_GAUSS,
+        "quadrature": {"scheme": "monte_carlo", "sample_count": 5000},
+        "inequality": {"name": "reverse_hls", "p": 0.5, "q_prime": 0.5},
+        "estimate": {"method": "nelder_mead", "budget": 8}}, 27),
 )
 
 REPORT_FILES = ("report.json", "sweep.csv", "trace.csv")
