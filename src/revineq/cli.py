@@ -7,8 +7,9 @@ The config is a single JSON file with flat sections (group, norm,
 quadrature, inequality, trial[,_f,_h], estimate, sweep, seed).  Every key
 is read by the command or rejected, naming its key path, before any
 verifier runs or any file is written; a null value counts as absent.
-Every report embeds the fully resolved config and the quasi-sphere measure
-used in analytic constants, so a report is reproducible from itself.
+Every report embeds the fully resolved config, so a report is
+reproducible from itself; a verify report also carries the quasi-sphere
+measure |S| used in its analytic constant.
 
 Outputs (in --out, default "."):
     report.json    deterministic: identical (config, seed) give identical bytes
@@ -223,12 +224,6 @@ def read_inequality(sect: Section, Q: float) -> tuple[str, object]:
     return name, args
 
 
-def _resolved(cfg: Section, seed: int) -> dict:
-    out = json.loads(json.dumps(cfg.values))   # deep copy, JSON-clean
-    out["seed"] = seed
-    return out
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -248,27 +243,27 @@ def _write_meta(out: Path, t0: float) -> None:
     _write_json(out / "run_meta.json", meta)
 
 
-def cmd_verify(cfg: Section, group, norm, spec, out: Path) -> int:
+# each command returns (exit code, report body); run writes report.json
+
+def cmd_verify(cfg: Section, group, norm, spec, out: Path):
     name, args = read_inequality(cfg.section("inequality"),
                                  group.homogeneous_dim)
     entry = ineq.INEQUALITIES[name]
     profiles = [_build_trial(cfg, key) for key in entry.trials]
     cfg.finish("verify")
     rep = entry.verify(*profiles, args, group, norm, spec)
-    doc = {"command": "verify", "config": _resolved(cfg, spec.seed),
-           "report": rep.as_dict()}
-    _write_json(out / "report.json", doc)
     status = "PASS" if rep.passed else "FAIL"
     print(f"{rep.inequality}: ratio={rep.ratio:.6g} "
           f"constant={rep.analytic_constant:.6g} margin={rep.margin:.3g} "
           f"[{status}]")
+    body = {"report": rep.as_dict()}
     if rep.degenerate is not None:
         print(f"  degenerate: {rep.degenerate}")
-        return 3
-    return 0 if rep.passed else 1
+        return 3, body
+    return 0 if rep.passed else 1, body
 
 
-def cmd_estimate(cfg: Section, group, norm, spec, out: Path) -> int:
+def cmd_estimate(cfg: Section, group, norm, spec, out: Path):
     sect = cfg.section("estimate")
     method = sect.get("method", "nelder_mead", str)
     budget = sect.get("budget", 80, int)
@@ -286,10 +281,6 @@ def cmd_estimate(cfg: Section, group, norm, spec, out: Path) -> int:
                         seed=spec.seed)
     rec = estimate_best_constant(name, params, families, search, group, norm,
                                  spec)
-
-    doc = {"command": "estimate", "config": _resolved(cfg, spec.seed),
-           "estimate": rec.as_dict()}
-    _write_json(out / "report.json", doc)
     with (out / "trace.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["evaluation", "params", "ratio"])
@@ -299,7 +290,7 @@ def cmd_estimate(cfg: Section, group, norm, spec, out: Path) -> int:
     print(f"{name}: min ratio {rec.min_ratio:.6g} over {rec.evaluations} "
           f"evaluations; analytic constant {rec.analytic_constant:.6g} "
           f"[{'PASS' if ok else 'FAIL'}]")
-    return 0 if ok else 1
+    return 0 if ok else 1, {"estimate": rec.as_dict()}
 
 
 def _sweep_rows(cfg: Section, group, norm, spec):
@@ -348,7 +339,7 @@ def _sweep_rows(cfg: Section, group, norm, spec):
                "note": ""}
 
 
-def cmd_sweep(cfg: Section, group, norm, spec, out: Path) -> int:
+def cmd_sweep(cfg: Section, group, norm, spec, out: Path):
     rows = list(_sweep_rows(cfg, group, norm, spec))
     with (out / "sweep.csv").open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
@@ -359,14 +350,11 @@ def cmd_sweep(cfg: Section, group, norm, spec, out: Path) -> int:
     skipped = len(rows) - len(ran)
     print(f"sweep: {len(rows)} points, {len(ran)} verified, "
           f"{skipped} skipped, {len(failed)} failed")
-    _write_json(out / "report.json",
-                {"command": "sweep", "config": _resolved(cfg, spec.seed),
-                 "points": len(rows), "verified": len(ran),
-                 "skipped": skipped, "failed": len(failed)})
-    return 1 if failed else 0
+    return 1 if failed else 0, {"points": len(rows), "verified": len(ran),
+                                "skipped": skipped, "failed": len(failed)}
 
 
-def cmd_axioms(cfg: Section, group, norm, spec, out: Path) -> int:
+def cmd_axioms(cfg: Section, group, norm, spec, out: Path):
     cfg.finish("axioms")
     group_rep = check_group_axioms(group, 10000, seed=spec.seed)
     norm_rep = check_quasi_norm_axioms(norm, 1000, seed=spec.seed)
@@ -392,17 +380,14 @@ def cmd_axioms(cfg: Section, group, norm, spec, out: Path) -> int:
     results = {k: {"value": v, "tolerance": tol, "pass": v <= tol}
                for k, (v, tol) in checks.items()}
     ok = all(r["pass"] for r in results.values())
-    _write_json(out / "report.json",
-                {"command": "axioms", "config": _resolved(cfg, spec.seed),
-                 "group": group.name, "norm": norm.name,
-                 "norm_triangle_asserted": norm.is_true_norm,
-                 "checks": results, "pass": ok})
     for k, r in results.items():
         print(f"{k}: {r['value']:.3e} (tol {r['tolerance']:.3e}) "
               f"[{'PASS' if r['pass'] else 'FAIL'}]")
     if not norm.is_true_norm:
         print("triangle inequality: not asserted for this gauge")
-    return 0 if ok else 1
+    return 0 if ok else 1, {"group": group.name, "norm": norm.name,
+                            "norm_triangle_asserted": norm.is_true_norm,
+                            "checks": results, "pass": ok}
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +414,11 @@ def run(command: str, config: dict, out_dir: str | Path = ".",
     group = _build_group(cfg.section("group"))
     norm = _build_norm(cfg.section("norm"), group)
     spec = _build_quadrature(cfg.section("quadrature"), seed)
-    code = COMMANDS[command](cfg, group, norm, spec, out)
+    code, body = COMMANDS[command](cfg, group, norm, spec, out)
+    # the resolved config: a JSON-clean deep copy with the seed that ran
+    resolved = json.loads(json.dumps({**config, "seed": seed}))
+    _write_json(out / "report.json",
+                {"command": command, "config": resolved, **body})
     _write_meta(out, t0)
     return code
 

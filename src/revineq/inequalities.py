@@ -121,8 +121,9 @@ class AdmissibilityReport:
 
     @property
     def unverified(self) -> list[str]:
-        """Hypotheses the chosen variant does not require; evaluated but not
-        enforced (reported so nothing is silently assumed)."""
+        """Hypotheses the chosen variant does not require and that fail
+        here: evaluated, not enforced, and carried by no report or sweep
+        note (validate_params is the place to read them)."""
         return [c.name for c in self.conditions
                 if not c.required and not c.satisfied]
 
@@ -732,12 +733,14 @@ def _read_integral_hardy(get, Q: float) -> tuple:
 
 
 _TRIAL, _PAIR = ("trial",), ("trial_f", "trial_h")
-_SWEEP = ("verify", "estimate", "sweep")
+_VERIFY, _SWEEP = ("verify",), ("verify", "estimate", "sweep")
 
 # The lambdas look the verifiers up as module attributes when called, so a
 # rebinding of verify_* (a tracer, a test double) is seen.  sweep defaults
-# to the first entry that accepts it.  estimate rejects the integral Hardy
-# pair: every one of its reports is degenerate.
+# to the first entry that accepts it.  estimate minimises a ratio, so it
+# serves the reverse (lower-bound) rows only: it rejects the forward rows,
+# whose ratios are bounded from above, and the integral Hardy pair, every
+# one of whose reports is degenerate.
 INEQUALITIES: dict[str, InequalityEntry] = {
     "reverse_hardy": InequalityEntry(
         _TRIAL, _read_p, lambda f, P, *r: verify_reverse_hardy(f, P.p, *r)),
@@ -747,12 +750,15 @@ INEQUALITIES: dict[str, InequalityEntry] = {
         _TRIAL, _read_ckn,
         lambda f, P, *r: verify_reverse_ckn(f, P.p, P.alpha, P.beta, *r)),
     "forward_hardy": InequalityEntry(
-        _TRIAL, _read_p, lambda f, P, *r: verify_forward_hardy(f, P.p, *r)),
+        _TRIAL, _read_p, lambda f, P, *r: verify_forward_hardy(f, P.p, *r),
+        _VERIFY),
     "forward_sobolev": InequalityEntry(
-        _TRIAL, _read_p, lambda f, P, *r: verify_forward_sobolev(f, P.p, *r)),
+        _TRIAL, _read_p, lambda f, P, *r: verify_forward_sobolev(f, P.p, *r),
+        _VERIFY),
     "forward_ckn": InequalityEntry(
         _TRIAL, _read_ckn,
-        lambda f, P, *r: verify_forward_ckn(f, P.p, P.alpha, P.beta, *r)),
+        lambda f, P, *r: verify_forward_ckn(f, P.p, P.alpha, P.beta, *r),
+        _VERIFY),
     "reverse_stein_weiss": InequalityEntry(
         _PAIR, _read_bilinear, lambda *a, **k: verify_stein_weiss(*a, **k),
         _SWEEP),
@@ -762,5 +768,5 @@ INEQUALITIES: dict[str, InequalityEntry] = {
     "reverse_integral_hardy": InequalityEntry(
         _TRIAL, _read_integral_hardy,
         lambda f, a, *r: verify_reverse_integral_hardy(*a[:3], f, *a[3:], *r),
-        ("verify",)),
+        _VERIFY),
 }

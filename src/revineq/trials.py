@@ -39,6 +39,8 @@ lexicographically on the parameter vector.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -226,43 +228,6 @@ class EstimateRecord:
 
 
 # ---------------------------------------------------------------------------
-# ratio objectives
-# ---------------------------------------------------------------------------
-
-def _ratio_objective(inequality: str, params, group, norm, spec,
-                     families) -> tuple[Callable, tuple]:
-    """Build (objective over concatenated family parameters, box); the
-    objective returns (ratio, analytic constant).  ``families`` holds one
-    family per trial profile of the inequality, or a single family, which
-    serves every profile."""
-    entry = ineq.INEQUALITIES.get(inequality)
-    if entry is None or "estimate" not in entry.commands:
-        raise ParameterError(f"no ratio to estimate for {inequality!r}",
-                             module=_MODULE, operation="estimate_best_constant")
-    if not isinstance(families, (list, tuple)):
-        families = (families,)
-    if len(families) == 1:
-        families = tuple(families) * len(entry.trials)
-    if len(families) != len(entry.trials):
-        raise ParameterError(
-            f"{inequality} takes {len(entry.trials)} trial family(ies), got "
-            f"{len(families)}", module=_MODULE,
-            operation="estimate_best_constant")
-    fams = [_family(f) for f in families]
-    box = sum((fam.param_box for fam in fams), ())
-
-    def objective(theta):
-        profiles, start = [], 0
-        for fam in fams:
-            profiles.append(make_profile(fam, theta[start:start + fam.dim]))
-            start += fam.dim
-        rep = entry.verify(*profiles, params, group, norm, spec)
-        return rep.ratio, rep.analytic_constant
-
-    return objective, box
-
-
-# ---------------------------------------------------------------------------
 # derivative-free search
 # ---------------------------------------------------------------------------
 
@@ -270,20 +235,12 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _nelder_mead(fn, x0, box, budget):
-    """Bounded Nelder-Mead; every evaluation goes through fn (which records
-    the trace), stopping exactly when the budget is spent."""
+def _nelder_mead(fn, x0, box):
+    """Bounded Nelder-Mead; every evaluation goes through fn, which records
+    the trace and ends the run by raising _BudgetExhausted."""
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     clip = lambda x: np.minimum(np.maximum(x, lo), hi)
-    used = 0
-
-    def ev(x):
-        nonlocal used
-        if used >= budget:
-            raise _BudgetExhausted
-        used += 1
-        return fn(clip(x))
 
     d = len(x0)
     simplex = [np.asarray(x0, float)]
@@ -293,38 +250,34 @@ def _nelder_mead(fn, x0, box, budget):
         v[i] = v[i] + step if v[i] + step <= hi[i] else v[i] - step
         simplex.append(v)
 
-    try:
-        vals = [ev(v) for v in simplex]
-        while True:
-            order = np.argsort(vals)
-            simplex = [simplex[i] for i in order]
-            vals = [vals[i] for i in order]
-            best, worst = simplex[0], simplex[-1]
-            centroid = np.mean(simplex[:-1], axis=0)
+    vals = [fn(clip(v)) for v in simplex]
+    while True:
+        order = np.argsort(vals)
+        simplex = [simplex[i] for i in order]
+        vals = [vals[i] for i in order]
+        best, worst = simplex[0], simplex[-1]
+        centroid = np.mean(simplex[:-1], axis=0)
 
-            refl = clip(centroid + (centroid - worst))
-            fr = ev(refl)
-            if fr < vals[0]:
-                exp_pt = clip(centroid + 2.0 * (centroid - worst))
-                fe = ev(exp_pt)
-                simplex[-1], vals[-1] = (exp_pt, fe) if fe < fr else (refl, fr)
-            elif fr < vals[-2]:
-                simplex[-1], vals[-1] = refl, fr
+        refl = clip(centroid + (centroid - worst))
+        fr = fn(refl)
+        if fr < vals[0]:
+            exp_pt = clip(centroid + 2.0 * (centroid - worst))
+            fe = fn(exp_pt)
+            simplex[-1], vals[-1] = (exp_pt, fe) if fe < fr else (refl, fr)
+        elif fr < vals[-2]:
+            simplex[-1], vals[-1] = refl, fr
+        else:
+            contr = clip(centroid + 0.5 * (worst - centroid))
+            fc = fn(contr)
+            if fc < vals[-1]:
+                simplex[-1], vals[-1] = contr, fc
             else:
-                contr = clip(centroid + 0.5 * (worst - centroid))
-                fc = ev(contr)
-                if fc < vals[-1]:
-                    simplex[-1], vals[-1] = contr, fc
-                else:
-                    for i in range(1, d + 1):   # shrink toward best
-                        simplex[i] = clip(best + 0.5 * (simplex[i] - best))
-                        vals[i] = ev(simplex[i])
-            if np.max([np.linalg.norm(v - simplex[0]) for v in simplex[1:]]) \
-                    < 1e-10 * (1.0 + np.linalg.norm(simplex[0])):
-                break
-    except _BudgetExhausted:
-        pass
-    return used
+                for i in range(1, d + 1):   # shrink toward best
+                    simplex[i] = clip(best + 0.5 * (simplex[i] - best))
+                    vals[i] = fn(simplex[i])
+        if np.max([np.linalg.norm(v - simplex[0]) for v in simplex[1:]]) \
+                < 1e-10 * (1.0 + np.linalg.norm(simplex[0])):
+            return
 
 
 def estimate_best_constant(inequality: str, params, families,
@@ -341,9 +294,28 @@ def estimate_best_constant(inequality: str, params, families,
     raises DegenerateInputError, DivergenceError or EvaluationError counts
     as a degenerate evaluation with ratio inf.
     """
-    objective, box = _ratio_objective(inequality, params, group, norm, spec,
-                                      families)
+    entry = ineq.INEQUALITIES.get(inequality)
+    if entry is None or "estimate" not in entry.commands:
+        raise ParameterError(
+            f"no ratio to estimate for {inequality!r}: the search needs a "
+            "reverse (lower-bound) ratio that is not degenerate",
+            module=_MODULE, operation="estimate_best_constant")
+    # one family per trial profile, or a single family for every profile
+    if not isinstance(families, (list, tuple)):
+        families = (families,)
+    if len(families) == 1:
+        families = tuple(families) * len(entry.trials)
+    if len(families) != len(entry.trials):
+        raise ParameterError(
+            f"{inequality} takes {len(entry.trials)} trial family(ies), got "
+            f"{len(families)}", module=_MODULE,
+            operation="estimate_best_constant")
+    fams = [_family(f) for f in families]
+    box = sum((fam.param_box for fam in fams), ())
+    # where each family's parameters start in the concatenated vector
+    starts = list(itertools.accumulate((fam.dim for fam in fams), initial=0))
     trace: list[tuple[tuple[float, ...], float]] = []
+    limit = search.budget   # fn evaluates while len(trace) < limit
     degenerate = 0
     constant = math.nan     # the same at every point: it has no profile
     # (ratio, degenerate) at each point evaluated: clipping to the box makes
@@ -352,11 +324,16 @@ def estimate_best_constant(inequality: str, params, families,
 
     def fn(theta) -> float:
         nonlocal degenerate, constant
+        if len(trace) >= limit:
+            raise _BudgetExhausted
         theta = tuple(float(t) for t in np.atleast_1d(theta))
         if theta not in seen:
             try:
-                ratio, constant = objective(theta)
-                seen[theta] = ratio, False
+                profiles = [make_profile(fam, theta[i:i + fam.dim])
+                            for fam, i in zip(fams, starts)]
+                rep = entry.verify(*profiles, params, group, norm, spec)
+                constant = rep.analytic_constant
+                seen[theta] = rep.ratio, False
             except (DegenerateInputError, DivergenceError, EvaluationError):
                 seen[theta] = math.inf, True
         ratio, failed = seen[theta]
@@ -366,21 +343,18 @@ def estimate_best_constant(inequality: str, params, families,
 
     if search.method == "grid":
         per_axis = max(2, int(round(search.budget ** (1.0 / len(box)))))
-        axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        for theta in zip(*(m.ravel() for m in mesh)):
-            if len(trace) >= search.budget:
-                break
-            fn(theta)
+        with contextlib.suppress(_BudgetExhausted):
+            for theta in itertools.product(*(np.linspace(lo, hi, per_axis)
+                                             for lo, hi in box)):
+                fn(theta)
     else:
         rng = np.random.default_rng(search.seed)
         per_restart = max(len(box) + 2, search.budget // search.restarts)
         for _ in range(search.restarts):
-            if len(trace) >= search.budget:
-                break
+            limit = min(len(trace) + per_restart, search.budget)
             x0 = np.array([rng.uniform(lo, hi) for lo, hi in box])
-            _nelder_mead(fn, x0, box,
-                         min(per_restart, search.budget - len(trace)))
+            with contextlib.suppress(_BudgetExhausted):
+                _nelder_mead(fn, x0, box)
 
     finite = [(v, th) for th, v in trace if math.isfinite(v)]
     if not finite:

@@ -543,13 +543,62 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, path, cfg):
         "W_exponent": -6.0, "U_exponent": -1.0}}),
     ("sweep", {**HARDY_CFG, "sweep": {"inequality": "reverse_hardy",
                                       "grid": {"p": [0.5]}}}),
+    *[("estimate", {**HARDY_CFG, "inequality": {"name": name, "p": 2.0,
+                                                **keys},
+                    "trial": {"family": "gaussian", "params": [1.0]}})
+      for name, keys in [("forward_hardy", {}), ("forward_sobolev", {}),
+                         ("forward_ckn", {"alpha": 0.5, "beta": 0.5})]],
 ])
-def test_command_outside_inequality_row_exits_2(tmp_path, command, cfg):
+def test_command_outside_inequality_row_exits_2(tmp_path, capsys, command,
+                                                cfg):
     """estimate has no ratio to minimise for the degenerate integral Hardy
-    pair, and sweep serves only the bilinear inequalities."""
+    pair, nor for a forward inequality, whose ratio is bounded from above,
+    and sweep serves only the bilinear inequalities.  No report is
+    written."""
     code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
                  command, "--out", str(tmp_path / "out")])
     assert code == 2
+    assert not (tmp_path / "out" / "report.json").exists()
+    if command == "estimate":
+        assert "needs a reverse (lower-bound) ratio" in \
+            capsys.readouterr().err
+
+
+NEAR_CRITICAL_HLS = {
+    "group": {"name": "heisenberg"}, "norm": {"name": "cygan"},
+    "quadrature": {"sample_count": 2000},
+    "inequality": {"name": "reverse_hls", "p": 0.8, "q_prime": 0.8},
+    "trial_h": {"family": "gaussian", "params": [1.0]},
+}
+
+
+@pytest.mark.parametrize("s", [6.05, 6.01])
+def test_near_critical_power_tail_exits_3(tmp_path, capsys, s):
+    """f = (1+r)^{-s} with s just above Q + lambda = 6 on H1/Cygan (p = q'
+    = 0.8, lambda = 2) is admissible, but its radial sampler's density
+    overflows at s = 6.05 and its tail radius is infinite at s = 6.01: a
+    numerical error (exit 3), never a configuration error (exit 2)."""
+    cfg = {**NEAR_CRITICAL_HLS,
+           "trial_f": {"family": "power_decay", "params": [s, 1.0]}}
+    code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
+                 "verify", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "non-finite on radial grid" in capsys.readouterr().err
+
+
+def test_estimate_with_every_evaluation_degenerate_exits_3(tmp_path,
+                                                           capsys):
+    """At p = 0.03 the norm ||f/|x|||_p diverges for every power_decay in
+    the box (p s <= 3.6 < Q - p), so every grid point degenerates and the
+    search has no finite ratio (exit 3)."""
+    cfg = {**HARDY_CFG, "norm": {"name": "cygan"},
+           "inequality": {"name": "reverse_hardy", "p": 0.03},
+           "trial": {"family": "power_decay", "params": [8.0, 1.0]},
+           "estimate": {"method": "grid", "budget": 6}}
+    code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
+                 "estimate", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "every evaluation degenerated" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scheme", ["cubature", "tensor_grid"])

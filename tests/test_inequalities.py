@@ -778,6 +778,21 @@ def test_forward_ckn_reduces_to_hardy(h1, koranyi, mc_spec):
     assert ckn.ratio == pytest.approx(hardy.ratio, rel=1e-10)
 
 
+@pytest.mark.parametrize("s", [0.5, 3.0])
+def test_forward_ratios_of_dilated_bump(h1, koranyi, mc_spec, s):
+    """smooth_bump(R) o D_s is supported on |x| < R/s, and its uniform
+    envelope ends there too.  The forward Hardy and Sobolev ratios are
+    invariant under dilation, so the dilated bump gives the same ratios."""
+    bump = make_profile("smooth_bump", [2.0])
+    dilated = bump.dilated(s)
+    assert dilated.support_radius == 2.0 / s
+    assert dilated.envelope.r_max(4.0) == 2.0 / s
+    for verify in (verify_forward_hardy, verify_forward_sobolev):
+        assert verify(dilated, 2.0, h1, koranyi, mc_spec).ratio == \
+            pytest.approx(verify(bump, 2.0, h1, koranyi, mc_spec).ratio,
+                          rel=1e-9)
+
+
 def test_forward_hardy_sharpness_probe(h1, koranyi, mc_spec):
     """Along (1+r)^{-s} the ratio climbs to the sharp constant as s drops
     to (Q-p)/p; Beta-function oracle for Q=4, p=2."""

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Print the SHA-256 of every report a fixed corpus of commands writes.
 
-Runs a fixed corpus of commands through ``revineq.cli.run``, each into its own folder of
-a temporary directory, and prints one line ``<sha256>  <case>/<file>`` per
-``report.json``, ``sweep.csv`` and ``trace.csv``.  ``run_meta.json`` holds
-timings and is left out.  Two checkouts that print the same lines write
+Runs a fixed corpus of commands through ``revineq.cli.main``, each from a
+config file into its own folder of a temporary directory, and prints one
+line ``<sha256>  <case>/<file>`` per ``report.json``, ``sweep.csv`` and
+``trace.csv``, then ``exit <code>  <case>``.  A config that raises exits 2
+(configuration or parameter error) or 3 (numerical error) and writes no
+report, so its exit line pins that code.  ``run_meta.json`` holds timings
+and is left out.  Two checkouts that print the same lines write
 byte-identical reports for the corpus:
 
     PYTHONPATH=src python3 tools/report_digests.py
@@ -21,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -173,6 +177,19 @@ CORPUS = (
         "quadrature": {"scheme": "monte_carlo", "sample_count": 5000},
         "inequality": {"name": "reverse_hls", "p": 0.5, "q_prime": 0.5},
         "estimate": {"method": "nelder_mead", "budget": 8}}, 27),
+    # estimate minimises a ratio, so it rejects a forward inequality,
+    # whose ratio is bounded from above (exit 2)
+    ("estimate_forward_hardy_rejected", "estimate", {
+        **_H1_KORANYI, "inequality": {"name": "forward_hardy", "p": 2.0},
+        "trial": {"family": "gaussian", "params": [1.0]},
+        "estimate": {"method": "nelder_mead", "budget": 8}}, 28),
+    # a power tail 0.05 above its integrability threshold Q + lambda on
+    # H1/Cygan: the radial sampler's density overflows (exit 3)
+    ("verify_reverse_hls_near_critical", "verify", {
+        **_H1_KORANYI, "norm": {"name": "cygan"},
+        "inequality": {"name": "reverse_hls", "p": 0.8, "q_prime": 0.8},
+        "trial_f": {"family": "power_decay", "params": [6.05, 1.0]},
+        "trial_h": {"family": "gaussian", "params": [1.0]}}, 29),
 )
 
 REPORT_FILES = ("report.json", "sweep.csv", "trace.csv")
@@ -182,8 +199,12 @@ def digests(root: Path) -> list[str]:
     lines = []
     for case, command, config, seed in CORPUS:
         out = root / case
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.run(command, config, out, seed)
+        config_path = root / f"{case}.json"
+        config_path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["--config", str(config_path), "--command",
+                             command, "--seed", str(seed), "--out", str(out)])
         for name in REPORT_FILES:
             path = out / name
             if path.exists():
