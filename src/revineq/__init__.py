@@ -9,8 +9,8 @@ over trial-function families.
 __version__ = "0.1.0"
 
 from .exceptions import (ConfigError, DegenerateInputError, DivergenceError,
-                         EstimationError, EvaluationError, ParameterError,
-                         RevineqError, ShapeError)
+                         EstimationError, EvaluationError, NumericalError,
+                         ParameterError, RevineqError, ShapeError)
 from .groups import (GroupAxiomReport, HomogeneousGroup, NormAxiomReport,
                      QuasiNorm, abelian_group, anisotropic_gauge, as_points,
                      check_group_axioms, check_quasi_norm_axioms, cygan_norm,

@@ -18,8 +18,7 @@ Outputs (in --out, default "."):
     trace.csv      every ratio evaluation of a search (estimate command)
 
 Exit status: 0 all checks passed; 1 an inequality margin failed;
-2 configuration/parameter error; 3 numerical error (divergence or
-degenerate input).
+2 configuration/parameter error; 3 numerical error (any NumericalError).
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ import scipy
 
 from . import __version__
 from . import inequalities as ineq
-from .exceptions import (ConfigError, DegenerateInputError, DivergenceError,
-                         EstimationError, EvaluationError, RevineqError)
+from .exceptions import ConfigError, NumericalError, RevineqError
 from .groups import (abelian_group, anisotropic_gauge, check_group_axioms,
                      check_quasi_norm_axioms, cygan_norm, euclidean_norm,
                      heisenberg_group, koranyi_norm)
@@ -438,8 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         return run(args.command, cfg, args.out, args.seed)
-    except (DegenerateInputError, DivergenceError, EvaluationError,
-            EstimationError) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except RevineqError as exc:   # config, parameter and shape errors

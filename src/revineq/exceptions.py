@@ -27,17 +27,21 @@ class ConfigError(RevineqError):
     """Configuration file failed to parse or contains unknown/invalid keys."""
 
 
-class DegenerateInputError(RevineqError):
+class NumericalError(RevineqError):
+    """A computation failed on admissible input (CLI exit status 3)."""
+
+
+class DegenerateInputError(NumericalError):
     """Input makes a side of the inequality zero or undefined (0^q branch)."""
 
 
-class DivergenceError(RevineqError):
+class DivergenceError(NumericalError):
     """A requested integral diverges, or its estimate overflows."""
 
 
-class EvaluationError(RevineqError):
+class EvaluationError(NumericalError):
     """An integrand returned a non-finite value at a concrete point."""
 
 
-class EstimationError(RevineqError):
+class EstimationError(NumericalError):
     """All candidate evaluations during a best-constant search degenerated."""

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import DegenerateInputError, ParameterError
+from .exceptions import DegenerateInputError, EvaluationError, ParameterError
 from .groups import (HomogeneousGroup, QuasiNorm, _sample_points, dilate,
                      group_inv, group_mul)
 from .quadrature import (DecayEnvelope, IntegralResult, QuadratureSpec,
@@ -257,16 +257,27 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     env_y = h.envelope.boosted(beta + lam / 2.0)
     # B is finite only if both moments of each profile are: the kernel
     # grows like |x|^л far out and tends to |y|^л > 0 as x -> 0
-    for env, side in ((env_x, "f"), (env_y, "h")):
+    samplers = []
+    for env, g, side, weight in ((env_x, f, "f", "alpha"),
+                                 (env_y, h, "h", "beta")):
         for k in (lam / 2.0, -lam / 2.0):
             env.boosted(k).check_integrable(
                 Q, f"stein_weiss_form[{side}-side]")
+        far = env.boosted(lam / 2.0)
+        try:
+            samplers.append(RadialSampler(
+                env, Q, min(far.r_max(Q), g.support_radius)))
+        except EvaluationError as exc:
+            if far.kind != "power":
+                raise
+            # a power tail just above its integrability threshold
+            raise EvaluationError(
+                f"{exc}; {side}-side tail margin e = s - (Q + {weight} + "
+                f"lambda) = {far.shape - Q - far.boost:g}", module=_MODULE,
+                operation="stein_weiss_form") from exc
+    sx, sy = samplers
 
     n = spec.sample_count
-    sx = RadialSampler(env_x, Q, min(env_x.boosted(lam / 2.0).r_max(Q),
-                                     f.support_radius))
-    sy = RadialSampler(env_y, Q, min(env_y.boosted(lam / 2.0).r_max(Q),
-                                     h.support_radius))
     x, _, wx = sample_group_points(group, sx, draw_block(group, spec, 0))
     y, _, wy = sample_group_points(group, sy, draw_block(group, spec, 1))
 

@@ -8,15 +8,15 @@ sphere S^{N-1},
 
 which is exact for any dilation weights v_i.  Radial integrands reduce to
 one-dimensional integrals against r^{Q-1} dr (``integrate_radial_err``),
-which a vectorised adaptive Gauss-Kronrod rule on per-decade panels
-evaluates with one numpy call of the integrand per refinement round, while
-genuinely multi-dimensional integrands are handled by importance-sampled
-Monte Carlo (radius drawn from a declared decay envelope, direction uniform
-on S^{N-1}, the exact Jacobian above absorbed into the weight).  On S^1 and
-S^2 a direction comes from a point of the unit disk drawn by rejection from
-a square (von Neumann, Marsaglia), with no Gaussians and no trigonometry;
-r^{Q-1} and the columns of D_r whose weight is not 1 are formed as
-exp(v log r) from one logarithm of r.
+which a vectorised, globally adaptive Gauss-Kronrod rule evaluates from a
+per-decade initial partition with one numpy call of the integrand per
+refinement round, while genuinely multi-dimensional integrands are handled
+by importance-sampled Monte Carlo (radius drawn from a declared decay
+envelope, direction uniform on S^{N-1}, the exact Jacobian above absorbed
+into the weight).  On S^1 and S^2 a direction comes from a point of the
+unit disk drawn by rejection from a square (von Neumann, Marsaglia), with
+no Gaussians and no trigonometry; r^{Q-1} and the columns of D_r whose
+weight is not 1 are formed as exp(v log r) from one logarithm of r.
 
 The total mass |S| of the quasi-sphere measure in the polar decomposition
 
@@ -611,9 +611,9 @@ def _qk21_rule() -> tuple[np.ndarray, np.ndarray]:
 
 _GK_NODES, _GK_WEIGHTS = _qk21_rule()
 _GK_KRONROD = np.ascontiguousarray(_GK_WEIGHTS[:, 0])
-_MAX_SUBINTERVALS = 200        # per panel
+_MAX_SPLITS = 199       # in all, beyond the initial panels
 # [0, b] is split at b/16; b * 16^-199 is a normal float for b >= 1e-68,
-# so within the cap no node reaches 0 unless r_max < 1e-68
+# so within the budget no node reaches 0 unless r_max < 1e-68
 _ZERO_SPLIT = 1.0 / 16.0
 _EPS = float(np.finfo(float).eps)
 # panel edges between r_min and r_max; above 1e25 only for a finite r_max
@@ -668,23 +668,24 @@ def integrate_radial_err(profile, Q: float, r_min: float = 0.0,
 
     ``profile`` maps a 1-D array of radii to values; a scalar broadcasts.
 
-    Panels: [r_min, r_max] is cut at every power of ten from 1e-12 up, so
-    that no finite panel but the first spans more than a decade and slowly
-    decaying tails and integrable power singularities at 0 stay well
-    scaled.  An infinite r_max cuts at 1e25 at most and integrates the last
-    panel [c, inf) in t over (0, 1] with r = c/t, dr = c dt/t^2.
+    Initial partition: [r_min, r_max] is cut at every power of ten from
+    1e-12 up, so that no finite subinterval but the first spans more than a
+    decade and slowly decaying tails and integrable power singularities at
+    0 stay well scaled.  An infinite r_max cuts at 1e25 at most and
+    integrates the last piece [c, inf) in t over (0, 1] with r = c/t,
+    dr = c dt/t^2.
 
     Rule: a globally adaptive 21-point Gauss-Kronrod rule (QUADPACK's
-    qk21) on all panels at once.  Each round calls ``profile`` once, on the
-    21 nodes of every subinterval still being refined.  A panel is done
-    when the sum of its error estimates is at most
-    max(1e-280, rtol * |panel value|).  Otherwise every subinterval of the
-    panel whose error estimate exceeds an equal share of that tolerance is
-    split in two: at the geometric mean when b > 8a (log scale), at b/16
-    when a = 0 (a geometric mesh towards a power singularity at the
-    origin), and at the midpoint otherwise; in the t of an infinite panel
-    the midpoint of [0, b] doubles r.  A panel stops at 200 subintervals;
-    its error estimate then stays above its tolerance.
+    qk21).  Each round calls ``profile`` once, on the 21 nodes of every
+    new subinterval.  The rule stops when the sum of all error estimates is
+    at most max(1e-280, rtol * |total|), QUADPACK qag's criterion.
+    Otherwise every subinterval whose error estimate exceeds an equal share
+    of that target is split in two: at the geometric mean when b > 8a (log
+    scale), at b/16 when a = 0 (a geometric mesh towards a power
+    singularity at the origin), and at the midpoint otherwise; in the t of
+    the infinite piece the midpoint of [0, b] doubles r.  At most 199
+    splits are made in all, the largest errors first; an integral that
+    uses them up returns an error estimate above its target.
 
     Error estimate: the sum over all subintervals of QUADPACK's estimate
     resasc * min(1, (200 |K - G| / resasc)^1.5), floored at 50 eps resabs,
@@ -694,8 +695,9 @@ def integrate_radial_err(profile, Q: float, r_min: float = 0.0,
     outside that range and to a profile that underflows to 0.
 
     Raises ParameterError for Q < 1 or a bad range, DivergenceError naming
-    r where r^{Q-1} overflows (tested first, as 0 * inf would read as NaN),
-    and EvaluationError where the integrand or the sum is NaN.
+    r where r^{Q-1} overflows (tested first, as 0 * inf would read as NaN)
+    or where the sum or its error estimate is not finite, and
+    EvaluationError where the integrand is NaN.
     """
     if Q < 1.0:
         raise ParameterError("homogeneous dimension below 1 is unsupported",
@@ -707,56 +709,50 @@ def integrate_radial_err(profile, Q: float, r_min: float = 0.0,
     edges = _DECADES[(_DECADES > r_min) & (_DECADES < top)]
     a = np.concatenate([[r_min], edges])
     b = np.concatenate([edges, [r_max]])
-    n_panels = len(a)
-    panel = np.arange(n_panels)
-    tail_panel, tail_start = n_panels, 0.0
+    tail = np.zeros(len(a), dtype=bool)
+    tail_start = 0.0
     if math.isinf(r_max):
-        tail_panel, tail_start = n_panels - 1, a[-1]
+        tail[-1], tail_start = True, a[-1]
         a[-1], b[-1] = 0.0, 1.0
 
-    # every subinterval so far: ends, panel, Kronrod value, error estimate
-    sub_a, sub_b = np.empty(0), np.empty(0)
-    sub_panel = np.empty(0, dtype=np.intp)
+    # every subinterval so far: ends, tail flag, Kronrod value, error
+    sub_a, sub_b, sub_tail = np.empty(0), np.empty(0), np.empty(0, dtype=bool)
     sub_val, sub_err = np.empty(0), np.empty(0)
+    budget = _MAX_SPLITS
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
-            val, err = _qk21(profile, Q, a, b, panel == tail_panel,
-                             tail_start)
+            val, err = _qk21(profile, Q, a, b, tail, tail_start)
             sub_a, sub_b = np.concatenate([sub_a, a]), np.concatenate([sub_b, b])
-            sub_panel = np.concatenate([sub_panel, panel])
+            sub_tail = np.concatenate([sub_tail, tail])
             sub_val = np.concatenate([sub_val, val])
             sub_err = np.concatenate([sub_err, err])
-            panel_val = np.bincount(sub_panel, sub_val, n_panels)
-            panel_err = np.bincount(sub_panel, sub_err, n_panels)
-            count = np.bincount(sub_panel, minlength=n_panels)
-            tol = np.maximum(1e-280, rtol * np.abs(panel_val))
-            refine = (panel_err > tol) & (count < _MAX_SUBINTERVALS)
-            split = refine[sub_panel] & (sub_err > (tol / count)[sub_panel])
-            if not split.any():
+            total, error = float(np.sum(sub_val)), float(np.sum(sub_err))
+            if not (math.isfinite(total) and math.isfinite(error)):
+                raise DivergenceError(
+                    f"radial sum is not finite ({total:g} +- {error:g}); "
+                    "the integrand overflows", module=_MODULE,
+                    operation="integrate_radial")
+            tol = max(1e-280, rtol * abs(total))
+            split = sub_err > tol / len(sub_err)
+            if error <= tol or budget == 0 or not split.any():
                 break
-            room = _MAX_SUBINTERVALS - count
-            for k in np.flatnonzero(np.bincount(sub_panel[split],
-                                                minlength=n_panels) > room):
-                # over the cap: split only the largest errors of panel k
-                mine = np.flatnonzero(split & (sub_panel == k))
-                split[mine[np.argsort(sub_err[mine])[:-room[k]]]] = False
-            lo, hi, panel = sub_a[split], sub_b[split], sub_panel[split]
+            if split.sum() > budget:
+                # over the budget: split only the largest errors
+                mine = np.flatnonzero(split)
+                split[mine[np.argsort(sub_err[mine])[:-budget]]] = False
+            budget -= int(split.sum())
+            lo, hi, tail = sub_a[split], sub_b[split], sub_tail[split]
             keep = ~split
-            sub_a, sub_b, sub_panel = sub_a[keep], sub_b[keep], sub_panel[keep]
+            sub_a, sub_b, sub_tail = sub_a[keep], sub_b[keep], sub_tail[keep]
             sub_val, sub_err = sub_val[keep], sub_err[keep]
             # sqrt(lo) * sqrt(hi): lo * hi overflows above 1e154 and
             # underflows below 1e-162
             mid = np.where((lo > 0.0) & (hi > 8.0 * lo),
                            np.sqrt(lo) * np.sqrt(hi), 0.5 * lo + 0.5 * hi)
-            mid = np.where((lo == 0.0) & (panel != tail_panel),
-                           _ZERO_SPLIT * hi, mid)
+            mid = np.where((lo == 0.0) & ~tail, _ZERO_SPLIT * hi, mid)
             a, b = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-            panel = np.concatenate([panel, panel])
-    total = float(np.sum(panel_val))
-    if math.isnan(total):
-        raise EvaluationError("radial integral evaluated to NaN",
-                              module=_MODULE, operation="integrate_radial")
-    return total, float(np.sum(panel_err))
+            tail = np.concatenate([tail, tail])
+    return total, error
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,7 @@ import numpy as np
 from scipy import special as _sp
 
 from . import inequalities as ineq
-from .exceptions import (DegenerateInputError, DivergenceError,
-                         EstimationError, EvaluationError, ParameterError)
+from .exceptions import EstimationError, NumericalError, ParameterError
 from .groups import HomogeneousGroup, QuasiNorm
 from .operators import ClosedForm, RadialProfile
 from .quadrature import DecayEnvelope, QuadratureSpec
@@ -291,8 +290,8 @@ def estimate_best_constant(inequality: str, params, families,
     quadrature seed in ``spec`` is reused for every evaluation (common
     random numbers), and results are a pure function of
     (inequality, params, families, search, spec).  A point whose verifier
-    raises DegenerateInputError, DivergenceError or EvaluationError counts
-    as a degenerate evaluation with ratio inf.
+    raises a NumericalError counts as a degenerate evaluation with ratio
+    inf.
     """
     entry = ineq.INEQUALITIES.get(inequality)
     if entry is None or "estimate" not in entry.commands:
@@ -334,7 +333,7 @@ def estimate_best_constant(inequality: str, params, families,
                 rep = entry.verify(*profiles, params, group, norm, spec)
                 constant = rep.analytic_constant
                 seen[theta] = rep.ratio, False
-            except (DegenerateInputError, DivergenceError, EvaluationError):
+            except NumericalError:
                 seen[theta] = math.inf, True
         ratio, failed = seen[theta]
         degenerate += failed

@@ -360,6 +360,31 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert "bad.json:1:" in capsys.readouterr().err
 
 
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    code = main(["--config", str(path), "--command", "verify"])
+    assert code == 2
+    assert f"cannot read {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path,cfg", [
+    ("group.name", {**HARDY_CFG, "group": {"name": "engel"}}),
+    ("norm.name", {**HARDY_CFG, "norm": {"name": "carnot"}}),
+    ("inequality.name", {**HARDY_CFG, "inequality": {"name": "reverse_hardie",
+                                                     "p": 0.5}}),
+])
+def test_unknown_name_exits_2(tmp_path, capsys, path, cfg):
+    """A misspelt group, norm or inequality name is a configuration error
+    (exit 2) naming its key path and the name, and writes no report."""
+    code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
+                 "verify", "--out", str(tmp_path / "out")])
+    assert code == 2
+    section, key = path.split(".")
+    err = capsys.readouterr().err
+    assert f"config.{path}: unknown" in err and repr(cfg[section][key]) in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_unknown_key_exit_2(tmp_path, capsys):
     # radial ranges come from decay envelopes, so no window key exists
     for key in ("sample_cout", "truncation_radius", "inner_cutoff"):
@@ -577,13 +602,17 @@ def test_near_critical_power_tail_exits_3(tmp_path, capsys, s):
     """f = (1+r)^{-s} with s just above Q + lambda = 6 on H1/Cygan (p = q'
     = 0.8, lambda = 2) is admissible, but its radial sampler's density
     overflows at s = 6.05 and its tail radius is infinite at s = 6.01: a
-    numerical error (exit 3), never a configuration error (exit 2)."""
+    numerical error (exit 3), never a configuration error (exit 2).  The
+    message names the side and its margin above the threshold."""
     cfg = {**NEAR_CRITICAL_HLS,
            "trial_f": {"family": "power_decay", "params": [s, 1.0]}}
     code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
                  "verify", "--out", str(tmp_path / "out")])
     assert code == 3
-    assert "non-finite on radial grid" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite on radial grid" in err
+    assert "f-side tail margin e = s - (Q + alpha + lambda) = " \
+        f"{s - 6.0:.2f}" in err
 
 
 def test_estimate_with_every_evaluation_degenerate_exits_3(tmp_path,

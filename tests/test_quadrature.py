@@ -492,6 +492,14 @@ def test_radial_overflow_raises_divergence():
         integrate_radial_err(lambda r: np.zeros_like(r), 4.0, 0.0, 1e150)
 
 
+def test_radial_sum_that_overflows_raises():
+    """(1+r)^{-4.1} r^3 over [0, inf) is finite, but its tail piece reaches
+    t where r^3 dr overflows and the sum is inf: that raises rather than
+    returning (inf, nan) for a norm to carry into a verdict."""
+    with pytest.raises(DivergenceError, match="radial sum is not finite"):
+        integrate_radial_err(lambda r: (1.0 + r) ** -4.1, 4.0)
+
+
 def test_radial_nan_raises_evaluation_error():
     with pytest.raises(EvaluationError, match="non-finite at r="):
         integrate_radial_err(lambda r: np.where(r > 2.0, np.nan, 1.0), 2.0,
@@ -514,8 +522,9 @@ def test_import_does_not_load_scipy_integrate():
 
 
 def _quad_reference(profile, Q, r_min=0.0, r_max=math.inf, rtol=1e-11):
-    """scipy's quad with one scalar callback per node, run on the panels of
-    integrate_radial_err with the per-panel tolerance it is given."""
+    """scipy's quad with one scalar callback per node, run on the decade
+    panels that integrate_radial_err starts from, each to rtol of its own
+    value."""
     import warnings
     from scipy import integrate
     top = r_max if math.isfinite(r_max) else 1e26
@@ -566,6 +575,14 @@ def test_radial_rule_matches_quad(profile, Q, r_min, r_max, rel):
     val, _ = integrate_radial_err(profile, Q, r_min, r_max)
     assert val == pytest.approx(_quad_reference(profile, Q, r_min, r_max),
                                 rel=rel)
+
+
+def test_radial_rule_integrates_a_slow_tail_to_infinity():
+    """(1+r)^{-4.2} r^3 over [0, inf) is B(4, 0.2).  Refined to 1e-11 of
+    its own value, the [1e25, inf) piece reached t where r^3 dr overflows,
+    and the sum came back as inf with a NaN error."""
+    val, err = integrate_radial_err(lambda r: (1.0 + r) ** -4.2, 4.0)
+    assert abs(val - sp.beta(4.0, 0.2)) <= err
 
 
 def test_radial_rule_resolves_a_slow_power_tail():
@@ -650,6 +667,22 @@ def test_radial_rule_calls_profile_few_times_with_arrays(family, Q):
         integrate_radial_err(counted, Q, 0.0, upper)
         assert 1 <= len(shapes) <= 10
         assert all(len(s) == 1 and s[0] % 21 == 0 for s in shapes)
+
+
+def test_radial_rule_stops_on_the_whole_integral():
+    """The error target is rtol times the whole integral: e^{-r} at Q = 4
+    over [0, inf) stops after 3 calls.  A target per decade panel refined
+    [100, 1000], which holds 4e-38 of the total, to 1e-11 of its own value,
+    for 7 calls."""
+    calls = []
+
+    def counted(r):
+        calls.append(len(r))
+        return np.exp(-r)
+
+    val, err = integrate_radial_err(counted, 4.0)
+    assert len(calls) <= 3
+    assert abs(val - sp.gamma(4.0)) <= err
 
 
 def test_radial_rule_meshes_geometrically_towards_the_origin():

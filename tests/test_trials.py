@@ -192,6 +192,23 @@ def test_budget_never_exceeded(h1, koranyi, quad):
         assert rec.evaluations <= budget
 
 
+def test_nelder_mead_stops_at_a_bowl_minimiser():
+    """On a smooth bowl the simplex collapses and _nelder_mead returns on
+    its own, long before any budget would end it, at the minimiser."""
+    from revineq.trials import _nelder_mead
+    centre = np.array([0.3, -0.2])
+    points = []
+
+    def bowl(x):
+        points.append(x)
+        return float(np.sum((x - centre) ** 2))
+
+    _nelder_mead(bowl, np.array([0.9, 0.7]), ((-1.0, 1.0), (-1.0, 1.0)))
+    assert len(points) < 500
+    best = min(points, key=lambda x: np.sum((x - centre) ** 2))
+    assert np.allclose(best, centre, rtol=0.0, atol=1e-8)
+
+
 def test_enlarging_budget_never_raises_minimum(h1, koranyi, quad):
     P = InequalityParams(Q=4, p=0.5)
     minima = []
@@ -255,6 +272,18 @@ def test_closed_form_moments_agree_with_quadrature(family, params):
         assert err == CLOSED_FORM_RTOL * closed
         checked += 1
     assert checked >= 36
+
+
+def test_quadrature_to_the_support_radius_matches_closed_form():
+    """A power tail 0.3 above its threshold, taken to infinity
+    (to_support) on the quadrature path, matches its closed form.  Refined
+    to a target of its own, the tail piece overflowed, and the integral
+    came back as inf with a NaN error."""
+    prof = make_profile("power_decay", [6.3, 1.0])
+    closed, _ = weighted_p_integral(prof, 1.0, 0.0, 6.0, to_support=True)
+    quad, err = weighted_p_integral(_quadrature_twin(prof), 1.0, 0.0, 6.0,
+                                    to_support=True)
+    assert abs(quad - closed) <= err
 
 
 def _mp_power_moment(mp, s, a, p, m, R, deriv):

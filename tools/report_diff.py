@@ -65,7 +65,10 @@ def run_corpus(checkout: Path, out: Path) -> dict[str, str]:
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
         [sys.executable, "-c", _RUNNER.format(tools=str(TOOLS)), str(out)],
-        env=env, capture_output=True, text=True, check=True)
+        env=env, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"report_diff: the corpus failed under {src}:\n"
+                 f"{proc.stderr}")
     codes = {}
     for line in proc.stdout.splitlines():
         if line.startswith("exit "):

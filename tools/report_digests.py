@@ -196,6 +196,7 @@ REPORT_FILES = ("report.json", "sweep.csv", "trace.csv")
 
 
 def digests(root: Path) -> list[str]:
+    root.mkdir(parents=True, exist_ok=True)
     lines = []
     for case, command, config, seed in CORPUS:
         out = root / case
