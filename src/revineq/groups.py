@@ -17,6 +17,10 @@ inequality |x y| <= |x| + |y| and are flagged ``is_true_norm``.
 Built-ins: abelian R^N with arbitrary positive rational weights, and the
 first Heisenberg group H1 with weights (1, 1, 2) in the symmetric
 (polarized) coordinates where inversion is negation.
+
+Every power of a coordinate or a radius, s^{v_i} in a dilation and the
+terms and root of the anisotropic gauge, is exp(v log) through numpy's
+array loops, so a point alone and a batch round alike.
 """
 
 from __future__ import annotations
@@ -79,10 +83,6 @@ class QuasiNorm:
     def __call__(self, x) -> Array:
         pts = np.asarray(x, dtype=float)
         _check_last_axis(self.group, pts, self.name)
-        if pts.ndim == 1:
-            # a point runs as a batch of one: the powers of a numpy scalar
-            # are libm pow, which rounds differently from a batch's loop
-            return self.evaluate(pts[None])[0]
         return self.evaluate(pts)
 
     def __repr__(self) -> str:
@@ -113,27 +113,17 @@ def dilate(group: HomogeneousGroup, s, x) -> Array:
     leading axes of ``x``.
     """
     s_arr = np.asarray(s, dtype=float)
-    valid = np.all(s_arr > 0.0) and np.all(np.isfinite(s_arr))
-    # an array exponent: numpy's fast paths for a scalar exponent (s * s for
-    # 2, sqrt for 0.5) round differently
-    return _dilate_by(group, s_arr, x, valid, lambda v: _power(s_arr, v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_s = np.log(s_arr)
+    return _dilate_log(group, s_arr, log_s, x)
 
 
 def _dilate_log(group: HomogeneousGroup, s: Array, log_s: Array,
                 x) -> Array:
-    """D_s x for an array of radii s given with log s, s^v as exp(v log s).
-    Checks what ``dilate`` checks, s through log s, which is finite only
-    for a positive finite s.  Its bits differ from ``dilate``'s, which
-    stays the same for a point alone as inside a batch."""
-    return _dilate_by(group, s, x, np.all(np.isfinite(log_s)),
-                      lambda v: np.exp(v * log_s))
-
-
-def _dilate_by(group: HomogeneousGroup, s: Array, x, valid,
-               power) -> Array:
-    """x_i times s for weight 1 and times power(v) once per other distinct
-    weight v; raises unless ``valid`` says s is positive and finite."""
-    if not valid:
+    """D_s x for an array of radii s given with log s: x_i times s for
+    weight 1 and times exp(v log s) once per other distinct weight v.
+    log s is finite only for a positive finite s; any other s raises."""
+    if not np.all(np.isfinite(log_s)):
         raise ParameterError("dilation parameter must be positive and finite",
                              module=_MODULE, operation="dilate")
     pts = as_points(group, x, operation="dilate")
@@ -141,24 +131,9 @@ def _dilate_by(group: HomogeneousGroup, s: Array, x, valid,
     scales = {1.0: s}
     for i, v in enumerate(group.weights):
         if v not in scales:
-            scales[v] = power(v)
+            scales[v] = np.exp(v * log_s)
         np.multiply(pts[..., i], scales[v], out=out[..., i])
     return out
-
-
-def _power(base: Array, e: float) -> Array:
-    """base ** e, bit for bit as a column of ``base[..., None] ** exponents``.
-
-    numpy's power loop takes fast paths (s * s for 2, sqrt for 0.5) when the
-    exponent has stride 0; they round differently from its general loop in
-    about 5% of values.  Against two or more exponents the broadcast runs
-    the general loop for every value, and so does an exponent array shaped
-    like the flattened base, even where the base is 0-d and a 0-d exponent
-    would have stride 0.  Every group, one-column groups included, takes
-    this path, so a batch and its points one at a time get the same bits.
-    """
-    flat = base.reshape(-1)
-    return np.power(flat, np.full_like(flat, e)).reshape(base.shape)
 
 
 def group_mul(group: HomogeneousGroup, x, y) -> Array:
@@ -303,9 +278,12 @@ def anisotropic_gauge(group: HomogeneousGroup) -> QuasiNorm:
     root = 1.0 / (2.0 * M)
 
     def _eval(x):
-        ax = np.abs(x)
-        return _sum_columns([_power(ax[..., i], e)
-                             for i, e in enumerate(expo)]) ** root
+        # log 0 = -inf, whose exp is 0
+        with np.errstate(divide="ignore"):
+            log_ax = np.log(np.abs(x))
+            total = _sum_columns([np.exp(e * log_ax[..., i])
+                                  for i, e in enumerate(expo)])
+            return np.exp(root * np.log(total))
 
     return QuasiNorm(name=f"anisotropic(M={M:g})", group=group, evaluate=_eval,
                      sphere=_dirichlet_sphere(group.weights, 2.0 * M))
@@ -325,7 +303,8 @@ def _h1_gauge(group: HomogeneousGroup, name: str, c: float,
 
     def _eval(x):
         x = np.asarray(x, dtype=float)
-        # an array even for a single point, which the steps write into
+        # an array even for a single point, which the steps write into;
+        # [()] returns a single point's 0-d root as a scalar
         root = np.square(x[..., 0], out=np.empty(x.shape[:-1]))
         root += np.square(x[..., 1])
         np.square(root, out=root)
@@ -333,7 +312,7 @@ def _h1_gauge(group: HomogeneousGroup, name: str, c: float,
         t2 *= c
         root += t2
         np.sqrt(root, out=root)
-        return np.sqrt(root, out=root)
+        return np.sqrt(root, out=root)[()]
 
     return QuasiNorm(name=name, group=group, evaluate=_eval,
                      sphere=2.0 * math.pi ** 2 / math.sqrt(c),

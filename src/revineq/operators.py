@@ -13,7 +13,7 @@ than 1e-8 of its mass (capped at the profile's support radius).  A
 profile whose value or derivative is a ``ClosedForm`` (exp_decay, gaussian
 and power_decay, dilated or not) has that integral as an incomplete Gamma
 or Beta function, with a 1e-12 relative error bar; any other profile goes
-through adaptive Gauss-Kronrod quadrature, whose results are memoised.
+through adaptive Gauss-Kronrod quadrature.
 
 The doubly weighted bilinear form with growing kernel
 
@@ -29,7 +29,6 @@ products of radial moments; estimates are deterministic per seed.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -150,8 +149,7 @@ def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
 
     If the function integrated is a ``ClosedForm``, the value is its
     ``moment(p, Q + power_shift, R)`` and the error CLOSED_FORM_RTOL times
-    its size; that is not memoised.  Otherwise ``_radial_p_integral``
-    evaluates and memoises it.
+    its size; otherwise ``integrate_radial_err`` evaluates the integral.
     """
     if not p > 0:
         raise ParameterError(f"p must be positive, got {p:g}", module=_MODULE,
@@ -166,15 +164,6 @@ def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
     if isinstance(fn, ClosedForm):
         value = float(fn.moment(p, Q + power_shift, r_max))
         return value, CLOSED_FORM_RTOL * abs(value)
-    return _radial_p_integral(fn, p, power_shift, Q, r_max)
-
-
-@functools.lru_cache(maxsize=1024)
-def _radial_p_integral(fn: Callable, p: float, power_shift: float, Q: float,
-                       r_max: float) -> tuple[float, float]:
-    """``integrate_radial_err`` of |fn(r)|^p r^{power_shift} r^{Q-1} over
-    [0, r_max], memoised on what it depends on; a function equals only
-    itself, so ``fn`` is compared by identity."""
 
     def integrand(r):
         return np.abs(fn(r)) ** p * r ** power_shift

@@ -30,10 +30,9 @@ surface integral |S| = int_{S^{N-1}} L(u) |u|^{-Q} dS(u) on a
 deterministic rule for dim <= 3 (``sphere_measure_direct``), and
 |S| = (int_G e^{-|x|} dx)/Gamma(Q) by Monte Carlo (``sphere_measure_mc``).
 
-State lives in two ``lru_cache`` slots: the draw stream below and the
-radial L^p memo in ``operators``.  Estimators keep none, and one that
-diverges (a sample or the mean infinite or above 1e280) raises
-``DivergenceError``.
+State lives in one ``lru_cache`` slot, the draw stream below.  Estimators
+keep none, and one that diverges (a sample or the mean infinite or above
+1e280) raises ``DivergenceError``.
 
 Determinism: Monte Carlo results are a pure function of the integrand and
 the spec with its seed.  The seed-determined part of a sample comes from the
@@ -791,10 +790,9 @@ def sphere_measure_direct(group: HomogeneousGroup, norm: QuasiNorm,
 @dataclass(frozen=True)
 class PolarConsistencyReport:
     cartesian: IntegralResult
-    sphere: IntegralResult      # the Monte Carlo |S| at the spec
-    factorized: float           # |S| * int profile r^{Q-1} dr
+    factorized: float           # exact |S| * int profile r^{Q-1} dr
     discrepancy: float          # |cartesian - factorized|
-    combined_stderr: float
+    combined_stderr: float      # cartesian stderr + |S| * radial error
 
     @property
     def tolerance(self) -> float:
@@ -808,11 +806,13 @@ class PolarConsistencyReport:
 def polar_consistency_check(group: HomogeneousGroup, norm: QuasiNorm,
                             profile: Callable, envelope: DecayEnvelope,
                             spec: QuadratureSpec) -> PolarConsistencyReport:
-    """Compare a cartesian integral of g(|x|) with |S| x its radial reduction."""
+    """Compare a Monte Carlo integral of g(|x|) with the gauge's exact |S|
+    times its radial reduction, over the two errors.  An estimate of |S|
+    from the same draws would share any constant factor in the weights;
+    the exact |S| exposes it."""
     cart = integrate_cartesian(group, lambda x: profile(norm(x)), spec, envelope)
-    sm = sphere_measure_mc(group, norm, spec)
     Q = group.homogeneous_dim
-    radial = integrate_radial_err(profile, Q, 0.0, envelope.r_max(Q))[0]
-    fact = sm.value * radial
-    sig = cart.stderr + abs(radial) * sm.stderr
-    return PolarConsistencyReport(cart, sm, fact, abs(cart.value - fact), sig)
+    radial, err = integrate_radial_err(profile, Q, 0.0, envelope.r_max(Q))
+    fact = norm.sphere * radial
+    sig = cart.stderr + norm.sphere * err
+    return PolarConsistencyReport(cart, fact, abs(cart.value - fact), sig)

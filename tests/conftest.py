@@ -56,13 +56,11 @@ def rng():
 
 @pytest.fixture
 def clear_caches():
-    """Empties the draw stream and the radial L^p memo, so that the next
-    estimate runs cold."""
-    from revineq import operators, quadrature
+    """Empties the draw stream, so that the next estimate runs cold."""
+    from revineq import quadrature
 
     def clear():
         quadrature._stream.cache_clear()
-        operators._radial_p_integral.cache_clear()
     return clear
 
 

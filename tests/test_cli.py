@@ -97,6 +97,16 @@ def test_axioms_command(tmp_path):
     assert "kernel_bounds_violations" in doc["checks"]   # euclidean is a norm
 
 
+def test_axioms_auto_norm_on_weighted_plane_is_anisotropic(tmp_path):
+    """Without a norm section, abelian weights other than all 1 get the
+    anisotropic gauge, here with M = lcm(1, 2) = 2."""
+    run("axioms", {"group": {"name": "abelian", "weights": [1.0, 2.0]},
+                   "quadrature": {"sample_count": 2000}}, tmp_path / "out", 5)
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert doc["norm"] == "anisotropic(M=2)"
+    assert doc["norm_triangle_asserted"] is False
+
+
 def test_axioms_on_heisenberg_passes(tmp_path):
     """The dilation automorphism residual is relative above 1: on H1 its
     absolute rounding reached 1.2e-10 at this seed, over the 1e-10 gate."""
@@ -179,8 +189,8 @@ def test_verify_never_reads_monte_carlo_sphere_measure(tmp_path, monkeypatch):
 
 def test_axioms_computes_monte_carlo_sphere_measure_once(tmp_path,
                                                          monkeypatch):
-    """axioms checks the |S| that polar_consistency used against the
-    exact one, without estimating it a second time."""
+    """axioms estimates |S| by Monte Carlo once, for its check against the
+    exact |S|; polar_consistency reads the exact |S|."""
     from revineq import quadrature
     calls = []
     mc = quadrature.sphere_measure_mc

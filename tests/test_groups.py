@@ -30,8 +30,11 @@ def test_dilate_identity(h1, rng):
 
 
 def test_dilate_rejects_bad_input(plane):
-    with pytest.raises(ParameterError):
-        dilate(plane, -1.0, [1.0, 2.0])
+    """Only a positive finite s dilates: dilate checks that log s is
+    finite, which is false for s <= 0, inf and nan, anywhere in an array."""
+    for s in (-1.0, 0.0, np.inf, np.nan, [2.0, -1e-300, 3.0]):
+        with pytest.raises(ParameterError):
+            dilate(plane, s, [1.0, 2.0])
     with pytest.raises(ShapeError):
         dilate(plane, 2.0, [1.0, 2.0, 3.0])
 
@@ -42,16 +45,6 @@ def test_dilate_rejects_bad_input(plane):
 
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
-
-
-def _general_power(base, expo):
-    """base ** expo, broadcast, through numpy's general power loop for every
-    value: a full exponent array gives the loop no stride-0 exponent to take
-    the s * s or sqrt fast path on, as a single exponent column over a batch
-    would."""
-    base, expo = np.broadcast_arrays(np.asarray(base, dtype=float),
-                                     np.asarray(expo, dtype=float))
-    return base ** expo.copy()
 
 
 # (weights, M = lcm of the weights, as anisotropic_gauge picks it)
@@ -73,8 +66,9 @@ def _pin_points(rng, shape):
     return x
 
 
-# A single point makes 0-d columns, which a stride-0 exponent would send
-# down numpy's power fast paths in about 5% of values: draw many of them.
+# A single point makes 0-d columns and numpy scalars, which numpy may round
+# by other paths than a batch's loops in a few percent of values (as its
+# power does): draw many of them.
 _SINGLE_POINTS = 200
 
 
@@ -97,8 +91,10 @@ def _gauge_shapes(dim):
 def test_dilate_bit_identical_to_broadcast_power(weights):
     g = _pin_group(weights)
     rng = np.random.default_rng(17)
+    v = np.asarray(g.weights)
     for s, x in _dilation_cases(rng, g.dim):
-        ref = x * _general_power(np.asarray(s)[..., np.newaxis], g.weights)
+        s_col = np.asarray(s)[..., np.newaxis]
+        ref = x * np.where(v == 1.0, s_col, np.exp(v * np.log(s_col)))
         out = dilate(g, s, x)
         assert out.shape == ref.shape
         np.testing.assert_array_equal(_bits(out), _bits(ref))
@@ -146,6 +142,16 @@ def test_gauge_batch_equals_points(weights, gauge):
     np.testing.assert_array_equal(_bits(norm(x)), _bits(single))
 
 
+@pytest.mark.parametrize("gauge,weights", [
+    (euclidean_norm, (1.0, 1.0)), (anisotropic_gauge, (1.0, 2.0)),
+    (koranyi_norm, (1.0, 1.0, 2.0)), (cygan_norm, (1.0, 1.0, 2.0))])
+def test_gauge_of_a_point_is_a_float64(gauge, weights):
+    """A single point gives a numpy float64, not a 0-d array."""
+    norm = gauge(_pin_group(weights))
+    value = norm(np.linspace(0.5, 1.5, len(weights)))
+    assert type(value) is np.float64
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
 def test_euclidean_norm_bit_identical_to_sum(dim):
     norm = euclidean_norm(abelian_group((1.0,) * dim))
@@ -167,10 +173,9 @@ def test_anisotropic_gauge_bit_identical_to_sum(weights, M):
     rng = np.random.default_rng(23)
     for shape in _gauge_shapes(g.dim):
         x = _pin_points(rng, shape)
-        total = np.sum(_general_power(np.abs(x), expo), -1)
-        # a single point runs as a batch of one, so its root is numpy's
-        # array loop, not the libm pow of the numpy scalar np.sum gives
-        ref = (np.atleast_1d(total) ** (1 / (2 * M))).reshape(np.shape(total))
+        with np.errstate(divide="ignore"):     # log 0 = -inf, exp of it 0
+            total = np.sum(np.exp(expo * np.log(np.abs(x))), -1)
+            ref = np.exp((1 / (2 * M)) * np.log(total))
         out = gauge(x)
         assert np.shape(out) == ref.shape
         np.testing.assert_array_equal(_bits(out), _bits(ref))
@@ -188,7 +193,6 @@ def test_h1_gauges_bit_identical_to_formula(gauge, c):
     rng = np.random.default_rng(31)
     for shape in _gauge_shapes(3):
         x = _pin_points(rng, shape)
-        # a single point runs as a batch of one
         pts = x.reshape(-1, 3)
         t2 = pts[:, 2] ** 2 if c is None else c * pts[:, 2] ** 2
         inner = (pts[:, 0] ** 2 + pts[:, 1] ** 2) ** 2 + t2
@@ -212,6 +216,19 @@ def test_gauges_reject_wrong_last_axis(plane, h1):
         euclidean_norm(plane)([1.0, 2.0, 2.0])
     with pytest.raises(ShapeError):
         koranyi_norm(h1)([1.0, 0.0, 0.0, 5.0])
+
+
+def test_group_mul_rejects_non_finite_points(plane, h1):
+    """Either factor with an infinite or NaN coordinate is refused."""
+    for g in (plane, h1):
+        good = np.ones(g.dim)
+        for bad in (np.inf, -np.inf, np.nan):
+            point = good.copy()
+            point[-1] = bad
+            with pytest.raises(ShapeError):
+                group_mul(g, point, good)
+            with pytest.raises(ShapeError):
+                group_mul(g, good, np.stack([good, point]))
 
 
 def test_heisenberg_law_leaves_inputs_unmodified(h1, rng):

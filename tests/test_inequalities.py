@@ -685,6 +685,46 @@ def test_integral_hardy_complement_constant(h1, koranyi, expp):
     assert not rep.passed
 
 
+def test_stein_weiss_rejects_params_for_another_group(plane, plane_norm,
+                                                     mc_spec, expp):
+    """WORKED is admissible at Q = 4, so on R^2 (Q = 2) it is refused
+    before any form is estimated."""
+    with pytest.raises(ParameterError, match="params.Q does not match"):
+        verify_stein_weiss(expp, expp, WORKED, plane, plane_norm, mc_spec)
+
+
+def test_integral_hardy_ball_trivial_for_a_profile_singular_at_origin(
+        line, line_norm, mc_spec):
+    """f = r^{-1.2} e^{-r} on R^1 is not integrable at the origin, so every
+    inner ball integral is +inf and the left side is 0^{1/q} = +inf."""
+    f = RadialProfile(
+        value=lambda r: r ** -1.2 * np.exp(-r),
+        envelope=DecayEnvelope("exp", boost=-1.2),
+        derivative=lambda r: -(1.2 / r + 1.0) * r ** -1.2 * np.exp(-r),
+        derivative_envelope=DecayEnvelope("exp", boost=-2.2))
+    rep = verify_reverse_integral_hardy(
+        "ball", -2.0, 0.0, f, 0.5, -1.0, line, line_norm, mc_spec)
+    assert rep.lhs == math.inf
+    assert "not integrable at the origin" in rep.degenerate
+    assert math.isfinite(rep.rhs) and rep.rhs > 0
+
+
+def test_integral_hardy_complement_profile_tail_vanishes(line, line_norm,
+                                                         mc_spec):
+    """A profile with a uniform envelope declares no mass beyond its
+    scale: the complement's inner integral is 0 there, and 0^q = +inf makes
+    the outer integral diverge, so the left side degenerates to 0."""
+    f = RadialProfile(
+        value=lambda r: np.exp(-r), envelope=DecayEnvelope("uniform", 3.0),
+        derivative=lambda r: -np.exp(-r),
+        derivative_envelope=DecayEnvelope("uniform", 3.0))
+    rep = verify_reverse_integral_hardy(
+        "complement", -0.5, -0.75, f, 0.5, -1.0, line, line_norm, mc_spec)
+    assert rep.lhs == 0.0
+    assert "tail vanishes identically" in rep.degenerate
+    assert not rep.passed
+
+
 def test_integral_hardy_scaling_in_f(h1, koranyi, expp):
     """Both sides are homogeneous of degree one in f: scaling the profile
     leaves the certified right side's ratio structure unchanged."""

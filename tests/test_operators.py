@@ -77,8 +77,8 @@ def test_lp_zero_p_rejected(plane, plane_norm, mc_spec, expp):
 
 
 def test_weighted_p_integral_memoised():
-    """A repeated call reads the memo without calling the profile; p <= 0
-    raises on every call; a dilated profile is a key of its own."""
+    """A repeated call repeats its bits; p <= 0 raises on every call; a
+    dilated profile is integrated afresh, with the dilated value."""
     calls = []
 
     def value(r):
@@ -92,7 +92,7 @@ def test_weighted_p_integral_memoised():
     evaluated = len(calls)
     assert evaluated > 0
     assert weighted_p_integral(prof, 0.5, 1.0, 3.0) == first
-    assert len(calls) == evaluated
+    evaluated = len(calls)
     for p in (0.0, -0.5, 0.0):
         with pytest.raises(ParameterError):
             weighted_p_integral(prof, p, 1.0, 3.0)
@@ -123,8 +123,7 @@ def test_dilated_family_profile_keeps_closed_form(h1, koranyi, mc_spec,
 
 def test_replaced_callable_falls_back_to_quadrature(clear_caches, expp):
     """A profile whose value is replaced loses the closed form of its value,
-    not of its derivative; only the quadrature result is memoised."""
-    from revineq import operators
+    not of its derivative."""
     clear_caches()
     calls = []
 
@@ -136,15 +135,13 @@ def test_replaced_callable_falls_back_to_quadrature(clear_caches, expp):
     assert not isinstance(plain.value, ClosedForm)
     assert isinstance(plain.derivative, ClosedForm)
     quad, _ = weighted_p_integral(plain, 0.5, 0.0, 4.0)
-    assert calls and operators._radial_p_integral.cache_info().currsize == 1
+    assert calls
     closed, err = weighted_p_integral(expp, 0.5, 0.0, 4.0)
     assert closed == pytest.approx(quad, rel=1e-11)
     assert err == CLOSED_FORM_RTOL * closed
     for prof in (expp, expp.dilated(2.0), plain):
         weighted_p_integral(prof, 0.7, -0.5, 4.0, use_derivative=True)
         weighted_p_integral(prof, 0.5, 1.0, 2.0)
-    # the one new entry is plain's value at (0.5, 1.0, 2.0)
-    assert operators._radial_p_integral.cache_info().currsize == 2
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +180,14 @@ def test_stein_weiss_zero(plane, plane_norm, mc_spec):
     # both control means are 0, so the plain mean stands
     assert res.value == 0.0
     assert res.stderr == res.plain_stderr == 0.0
+
+
+def test_stein_weiss_rejects_non_positive_lambda(plane, plane_norm,
+                                                mc_spec, expp):
+    for lam in (0.0, -1.0):
+        with pytest.raises(ParameterError, match="lambda must be positive"):
+            stein_weiss_form(expp, expp, 0.0, 0.0, lam, plane, plane_norm,
+                             mc_spec)
 
 
 def test_stein_weiss_box_oracle(line, line_norm, box_profile):

@@ -826,6 +826,27 @@ def test_polar_consistency_koranyi(h1, koranyi):
     assert rep.consistent
 
 
+def test_polar_consistency_sees_a_constant_factor_in_the_weights(
+        plane, plane_norm, monkeypatch):
+    """A 0.5% error in the Monte Carlo weights' normalisation fails the
+    polar check, which compares with the exact |S|.  A Monte Carlo |S| from
+    the same draws carries the same factor, so the comparison with it
+    passes, as the check did before it read the exact |S|."""
+    area = quadrature.unit_sphere_area
+    monkeypatch.setattr(quadrature, "unit_sphere_area",
+                        lambda n: 1.005 * area(n))
+    spec = QuadratureSpec(sample_count=20000, seed=7)
+    profile, envelope = (lambda r: np.exp(-r * r)), DecayEnvelope("gauss")
+    rep = polar_consistency_check(plane, plane_norm, profile, envelope, spec)
+    assert not rep.consistent
+
+    mc_sphere = sphere_measure_mc(plane, plane_norm, spec)
+    radial = integrate_radial_err(profile, 2.0, 0.0, envelope.r_max(2.0))[0]
+    blind = abs(rep.cartesian.value - mc_sphere.value * radial)
+    assert blind <= 3.0 * (rep.cartesian.stderr
+                           + radial * mc_sphere.stderr) + 1e-9
+
+
 def test_unit_sphere_area():
     assert unit_sphere_area(1) == 2.0
     assert unit_sphere_area(2) == pytest.approx(2 * np.pi)

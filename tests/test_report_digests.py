@@ -37,13 +37,18 @@ def test_corpus_reports_are_byte_identical(tmp_path, clear_caches):
 def test_report_diff_scores_moves_and_flags_flips():
     """report_diff scores a moved ratio by its stderr and a moved lhs by
     its lhs_stderr on both sides, says where a sigma is missing, gives the
-    new stderr over the old for a moved ratio, and lists a changed pass
-    field as a verdict flip."""
+    new stderr over the old for a moved ratio, reads a moved check against
+    its tolerance on both sides, and lists a changed pass field as a
+    verdict flip."""
     import report_diff
     a = {"report": {"ratio": 1.0, "stderr": 0.3, "lhs": 5.0,
-                    "lhs_stderr": 0.0, "pass": True}}
+                    "lhs_stderr": 0.0, "pass": True},
+         "checks": {"homogeneity": {"value": 4e-16, "tolerance": 1e-12},
+                    "symmetry": {"value": 0.0, "tolerance": 1e-12}}}
     b = {"report": {"ratio": 1.5, "stderr": 0.4, "lhs": 5.0,
-                    "lhs_stderr": 0.1, "pass": False}}
+                    "lhs_stderr": 0.1, "pass": False},
+         "checks": {"homogeneity": {"value": 7e-16, "tolerance": 1e-12},
+                    "symmetry": {"value": 0.0, "tolerance": 1e-12}}}
     rows_a = [{"ratio": 2.0, "stderr": 1.0, "lhs": 3.0, "pass": "true"}]
     rows_b = [{"ratio": 2.5, "stderr": 0.0, "lhs": 3.5, "pass": "true"}]
     assert list(report_diff.z_scores(a, b)) == [("report.ratio",
@@ -57,6 +62,10 @@ def test_report_diff_scores_moves_and_flags_flips():
     assert "    report.ratio: z 1" in lines
     assert ratios == [("case/report.json:report.ratio", pytest.approx(4 / 3))]
     assert "    report.ratio: stderr new/old 1.33" in lines
+    assert "    checks.homogeneity.value: relative 0.429" in lines
+    assert "    checks.homogeneity.value: value/tolerance 0.0004 -> 0.0007" \
+        in lines
+    assert not any("symmetry" in line for line in lines)
     text = report_diff.summary(zs + [("case/sweep.csv:[0].lhs", None)],
                                flips, ratios + [("case/x", 0.5)])
     assert "largest z-score: 1 (case/report.json:report.ratio)" in text

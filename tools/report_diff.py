@@ -16,7 +16,11 @@ for every ``report.json``, ``sweep.csv`` and ``trace.csv``:
   ``sweep.csv`` row on each side, or "no sigma" where either side has none;
 - for every ``ratio`` that moved with a positive ``stderr`` on both sides
   (a bilinear report: every other ratio is deterministic), this stderr
-  over the other's.
+  over the other's;
+- for every check (an ``axioms`` entry with a ``value`` and a positive
+  ``tolerance``) whose value moved, value/tolerance on each side, so that
+  a large relative move of a residual far inside its tolerance reads as
+  such.
 
 The last lines summarise the run: the largest z-score, the median stderr
 ratio, and every verdict flip (a changed ``pass`` field or exit code).
@@ -165,6 +169,26 @@ def stderr_ratios(a, b):
             yield path, sy / sx
 
 
+def _is_check(x) -> bool:
+    return (isinstance(x, dict) and _is_number(x.get("value"))
+            and _is_number(x.get("tolerance")) and x["tolerance"] > 0)
+
+
+def check_scores(a, b, path: str = ""):
+    """Yield (path of the value, a's value/tolerance, b's) for each check
+    whose value moved between a and b."""
+    if _is_check(a) and _is_check(b) and a["value"] != b["value"]:
+        yield (f"{path}.value" if path else "value",
+               a["value"] / a["tolerance"], b["value"] / b["tolerance"])
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() & b.keys(), key=str):
+            yield from check_scores(a[key], b[key],
+                                    f"{path}.{key}" if path else str(key))
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from check_scores(x, y, f"{path}[{i}]")
+
+
 def diff_file(name: str, a, b) -> tuple[list[str], list, list, list]:
     """(lines, z-scores as (path, z), verdict flips as (path, a, b),
     stderr ratios as (path, b's stderr / a's))."""
@@ -188,6 +212,8 @@ def diff_file(name: str, a, b) -> tuple[list[str], list, list, list]:
     ratios = [(f"{name}:{path}", r) for path, r in stderr_ratios(a, b)]
     lines += [f"    {path.split(':', 1)[1]}: stderr new/old {r:.3g}"
               for path, r in ratios]
+    lines += [f"    {path}: value/tolerance {x:.3g} -> {y:.3g}"
+              for path, x, y in check_scores(a, b)]
     return [f"{name}: max relative {worst:.3g} ({worst_path})"] + lines, \
         zs, flips, ratios
 

@@ -159,8 +159,8 @@ CORPUS = (
         **_MC, "group": {"name": "abelian", "weights": [1.0, 1.0, 1.0, 1.0]},
         "norm": {"name": "euclidean"}, **_HARDY, **_EXP}, 23),
     # a dimension-4 anisotropic gauge's exact |S|, read by the bilinear
-    # form, by each sweep point, and by axioms, which checks the Monte Carlo
-    # |S| of polar_consistency against it
+    # form, by each sweep point, and by axioms, which checks a Monte Carlo
+    # |S| and polar_consistency against it
     ("verify_reverse_stein_weiss_r4_anisotropic", "verify", {
         **_R4_ANISOTROPIC, **_EXP_GAUSS,
         "inequality": {"name": "reverse_stein_weiss", "p": 0.5,
