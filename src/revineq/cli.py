@@ -372,6 +372,7 @@ def cmd_axioms(cfg: Section, group, norm, spec, out: Path):
                                      3.0 * mc_sphere.stderr + 1e-6),
     }
     if norm.is_true_norm:
+        checks["norm_triangle"] = (norm_rep.triangle, 1e-12)
         kb = kernel_bound_report(group, norm, 10000, seed=spec.seed)
         checks["kernel_bounds_violations"] = (
             float(kb.inner_violations + kb.outer_violations), 0.5)

@@ -169,6 +169,10 @@ def dilation_quadratic_form(group: HomogeneousGroup, u: Array) -> Array:
 # built-in groups
 # ---------------------------------------------------------------------------
 
+def _abelian_law(x: Array, y: Array) -> Array:
+    return x + y
+
+
 def abelian_group(weights=(1.0,), name: str | None = None) -> HomogeneousGroup:
     """R^N with vector addition and dilation weights ``weights``."""
     w = tuple(float(v) for v in weights)
@@ -178,7 +182,7 @@ def abelian_group(weights=(1.0,), name: str | None = None) -> HomogeneousGroup:
     return HomogeneousGroup(
         name=name or f"abelian{len(w)}",
         weights=w,
-        law=lambda x, y: x + y,
+        law=_abelian_law,
     )
 
 

@@ -185,6 +185,14 @@ def _require_admissible(params: InequalityParams, operation: str):
     return rep
 
 
+def _require_gauge_on(group: HomogeneousGroup, norm: QuasiNorm,
+                      operation: str):
+    if norm.group != group:
+        raise ParameterError(f"gauge {norm.name!r} is on {norm.group!r}, not "
+                             f"on {group!r}", module=_MODULE,
+                             operation=operation)
+
+
 # ---------------------------------------------------------------------------
 # analytic constants
 # ---------------------------------------------------------------------------
@@ -377,6 +385,7 @@ def _verify_radial(direction: str, form: _RadialForm, f: RadialProfile,
     signature, and their reports do not depend on it."""
     label = ("reverse_" if direction == "lower" else "forward_") + form.name
     op = f"verify_{label}"
+    _require_gauge_on(group, norm, op)
     Q = group.homogeneous_dim
     gamma = alpha + beta + 1.0
     if direction == "lower":
@@ -467,6 +476,7 @@ def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
     if abs(params.Q - group.homogeneous_dim) > 1e-12:
         raise ParameterError("params.Q does not match the group",
                              module=_MODULE, operation="verify_stein_weiss")
+    _require_gauge_on(group, norm, "verify_stein_weiss")
     forms = {} if forms is None else forms
     inputs = (f, h, params.alpha, params.beta, params.lam, group, norm, spec)
     if inputs not in forms:
@@ -589,6 +599,7 @@ def verify_reverse_integral_hardy(variant: str, w: float, u: float,
         raise ParameterError("p must lie in (0,1)", module=_MODULE, operation=op)
     if q >= 0.0:
         raise ParameterError("q must be negative", module=_MODULE, operation=op)
+    _require_gauge_on(group, norm, op)
     if math.isfinite(f.support_radius):
         raise DegenerateInputError(
             "profile must be strictly positive (0^q = +inf convention)",
@@ -623,37 +634,33 @@ def verify_reverse_integral_hardy(variant: str, w: float, u: float,
                           "0^{1/q} = +inf (trivially true by the convention; "
                           "no numerical content)")
         else:
-            # near 0 the inner integral grows like r^Q, so the outer
-            # integrand is ~ r^{Qq + w + Q - 1}; with Q + w < 0 and q < 0
-            # this is never integrable
+            # near 0 the inner integral grows like r^{Q + boost}, so the
+            # outer integrand is ~ r^{(Q + boost) q + w + Q - 1}; with
+            # Q + boost > 0, Q + w < 0 and q < 0 this is never integrable
+            m = Q + f.envelope.boost
             degenerate = ("outer integral diverges at the origin "
-                          f"(local exponent {Q * q + w + Q - 1.0:g} <= -1); "
+                          f"(local exponent {m * q + w + Q - 1.0:g} <= -1); "
                           "by the convention the left side is (+inf)^{1/q} = 0")
+    elif f.envelope.kind in ("exp", "gauss"):
+        degenerate = ("outer integral diverges at infinity: the inner "
+                      "tail decays super-polynomially so its q-th power "
+                      "outgrows every power weight")
     else:
-        kind = f.envelope.kind
-        if kind in ("exp", "gauss"):
-            degenerate = ("outer integral diverges at infinity: the inner "
-                          "tail decays super-polynomially so its q-th power "
-                          "outgrows every power weight")
-        elif kind == "power":
-            s_eff = f.envelope.shape - f.envelope.boost
-            if s_eff <= Q:
-                trivial = True
-                degenerate = ("profile is not integrable, so every outer-"
-                              "complement inner integral is +inf and the "
-                              "left side is 0^{1/q} = +inf (trivially true "
-                              "by the convention; no numerical content)")
-            else:
-                # the inner tail decays like r^{Q - s_eff}; with
-                # Q - s_eff < 0, q < 0 and Q + w > 0 the outer integrand
-                # r^{(Q - s_eff) q + w + Q - 1} is never integrable at infinity
-                degenerate = ("outer integral diverges at infinity "
-                              f"(tail exponent {(Q - s_eff) * q + w + Q - 1.0:g}"
-                              " >= -1); left side degenerates to 0")
+        # a power envelope: a uniform one has finite support, refused above
+        s_eff = f.envelope.shape - f.envelope.boost
+        if s_eff <= Q:
+            trivial = True
+            degenerate = ("profile is not integrable, so every outer-"
+                          "complement inner integral is +inf and the "
+                          "left side is 0^{1/q} = +inf (trivially true "
+                          "by the convention; no numerical content)")
         else:
-            degenerate = ("profile tail vanishes identically; inner integral "
-                          "is 0 there and 0^q = +inf makes the outer integral "
-                          "diverge")
+            # the inner tail decays like r^{Q - s_eff}; with
+            # Q - s_eff < 0, q < 0 and Q + w > 0 the outer integrand
+            # r^{(Q - s_eff) q + w + Q - 1} is never integrable at infinity
+            degenerate = ("outer integral diverges at infinity "
+                          f"(tail exponent {(Q - s_eff) * q + w + Q - 1.0:g}"
+                          " >= -1); left side degenerates to 0")
 
     extras = {"A": A, "kappa": kap, "certified_constant": kap * A,
               "bracket": [kap * A, A], "variant": variant,

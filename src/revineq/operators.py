@@ -9,7 +9,7 @@ which for p in (0, 1) is the formal quasi-norm entering the reverse Hoelder
 inequality; |S| is the gauge's exact quasi-sphere measure
 (``QuasiNorm.sphere``).  Each radial integral runs over [0, R], where R is
 the radius beyond which the integrand's declared decay envelope holds less
-than 1e-8 of its mass (capped at the profile's support radius).  A
+than 1e-8 of its mass (for a uniform envelope, its support radius).  A
 profile whose value or derivative is a ``ClosedForm`` (exp_decay, gaussian
 and power_decay, dilated or not) has that integral as an incomplete Gamma
 or Beta function, with a 1e-12 relative error bar; any other profile goes
@@ -63,10 +63,10 @@ class ClosedForm:
 class RadialProfile:
     """A scalar profile r -> value(r) on (0, inf) with its decay envelope.
 
-    A profile is positive on [0, support_radius) and 0 beyond.
     ``derivative`` is the analytic radial derivative dF/dr.  The envelope
     declares the decay used for truncation radii and Monte Carlo importance
-    sampling; ``derivative_envelope`` bounds |dF/dr| in the same way.
+    sampling, and the support [0, support_radius) where the profile is
+    positive; ``derivative_envelope`` bounds |dF/dr| in the same way.
     ``value`` and ``derivative`` may be ``ClosedForm`` callables, whose L^p
     moments need no quadrature.
     """
@@ -77,7 +77,12 @@ class RadialProfile:
     derivative_envelope: DecayEnvelope
     family_tag: str = "custom"
     params: tuple[float, ...] = ()
-    support_radius: float = math.inf
+
+    @property
+    def support_radius(self) -> float:
+        """The scale of a ``uniform`` envelope, inf for any other kind."""
+        env = self.envelope
+        return env.scale if env.kind == "uniform" else math.inf
 
     def __call__(self, r):
         return self.value(np.asarray(r, dtype=float))
@@ -106,13 +111,12 @@ class RadialProfile:
             envelope=self.envelope.scaled(s),
             derivative_envelope=self.derivative_envelope.scaled(s),
             family_tag=f"{self.family_tag}|D_{s:g}",
-            support_radius=self.support_radius / s,
         )
 
     def check_decreasing(self, operation: str = "profile"):
         """Verify derivative <= 0 on a log grid (hypothesis of the reverse
         Hardy/Sobolev/CKN class)."""
-        hi = min(self.support_radius, self.envelope.r_max(1.0, 1e-10))
+        hi = self.envelope.r_max(1.0, 1e-10)
         r = np.geomspace(hi * 1e-6, hi * (1 - 1e-9), 1000)
         d = self.deriv(r)
         scale = float(np.max(np.abs(d))) + 1e-300
@@ -144,8 +148,8 @@ def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
     limit R is the envelope-based truncation radius of the integrand
     (|F|^p r^shift), beyond which its mass is below 1e-8 of the total; the
     error estimate leaves that mass out.  With to_support R is the
-    profile's support radius instead (inf for the built-in families), and
-    no mass is left out.
+    profile's support radius instead (inf unless its envelope is
+    uniform), and no mass is left out.
 
     If the function integrated is a ``ClosedForm``, the value is its
     ``moment(p, Q + power_shift, R)`` and the error CLOSED_FORM_RTOL times
@@ -157,8 +161,7 @@ def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
     env = profile.derivative_envelope if use_derivative else profile.envelope
     env = env.powered(p).boosted(power_shift)
     env.check_integrable(Q, "weighted_p_integral")
-    r_max = (profile.support_radius if to_support
-             else min(env.r_max(Q), profile.support_radius))
+    r_max = profile.support_radius if to_support else env.r_max(Q)
 
     fn = profile.derivative if use_derivative else profile.value
     if isinstance(fn, ClosedForm):
@@ -247,15 +250,13 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     # B is finite only if both moments of each profile are: the kernel
     # grows like |x|^л far out and tends to |y|^л > 0 as x -> 0
     samplers = []
-    for env, g, side, weight in ((env_x, f, "f", "alpha"),
-                                 (env_y, h, "h", "beta")):
+    for env, side, weight in ((env_x, "f", "alpha"), (env_y, "h", "beta")):
         for k in (lam / 2.0, -lam / 2.0):
             env.boosted(k).check_integrable(
                 Q, f"stein_weiss_form[{side}-side]")
         far = env.boosted(lam / 2.0)
         try:
-            samplers.append(RadialSampler(
-                env, Q, min(far.r_max(Q), g.support_radius)))
+            samplers.append(RadialSampler(env, Q, far.r_max(Q)))
         except EvaluationError as exc:
             if far.kind != "power":
                 raise

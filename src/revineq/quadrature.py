@@ -121,11 +121,9 @@ class DecayEnvelope:
                                  module=_MODULE, operation="DecayEnvelope")
 
     def values(self, r):
+        """r^boost base(r) at radii r > 0."""
         r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore"):
-            poly = np.where(r > 0, r, 1.0) ** self.boost if self.boost else 1.0
-        if self.boost and np.ndim(poly):
-            poly = np.where(r > 0, poly, 0.0 if self.boost > 0 else np.inf)
+        poly = r ** self.boost if self.boost else 1.0
         if self.kind == "exp":
             return poly * np.exp(-self.scale * r)
         if self.kind == "gauss":
@@ -159,13 +157,11 @@ class DecayEnvelope:
         if s <= 0:
             raise ParameterError("scaling factor must be positive",
                                  module=_MODULE, operation="DecayEnvelope.scaled")
-        if self.kind == "exp":
-            return replace(self, scale=self.scale * s)
         if self.kind == "gauss":
             return replace(self, scale=self.scale * s * s)
-        if self.kind == "power":
-            return replace(self, scale=self.scale * s)
-        return replace(self, scale=self.scale / s)
+        if self.kind == "uniform":
+            return replace(self, scale=self.scale / s)
+        return replace(self, scale=self.scale * s)
 
     def check_integrable(self, Q: float, operation: str = "envelope") -> None:
         m = Q + self.boost
@@ -348,14 +344,13 @@ class RadialSampler:
             n_grid = math.ceil(n_grid * math.log10(r_hi / anchor) / 10.0)
             lo = anchor
         grid = np.geomspace(lo, r_hi, n_grid)
-        if Q + envelope.boost > 1.0:
-            grid = np.concatenate([[0.0], grid])
         # where the envelope underflows to 0 and r^{Q-1} overflows, their
         # product is NaN, which raises below
         with np.errstate(over="ignore", invalid="ignore"):
-            dens = (envelope.values(grid)
-                    * np.where(grid > 0, grid, 1.0) ** (Q - 1.0))
-        dens = np.where(grid > 0, dens, 0.0 if Q != 1.0 else dens)
+            dens = envelope.values(grid) * grid ** (Q - 1.0)
+        if Q + envelope.boost > 1.0:
+            grid = np.concatenate([[0.0], grid])
+            dens = np.concatenate([[0.0], dens])
         if not np.all(np.isfinite(dens)):
             raise EvaluationError("envelope density non-finite on radial grid",
                                   module=_MODULE, operation="RadialSampler")

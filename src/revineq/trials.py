@@ -152,7 +152,6 @@ def _smooth_bump(R: float) -> RadialProfile:
         envelope=DecayEnvelope("uniform", scale=R),
         derivative_envelope=DecayEnvelope("uniform", scale=R),
         family_tag="smooth_bump", params=(R,),
-        support_radius=R,
     )
 
 

@@ -117,6 +117,33 @@ def test_axioms_on_heisenberg_passes(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "out" / "report.json").read_text())
     assert doc["checks"]["dilation_automorphism"]["value"] <= 1e-11
+    triangle = doc["checks"]["norm_triangle"]
+    assert triangle["value"] <= 0.0 and triangle["tolerance"] == 1e-12
+
+
+def test_axioms_triangle_check_can_fail(tmp_path, monkeypatch):
+    """A triangle excess above 1e-12 fails the command; a gauge that
+    asserts no triangle inequality reports no such check."""
+    from dataclasses import replace
+
+    from revineq import cli
+    checked = cli.check_quasi_norm_axioms
+    monkeypatch.setattr(cli, "check_quasi_norm_axioms", lambda *a, **k:
+                        replace(checked(*a, **k), triangle=1e-9))
+    code = run("axioms", {"group": {"name": "heisenberg"},
+                          "norm": {"name": "cygan"},
+                          "quadrature": {"sample_count": 2000}},
+               tmp_path / "cygan", 3)
+    doc = json.loads((tmp_path / "cygan" / "report.json").read_text())
+    assert code == 1 and doc["pass"] is False
+    assert doc["checks"]["norm_triangle"] == {
+        "value": 1e-9, "tolerance": 1e-12, "pass": False}
+    run("axioms", {"group": {"name": "heisenberg"},
+                   "norm": {"name": "anisotropic"},
+                   "quadrature": {"sample_count": 2000}},
+        tmp_path / "anisotropic", 3)
+    doc = json.loads((tmp_path / "anisotropic" / "report.json").read_text())
+    assert "norm_triangle" not in doc["checks"]
 
 
 SWEEP_CFG = {

@@ -693,6 +693,47 @@ def test_stein_weiss_rejects_params_for_another_group(plane, plane_norm,
         verify_stein_weiss(expp, expp, WORKED, plane, plane_norm, mc_spec)
 
 
+def test_verifiers_reject_a_gauge_on_another_group(h1, koranyi, line, expp,
+                                                  mc_spec):
+    """The H1 Koranyi gauge has H1's law and |S| = 2 pi^2: on R^3 with
+    weights (1, 1, 2) or on R^1 it would mix two groups, so each verifier
+    refuses it (exit 2).  Two abelian groups built apart are one group."""
+    r3 = abelian_group((1.0, 1.0, 2.0))
+    with pytest.raises(ParameterError, match="gauge 'koranyi' is on"):
+        verify_stein_weiss(expp, expp, WORKED, r3, koranyi, mc_spec)
+    with pytest.raises(ParameterError, match="gauge 'koranyi' is on"):
+        verify_reverse_hardy(expp, 0.5, line, koranyi, mc_spec)
+    with pytest.raises(ParameterError, match="gauge 'koranyi' is on"):
+        verify_reverse_integral_hardy("ball", -2.0, 0.0, expp, 0.5, -1.0,
+                                      line, koranyi, mc_spec)
+    plane = abelian_group((1.0, 1.0))
+    gauge = euclidean_norm(abelian_group((1.0, 1.0)))
+    assert verify_reverse_hardy(expp, 0.5, plane, gauge, mc_spec).passed
+    P = InequalityParams(Q=2.0, p=0.8, q_prime=0.8,
+                         lam=balanced_lambda(2.0, 0.8, 0.8, 0.0, 0.0))
+    assert verify_reverse_hls(expp, expp, P, plane, gauge, mc_spec).passed
+
+
+def test_reverse_hls_near_critical_power_tail_on_h1(h1, cygan):
+    """f = (1+r)^{-6.3} and a Gaussian h on H1/Cygan at p = q' = 0.8
+    (lambda = 2, tail margin 0.3): over seeds 1-20 at 40000 samples B read
+    22.4011 with a standard deviation of 0.0037, its median stderr.  Each
+    seed gives a positive ratio that passes, B within 4 stderr of that
+    mean, and the seeds agree pairwise within 4 sigma."""
+    f, h = make_profile("power_decay", [6.3, 1.0]), make_profile("gaussian",
+                                                                  [1.0])
+    P = InequalityParams(Q=4.0, p=0.8, q_prime=0.8,
+                         lam=balanced_lambda(4.0, 0.8, 0.8, 0.0, 0.0))
+    reps = [verify_reverse_hls(f, h, P, h1, cygan,
+                               QuadratureSpec(sample_count=40000, seed=seed))
+            for seed in range(1, 4)]
+    for rep in reps:
+        assert math.isfinite(rep.ratio) and rep.ratio > 0 and rep.passed
+        assert abs(rep.lhs - 22.4011) < 4.0 * rep.lhs_stderr, rep.lhs
+    for a, b in itertools.combinations(reps, 2):
+        assert abs(a.ratio - b.ratio) < 4.0 * math.hypot(a.stderr, b.stderr)
+
+
 def test_integral_hardy_ball_trivial_for_a_profile_singular_at_origin(
         line, line_norm, mc_spec):
     """f = r^{-1.2} e^{-r} on R^1 is not integrable at the origin, so every
@@ -709,20 +750,35 @@ def test_integral_hardy_ball_trivial_for_a_profile_singular_at_origin(
     assert math.isfinite(rep.rhs) and rep.rhs > 0
 
 
+def test_integral_hardy_ball_exponent_counts_the_profile_boost(
+        line, line_norm, mc_spec):
+    """f = r^{1/2} e^{-r} on R^1: the inner ball integral grows like
+    r^{3/2}, so at w = -2 and q = -1 the outer integrand is ~ r^{-3.5}
+    near 0, not the r^{-3} of a profile positive at the origin."""
+    f = RadialProfile(
+        value=lambda r: np.sqrt(r) * np.exp(-r),
+        envelope=DecayEnvelope("exp", boost=0.5),
+        derivative=lambda r: (0.5 / np.sqrt(r) - np.sqrt(r)) * np.exp(-r),
+        derivative_envelope=DecayEnvelope("exp", boost=-0.5))
+    rep = verify_reverse_integral_hardy(
+        "ball", -2.0, 0.0, f, 0.5, -1.0, line, line_norm, mc_spec)
+    assert "(local exponent -3.5 <= -1)" in rep.degenerate
+    assert rep.lhs == 0.0
+
+
 def test_integral_hardy_complement_profile_tail_vanishes(line, line_norm,
                                                          mc_spec):
-    """A profile with a uniform envelope declares no mass beyond its
-    scale: the complement's inner integral is 0 there, and 0^q = +inf makes
-    the outer integral diverge, so the left side degenerates to 0."""
+    """A uniform envelope of scale 3 declares the profile 0 beyond r = 3,
+    so it is not strictly positive, which the lemma needs (0^q = +inf for
+    q < 0): the verifier rejects it before reading the value e^{-r}."""
     f = RadialProfile(
         value=lambda r: np.exp(-r), envelope=DecayEnvelope("uniform", 3.0),
         derivative=lambda r: -np.exp(-r),
         derivative_envelope=DecayEnvelope("uniform", 3.0))
-    rep = verify_reverse_integral_hardy(
-        "complement", -0.5, -0.75, f, 0.5, -1.0, line, line_norm, mc_spec)
-    assert rep.lhs == 0.0
-    assert "tail vanishes identically" in rep.degenerate
-    assert not rep.passed
+    assert f.support_radius == 3.0
+    with pytest.raises(DegenerateInputError, match="strictly positive"):
+        verify_reverse_integral_hardy(
+            "complement", -0.5, -0.75, f, 0.5, -1.0, line, line_norm, mc_spec)
 
 
 def test_integral_hardy_scaling_in_f(h1, koranyi, expp):
@@ -871,8 +927,7 @@ def test_flat_profile_is_degenerate(verify, h1, koranyi, mc_spec):
         value=lambda r: np.ones_like(np.asarray(r, float)),
         derivative=lambda r: np.zeros_like(np.asarray(r, float)),
         envelope=DecayEnvelope("uniform", scale=2.0),
-        derivative_envelope=DecayEnvelope("uniform", scale=2.0),
-        support_radius=2.0)
+        derivative_envelope=DecayEnvelope("uniform", scale=2.0))
     with pytest.raises(DegenerateInputError):
         verify(flat, h1, koranyi, mc_spec)
 

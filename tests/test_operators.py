@@ -31,7 +31,7 @@ def box_profile():
         envelope=DecayEnvelope("uniform", scale=1.0),
         derivative=lambda r: np.zeros_like(np.asarray(r, float)),
         derivative_envelope=DecayEnvelope("uniform", scale=1.0),
-        family_tag="indicator", support_radius=1.0)
+        family_tag="indicator")
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +142,37 @@ def test_replaced_callable_falls_back_to_quadrature(clear_caches, expp):
     for prof in (expp, expp.dilated(2.0), plain):
         weighted_p_integral(prof, 0.7, -0.5, 4.0, use_derivative=True)
         weighted_p_integral(prof, 0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("a", [0.05, 1.0, 20.0])
+def test_closed_form_error_bar_covers_the_worst_moment(a):
+    """int_0^inf (1 + a r)^{-360} dr = 1/(359 a): power_decay(120, a) at
+    p = 3, Q = 1 up to its support is the worst moment of the family box
+    against 40-digit mpmath, 4.7e-13 relative, and CLOSED_FORM_RTOL's bar
+    must cover it."""
+    value, err = weighted_p_integral(make_profile("power_decay", [120.0, a]),
+                                     3.0, 0.0, 1.0, to_support=True)
+    exact = 1.0 / (359.0 * a)
+    assert 1e-13 * exact < abs(value - exact) <= err
+
+
+@pytest.mark.parametrize("envelope, radius", [
+    (DecayEnvelope("uniform", scale=2.5), 2.5),
+    (DecayEnvelope("exp", scale=2.5), math.inf),
+    (DecayEnvelope("gauss", scale=2.5), math.inf),
+    (DecayEnvelope("power", scale=2.5, shape=6.0), math.inf)])
+def test_support_radius_is_declared_by_the_envelope(envelope, radius):
+    """The support radius is the scale of a uniform envelope and inf for
+    every other kind; a dilation by s divides it by s.  No profile sets it
+    apart from its envelope."""
+    parts = dict(value=lambda r: np.exp(-np.asarray(r, float)),
+                 derivative=lambda r: -np.exp(-np.asarray(r, float)),
+                 envelope=envelope, derivative_envelope=envelope)
+    prof = RadialProfile(**parts)
+    assert prof.support_radius == radius
+    assert prof.dilated(2.0).support_radius == radius / 2.0
+    with pytest.raises(TypeError):
+        RadialProfile(**parts, support_radius=1.0)
 
 
 # ---------------------------------------------------------------------------
