@@ -38,16 +38,16 @@ print(f"\nint_R2 e^(-pi|x|^2) dx = {res.value:.6f} +- {res.stderr:.1e}  (exact 1
 # --- quasi-sphere measures ------------------------------------------------------
 print("\nquasi-sphere measures:")
 for group, norm in ((plane, ne), (h1, nk)):
-    mc = sphere_measure_mc(group, norm, spec)
+    mc = sphere_measure_mc(norm, spec)
     direct = sphere_measure_direct(group, norm)
     print(f"  {group.name}/{norm.name}: MC {mc.value:.6f} +- {mc.stderr:.1e}, "
           f"direct {direct:.12f}, exact {norm.sphere:.12f}")
 
 # --- polar factorization consistency -------------------------------------------
 print("\npolar factorization (cartesian vs |S| x radial):")
-for group, norm in ((plane, ne), (h1, nk)):
-    rep = polar_consistency_check(group, norm, lambda r: np.exp(-r * r),
+for norm in (ne, nk):
+    rep = polar_consistency_check(norm, lambda r: np.exp(-r * r),
                                   DecayEnvelope("gauss"), spec)
-    print(f"  {group.name}: cart {rep.cartesian.value:.6f}, "
+    print(f"  {norm.group.name}: cart {rep.cartesian.value:.6f}, "
           f"factorized {rep.factorized:.6f}, "
           f"discrepancy {rep.discrepancy:.2e} (consistent: {rep.consistent})")

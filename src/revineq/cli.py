@@ -356,9 +356,9 @@ def cmd_axioms(cfg: Section, group, norm, spec, out: Path):
     cfg.finish("axioms")
     group_rep = check_group_axioms(group, 10000, seed=spec.seed)
     norm_rep = check_quasi_norm_axioms(norm, 1000, seed=spec.seed)
-    polar = polar_consistency_check(group, norm, lambda r: np.exp(-r * r),
+    polar = polar_consistency_check(norm, lambda r: np.exp(-r * r),
                                     DecayEnvelope("gauss"), spec)
-    mc_sphere = quadrature.sphere_measure_mc(group, norm, spec)
+    mc_sphere = quadrature.sphere_measure_mc(norm, spec)
 
     checks = {
         "group_identity": (group_rep.identity, 1e-10),
@@ -373,7 +373,7 @@ def cmd_axioms(cfg: Section, group, norm, spec, out: Path):
     }
     if norm.is_true_norm:
         checks["norm_triangle"] = (norm_rep.triangle, 1e-12)
-        kb = kernel_bound_report(group, norm, 10000, seed=spec.seed)
+        kb = kernel_bound_report(norm, 10000, seed=spec.seed)
         checks["kernel_bounds_violations"] = (
             float(kb.inner_violations + kb.outer_violations), 0.5)
 

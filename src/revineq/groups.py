@@ -88,6 +88,13 @@ class QuasiNorm:
     def __repr__(self) -> str:
         return f"QuasiNorm({self.name} on {self.group.name})"
 
+    def require_on(self, group: HomogeneousGroup, operation: str) -> None:
+        """Raise ParameterError unless this gauge is on ``group``."""
+        if self.group != group:
+            raise ParameterError(f"gauge {self.name!r} is on {self.group!r}, "
+                                 f"not on {group!r}", module=_MODULE,
+                                 operation=operation)
+
 
 def _check_last_axis(group: HomogeneousGroup, pts: Array, operation: str):
     if pts.shape[-1:] != (group.dim,):
@@ -174,10 +181,17 @@ def _abelian_law(x: Array, y: Array) -> Array:
 
 
 def abelian_group(weights=(1.0,), name: str | None = None) -> HomogeneousGroup:
-    """R^N with vector addition and dilation weights ``weights``."""
+    """R^N with vector addition and dilation weights ``weights``, finite,
+    positive and of a finite sum Q."""
     w = tuple(float(v) for v in weights)
-    if not w or any(v <= 0 for v in w):
-        raise ParameterError("weights must be a non-empty tuple of positive reals",
+    try:                    # fsum raises on an intermediate overflow
+        valid = (all(0.0 < v < math.inf for v in w)
+                 and 0.0 < math.fsum(w) < math.inf)
+    except OverflowError:
+        valid = False
+    if not valid:
+        raise ParameterError(f"weights must be a non-empty tuple of finite "
+                             f"positive reals with a finite sum, got {w}",
                              module=_MODULE, operation="abelian_group")
     return HomogeneousGroup(
         name=name or f"abelian{len(w)}",

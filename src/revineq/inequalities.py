@@ -185,14 +185,6 @@ def _require_admissible(params: InequalityParams, operation: str):
     return rep
 
 
-def _require_gauge_on(group: HomogeneousGroup, norm: QuasiNorm,
-                      operation: str):
-    if norm.group != group:
-        raise ParameterError(f"gauge {norm.name!r} is on {norm.group!r}, not "
-                             f"on {group!r}", module=_MODULE,
-                             operation=operation)
-
-
 # ---------------------------------------------------------------------------
 # analytic constants
 # ---------------------------------------------------------------------------
@@ -385,7 +377,7 @@ def _verify_radial(direction: str, form: _RadialForm, f: RadialProfile,
     signature, and their reports do not depend on it."""
     label = ("reverse_" if direction == "lower" else "forward_") + form.name
     op = f"verify_{label}"
-    _require_gauge_on(group, norm, op)
+    norm.require_on(group, op)
     Q = group.homogeneous_dim
     gamma = alpha + beta + 1.0
     if direction == "lower":
@@ -476,9 +468,9 @@ def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
     if abs(params.Q - group.homogeneous_dim) > 1e-12:
         raise ParameterError("params.Q does not match the group",
                              module=_MODULE, operation="verify_stein_weiss")
-    _require_gauge_on(group, norm, "verify_stein_weiss")
+    norm.require_on(group, "verify_stein_weiss")
     forms = {} if forms is None else forms
-    inputs = (f, h, params.alpha, params.beta, params.lam, group, norm, spec)
+    inputs = (f, h, params.alpha, params.beta, params.lam, norm, spec)
     if inputs not in forms:
         forms[inputs] = stein_weiss_form(*inputs)
     B = forms[inputs]
@@ -599,7 +591,7 @@ def verify_reverse_integral_hardy(variant: str, w: float, u: float,
         raise ParameterError("p must lie in (0,1)", module=_MODULE, operation=op)
     if q >= 0.0:
         raise ParameterError("q must be negative", module=_MODULE, operation=op)
-    _require_gauge_on(group, norm, op)
+    norm.require_on(group, op)
     if math.isfinite(f.support_radius):
         raise DegenerateInputError(
             "profile must be strictly positive (0^q = +inf convention)",

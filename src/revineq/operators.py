@@ -36,8 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DegenerateInputError, EvaluationError, ParameterError
-from .groups import (HomogeneousGroup, QuasiNorm, _sample_points, dilate,
-                     group_inv, group_mul)
+from .groups import QuasiNorm, _sample_points, dilate, group_inv, group_mul
 from .quadrature import (DecayEnvelope, IntegralResult, QuadratureSpec,
                          RadialSampler, _checked_mean, draw_block,
                          integrate_radial_err, sample_group_points)
@@ -199,8 +198,8 @@ class BilinearEstimate(IntegralResult):
 
 
 def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
-                     beta: float, lam: float, group: HomogeneousGroup,
-                     norm: QuasiNorm, spec: QuadratureSpec) -> BilinearEstimate:
+                     beta: float, lam: float, norm: QuasiNorm,
+                     spec: QuadratureSpec) -> BilinearEstimate:
     """Monte Carlo estimate of the doubly weighted bilinear form
 
         B(f, h) = int int |x|^alpha |y^{-1}x|^л f(|x|) h(|y|) |y|^beta dx dy.
@@ -244,6 +243,7 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     if lam <= 0:
         raise ParameterError("lambda must be positive", module=_MODULE,
                              operation="stein_weiss_form")
+    group = norm.group
     Q = group.homogeneous_dim
     env_x = f.envelope.boosted(alpha + lam / 2.0)
     env_y = h.envelope.boosted(beta + lam / 2.0)
@@ -441,9 +441,8 @@ class KernelBoundReport:
     outer_worst: float
 
 
-def kernel_bound_report(group: HomogeneousGroup, norm: QuasiNorm,
-                        sample_count: int = 10000, seed: int = 0,
-                        ) -> KernelBoundReport:
+def kernel_bound_report(norm: QuasiNorm, sample_count: int = 10000,
+                        seed: int = 0) -> KernelBoundReport:
     """Sample admissible pairs directly in each regime and test the bounds.
 
     Requires a gauge satisfying the triangle inequality; the bounds are a
@@ -454,6 +453,10 @@ def kernel_bound_report(group: HomogeneousGroup, norm: QuasiNorm,
         raise ParameterError("kernel bounds require a true norm (triangle "
                              "inequality asserted)", module=_MODULE,
                              operation="kernel_bound_report")
+    if sample_count < 1:
+        raise ParameterError("sample_count must be >= 1", module=_MODULE,
+                             operation="kernel_bound_report")
+    group = norm.group
     rng = np.random.default_rng(seed)
     n = sample_count
     x = _sample_points(group, n, rng)

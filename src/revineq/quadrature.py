@@ -753,20 +753,20 @@ def integrate_radial_err(profile, Q: float, r_min: float = 0.0,
 # quasi-sphere measure
 # ---------------------------------------------------------------------------
 
-def sphere_measure_mc(group: HomogeneousGroup, norm: QuasiNorm,
-                      spec: QuadratureSpec) -> IntegralResult:
+def sphere_measure_mc(norm: QuasiNorm, spec: QuadratureSpec) -> IntegralResult:
     """|S| = (int_G e^{-|x|} dx) / Gamma(Q) by Monte Carlo at ``spec``."""
-    res = integrate_cartesian(group, lambda x: np.exp(-norm(x)), spec,
+    res = integrate_cartesian(norm.group, lambda x: np.exp(-norm(x)), spec,
                               DecayEnvelope("exp", scale=1.0))
-    gam = float(_sp.gamma(group.homogeneous_dim))
+    gam = float(_sp.gamma(norm.group.homogeneous_dim))
     return IntegralResult(res.value / gam, res.stderr / gam)
 
 
 def sphere_measure(group: HomogeneousGroup, norm: QuasiNorm,
                    spec: QuadratureSpec) -> float:
-    """The exact |S|, ``norm.sphere``.  Kept for outside callers: the
-    package itself reads ``norm.sphere``, and ``group`` and ``spec`` are
-    unused."""
+    """The exact |S|, ``norm.sphere``, for a gauge on ``group``.  Kept for
+    outside callers: the package itself reads ``norm.sphere``, and
+    ``spec`` is unused."""
+    norm.require_on(group, "sphere_measure")
     return norm.sphere
 
 
@@ -777,6 +777,7 @@ def sphere_measure_direct(group: HomogeneousGroup, norm: QuasiNorm,
     Exact for N=1; spectrally accurate trapezoid / Gauss-Legendre rules for
     N in {2, 3}.  Raises ParameterError for N >= 4, where no rule exists.
     """
+    norm.require_on(group, "sphere_measure_direct")
     u, w = _direction_rule(group.dim, resolution)
     lam = dilation_quadratic_form(group, u)
     return float(np.sum(w * lam * norm(u) ** (-group.homogeneous_dim)))
@@ -798,15 +799,16 @@ class PolarConsistencyReport:
         return self.discrepancy <= self.tolerance
 
 
-def polar_consistency_check(group: HomogeneousGroup, norm: QuasiNorm,
-                            profile: Callable, envelope: DecayEnvelope,
+def polar_consistency_check(norm: QuasiNorm, profile: Callable,
+                            envelope: DecayEnvelope,
                             spec: QuadratureSpec) -> PolarConsistencyReport:
-    """Compare a Monte Carlo integral of g(|x|) with the gauge's exact |S|
-    times its radial reduction, over the two errors.  An estimate of |S|
-    from the same draws would share any constant factor in the weights;
-    the exact |S| exposes it."""
-    cart = integrate_cartesian(group, lambda x: profile(norm(x)), spec, envelope)
-    Q = group.homogeneous_dim
+    """Compare a Monte Carlo integral of g(|x|) over the gauge's group with
+    its exact |S| times the radial reduction, over the two errors.  An
+    estimate of |S| from the same draws would share any constant factor in
+    the weights; the exact |S| exposes it."""
+    cart = integrate_cartesian(norm.group, lambda x: profile(norm(x)), spec,
+                               envelope)
+    Q = norm.group.homogeneous_dim
     radial, err = integrate_radial_err(profile, Q, 0.0, envelope.r_max(Q))
     fact = norm.sphere * radial
     sig = cart.stderr + norm.sphere * err

@@ -222,9 +222,9 @@ def test_axioms_computes_monte_carlo_sphere_measure_once(tmp_path,
     calls = []
     mc = quadrature.sphere_measure_mc
 
-    def counted(group, norm, spec):
+    def counted(norm, spec):
         calls.append(spec)
-        return mc(group, norm, spec)
+        return mc(norm, spec)
 
     monkeypatch.setattr(quadrature, "sphere_measure_mc", counted)
     assert run("axioms", {"group": {"name": "heisenberg"},
@@ -597,6 +597,22 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, path, cfg):
     assert code == 2
     assert f"config.{path}: expected " in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command,weights", [
+    ("verify", [math.nan]), ("axioms", [math.inf]),
+    ("axioms", [1e308, 1e308])], ids=["nan", "inf", "sum-overflows"])
+def test_non_finite_group_weights_exit_2(tmp_path, capsys, command, weights):
+    """JSON configs can write NaN and Infinity, and two weights of 1e308
+    have no finite sum Q: each is a parameter error naming the weights
+    (exit 2), not a traceback from the gauge's rational lcm or from fsum
+    (exit 1)."""
+    cfg = {**_without(HARDY_CFG, "norm"),
+           "group": {"name": "abelian", "weights": weights}}
+    path = write_cfg(tmp_path, cfg)
+    assert main(["--config", str(path), "--command", command,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "abelian_group: weights must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,cfg", [

@@ -11,10 +11,11 @@ from scipy import special as sp
 
 from revineq import (DecayEnvelope, DegenerateInputError, DivergenceError,
                      InequalityParams, ParameterError, QuadratureSpec,
-                     QuasiNorm, RadialProfile, abelian_group, analytic_A1,
-                     analytic_A2, balanced_lambda, bracket_kappa,
-                     conjugate_exponent, euclidean_norm, make_profile,
-                     stein_weiss_form,
+                     QuasiNorm, RadialProfile, SearchSpec, abelian_group,
+                     analytic_A1, analytic_A2, balanced_lambda, bracket_kappa,
+                     conjugate_exponent, estimate_best_constant,
+                     euclidean_norm, make_profile, sphere_measure,
+                     sphere_measure_direct, stein_weiss_form,
                      stein_weiss_lower_constant, validate_params,
                      verify_forward_ckn, verify_forward_hardy,
                      verify_forward_sobolev, verify_reverse_ckn,
@@ -338,7 +339,7 @@ def test_stein_weiss_diverging_at_the_origin_raises(line, line_norm, expp):
         verify_stein_weiss(expp, gauss, P, line, line_norm, spec)
     with pytest.raises(DivergenceError,
                        match=r"stein_weiss_form\[f-side\].*singularity"):
-        stein_weiss_form(expp, gauss, -1.2, 0.0, lam, line, line_norm, spec)
+        stein_weiss_form(expp, gauss, -1.2, 0.0, lam, line_norm, spec)
 
 
 def test_stein_weiss_report_identical_cold_warm_and_after_eviction(
@@ -503,7 +504,7 @@ R2_CALIBRATION_POINTS = [(0.0, balanced_lambda(2.0, 0.7, 0.5, 0.0, 1.0)),
 
 
 @pytest.mark.parametrize("alpha,lam", R2_CALIBRATION_POINTS)
-def test_stein_weiss_quadruples_calibrated_on_r2(plane, plane_norm, z_gate,
+def test_stein_weiss_quadruples_calibrated_on_r2(plane_norm, z_gate,
                                                  alpha, lam):
     """On Euclidean R^2 every sample is a quarter-turn quadruple.  Over 24
     seeds at beta = 1, f = e^{-r}, h = e^{-r^2}, the z-scores of B against
@@ -511,7 +512,7 @@ def test_stein_weiss_quadruples_calibrated_on_r2(plane, plane_norm, z_gate,
     ref = _r2_exp_gauss_form(alpha, 1.0, lam)
     f, h = make_profile("exp_decay", [1.0]), make_profile("gaussian", [1.0])
     z_gate([(res.value - ref) / res.stderr for res in (
-        stein_weiss_form(f, h, alpha, 1.0, lam, plane, plane_norm,
+        stein_weiss_form(f, h, alpha, 1.0, lam, plane_norm,
                          QuadratureSpec(sample_count=20000, seed=seed))
         for seed in range(1, 25))])
 
@@ -528,7 +529,7 @@ def test_stein_weiss_unbiased_under_a_gauge_the_turn_moves(plane, z_gate):
     ref = _r2_exp_gauss_form(0.5, 1.0, 1.5) / 4.0
     f, h = make_profile("exp_decay", [1.0]), make_profile("gaussian", [1.0])
     z_gate([(res.value - ref) / res.stderr for res in (
-        stein_weiss_form(f, h, 0.5, 1.0, 1.5, plane, ellipse,
+        stein_weiss_form(f, h, 0.5, 1.0, 1.5, ellipse,
                          QuadratureSpec(sample_count=20000, seed=seed))
         for seed in range(1, 25))])
 
@@ -693,11 +694,13 @@ def test_stein_weiss_rejects_params_for_another_group(plane, plane_norm,
         verify_stein_weiss(expp, expp, WORKED, plane, plane_norm, mc_spec)
 
 
-def test_verifiers_reject_a_gauge_on_another_group(h1, koranyi, line, expp,
+def test_verifiers_reject_a_gauge_on_another_group(koranyi, line, expp,
                                                   mc_spec):
     """The H1 Koranyi gauge has H1's law and |S| = 2 pi^2: on R^3 with
-    weights (1, 1, 2) or on R^1 it would mix two groups, so each verifier
-    refuses it (exit 2).  Two abelian groups built apart are one group."""
+    weights (1, 1, 2) or on R^1 it would mix two groups, so each entry
+    point that takes a group beside a gauge refuses it (exit 2): the
+    verifiers, both |S| lookups, and the search, whose verifier raises at
+    its first evaluation.  Two abelian groups built apart are one group."""
     r3 = abelian_group((1.0, 1.0, 2.0))
     with pytest.raises(ParameterError, match="gauge 'koranyi' is on"):
         verify_stein_weiss(expp, expp, WORKED, r3, koranyi, mc_spec)
@@ -706,9 +709,22 @@ def test_verifiers_reject_a_gauge_on_another_group(h1, koranyi, line, expp,
     with pytest.raises(ParameterError, match="gauge 'koranyi' is on"):
         verify_reverse_integral_hardy("ball", -2.0, 0.0, expp, 0.5, -1.0,
                                       line, koranyi, mc_spec)
+    with pytest.raises(ParameterError, match="gauge 'koranyi' is on"):
+        sphere_measure(r3, koranyi, mc_spec)
+    with pytest.raises(ParameterError, match="gauge 'koranyi' is on"):
+        sphere_measure_direct(r3, koranyi)
+    search = SearchSpec(method="grid", budget=2)
+    for name, P, family in [("reverse_hardy", InequalityParams(Q=4, p=0.5),
+                             "gaussian"),
+                            ("reverse_stein_weiss", WORKED, "exp_decay")]:
+        with pytest.raises(ParameterError, match="gauge 'koranyi' is on"):
+            estimate_best_constant(name, P, family, search, r3, koranyi,
+                                   mc_spec)
     plane = abelian_group((1.0, 1.0))
     gauge = euclidean_norm(abelian_group((1.0, 1.0)))
     assert verify_reverse_hardy(expp, 0.5, plane, gauge, mc_spec).passed
+    assert sphere_measure(plane, gauge, mc_spec) == gauge.sphere
+    assert sphere_measure_direct(plane, gauge) == pytest.approx(gauge.sphere)
     P = InequalityParams(Q=2.0, p=0.8, q_prime=0.8,
                          lam=balanced_lambda(2.0, 0.8, 0.8, 0.0, 0.0))
     assert verify_reverse_hls(expp, expp, P, plane, gauge, mc_spec).passed

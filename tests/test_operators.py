@@ -201,38 +201,37 @@ def test_integrate_cartesian_divergence_flag(line, line_norm):
 # weighted bilinear form
 # ---------------------------------------------------------------------------
 
-def test_stein_weiss_zero(plane, plane_norm, mc_spec):
+def test_stein_weiss_zero(plane_norm, mc_spec):
     zeros = lambda r: np.zeros_like(np.asarray(r, float))
     zero = RadialProfile(value=zeros, envelope=DecayEnvelope("exp"),
                          derivative=zeros,
                          derivative_envelope=DecayEnvelope("exp"))
-    res = stein_weiss_form(zero, zero, 0.0, 0.0, 1.0, plane, plane_norm,
+    res = stein_weiss_form(zero, zero, 0.0, 0.0, 1.0, plane_norm,
                            mc_spec)
     # both control means are 0, so the plain mean stands
     assert res.value == 0.0
     assert res.stderr == res.plain_stderr == 0.0
 
 
-def test_stein_weiss_rejects_non_positive_lambda(plane, plane_norm,
-                                                mc_spec, expp):
+def test_stein_weiss_rejects_non_positive_lambda(plane_norm, mc_spec, expp):
     for lam in (0.0, -1.0):
         with pytest.raises(ParameterError, match="lambda must be positive"):
-            stein_weiss_form(expp, expp, 0.0, 0.0, lam, plane, plane_norm,
+            stein_weiss_form(expp, expp, 0.0, 0.0, lam, plane_norm,
                              mc_spec)
 
 
-def test_stein_weiss_box_oracle(line, line_norm, box_profile):
+def test_stein_weiss_box_oracle(line_norm, box_profile):
     """alpha=beta=0, lam=1, f=h=1_{[0,1]} on R: brute-force 2-D quadrature."""
     oracle, _ = sciint.dblquad(lambda y, x: abs(x - y), -1, 1, -1, 1,
                                epsabs=1e-12)
     spec = QuadratureSpec(sample_count=200000, seed=21)
     res = stein_weiss_form(box_profile, box_profile, 0.0, 0.0, 1.0,
-                           line, line_norm, spec)
+                           line_norm, spec)
     assert oracle == pytest.approx(8.0 / 3.0, rel=1e-7)
     assert abs(res.value - oracle) <= 4 * res.stderr
 
 
-def test_stein_weiss_weighted_box_oracle(line, line_norm, box_profile):
+def test_stein_weiss_weighted_box_oracle(line_norm, box_profile):
     """alpha=0.5, beta=0.25, lam=1.5 against brute-force quadrature."""
     a, b, lam = 0.5, 0.25, 1.5
     oracle, _ = sciint.dblquad(
@@ -240,25 +239,25 @@ def test_stein_weiss_weighted_box_oracle(line, line_norm, box_profile):
         -1, 1, -1, 1, epsabs=1e-12)
     spec = QuadratureSpec(sample_count=300000, seed=22)
     res = stein_weiss_form(box_profile, box_profile, a, b, lam,
-                           line, line_norm, spec)
+                           line_norm, spec)
     assert abs(res.value - oracle) <= 4 * res.stderr
 
 
-def test_stein_weiss_dilation_scaling(h1, koranyi, expp):
+def test_stein_weiss_dilation_scaling(koranyi, expp):
     """B(f o D_s, h o D_s) = s^{-(2Q + a + b + lam)} B(f, h)."""
     spec = QuadratureSpec(sample_count=50000, seed=8)
     a, b, lam, s = 1.0, 2.0, 5.0, 2.0
-    base = stein_weiss_form(expp, expp, a, b, lam, h1, koranyi, spec)
+    base = stein_weiss_form(expp, expp, a, b, lam, koranyi, spec)
     scaled = stein_weiss_form(expp.dilated(s), expp.dilated(s), a, b, lam,
-                              h1, koranyi, spec)
+                              koranyi, spec)
     factor = s ** -(2 * 4.0 + a + b + lam)
     assert scaled.value == pytest.approx(factor * base.value, rel=1e-9)
 
 
-def test_stein_weiss_deterministic(plane, plane_norm, expp):
+def test_stein_weiss_deterministic(plane_norm, expp):
     spec = QuadratureSpec(sample_count=10000, seed=4)
-    r1 = stein_weiss_form(expp, expp, 0.0, 0.0, 2.0, plane, plane_norm, spec)
-    r2 = stein_weiss_form(expp, expp, 0.0, 0.0, 2.0, plane, plane_norm, spec)
+    r1 = stein_weiss_form(expp, expp, 0.0, 0.0, 2.0, plane_norm, spec)
+    r2 = stein_weiss_form(expp, expp, 0.0, 0.0, 2.0, plane_norm, spec)
     assert r1.value == r2.value
 
 
@@ -295,7 +294,7 @@ def _assert_calibrated(z):
 @pytest.mark.parametrize("point", CALIBRATION_POINTS,
                          ids=lambda pt: f"{pt[0].family_tag}x{pt[1].family_tag}"
                                         f"-p{pt[5]}-q'{pt[6]}")
-def test_stein_weiss_stderr_calibrated_on_r1(line, line_norm, r1_bilinear,
+def test_stein_weiss_stderr_calibrated_on_r1(line_norm, r1_bilinear,
                                             point):
     """Over 24 seeds the z-scores of B against the deterministic R^1 form
     spread as a standard normal's would: the stderr is neither too small
@@ -304,7 +303,7 @@ def test_stein_weiss_stderr_calibrated_on_r1(line, line_norm, r1_bilinear,
     4 sqrt(pi) + 2 sqrt(pi)/2 at every seed, within its stderr, which is
     then the moments' error bar alone."""
     f, h, alpha, beta, lam, p, q_prime = point
-    results = [stein_weiss_form(f, h, alpha, beta, lam, line, line_norm,
+    results = [stein_weiss_form(f, h, alpha, beta, lam, line_norm,
                                 QuadratureSpec(sample_count=20000, seed=seed))
                for seed in range(1, 25)]
     if lam == 2.0:
@@ -317,7 +316,7 @@ def test_stein_weiss_stderr_calibrated_on_r1(line, line_norm, r1_bilinear,
 
 
 @pytest.mark.parametrize("seed", [3, 29])
-def test_stein_weiss_exact_at_lambda_2_on_r2(plane, plane_norm, expp, seed):
+def test_stein_weiss_exact_at_lambda_2_on_r2(plane_norm, expp, seed):
     """At lambda = 2 on Euclidean R^2 the parallelogram law gives
     |y^{-1}x|^2 + |yx|^2 = 2 |x|^2 + 2 |y|^2, so every antithetic sample is
     C1 + C2 and B = |S|^2 (M_f(alpha+2) M_h(beta) + M_f(alpha) M_h(beta+2))
@@ -329,19 +328,19 @@ def test_stein_weiss_exact_at_lambda_2_on_r2(plane, plane_norm, expp, seed):
     M_h = lambda s: math.gamma(s / 2.0 + 1.0) / 2.0
     exact = (2.0 * math.pi) ** 2 * (M_f(alpha + 2.0) * M_h(beta)
                                     + M_f(alpha) * M_h(beta + 2.0))
-    res = stein_weiss_form(expp, gauss, alpha, beta, 2.0, plane, plane_norm,
+    res = stein_weiss_form(expp, gauss, alpha, beta, 2.0, plane_norm,
                            QuadratureSpec(sample_count=20000, seed=seed))
     assert res.value == pytest.approx(exact, rel=1e-12)
     assert res.stderr <= 1e-10 * exact
 
 
-def test_stein_weiss_stderr_calibrated_on_h1(h1, koranyi, expp):
+def test_stein_weiss_stderr_calibrated_on_h1(koranyi, expp):
     """The same on H^1/Koranyi, f = e^{-r}, h = e^{-r^2}, alpha = 0.5,
     beta = 1, lambda = 1.5, against 32616.489 from a tabulated radial-
     angular rule (ROADMAP item 6; m = 16 and m = 32 agree to 2e-8)."""
     gauss = make_profile("gaussian", [1.0])
     z = [(res.value - 32616.489) / res.stderr for res in (
-        stein_weiss_form(expp, gauss, 0.5, 1.0, 1.5, h1, koranyi,
+        stein_weiss_form(expp, gauss, 0.5, 1.0, 1.5, koranyi,
                          QuadratureSpec(sample_count=20000, seed=seed))
         for seed in range(1, 21))]
     _assert_calibrated(z)
@@ -376,7 +375,7 @@ def test_stein_weiss_turns_where_weights_and_gauge_allow(expp, group, gauge,
     def evaluate(x):
         seen.append(x.shape)
         return norm.evaluate(x)
-    stein_weiss_form(expp, expp, 0.5, 1.0, 1.5, group,
+    stein_weiss_form(expp, expp, 0.5, 1.0, 1.5,
                      replace(norm, evaluate=evaluate),
                      QuadratureSpec(sample_count=2000, seed=3))
     assert len(seen) == calls, seen
@@ -384,7 +383,7 @@ def test_stein_weiss_turns_where_weights_and_gauge_allow(expp, group, gauge,
 
 @pytest.mark.parametrize("gauge,exact", [("koranyi", 32616.489),
                                          ("cygan", 2073.4)])
-def test_stein_weiss_quadruples_calibrated_on_h1(h1, request, z_gate, expp,
+def test_stein_weiss_quadruples_calibrated_on_h1(request, z_gate, expp,
                                                  gauge, exact):
     """Every sample on H^1 is a quarter-turn quadruple.  At the point
     above, over 24 seeds the z-scores pass the calibration gate on Koranyi
@@ -393,13 +392,13 @@ def test_stein_weiss_quadruples_calibrated_on_h1(h1, request, z_gate, expp,
     norm = request.getfixturevalue(gauge)
     gauss = make_profile("gaussian", [1.0])
     z_gate([(res.value - exact) / res.stderr for res in (
-        stein_weiss_form(expp, gauss, 0.5, 1.0, 1.5, h1, norm,
+        stein_weiss_form(expp, gauss, 0.5, 1.0, 1.5, norm,
                          QuadratureSpec(sample_count=20000, seed=seed))
         for seed in range(1, 25))])
 
 
 @pytest.mark.parametrize("s,exact", [(1.8, 10.399446), (2.0, 5.875315)])
-def test_stein_weiss_near_critical_power_tail(line, line_norm, r1_bilinear,
+def test_stein_weiss_near_critical_power_tail(line_norm, r1_bilinear,
                                               s, exact):
     """f = (1+r)^{-s} on R^1 with alpha = beta = 0, л = 1/2: |x|^л f decays
     like r^{-(s - 1/2)}, barely integrable, so the radial sampler's 1e-8
@@ -413,24 +412,23 @@ def test_stein_weiss_near_critical_power_tail(line, line_norm, r1_bilinear,
     ref = r1_bilinear(f, h, 0.0, 0.0, 0.5, 0.8, 0.8)[0]
     assert ref == pytest.approx(exact, rel=1e-6)
     for seed in range(1, 6):
-        res = stein_weiss_form(f, h, 0.0, 0.0, 0.5, line, line_norm,
+        res = stein_weiss_form(f, h, 0.0, 0.0, 0.5, line_norm,
                                QuadratureSpec(sample_count=40000, seed=seed))
         assert abs(res.value - ref) < 4.0 * res.stderr, (seed, res)
 
 
-def test_stein_weiss_tail_radius_beyond_float_range(h1, cygan):
+def test_stein_weiss_tail_radius_beyond_float_range(cygan):
     """f = (1+r)^{-6.01} on H^1 at л = 2: the x-side tail radius is beyond
     the float range, so no grid can be built up to it, and the form raises
     EvaluationError (exit 3), anchored grid or not, before numpy warns."""
     f, h = make_profile("power_decay", [6.01, 1.0]), make_profile("gaussian",
                                                                    [1.0])
     with pytest.raises(EvaluationError, match="non-finite on radial grid"):
-        stein_weiss_form(f, h, 0.0, 0.0, 2.0, h1, cygan,
+        stein_weiss_form(f, h, 0.0, 0.0, 2.0, cygan,
                          QuadratureSpec(sample_count=1000, seed=1))
 
 
-def test_stein_weiss_controls_on_the_quadrature_path(line, line_norm,
-                                                     r1_bilinear,
+def test_stein_weiss_controls_on_the_quadrature_path(line_norm, r1_bilinear,
                                                      monkeypatch):
     """smooth_bump has no closed-form moments, so the control means come
     from adaptive quadrature.  The estimate agrees with the R^1 double
@@ -441,7 +439,7 @@ def test_stein_weiss_controls_on_the_quadrature_path(line, line_norm,
     from revineq import operators
     bump = make_profile("smooth_bump", [1.0])
     spec = QuadratureSpec(sample_count=20000, seed=5)
-    args = (bump, bump, 0.5, 0.25, 1.5, line, line_norm, spec)
+    args = (bump, bump, 0.5, 0.25, 1.5, line_norm, spec)
     base = stein_weiss_form(*args)
     exact = r1_bilinear(bump, bump, 0.5, 0.25, 1.5, 0.5, 0.5, rtol=1e-7)[0]
     assert abs(base.value - exact) <= 4.0 * base.stderr
@@ -515,10 +513,18 @@ def test_gap_nonnegative_property(p, data):
 @pytest.mark.parametrize("fixture", ["plane_norm", "cygan"])
 def test_kernel_bounds_clean(request, fixture):
     norm = request.getfixturevalue(fixture)
-    rep = kernel_bound_report(norm.group, norm, 10000, seed=3)
+    rep = kernel_bound_report(norm, 10000, seed=3)
     assert rep.inner_violations == 0 and rep.outer_violations == 0
 
 
-def test_kernel_bounds_require_true_norm(h1, koranyi):
+def test_kernel_bounds_require_true_norm(koranyi):
     with pytest.raises(ParameterError):
-        kernel_bound_report(h1, koranyi)
+        kernel_bound_report(koranyi)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_kernel_bounds_reject_no_samples(cygan, n):
+    """As the two axiom checks do, rather than numpy's error on the max of
+    an empty array."""
+    with pytest.raises(ParameterError, match="sample_count must be >= 1"):
+        kernel_bound_report(cygan, n)

@@ -718,13 +718,13 @@ def test_radial_rule_stops_at_the_subinterval_cap():
 # ---------------------------------------------------------------------------
 
 def test_sphere_measure_line(line, line_norm, mc_spec):
-    res = sphere_measure_mc(line, line_norm, mc_spec)
+    res = sphere_measure_mc(line_norm, mc_spec)
     assert abs(res.value - 2.0) <= 3 * res.stderr + 1e-6
     assert sphere_measure_direct(line, line_norm) == pytest.approx(2.0)
 
 
 def test_sphere_measure_plane(plane, plane_norm, mc_spec):
-    res = sphere_measure_mc(plane, plane_norm, mc_spec)
+    res = sphere_measure_mc(plane_norm, mc_spec)
     assert abs(res.value - 2 * np.pi) <= 3 * res.stderr
     assert sphere_measure_direct(plane, plane_norm) == pytest.approx(
         2 * np.pi, rel=1e-12)
@@ -734,15 +734,15 @@ def test_sphere_measure_koranyi(h1, koranyi):
     direct = sphere_measure_direct(h1, koranyi, resolution=512)
     assert direct == pytest.approx(KORANYI_SPHERE, rel=1e-10)
     for seed in (1, 2):
-        res = sphere_measure_mc(h1, koranyi,
+        res = sphere_measure_mc(koranyi,
                                 QuadratureSpec(sample_count=100000, seed=seed))
         assert abs(res.value - direct) <= 3 * res.stderr
 
 
-def test_sphere_measure_mc_repeats_its_bits(h1, koranyi, mc_spec):
+def test_sphere_measure_mc_repeats_its_bits(koranyi, mc_spec):
     """sphere_measure_mc keeps no state and repeats its bits."""
-    b = sphere_measure_mc(h1, koranyi, mc_spec)
-    c = sphere_measure_mc(h1, koranyi, mc_spec)
+    b = sphere_measure_mc(koranyi, mc_spec)
+    c = sphere_measure_mc(koranyi, mc_spec)
     assert b is not c and b == c
 
 
@@ -794,7 +794,7 @@ def test_exact_sphere_measure_in_dimension_four(weights):
     norm = anisotropic_gauge(group)
     with pytest.raises(ParameterError):
         sphere_measure_direct(group, norm)
-    res = sphere_measure_mc(group, norm,
+    res = sphere_measure_mc(norm,
                             QuadratureSpec(sample_count=1_000_000, seed=1))
     assert abs(res.value - norm.sphere) <= 3 * res.stderr
 
@@ -813,21 +813,21 @@ def test_weighted_line_sphere():
     (lambda r: np.exp(-r), DecayEnvelope("exp")),
     (lambda r: np.exp(-r * r), DecayEnvelope("gauss")),
 ])
-def test_polar_consistency(plane, plane_norm, profile, envelope):
-    rep = polar_consistency_check(plane, plane_norm, profile, envelope,
+def test_polar_consistency(plane_norm, profile, envelope):
+    rep = polar_consistency_check(plane_norm, profile, envelope,
                                   QuadratureSpec(sample_count=40000, seed=9))
     assert rep.consistent
 
 
-def test_polar_consistency_koranyi(h1, koranyi):
-    rep = polar_consistency_check(h1, koranyi, lambda r: np.exp(-r * r),
+def test_polar_consistency_koranyi(koranyi):
+    rep = polar_consistency_check(koranyi, lambda r: np.exp(-r * r),
                                   DecayEnvelope("gauss"),
                                   QuadratureSpec(sample_count=60000, seed=15))
     assert rep.consistent
 
 
 def test_polar_consistency_sees_a_constant_factor_in_the_weights(
-        plane, plane_norm, monkeypatch):
+        plane_norm, monkeypatch):
     """A 0.5% error in the Monte Carlo weights' normalisation fails the
     polar check, which compares with the exact |S|.  A Monte Carlo |S| from
     the same draws carries the same factor, so the comparison with it
@@ -837,10 +837,10 @@ def test_polar_consistency_sees_a_constant_factor_in_the_weights(
                         lambda n: 1.005 * area(n))
     spec = QuadratureSpec(sample_count=20000, seed=7)
     profile, envelope = (lambda r: np.exp(-r * r)), DecayEnvelope("gauss")
-    rep = polar_consistency_check(plane, plane_norm, profile, envelope, spec)
+    rep = polar_consistency_check(plane_norm, profile, envelope, spec)
     assert not rep.consistent
 
-    mc_sphere = sphere_measure_mc(plane, plane_norm, spec)
+    mc_sphere = sphere_measure_mc(plane_norm, spec)
     radial = integrate_radial_err(profile, 2.0, 0.0, envelope.r_max(2.0))[0]
     blind = abs(rep.cartesian.value - mc_sphere.value * radial)
     assert blind <= 3.0 * (rep.cartesian.stderr

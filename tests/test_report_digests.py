@@ -73,3 +73,27 @@ def test_report_diff_scores_moves_and_flags_flips():
     assert "median stderr new/old: 0.917 over 2 moved ratios" in text
     assert "verdict flips: case/report.json:report.pass True -> False" \
         in text
+
+
+def test_paired_forms_runs_both_children_in_turn():
+    """tools/paired_forms.py against this checkout itself: each of the
+    first four sw_grid operations runs once in each child, with the same
+    report digest, and a timing for each side."""
+    import paired_forms
+    rows = paired_forms.paired(ROOT, 1, 4)
+    assert len(rows) == 4
+    assert all(same and here > 0 and there > 0 for here, there, same in rows)
+
+
+def test_paired_forms_reports_geometric_mean_and_differing_digests(
+        monkeypatch, capsys):
+    """A ratio of 2 on one form and 1/2 on the other is a geometric mean of
+    1; one differing digest is counted and exits 1."""
+    import paired_forms
+    monkeypatch.setattr(paired_forms, "paired", lambda other, seed: [
+        (2.0, 1.0, True), (1.0, 2.0, False)])
+    assert paired_forms.main(["elsewhere"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "2 operations, 1 digests differ"
+    assert out[1].startswith("geometric mean time ratio this/other per "
+                             "form: 1.0000 [0.5000, 2.0000]")
