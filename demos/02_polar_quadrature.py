@@ -46,8 +46,8 @@ for group, norm in ((plane, ne), (h1, nk)):
 # --- polar factorization consistency -------------------------------------------
 print("\npolar factorization (cartesian vs |S| x radial):")
 for norm in (ne, nk):
-    rep = polar_consistency_check(norm, lambda r: np.exp(-r * r),
-                                  DecayEnvelope("gauss"), spec)
-    print(f"  {norm.group.name}: cart {rep.cartesian.value:.6f}, "
-          f"factorized {rep.factorized:.6f}, "
-          f"discrepancy {rep.discrepancy:.2e} (consistent: {rep.consistent})")
+    row = polar_consistency_check(norm, lambda r: np.exp(-r * r),
+                                  DecayEnvelope("gauss"),
+                                  spec)["polar_consistency"]
+    print(f"  {norm.group.name}: discrepancy {row.value:.2e}, tolerance "
+          f"{row.tolerance:.2e} (consistent: {row.passed})")

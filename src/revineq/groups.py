@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -276,6 +276,11 @@ def euclidean_norm(group: HomogeneousGroup) -> QuasiNorm:
 
 def _rational_lcm(values) -> Fraction:
     fracs = [Fraction(v).limit_denominator(10**6) for v in values]
+    if not all(fracs):
+        raise ParameterError(f"the anisotropic gauge takes the lcm of the "
+                             f"weights as fractions of denominator at most "
+                             f"10^6, and one of {tuple(values)} rounds to 0",
+                             module=_MODULE, operation="anisotropic_gauge")
     num = 1
     for f in fracs:
         num = num * f.numerator // math.gcd(num, f.numerator)
@@ -361,32 +366,17 @@ def cygan_norm(group: HomogeneousGroup) -> QuasiNorm:
 # axiom checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormAxiomReport:
-    """Maximal violations of the quasi-norm axioms over random samples."""
+class Check(NamedTuple):
+    """One row of the ``axioms`` report: a sampled violation and the
+    tolerance that judges it."""
 
-    norm_name: str
-    samples: int
-    homogeneity: float          # max rel. error of |D_s x| = s|x|
-    symmetry: float             # max rel. error of |x| = |x^{-1}|
-    nondegeneracy: bool         # |x| > 0 for all sampled x != 0
-    triangle: float | None      # None when the gauge does not assert it
+    value: float
+    tolerance: float
 
     @property
-    def triangle_asserted(self) -> bool:
-        return self.triangle is not None
-
-
-@dataclass(frozen=True)
-class GroupAxiomReport:
-    """Maximal coordinate residuals of the group axioms over random samples."""
-
-    group_name: str
-    samples: int
-    identity: float             # x * e = x
-    inverse: float              # x * x^{-1} = e
-    associativity: float        # (xy)z = x(yz)
-    automorphism: float         # D_s(xy) = D_s(x) D_s(y), relative above 1
+    def passed(self) -> bool:
+        """The one pass rule of ``axioms``; a NaN value fails."""
+        return self.value <= self.tolerance
 
 
 def _sample_points(group: HomogeneousGroup, n: int, rng) -> Array:
@@ -396,9 +386,11 @@ def _sample_points(group: HomogeneousGroup, n: int, rng) -> Array:
 
 
 def check_quasi_norm_axioms(norm: QuasiNorm, sample_count: int = 1000,
-                            seed: int = 0) -> NormAxiomReport:
-    """Probe homogeneity, symmetry, nondegeneracy and (if asserted) the
-    triangle inequality on pseudo-random samples; deterministic per seed."""
+                            seed: int = 0) -> dict[str, Check]:
+    """Probe homogeneity and symmetry (maximal relative errors),
+    nondegeneracy (the count of nonzero points whose gauge is not > 0, a
+    NaN included) and, if the gauge asserts it, the triangle inequality
+    (maximal excess) on pseudo-random samples; deterministic per seed."""
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1", module=_MODULE,
                              operation="check_quasi_norm_axioms")
@@ -410,27 +402,23 @@ def check_quasi_norm_axioms(norm: QuasiNorm, sample_count: int = 1000,
     s = 10.0 ** rng.uniform(-3, 3, size=sample_count)
     hom = np.abs(norm(dilate(g, s, x)) - s * nx) / np.maximum(s * nx, 1e-300)
     sym = np.abs(norm(group_inv(g, x)) - nx) / np.maximum(nx, 1e-300)
-    nondeg = bool(np.all(nx[np.any(x != 0.0, axis=-1)] > 0.0))
-
-    tri = None
+    degenerate = ~(nx[np.any(x != 0.0, axis=-1)] > 0.0)
+    rows = {"norm_homogeneity": Check(float(np.max(hom)), 1e-12),
+            "norm_symmetry": Check(float(np.max(sym)), 1e-12),
+            "norm_nondegeneracy": Check(float(np.count_nonzero(degenerate)),
+                                        0.5)}
     if norm.is_true_norm:
         y = _sample_points(g, sample_count, rng)
         lhs = norm(group_mul(g, x, y))
-        tri = float(np.max(lhs - (nx + norm(y))))
-
-    return NormAxiomReport(
-        norm_name=norm.name,
-        samples=sample_count,
-        homogeneity=float(np.max(hom)),
-        symmetry=float(np.max(sym)),
-        nondegeneracy=nondeg,
-        triangle=tri,
-    )
+        rows["norm_triangle"] = Check(float(np.max(lhs - (nx + norm(y)))),
+                                      1e-12)
+    return rows
 
 
 def check_group_axioms(group: HomogeneousGroup, sample_count: int = 10000,
-                       seed: int = 0) -> GroupAxiomReport:
-    """Probe the group axioms and the dilation-automorphism property."""
+                       seed: int = 0) -> dict[str, Check]:
+    """Probe the group axioms (maximal coordinate residuals) and the
+    dilation-automorphism property."""
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1", module=_MODULE,
                              operation="check_group_axioms")
@@ -453,11 +441,7 @@ def check_group_axioms(group: HomogeneousGroup, sample_count: int = 10000,
     rhs = group_mul(group, dilate(group, s, x), dilate(group, s, y))
     res_auto = np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
 
-    return GroupAxiomReport(
-        group_name=group.name,
-        samples=sample_count,
-        identity=float(res_id),
-        inverse=float(res_inv),
-        associativity=float(res_assoc),
-        automorphism=float(res_auto),
-    )
+    return {name: Check(float(res), 1e-10) for name, res in (
+        ("group_identity", res_id), ("group_inverse", res_inv),
+        ("group_associativity", res_assoc),
+        ("dilation_automorphism", res_auto))}

@@ -36,10 +36,12 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DegenerateInputError, EvaluationError, ParameterError
-from .groups import QuasiNorm, _sample_points, dilate, group_inv, group_mul
+from .groups import (Check, QuasiNorm, _sample_points, dilate, group_inv,
+                     group_mul)
 from .quadrature import (DecayEnvelope, IntegralResult, QuadratureSpec,
-                         RadialSampler, _checked_mean, draw_block,
-                         integrate_radial_err, sample_group_points)
+                         RadialSampler, _checked_mean, _plain_stderr,
+                         draw_block, integrate_radial_err,
+                         sample_group_points)
 
 _MODULE = "operators"
 
@@ -326,14 +328,6 @@ def _times_power(vals: np.ndarray, s: float, log_r: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _plain_stderr(vals: np.ndarray, n: int) -> float:
-    """The stderr of the plain mean of n samples."""
-    if n <= 1:
-        return math.inf
-    dev = vals - np.sum(vals) / n
-    return math.sqrt(float(np.einsum("i,i->", dev, dev)) / (n - 1) / n)
-
-
 def _control_mean(f: RadialProfile, f_shift: float, h: RadialProfile,
                   h_shift: float, Q: float, S: float) -> tuple[float, float]:
     """(|S|^2 M_f(f_shift) M_h(h_shift), its relative error), the moments
@@ -426,24 +420,13 @@ def reverse_holder_gap(f, g, p: float) -> float:
 # pointwise kernel bounds from the proof's two regimes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KernelBoundReport:
-    """Sampled check of the two triangle-inequality kernel bounds:
+def kernel_bound_report(norm: QuasiNorm, sample_count: int = 10000,
+                        seed: int = 0) -> dict[str, Check]:
+    """Sample admissible pairs directly in each regime and count the pairs
+    that break the two triangle-inequality kernel bounds:
 
     inner regime |y| <= |x|/2  =>  |x|/2 <= |y^{-1}x|  (so 2^{-л}|x|^л <= |y^{-1}x|^л),
     outer regime 2|x| <= |y|   =>  |y|/2 <= |y^{-1}x|.
-    """
-
-    samples: int
-    inner_violations: int
-    outer_violations: int
-    inner_worst: float          # max of |x|/2 - |y^{-1}x| (<= 0 when clean)
-    outer_worst: float
-
-
-def kernel_bound_report(norm: QuasiNorm, sample_count: int = 10000,
-                        seed: int = 0) -> KernelBoundReport:
-    """Sample admissible pairs directly in each regime and test the bounds.
 
     Requires a gauge satisfying the triangle inequality; the bounds are a
     consequence of subadditivity plus symmetry, so violations indicate a
@@ -479,10 +462,6 @@ def kernel_bound_report(norm: QuasiNorm, sample_count: int = 10000,
     outer_gap = ny_out / 2.0 - d_out
 
     tol = 1e-12
-    return KernelBoundReport(
-        samples=n,
-        inner_violations=int(np.sum(inner_gap > tol * np.maximum(nx, 1.0))),
-        outer_violations=int(np.sum(outer_gap > tol * np.maximum(ny_out, 1.0))),
-        inner_worst=float(np.max(inner_gap)),
-        outer_worst=float(np.max(outer_gap)),
-    )
+    violations = (int(np.sum(inner_gap > tol * np.maximum(nx, 1.0)))
+                  + int(np.sum(outer_gap > tol * np.maximum(ny_out, 1.0))))
+    return {"kernel_bounds_violations": Check(float(violations), 0.5)}

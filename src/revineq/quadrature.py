@@ -62,7 +62,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .exceptions import (DivergenceError, EvaluationError, ParameterError)
-from .groups import (HomogeneousGroup, QuasiNorm, _dilate_log,
+from .groups import (Check, HomogeneousGroup, QuasiNorm, _dilate_log,
                      dilation_quadratic_form)
 
 _MODULE = "quadrature"
@@ -543,6 +543,14 @@ def _checked_mean(vals: np.ndarray, n: int, operation: str,
     return value
 
 
+def _plain_stderr(vals: np.ndarray, n: int) -> float:
+    """The stderr of the plain mean of n samples."""
+    if n <= 1:
+        return math.inf
+    dev = vals - np.sum(vals) / n
+    return math.sqrt(float(np.einsum("i,i->", dev, dev)) / (n - 1) / n)
+
+
 def integrate_cartesian(group: HomogeneousGroup,
                         integrand: Callable[[np.ndarray], np.ndarray],
                         spec: QuadratureSpec,
@@ -561,8 +569,7 @@ def integrate_cartesian(group: HomogeneousGroup,
     with np.errstate(over="ignore"):
         vals = np.asarray(integrand(x), dtype=float) * w
     value = _checked_mean(vals, n, "integrate_cartesian", x)
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else math.inf
-    return IntegralResult(value, stderr)
+    return IntegralResult(value, _plain_stderr(vals, n))
 
 
 # ---------------------------------------------------------------------------
@@ -783,27 +790,12 @@ def sphere_measure_direct(group: HomogeneousGroup, norm: QuasiNorm,
     return float(np.sum(w * lam * norm(u) ** (-group.homogeneous_dim)))
 
 
-@dataclass(frozen=True)
-class PolarConsistencyReport:
-    cartesian: IntegralResult
-    factorized: float           # exact |S| * int profile r^{Q-1} dr
-    discrepancy: float          # |cartesian - factorized|
-    combined_stderr: float      # cartesian stderr + |S| * radial error
-
-    @property
-    def tolerance(self) -> float:
-        return 3.0 * self.combined_stderr + 1e-9
-
-    @property
-    def consistent(self) -> bool:
-        return self.discrepancy <= self.tolerance
-
-
 def polar_consistency_check(norm: QuasiNorm, profile: Callable,
                             envelope: DecayEnvelope,
-                            spec: QuadratureSpec) -> PolarConsistencyReport:
+                            spec: QuadratureSpec) -> dict[str, Check]:
     """Compare a Monte Carlo integral of g(|x|) over the gauge's group with
-    its exact |S| times the radial reduction, over the two errors.  An
+    its exact |S| times the radial reduction: the discrepancy, judged at 3
+    (cartesian stderr + |S| radial error) + 1e-9.  An
     estimate of |S| from the same draws would share any constant factor in
     the weights; the exact |S| exposes it."""
     cart = integrate_cartesian(norm.group, lambda x: profile(norm(x)), spec,
@@ -812,4 +804,5 @@ def polar_consistency_check(norm: QuasiNorm, profile: Callable,
     radial, err = integrate_radial_err(profile, Q, 0.0, envelope.r_max(Q))
     fact = norm.sphere * radial
     sig = cart.stderr + norm.sphere * err
-    return PolarConsistencyReport(cart, fact, abs(cart.value - fact), sig)
+    return {"polar_consistency": Check(abs(cart.value - fact),
+                                       3.0 * sig + 1e-9)}

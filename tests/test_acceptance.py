@@ -76,21 +76,21 @@ def _default_pairs(Q, q_prime, p, lam, alpha):
 def test_criterion_01_axioms():
     with criterion(1, "group/norm axioms, Haar invariance, dilation scaling"):
         for group in (LINE, PLANE, H1):
-            rep = check_group_axioms(group, 10000, seed=41)
-            assert rep.identity <= 1e-10
-            assert rep.inverse <= 1e-10
-            assert rep.associativity <= 1e-10
-            assert rep.automorphism <= 1e-10
+            rows = check_group_axioms(group, 10000, seed=41)
+            assert rows["group_identity"].value <= 1e-10
+            assert rows["group_inverse"].value <= 1e-10
+            assert rows["group_associativity"].value <= 1e-10
+            assert rows["dilation_automorphism"].value <= 1e-10
 
         from revineq import anisotropic_gauge
         for norm in (LINE_NORM, PLANE_NORM, KORANYI, CYGAN,
                      anisotropic_gauge(H1)):
-            nrep = check_quasi_norm_axioms(norm, 1000, seed=42)
-            assert nrep.homogeneity <= 1e-12
-            assert nrep.symmetry <= 1e-12
-            assert nrep.nondegeneracy
+            rows = check_quasi_norm_axioms(norm, 1000, seed=42)
+            assert rows["norm_homogeneity"].value <= 1e-12
+            assert rows["norm_symmetry"].value <= 1e-12
+            assert rows["norm_nondegeneracy"].value == 0.0
             if norm.is_true_norm:
-                assert nrep.triangle <= 1e-12
+                assert rows["norm_triangle"].value <= 1e-12
 
         # Haar translation invariance and dilation scaling (stochastic)
         bump = make_profile("smooth_bump", [2.0])
@@ -149,9 +149,8 @@ def test_criterion_03_reverse_hoelder_discrete():
 def test_criterion_04_kernel_bounds():
     with criterion(4, "two-regime kernel bounds on 10^4 pairs (true norms)"):
         for norm in (PLANE_NORM, LINE_NORM, CYGAN):
-            rep = kernel_bound_report(norm, 10000, seed=47)
-            assert rep.inner_violations == 0
-            assert rep.outer_violations == 0
+            rows = kernel_bound_report(norm, 10000, seed=47)
+            assert rows["kernel_bounds_violations"].value == 0
 
 
 EXP_PROFILE = make_profile("exp_decay", [1.0])

@@ -1,10 +1,16 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from revineq import (DecayEnvelope, QuadratureSpec, check_group_axioms,
+                     check_quasi_norm_axioms, euclidean_norm,
+                     integrate_cartesian, integrate_radial_err,
+                     kernel_bound_report, polar_consistency_check)
 from revineq.cli import SWEEP_COLUMNS, load_config, main, run
 from revineq.exceptions import ConfigError
 
@@ -124,12 +130,16 @@ def test_axioms_on_heisenberg_passes(tmp_path):
 def test_axioms_triangle_check_can_fail(tmp_path, monkeypatch):
     """A triangle excess above 1e-12 fails the command; a gauge that
     asserts no triangle inequality reports no such check."""
-    from dataclasses import replace
-
     from revineq import cli
     checked = cli.check_quasi_norm_axioms
-    monkeypatch.setattr(cli, "check_quasi_norm_axioms", lambda *a, **k:
-                        replace(checked(*a, **k), triangle=1e-9))
+
+    def excess(*args, **kwargs):
+        rows = checked(*args, **kwargs)
+        if "norm_triangle" in rows:
+            rows["norm_triangle"] = rows["norm_triangle"]._replace(value=1e-9)
+        return rows
+
+    monkeypatch.setattr(cli, "check_quasi_norm_axioms", excess)
     code = run("axioms", {"group": {"name": "heisenberg"},
                           "norm": {"name": "cygan"},
                           "quadrature": {"sample_count": 2000}},
@@ -145,6 +155,117 @@ def test_axioms_triangle_check_can_fail(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "anisotropic" / "report.json").read_text())
     assert "norm_triangle" not in doc["checks"]
 
+
+def _cone_gauge(group, fill):
+    """The Euclidean norm with the value ``fill`` on the cone
+    |x2| < |x1|/100, which dilations and negation map onto itself: a
+    homogeneous and symmetric gauge that vanishes away from the origin."""
+    base = euclidean_norm(group)
+
+    def _eval(x):
+        out = np.array(base.evaluate(x))
+        out[np.abs(x[..., 1]) < 0.01 * np.abs(x[..., 0])] = fill
+        return out
+
+    return replace(base, name="cone", evaluate=_eval, is_true_norm=False)
+
+
+@pytest.mark.parametrize("fill", [0.0, math.nan])
+def test_nondegeneracy_counts_sampled_points_of_gauge_zero(plane, fill):
+    """A nonzero point whose gauge is 0, or NaN, counts against the row."""
+    rows = check_quasi_norm_axioms(_cone_gauge(plane, fill), 1000, seed=3)
+    assert rows["norm_nondegeneracy"].value >= 1.0
+    assert not rows["norm_nondegeneracy"].passed
+
+
+def test_axioms_fails_a_gauge_that_vanishes_off_the_origin(tmp_path,
+                                                           monkeypatch):
+    from revineq import cli
+    monkeypatch.setattr(cli, "euclidean_norm",
+                        lambda group: _cone_gauge(group, 0.0))
+    code = run("axioms", {"group": {"name": "abelian", "weights": [1.0, 1.0]},
+                          "norm": {"name": "euclidean"},
+                          "quadrature": {"sample_count": 2000}},
+               tmp_path / "out", 3)
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert code == 1 and doc["pass"] is False
+    row = doc["checks"]["norm_nondegeneracy"]
+    assert row["value"] >= 1.0 and row["tolerance"] == 0.5
+    assert row["pass"] is False
+    assert doc["checks"]["norm_homogeneity"]["pass"]
+    assert doc["checks"]["norm_symmetry"]["pass"]
+
+
+def test_axiom_rows_and_their_tolerances(h1, cygan):
+    """Every row each axiom check returns, with the tolerance that judges
+    it; the polar row's is 3 (cartesian stderr + |S| radial error) +
+    1e-9."""
+    fixed = {**check_group_axioms(h1, 100, seed=1),
+             **check_quasi_norm_axioms(cygan, 100, seed=1),
+             **kernel_bound_report(cygan, 100, seed=1)}
+    assert {k: c.tolerance for k, c in fixed.items()} == {
+        "group_identity": 1e-10, "group_inverse": 1e-10,
+        "group_associativity": 1e-10, "dilation_automorphism": 1e-10,
+        "norm_homogeneity": 1e-12, "norm_symmetry": 1e-12,
+        "norm_nondegeneracy": 0.5, "norm_triangle": 1e-12,
+        "kernel_bounds_violations": 0.5}
+
+    def profile(r):
+        return np.exp(-r * r)
+
+    spec, envelope = QuadratureSpec(sample_count=2000, seed=1), \
+        DecayEnvelope("gauss")
+    polar = polar_consistency_check(cygan, profile, envelope, spec)
+    cart = integrate_cartesian(h1, lambda x: profile(cygan(x)), spec, envelope)
+    err = integrate_radial_err(profile, 4.0, 0.0, envelope.r_max(4.0))[1]
+    assert list(polar) == ["polar_consistency"]
+    assert polar["polar_consistency"].tolerance == \
+        3.0 * (cart.stderr + cygan.sphere * err) + 1e-9
+
+
+@pytest.mark.parametrize("norm", ["cygan", "koranyi"])
+def test_axioms_reports_every_row_of_every_check(tmp_path, monkeypatch,
+                                                 norm):
+    """The report's checks are exactly the rows the check functions
+    return, with their values and tolerances, plus the Monte Carlo |S|
+    row the command composes itself; a true norm adds the kernel bounds."""
+    from revineq import cli
+    returned = {}
+
+    def recording(check):
+        def wrapper(*args, **kwargs):
+            rows = check(*args, **kwargs)
+            returned.update(rows)
+            return rows
+        return wrapper
+
+    for name in ("check_group_axioms", "check_quasi_norm_axioms",
+                 "polar_consistency_check", "kernel_bound_report"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    run("axioms", {"group": {"name": "heisenberg"}, "norm": {"name": norm},
+                   "quadrature": {"sample_count": 2000}}, tmp_path, 3)
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert set(checks) == set(returned) | {"sphere_measure_vs_direct"}
+    assert ("kernel_bounds_violations" in checks) == (norm == "cygan")
+    for name, row in returned.items():
+        assert checks[name] == {"value": row.value,
+                                "tolerance": row.tolerance,
+                                "pass": row.passed}
+
+
+def test_anisotropic_weight_that_rounds_to_zero_is_a_parameter_error(
+        tmp_path, capsys):
+    """The gauge takes the lcm of the weights as fractions of denominator
+    at most 10^6; a weight that rounds to 0 there exits 2, naming the
+    weights."""
+    for i, weights in enumerate(([1.0, 1e-7], [1e-300, 0.7])):
+        cfg = write_cfg(tmp_path, {
+            "group": {"name": "abelian", "weights": weights},
+            "norm": {"name": "anisotropic"}}, f"cfg{i}.json")
+        assert main(["--config", str(cfg), "--command", "axioms",
+                     "--out", str(tmp_path / f"out{i}")]) == 2
+        assert f"one of {tuple(weights)} rounds to 0" in capsys.readouterr().err
+        assert not (tmp_path / f"out{i}" / "report.json").exists()
 
 SWEEP_CFG = {
     "seed": 5,

@@ -298,15 +298,14 @@ def test_anisotropic_gauge_reduces_to_euclidean_exponents(h1):
 ])
 def test_quasi_norm_axioms(request, make_norm, group_fixture):
     group = request.getfixturevalue(group_fixture)
-    rep = check_quasi_norm_axioms(make_norm(group), 1000, seed=7)
-    assert rep.homogeneity <= 1e-12
-    assert rep.symmetry <= 1e-12
-    assert rep.nondegeneracy
+    rows = check_quasi_norm_axioms(make_norm(group), 1000, seed=7)
+    assert rows["norm_homogeneity"].value <= 1e-12
+    assert rows["norm_symmetry"].value <= 1e-12
+    assert rows["norm_nondegeneracy"].value == 0.0
 
 
 def test_koranyi_triangle_not_asserted(h1, koranyi):
-    rep = check_quasi_norm_axioms(koranyi, 500, seed=3)
-    assert not rep.triangle_asserted
+    assert "norm_triangle" not in check_quasi_norm_axioms(koranyi, 500, seed=3)
 
 
 def test_cygan_triangle_inequality(h1, cygan, rng):
@@ -321,18 +320,19 @@ def test_cygan_triangle_inequality(h1, cygan, rng):
 @pytest.mark.parametrize("group_fixture", ["line", "plane", "h1"])
 def test_group_axioms_and_automorphism(request, group_fixture):
     group = request.getfixturevalue(group_fixture)
-    rep = check_group_axioms(group, 10000, seed=11)
-    assert rep.identity <= 1e-10
-    assert rep.inverse <= 1e-10
-    assert rep.associativity <= 1e-10
-    assert rep.automorphism <= 1e-10
+    rows = check_group_axioms(group, 10000, seed=11)
+    assert rows["group_identity"].value <= 1e-10
+    assert rows["group_inverse"].value <= 1e-10
+    assert rows["group_associativity"].value <= 1e-10
+    assert rows["dilation_automorphism"].value <= 1e-10
 
 
 def test_automorphism_check_rejects_wrong_weights(h1):
     """Isotropic dilations are not automorphisms of the Heisenberg law."""
     wrong = dataclasses.replace(h1, weights=(1.0, 1.0, 1.0))
-    assert check_group_axioms(wrong, 10000, seed=11).automorphism > 1e-2
-    assert check_group_axioms(h1, 10000, seed=11).automorphism <= 1e-11
+    auto = "dilation_automorphism"
+    assert check_group_axioms(wrong, 10000, seed=11)[auto].value > 1e-2
+    assert check_group_axioms(h1, 10000, seed=11)[auto].value <= 1e-11
 
 
 def test_axiom_reports_deterministic(h1, koranyi):

@@ -513,8 +513,8 @@ def test_gap_nonnegative_property(p, data):
 @pytest.mark.parametrize("fixture", ["plane_norm", "cygan"])
 def test_kernel_bounds_clean(request, fixture):
     norm = request.getfixturevalue(fixture)
-    rep = kernel_bound_report(norm, 10000, seed=3)
-    assert rep.inner_violations == 0 and rep.outer_violations == 0
+    rows = kernel_bound_report(norm, 10000, seed=3)
+    assert rows["kernel_bounds_violations"].value == 0
 
 
 def test_kernel_bounds_require_true_norm(koranyi):

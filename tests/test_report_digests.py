@@ -28,7 +28,7 @@ def test_corpus_reports_are_byte_identical(tmp_path, clear_caches):
     if header != report_digests.versions():
         pytest.skip(f"digests were taken on {header}, this is "
                     f"{report_digests.versions()}")
-    assert len(expected) == 63
+    assert len(expected) == 64
     clear_caches()
     # digests creates the folder it writes into
     assert report_digests.digests(tmp_path / "corpus") == expected

@@ -190,6 +190,11 @@ CORPUS = (
         "inequality": {"name": "reverse_hls", "p": 0.8, "q_prime": 0.8},
         "trial_f": {"family": "power_decay", "params": [6.05, 1.0]},
         "trial_h": {"family": "gaussian", "params": [1.0]}}, 29),
+    # the anisotropic gauge takes the lcm of the weights as fractions of
+    # denominator at most 10^6, where 1e-7 rounds to 0 (exit 2)
+    ("axioms_anisotropic_weight_rounds_to_zero", "axioms", {
+        **_MC, "group": {"name": "abelian", "weights": [1.0, 1e-7]},
+        "norm": {"name": "anisotropic"}}, 30),
 )
 
 REPORT_FILES = ("report.json", "sweep.csv", "trace.csv")
