@@ -30,8 +30,7 @@ spec = QuadratureSpec(sample_count=100000, seed=0)
 
 # --- a worked admissible point on H1 -------------------------------------------
 P = InequalityParams(Q=4, p=0.5, q_prime=0.5, lam=5.0, alpha=1.0, beta=2.0)
-rep = validate_params(P)
-print("admissibility:", "OK" if rep.admissible else rep.failures)
+print("admissibility:", validate_params(P) or "OK")
 print(f"  p' = {P.p_prime:g}, q = {P.q:g}, balance residual "
       f"{P.balance_residual:.1e}")
 

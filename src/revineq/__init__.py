@@ -16,14 +16,13 @@ from .groups import (Check, HomogeneousGroup, QuasiNorm, abelian_group,
                      check_quasi_norm_axioms, cygan_norm, dilate,
                      dilation_quadratic_form, euclidean_norm, group_inv,
                      group_mul, heisenberg_group, koranyi_norm)
-from .inequalities import (AdmissibilityReport, InequalityParams,
-                           VerificationReport, analytic_A1, analytic_A2,
-                           balanced_lambda, bracket_kappa, conjugate_exponent,
-                           stein_weiss_lower_constant, validate_params,
-                           verify_forward_ckn, verify_forward_hardy,
-                           verify_forward_sobolev, verify_reverse_ckn,
-                           verify_reverse_hardy, verify_reverse_hls,
-                           verify_reverse_integral_hardy,
+from .inequalities import (InequalityParams, VerificationReport, analytic_A1,
+                           analytic_A2, balanced_lambda, bracket_kappa,
+                           conjugate_exponent, stein_weiss_lower_constant,
+                           validate_params, verify_forward_ckn,
+                           verify_forward_hardy, verify_forward_sobolev,
+                           verify_reverse_ckn, verify_reverse_hardy,
+                           verify_reverse_hls, verify_reverse_integral_hardy,
                            verify_reverse_sobolev, verify_stein_weiss)
 from .operators import (RadialProfile, kernel_bound_report, lp_functional,
                         reverse_holder_gap, stein_weiss_form,

@@ -324,11 +324,11 @@ def _sweep_rows(cfg: Section, group, norm, spec):
         base = {"inequality": name, "Q": params.Q, "alpha": params.alpha,
                 "beta": params.beta, **point, "lambda_or_gamma": params.lam}
         base.pop("lambda", None)
-        adm = ineq.validate_params(params)
-        if not adm.admissible:
+        failures = ineq.validate_params(params)
+        if failures:
             yield {**base, "lhs": "", "rhs": "", "ratio": "", "constant": "",
                    "margin": "", "stderr": "", "pass": "skip",
-                   "note": "; ".join(adm.failures)}
+                   "note": "; ".join(failures)}
             continue
         rep = entry.verify(*profiles, params, group, norm, spec, forms=forms)
         yield {**base, "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio,

@@ -99,35 +99,6 @@ class InequalityParams:
                 "variant": self.variant, "p_prime": self.p_prime, "q": self.q}
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    satisfied: bool
-    required: bool
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    params: InequalityParams
-    conditions: tuple[ConditionCheck, ...]
-
-    @property
-    def admissible(self) -> bool:
-        return all(c.satisfied for c in self.conditions if c.required)
-
-    @property
-    def failures(self) -> list[str]:
-        return [c.name for c in self.conditions if c.required and not c.satisfied]
-
-    @property
-    def unverified(self) -> list[str]:
-        """Hypotheses the chosen variant does not require and that fail
-        here: evaluated, not enforced, and carried by no report or sweep
-        note (validate_params is the place to read them)."""
-        return [c.name for c in self.conditions
-                if not c.required and not c.satisfied]
-
-
 def _regimes(P: InequalityParams) -> dict[str, tuple[float, float]]:
     """(Q + w, Q + u(1-p')) of the power weights the bilinear proof feeds to
     power_weight_A: the inner regime (ball) has W = |x|^{(alpha+lambda)q},
@@ -139,9 +110,10 @@ def _regimes(P: InequalityParams) -> dict[str, tuple[float, float]]:
             "complement": (P.Q + P.alpha * q, P.Q + (P.beta + P.lam) * pp)}
 
 
-def validate_params(params: InequalityParams) -> AdmissibilityReport:
-    """Check every hypothesis of the weighted bilinear lower bound and the
-    derived sign facts its two-regime proof needs; report-only."""
+def validate_params(params: InequalityParams) -> list[str]:
+    """The names of the hypotheses of the weighted bilinear lower bound, and
+    of the derived sign facts its two-regime proof needs, that the variant
+    requires and that fail here; empty for an admissible point."""
     P = params
     q, pp = P.q, P.p_prime
     full = P.variant == "full"
@@ -149,40 +121,28 @@ def validate_params(params: InequalityParams) -> AdmissibilityReport:
     need_beta = full or P.variant == "improved_b"
     (mW_in, mU_in), (mW_out, mU_out) = _regimes(P).values()
 
-    checks = [
-        ConditionCheck("p in (0,1)", 0.0 < P.p < 1.0, True),
-        ConditionCheck("q' in (0,1)", 0.0 < P.q_prime < 1.0, True),
-        ConditionCheck("lambda > 0", P.lam > 0.0, True),
-        ConditionCheck("balance 1/q'+1/p = (alpha+beta+lambda)/Q + 2",
-                       abs(P.balance_residual) <= _BALANCE_TOL, True),
+    checks = [  # (name, satisfied, required)
+        ("p in (0,1)", 0.0 < P.p < 1.0, True),
+        ("q' in (0,1)", 0.0 < P.q_prime < 1.0, True),
+        ("lambda > 0", P.lam > 0.0, True),
+        ("balance 1/q'+1/p = (alpha+beta+lambda)/Q + 2",
+         abs(P.balance_residual) <= _BALANCE_TOL, True),
         # |x|^alpha and |y|^beta must be integrable at the origin, where
         # the kernel tends to a positive limit; otherwise B is infinite
-        ConditionCheck("alpha > -Q", P.alpha > -P.Q, True),
-        ConditionCheck("beta > -Q", P.beta > -P.Q, True),
-        ConditionCheck("0 <= alpha", P.alpha >= 0.0, need_alpha),
-        ConditionCheck("alpha < -Q/q", P.alpha < -P.Q / q, need_alpha),
-        ConditionCheck("0 <= beta", P.beta >= 0.0, need_beta),
-        ConditionCheck("beta < -Q/p'", P.beta < -P.Q / pp, need_beta),
+        ("alpha > -Q", P.alpha > -P.Q, True),
+        ("beta > -Q", P.beta > -P.Q, True),
+        ("0 <= alpha", P.alpha >= 0.0, need_alpha),
+        ("alpha < -Q/q", P.alpha < -P.Q / q, need_alpha),
+        ("0 <= beta", P.beta >= 0.0, need_beta),
+        ("beta < -Q/p'", P.beta < -P.Q / pp, need_beta),
         # the sign conditions of power_weight_A in the two regimes
-        ConditionCheck("Q + (alpha+lambda) q < 0 [inner regime]",
-                       mW_in < 0.0, need_beta),
-        ConditionCheck("Q - beta p (1-p') > 0 [inner regime]",
-                       mU_in > 0.0, need_beta),
-        ConditionCheck("Q + alpha q > 0 [outer regime]", mW_out > 0.0,
-                       need_alpha),
-        ConditionCheck("Q + (beta+lambda) p' < 0 [outer regime]",
-                       mU_out < 0.0, need_alpha),
+        ("Q + (alpha+lambda) q < 0 [inner regime]", mW_in < 0.0, need_beta),
+        ("Q - beta p (1-p') > 0 [inner regime]", mU_in > 0.0, need_beta),
+        ("Q + alpha q > 0 [outer regime]", mW_out > 0.0, need_alpha),
+        ("Q + (beta+lambda) p' < 0 [outer regime]", mU_out < 0.0, need_alpha),
     ]
-    return AdmissibilityReport(params=P, conditions=tuple(checks))
-
-
-def _require_admissible(params: InequalityParams, operation: str):
-    rep = validate_params(params)
-    if not rep.admissible:
-        raise ParameterError("inadmissible parameters: "
-                             + "; ".join(rep.failures),
-                             module=_MODULE, operation=operation)
-    return rep
+    return [name for name, satisfied, required in checks
+            if required and not satisfied]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +183,7 @@ def analytic_A2(params: InequalityParams, sphere: float) -> float:
 def bracket_kappa(p_prime: float, q: float) -> float:
     """kappa = (p'/(p'+q))^{-1/q} (q/(p'+q))^{-1/p'}, in (0, 1] for
     negative conjugates."""
-    if p_prime >= 0.0 or q >= 0.0:
+    if not (p_prime < 0.0 and q < 0.0):
         raise ParameterError("bracket requires p' < 0 and q < 0",
                              module=_MODULE, operation="bracket_kappa")
     s = p_prime + q
@@ -237,7 +197,11 @@ def stein_weiss_lower_constant(params: InequalityParams, sphere: float) -> float
     improved_a:  2^{-lambda}   kappa A2          (outer regime only),
     improved_b:  2^{-lambda}   kappa A1          (inner regime only).
     """
-    _require_admissible(params, "stein_weiss_lower_constant")
+    failures = validate_params(params)
+    if failures:
+        raise ParameterError("inadmissible parameters: " + "; ".join(failures),
+                             module=_MODULE,
+                             operation="stein_weiss_lower_constant")
     kap = bracket_kappa(params.p_prime, params.q)
     if params.variant == "improved_a":
         return 2.0 ** (-params.lam) * kap * analytic_A2(params, sphere)
@@ -454,6 +418,11 @@ def verify_forward_ckn(f: RadialProfile, p: float, alpha: float, beta: float,
 # weighted bilinear form (Stein-Weiss type) and its unweighted corollary
 # ---------------------------------------------------------------------------
 
+def _bilinear_name(name: str, params: InequalityParams) -> str:
+    """A bilinear report's name, with any variant but "full" in brackets."""
+    return name if params.variant == "full" else f"{name}[{params.variant}]"
+
+
 def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
                        params: InequalityParams, group: HomogeneousGroup,
                        norm: QuasiNorm, spec: QuadratureSpec, *,
@@ -464,7 +433,8 @@ def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
     of stein_weiss_form: B is read from it when there and stored in it when
     not.  B does not depend on p and q' apart from lambda, so the points of
     a sweep that share (alpha, beta, lambda) share one B."""
-    _require_admissible(params, "verify_stein_weiss")
+    # the constant validates params: an inadmissible point raises first
+    const = stein_weiss_lower_constant(params, norm.sphere)
     if abs(params.Q - group.homogeneous_dim) > 1e-12:
         raise ParameterError("params.Q does not match the group",
                              module=_MODULE, operation="verify_stein_weiss")
@@ -479,13 +449,11 @@ def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
     if nf == 0.0 or nh == 0.0:
         raise DegenerateInputError("a trial profile has zero quasi-norm",
                                    module=_MODULE, operation="verify_stein_weiss")
-    const = stein_weiss_lower_constant(params, norm.sphere)
     den = nf * nh
     den_err = nf_err * nh + nf * nh_err
     # the relative errors of the two sides add, as in _verify_radial
     return VerificationReport(
-        inequality="reverse_stein_weiss" if params.variant == "full"
-        else f"reverse_stein_weiss[{params.variant}]",
+        inequality=_bilinear_name("reverse_stein_weiss", params),
         params=params.as_dict(),
         lhs=B.value, rhs=den, analytic_constant=const,
         stderr=B.stderr / den + abs(B.value / den) * den_err / den,
@@ -506,7 +474,7 @@ def verify_reverse_hls(f: RadialProfile, h: RadialProfile,
                              "alpha = beta = 0", module=_MODULE,
                              operation="verify_reverse_hls")
     rep = verify_stein_weiss(f, h, params, group, norm, spec, forms=forms)
-    rep.inequality = "reverse_hls"
+    rep.inequality = _bilinear_name("reverse_hls", params)
     return rep
 
 
@@ -589,7 +557,7 @@ def verify_reverse_integral_hardy(variant: str, w: float, u: float,
                              operation=op)
     if not 0.0 < p < 1.0:
         raise ParameterError("p must lie in (0,1)", module=_MODULE, operation=op)
-    if q >= 0.0:
+    if not q < 0.0:
         raise ParameterError("q must be negative", module=_MODULE, operation=op)
     norm.require_on(group, op)
     if math.isfinite(f.support_radius):

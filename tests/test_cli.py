@@ -510,6 +510,25 @@ def test_degenerate_integral_hardy_exits_3(tmp_path):
     assert doc["report"]["degenerate"] is not None
 
 
+def test_nan_q_in_integral_hardy_exits_2(tmp_path, capsys):
+    """json reads NaN as a float; a NaN q is not negative and is refused
+    before any quadrature runs."""
+    cfg = write_cfg(tmp_path, {
+        "seed": 2,
+        "group": {"name": "heisenberg"},
+        "norm": {"name": "koranyi"},
+        "quadrature": {"sample_count": 8000},
+        "inequality": {"name": "reverse_integral_hardy", "region": "ball",
+                       "p": 0.5, "q": float("nan"),
+                       "W_exponent": -6.0, "U_exponent": -1.0},
+        "trial": {"family": "exp_decay", "params": [1.0]},
+    })
+    code = main(["--config", str(cfg), "--command", "verify",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "q must be negative" in capsys.readouterr().err
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"seed": }')

@@ -50,9 +50,7 @@ def test_conjugate_involution(p):
 
 
 def test_worked_admissibility():
-    rep = validate_params(WORKED)
-    assert rep.admissible
-    assert rep.failures == []
+    assert validate_params(WORKED) == []
     # derived facts: p' = q = -1, balance 2 + 2 = 8/4 + 2
     assert WORKED.p_prime == -1.0 and WORKED.q == -1.0
     assert abs(WORKED.balance_residual) == 0.0
@@ -60,26 +58,22 @@ def test_worked_admissibility():
 
 def test_negative_alpha_fails():
     bad = InequalityParams(Q=4, p=0.5, q_prime=0.5, lam=5.1, alpha=-0.1, beta=2.0)
-    rep = validate_params(bad)
-    assert "0 <= alpha" in rep.failures
+    assert "0 <= alpha" in validate_params(bad)
 
 
 def test_balance_violation_fails():
     bad = InequalityParams(Q=4, p=0.5, q_prime=0.5, lam=4.0, alpha=1.0, beta=2.0)
-    rep = validate_params(bad)
-    assert any(c.startswith("balance") for c in rep.failures)
+    assert any(c.startswith("balance") for c in validate_params(bad))
 
 
 def test_improved_variants_relax_one_side():
     # beta above its bound: full fails, improved_a passes (alpha side only)
     p = InequalityParams(Q=4, p=0.5, q_prime=0.5, lam=2.0, alpha=1.0, beta=5.0,
                          variant="improved_a")
-    rep = validate_params(p)
-    assert rep.admissible
-    assert "beta < -Q/p'" in rep.unverified
+    assert validate_params(p) == []
     full = validate_params(InequalityParams(Q=4, p=0.5, q_prime=0.5, lam=2.0,
                                             alpha=1.0, beta=5.0))
-    assert not full.admissible
+    assert "beta < -Q/p'" in full
 
 
 def test_balanced_lambda_closes_balance():
@@ -111,6 +105,9 @@ def test_bracket_kappa_in_unit_interval():
 def test_bracket_rejects_positive_exponents():
     with pytest.raises(ParameterError):
         bracket_kappa(2.0, -1.0)
+    for pp, q in ((-1.0, math.nan), (math.nan, -1.0)):
+        with pytest.raises(ParameterError, match="p' < 0 and q < 0"):
+            bracket_kappa(pp, q)
 
 
 def test_analytic_A_requires_conditions():
@@ -160,7 +157,7 @@ def test_constants_positive_on_grid():
                 lam = balanced_lambda(Q, p, qp, alpha, beta)
                 P = InequalityParams(Q=Q, p=p, q_prime=qp, lam=lam,
                                      alpha=alpha, beta=beta)
-                assert validate_params(P).admissible
+                assert validate_params(P) == []
                 assert analytic_A1(P, 2.0) > 0
                 assert analytic_A2(P, 2.0) > 0
                 assert stein_weiss_lower_constant(P, 2.0) > 0
@@ -332,7 +329,7 @@ def test_stein_weiss_diverging_at_the_origin_raises(line, line_norm, expp):
     lam = balanced_lambda(1.0, 0.5, 0.5, -1.2, 0.0)
     P = InequalityParams(Q=1.0, p=0.5, q_prime=0.5, lam=lam, alpha=-1.2,
                          beta=0.0, variant="improved_b")
-    assert validate_params(P).failures == ["alpha > -Q"]
+    assert validate_params(P) == ["alpha > -Q"]
     gauss = make_profile("gaussian", [1.0])
     spec = QuadratureSpec(sample_count=2000, seed=1)
     with pytest.raises(ParameterError, match=r"inadmissible.*alpha > -Q"):
@@ -396,6 +393,51 @@ def test_stein_weiss_rejects_inadmissible(h1, koranyi, mc_spec, expp):
         verify_stein_weiss(expp, expp, bad, h1, koranyi, mc_spec)
 
 
+def test_stein_weiss_validates_params_once_per_call(monkeypatch, h1, koranyi,
+                                                    expp):
+    """The certified constant carries the verdict's one admissibility check."""
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return validate_params(params)
+
+    monkeypatch.setattr("revineq.inequalities.validate_params", counting)
+    verify_stein_weiss(expp, expp, WORKED, h1, koranyi,
+                       QuadratureSpec(sample_count=2000, seed=1))
+    assert calls == [WORKED]
+
+
+def test_inadmissible_point_raises_before_the_group_checks(
+        monkeypatch, plane, koranyi, mc_spec, expp):
+    """An inadmissible point at Q = 4 on R^2 with the H1 gauge fails the Q
+    check and the gauge check too; admissibility is reported first, and no
+    form is estimated."""
+    def no_form(*args):
+        raise AssertionError("a form was estimated")
+
+    monkeypatch.setattr("revineq.inequalities.stein_weiss_form", no_form)
+    bad = InequalityParams(Q=4, p=0.5, q_prime=0.5, lam=4.0, alpha=1.0, beta=2.0)
+    with pytest.raises(ParameterError, match=r"^inequalities\.stein_weiss_"
+                       r"lower_constant: inadmissible parameters: balance"):
+        verify_stein_weiss(expp, expp, bad, plane, koranyi, mc_spec)
+
+
+@pytest.mark.parametrize("variant", ["full", "improved_a", "improved_b"])
+def test_hls_report_names_its_variant(plane, plane_norm, expp, variant):
+    """The corollary names its variant as the bilinear form does."""
+    P = InequalityParams(Q=2, p=0.5, q_prime=0.5,
+                         lam=balanced_lambda(2.0, 0.5, 0.5), variant=variant)
+    spec, forms = QuadratureSpec(sample_count=2000, seed=4), {}
+    hls = verify_reverse_hls(expp, expp, P, plane, plane_norm, spec,
+                             forms=forms)
+    sw = verify_stein_weiss(expp, expp, P, plane, plane_norm, spec,
+                            forms=forms)
+    suffix = "" if variant == "full" else f"[{variant}]"
+    assert hls.inequality == "reverse_hls" + suffix
+    assert sw.inequality == "reverse_stein_weiss" + suffix
+
+
 def test_hls_is_stein_weiss_without_weights(plane, plane_norm, expp):
     spec = QuadratureSpec(sample_count=30000, seed=4)
     lam = balanced_lambda(2.0, 0.5, 0.5)
@@ -440,7 +482,7 @@ def test_certified_constant_violated_at_admissible_point():
     beta = 0.5 * (-Q / pp)
     lam = balanced_lambda(Q, p, qp, 0.0, beta)
     P = InequalityParams(Q=Q, p=p, q_prime=qp, lam=lam, alpha=0.0, beta=beta)
-    assert validate_params(P).admissible
+    assert validate_params(P) == []
 
     s = max(Q / qp, Q / p) + lam + Q + 2.0
 
@@ -545,7 +587,7 @@ def test_improved_a_violated_at_weighted_sweep_rows(plane, plane_norm, alpha,
     P = InequalityParams(Q=2.0, p=0.7, q_prime=0.5,
                          lam=balanced_lambda(2.0, 0.7, 0.5, alpha, 1.0),
                          alpha=alpha, beta=1.0, variant="improved_a")
-    assert validate_params(P).admissible
+    assert validate_params(P) == []
     ref = _r2_exp_gauss_ratio(alpha, 1.0, P.lam, P.p, P.q_prime)
     assert ref == pytest.approx(expected, rel=1e-5)
     rep = verify_stein_weiss(make_profile("exp_decay", [1.0]),
@@ -573,7 +615,7 @@ def test_improved_a_collapses_under_separated_dilations(line, line_norm):
     P = InequalityParams(Q=1.0, p=p, q_prime=qp,
                          lam=balanced_lambda(1.0, p, qp, alpha, beta),
                          alpha=alpha, beta=beta, variant="improved_a")
-    assert validate_params(P).admissible
+    assert validate_params(P) == []
     lam, m = P.lam, alpha + beta + P.lam + 1.0
     C = stein_weiss_lower_constant(P, 2.0)
     exponent = beta + P.Q / P.p_prime

@@ -34,6 +34,18 @@ def test_corpus_reports_are_byte_identical(tmp_path, clear_caches):
     assert report_digests.digests(tmp_path / "corpus") == expected
 
 
+def test_a_crashing_case_is_recorded_as_exit_1(tmp_path, monkeypatch):
+    """An exception outside the RevineqError family escapes cli.main; the
+    corpus records it as the interpreter's exit 1 and goes on, so
+    report_diff lists it as an exit-code move."""
+    def crash(argv):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(report_digests.cli, "main", crash)
+    assert report_digests.digests(tmp_path / "corpus") == [
+        f"exit 1  {case}" for case, *_ in report_digests.CORPUS]
+
+
 def test_report_diff_scores_moves_and_flags_flips():
     """report_diff scores a moved ratio by its stderr and a moved lhs by
     its lhs_stderr on both sides, says where a sigma is missing, gives the

@@ -6,7 +6,9 @@ config file into its own folder of a temporary directory, and prints one
 line ``<sha256>  <case>/<file>`` per ``report.json``, ``sweep.csv`` and
 ``trace.csv``, then ``exit <code>  <case>``.  A config that raises exits 2
 (configuration or parameter error) or 3 (numerical error) and writes no
-report, so its exit line pins that code.  ``run_meta.json`` holds timings
+report, so its exit line pins that code; any other exception is recorded
+as exit 1, the interpreter's exit on a traceback, so that one crashing
+case does not stop the corpus.  ``run_meta.json`` holds timings
 and is left out.  Two checkouts that print the same lines write
 byte-identical reports for the corpus:
 
@@ -209,8 +211,12 @@ def digests(root: Path) -> list[str]:
         config_path.write_text(json.dumps(config))
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(["--config", str(config_path), "--command",
-                             command, "--seed", str(seed), "--out", str(out)])
+            try:
+                code = cli.main(["--config", str(config_path), "--command",
+                                 command, "--seed", str(seed),
+                                 "--out", str(out)])
+            except Exception:
+                code = 1
         for name in REPORT_FILES:
             path = out / name
             if path.exists():
