@@ -395,7 +395,11 @@ def run(command: str, config: dict, out_dir: str | Path = ".",
         raise ConfigError(f"unknown command {command!r}", module=_MODULE,
                           operation="run")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:   # a file in the way
+        raise ConfigError(f"output directory {str(out)!r}: {exc.strerror}",
+                          module=_MODULE, operation="run") from None
     cfg = Section(config)
     seed = cfg.get("seed", 0, int)      # read even when overridden
     if seed_override is not None:

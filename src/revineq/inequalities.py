@@ -103,27 +103,31 @@ def _regimes(P: InequalityParams) -> dict[str, tuple[float, float]]:
     """(Q + w, Q + u(1-p')) of the power weights the bilinear proof feeds to
     power_weight_A: the inner regime (ball) has W = |x|^{(alpha+lambda)q},
     U = |y|^{-beta p}; the outer regime (complement) W = |x|^{alpha q},
-    U = |y|^{-(beta+lambda)p}, where Q + u(1-p') = Q + (beta+lambda)p'."""
+    U = |y|^{-(beta+lambda)p}.  By p(1-p') = -p' and the balance condition
+    they are Q + (alpha+lambda)q = -q b, Q - beta p(1-p') = p' b and
+    Q + alpha q = q a, Q + (beta+lambda)p' = -p' a in the hypothesis
+    margins b = beta + Q/p' and a = alpha + Q/q, free of lambda's rounding."""
     q, pp = P.q, P.p_prime
-    return {"ball": (P.Q + (P.alpha + P.lam) * q,
-                     P.Q - P.beta * P.p * (1.0 - pp)),
-            "complement": (P.Q + P.alpha * q, P.Q + (P.beta + P.lam) * pp)}
+    b, a = P.beta + P.Q / pp, P.alpha + P.Q / q
+    return {"ball": (-q * b, pp * b), "complement": (q * a, -pp * a)}
 
 
 def validate_params(params: InequalityParams) -> list[str]:
-    """The names of the hypotheses of the weighted bilinear lower bound, and
-    of the derived sign facts its two-regime proof needs, that the variant
-    requires and that fail here; empty for an admissible point."""
+    """The names of the hypotheses of the weighted bilinear lower bound that
+    the variant requires and that fail here; empty for an admissible point.
+    p' and q exist only for p, q' in (0, 1), so a p or q' out of that range
+    lists the range failures alone."""
     P = params
+    ranges = [f"{n} in (0,1)" for n, x in (("p", P.p), ("q'", P.q_prime))
+              if not 0.0 < x < 1.0]
+    if ranges:
+        return ranges
     q, pp = P.q, P.p_prime
     full = P.variant == "full"
     need_alpha = full or P.variant == "improved_a"
     need_beta = full or P.variant == "improved_b"
-    (mW_in, mU_in), (mW_out, mU_out) = _regimes(P).values()
 
     checks = [  # (name, satisfied, required)
-        ("p in (0,1)", 0.0 < P.p < 1.0, True),
-        ("q' in (0,1)", 0.0 < P.q_prime < 1.0, True),
         ("lambda > 0", P.lam > 0.0, True),
         ("balance 1/q'+1/p = (alpha+beta+lambda)/Q + 2",
          abs(P.balance_residual) <= _BALANCE_TOL, True),
@@ -135,11 +139,6 @@ def validate_params(params: InequalityParams) -> list[str]:
         ("alpha < -Q/q", P.alpha < -P.Q / q, need_alpha),
         ("0 <= beta", P.beta >= 0.0, need_beta),
         ("beta < -Q/p'", P.beta < -P.Q / pp, need_beta),
-        # the sign conditions of power_weight_A in the two regimes
-        ("Q + (alpha+lambda) q < 0 [inner regime]", mW_in < 0.0, need_beta),
-        ("Q - beta p (1-p') > 0 [inner regime]", mU_in > 0.0, need_beta),
-        ("Q + alpha q > 0 [outer regime]", mW_out > 0.0, need_alpha),
-        ("Q + (beta+lambda) p' < 0 [outer regime]", mU_out < 0.0, need_alpha),
     ]
     return [name for name, satisfied, required in checks
             if required and not satisfied]
@@ -683,12 +682,14 @@ def _read_ckn(get, Q: float) -> InequalityParams:
 
 
 def _read_bilinear(get, Q: float) -> InequalityParams:
-    """lambda defaults to the value solving the balance condition."""
+    """lambda defaults to the value solving the balance condition, which
+    has none (NaN) at p = 0 or q' = 0; validate_params rejects both."""
     p, qp = get("p"), get("q_prime")
     alpha, beta = get("alpha", 0.0), get("beta", 0.0)
     lam = get("lambda", None)
     if lam is None:
-        lam = balanced_lambda(Q, p, qp, alpha, beta)
+        lam = (balanced_lambda(Q, p, qp, alpha, beta) if p and qp
+               else math.nan)
     return InequalityParams(Q=Q, p=p, q_prime=qp, lam=lam, alpha=alpha,
                             beta=beta, variant=get("variant", "full", str))
 

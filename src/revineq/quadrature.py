@@ -83,6 +83,9 @@ class QuadratureSpec:
         if self.sample_count < 1:
             raise ParameterError("sample_count >= 1 required",
                                  module=_MODULE, operation="QuadratureSpec")
+        if self.seed < 0:
+            raise ParameterError(f"seed = {self.seed} must be >= 0",
+                                 module=_MODULE, operation="QuadratureSpec")
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,9 @@ class SearchSpec:
         if self.budget < 1 or self.restarts < 1:
             raise ParameterError("budget and restarts must be >= 1",
                                  module=_MODULE, operation="SearchSpec")
+        if self.seed < 0:
+            raise ParameterError(f"seed = {self.seed} must be >= 0",
+                                 module=_MODULE, operation="SearchSpec")
 
 
 @dataclass

@@ -375,6 +375,32 @@ def test_sweep_skips_inadmissible_with_reason(tmp_path):
     assert len(ran) == 1 and ran[0]["pass"] == "true"
 
 
+def test_sweep_skips_exponents_outside_the_unit_interval(tmp_path):
+    """p = 0, p = 1 and p = 1.5 have no admissible p' (at p = 0 not even a
+    balanced lambda): each is a skip row noting only the range, and the
+    sweep verifies the rest."""
+    cfg = write_cfg(tmp_path, {**SWEEP_CFG, "sweep": {
+        "inequality": "reverse_stein_weiss",
+        "grid": {"p": [0.0, 0.7, 1.0, 1.5], "q_prime": [0.5]}}})
+    assert main(["--config", str(cfg), "--command", "sweep",
+                 "--out", str(tmp_path / "out")]) == 0
+    with (tmp_path / "out" / "sweep.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["p"], r["pass"], r["note"]) for r in rows] == [
+        ("0.0", "skip", "p in (0,1)"), ("0.7", "true", ""),
+        ("1.0", "skip", "p in (0,1)"), ("1.5", "skip", "p in (0,1)")]
+    assert rows[0]["lambda_or_gamma"] == "nan"
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_verify_at_an_end_of_the_unit_interval_exits_2(tmp_path, capsys, p):
+    cfg = write_cfg(tmp_path, {**SW_H1_CFG, "inequality": {
+        "name": "reverse_stein_weiss", "p": p, "q_prime": 0.5}})
+    assert main(["--config", str(cfg), "--command", "verify",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "inadmissible parameters: p in (0,1)" in capsys.readouterr().err
+
+
 def test_sweep_rows_equal_standalone_verify(tmp_path, clear_caches):
     """Each row of a 3x3 sweep on H1 holds, byte for byte, the numbers a
     cold ``verify`` of its point writes, although the sweep draws its
@@ -929,3 +955,31 @@ def test_run_api_matches_main(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "api_out" / "report.json").read_text())
     assert doc["config"]["seed"] == 9
+
+
+@pytest.mark.parametrize("command,cfg,argv", [
+    ("verify", {**SW_H1_CFG, "seed": -1}, []),
+    ("verify", SW_H1_CFG, ["--seed", "-1"]),
+    ("axioms", {"seed": -1, "group": {"name": "heisenberg"}}, []),
+    ("estimate", {**HARDY_CFG, "estimate": {"budget": 4}}, ["--seed", "-1"]),
+], ids=["verify-config", "verify-flag", "axioms-config", "estimate-flag"])
+def test_negative_seed_exits_2(tmp_path, capsys, command, cfg, argv):
+    """A negative seed is a parameter error naming the seed (exit 2), not
+    numpy's ValueError from default_rng (exit 1)."""
+    path = write_cfg(tmp_path, cfg)
+    assert main(["--config", str(path), "--command", command,
+                 "--out", str(tmp_path / "out"), *argv]) == 2
+    assert "seed = -1 must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out,reason", [
+    ("taken", "File exists"), ("taken/sub", "Not a directory")])
+def test_out_with_a_file_in_the_way_exits_2(tmp_path, capsys, out, reason):
+    """A file at --out, or at a folder above it, is a config error naming
+    the path (exit 2), not an OSError traceback (exit 1)."""
+    (tmp_path / "taken").write_text("")
+    cfg = write_cfg(tmp_path, HARDY_CFG)
+    assert main(["--config", str(cfg), "--command", "verify",
+                 "--out", str(tmp_path / out)]) == 2
+    assert f"output directory {str(tmp_path / out)!r}: {reason}" \
+        in capsys.readouterr().err

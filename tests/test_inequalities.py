@@ -140,10 +140,78 @@ def test_analytic_A1_A2_are_power_weight_A_at_the_regimes():
         "ball", *regimes["ball"], *args)
     assert analytic_A2(WORKED, S) == power_weight_A(
         "complement", *regimes["complement"], *args)
-    # Q + (beta+lambda)p' is the outer regime's Q + u(1-p')
-    u = -(WORKED.beta + WORKED.lam) * WORKED.p
-    assert regimes["complement"][1] == pytest.approx(
-        WORKED.Q + u * (1.0 - WORKED.p_prime), rel=1e-14)
+
+
+def test_regimes_are_the_lambda_form_exponents_from_the_margins():
+    """On random balanced points the regimes, formed from the margins
+    beta + Q/p' and alpha + Q/q, are the lambda form of the exponents to
+    within rounding, and each of the lambda form's four sign conditions
+    fails exactly when the hypothesis it is implied by fails."""
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        Q = float(rng.choice([1.0, 2.0, 3.0, 4.0, 6.0]))
+        p, qp = rng.uniform(0.05, 0.95, 2)
+        q, pp = conjugate_exponent(qp), conjugate_exponent(p)
+        # alpha and beta on both sides of their upper bounds
+        alpha, beta = rng.uniform(0.0, 1.5, 2) * (-Q / q, -Q / pp)
+        lam = balanced_lambda(Q, p, qp, alpha, beta)
+        P = InequalityParams(Q=Q, p=p, q_prime=qp, lam=lam, alpha=alpha,
+                             beta=beta)
+        inner = (Q + (alpha + lam) * q, Q - beta * p * (1.0 - pp))
+        outer = (Q + alpha * q, Q + (beta + lam) * pp)
+        regimes = _regimes(P)
+        for got, want in zip(regimes["ball"] + regimes["complement"],
+                             inner + outer):
+            scale = Q + abs((alpha + lam) * q) + abs((beta + lam) * pp)
+            assert got == pytest.approx(want, abs=1e-14 * scale)
+        failed = validate_params(P)
+        assert (inner[0] < 0.0) == (inner[1] > 0.0) == (
+            "beta < -Q/p'" not in failed)
+        assert (outer[0] > 0.0) == (outer[1] < 0.0) == (
+            "alpha < -Q/q" not in failed)
+
+
+def test_analytic_A1_near_the_beta_bound_against_mpmath():
+    """At beta 1e-6 below its bound -Q/p' = 2, A1 divides by exponents of
+    size 1e-6.  Formed from the margin beta + Q/p', without lambda's
+    rounding, it matches the exact value to 1e-14 (from lambda it was off
+    by 1.6e-9)."""
+    mp = pytest.importorskip("mpmath")
+    Q, p, qp, beta = 6.0, 0.75, 0.5, 1.999999
+    P = InequalityParams(Q=Q, p=p, q_prime=qp, alpha=0.0, beta=beta,
+                         lam=balanced_lambda(Q, p, qp, 0.0, beta))
+    with mp.workdps(50):
+        q, pp = mp.mpf(qp) / (qp - 1), mp.mpf(p) / (p - 1)
+        b = mp.mpf(beta) + Q / pp       # exact balance: Q + lambda q = -q b
+        exact = abs(q * b) ** (-1 / q) * abs(pp * b) ** (-1 / pp)
+        assert abs(analytic_A1(P, 1.0) / exact - 1) < 1e-14
+
+
+def test_point_inside_the_balance_tolerance_is_admissible():
+    """beta = 2 - 2^-40 sits just below its bound -Q/p' = 2, and lambda
+    4e-12 below balance leaves a residual of 6.7e-13, inside the
+    tolerance: every hypothesis holds, so the point is admissible, although
+    its lambda form of Q + (alpha+lambda)q has the wrong sign."""
+    Q, p, qp, beta = 6.0, 0.75, 0.5, 2.0 - 2.0 ** -40
+    lam = balanced_lambda(Q, p, qp, 0.0, beta) - 4e-12
+    P = InequalityParams(Q=Q, p=p, q_prime=qp, lam=lam, alpha=0.0, beta=beta)
+    assert abs(P.balance_residual) == pytest.approx(6.7e-13, rel=0.01)
+    assert Q + lam * P.q > 0.0
+    assert validate_params(P) == []
+    assert stein_weiss_lower_constant(P, 1.0) == pytest.approx(
+        0.0580416899, rel=1e-9)
+
+
+@pytest.mark.parametrize("p,qp,failed", [
+    (0.0, 0.5, ["p in (0,1)"]), (1.0, 0.5, ["p in (0,1)"]),
+    (1.5, 1.0, ["p in (0,1)", "q' in (0,1)"]), (0.5, math.nan, ["q' in (0,1)"]),
+])
+def test_exponents_out_of_range_list_only_the_range(p, qp, failed):
+    """p' and q exist only for p, q' in (0, 1); outside, the range
+    conditions are the only failures listed, and nothing divides by p - 1
+    or q' - 1."""
+    assert validate_params(InequalityParams(Q=4.0, p=p, q_prime=qp,
+                                            lam=math.nan)) == failed
 
 
 def test_constants_positive_on_grid():

@@ -858,3 +858,5 @@ def test_unit_sphere_area():
 def test_quadrature_spec_validation():
     with pytest.raises(ParameterError):
         QuadratureSpec(sample_count=0)
+    with pytest.raises(ParameterError, match="seed = -1"):
+        QuadratureSpec(seed=-1)

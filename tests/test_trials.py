@@ -50,6 +50,8 @@ def test_search_spec_validation():
         SearchSpec(method="annealing")
     with pytest.raises(ParameterError):
         SearchSpec(budget=0)
+    with pytest.raises(ParameterError, match="seed = -1"):
+        SearchSpec(seed=-1)
 
 
 @pytest.fixture(scope="module")

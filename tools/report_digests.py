@@ -45,6 +45,8 @@ _HARDY = {"inequality": {"name": "reverse_hardy", "p": 0.5}}
 _EXP = {"trial": {"family": "exp_decay", "params": [1.0]}}
 _BUMP = {"trial": {"family": "smooth_bump", "params": [1.0]}}
 _INTEGRAL_HARDY = {"name": "reverse_integral_hardy", "p": 0.5, "q": -1.0}
+_R1 = {**_MC, "group": {"name": "abelian", "weights": [1.0]},
+       "norm": {"name": "euclidean"}}
 _R4_ANISOTROPIC = {**_MC, "group": {"name": "abelian",
                                     "weights": [1.0, 1.0, 1.0, 2.0]},
                    "norm": {"name": "anisotropic"}}
@@ -82,8 +84,7 @@ CORPUS = (
         **_MC, "group": {"name": "abelian", "weights": [1.0, 2.0]},
         "norm": {"name": "anisotropic"}}, 7),
     ("verify_reverse_stein_weiss_r1", "verify", {
-        **_MC, "group": {"name": "abelian", "weights": [1.0]},
-        "norm": {"name": "euclidean"}, **_EXP_GAUSS,
+        **_R1, **_EXP_GAUSS,
         "inequality": {"name": "reverse_stein_weiss", "p": 0.5,
                        "q_prime": 0.5, "alpha": 0.25, "beta": 0.5}}, 8),
     # every row of the inequality table: the radial ratios, both variants
@@ -197,6 +198,18 @@ CORPUS = (
     ("axioms_anisotropic_weight_rounds_to_zero", "axioms", {
         **_MC, "group": {"name": "abelian", "weights": [1.0, 1e-7]},
         "norm": {"name": "anisotropic"}}, 30),
+    # p' exists only for p in (0, 1): p = 0 (no balanced lambda either),
+    # p = 1 and p = 1.5 are skip rows that note only the range
+    ("sweep_reverse_stein_weiss_r1_p_out_of_range", "sweep", {
+        **_R1, **_EXP_GAUSS,
+        "sweep": {"inequality": "reverse_stein_weiss",
+                  "grid": {"p": [0.0, 0.7, 1.0, 1.5],
+                           "q_prime": [0.5]}}}, 31),
+    # a negative seed is a parameter error (exit 2)
+    ("verify_reverse_stein_weiss_negative_seed", "verify", {
+        **_R1, **_EXP_GAUSS,
+        "inequality": {"name": "reverse_stein_weiss", "p": 0.5,
+                       "q_prime": 0.5}}, -1),
 )
 
 REPORT_FILES = ("report.json", "sweep.csv", "trace.csv")
