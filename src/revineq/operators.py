@@ -7,13 +7,14 @@ the function x -> F(|x|) on the group.  The L^p functional for p > 0 is
 
 which for p in (0, 1) is the formal quasi-norm entering the reverse Hoelder
 inequality; |S| is the gauge's exact quasi-sphere measure
-(``QuasiNorm.sphere``).  Each radial integral runs over [0, R], where R is
-the radius beyond which the integrand's declared decay envelope holds less
-than 1e-8 of its mass (for a uniform envelope, its support radius).  A
-profile whose value or derivative is a ``ClosedForm`` (exp_decay, gaussian
-and power_decay, dilated or not) has that integral as an incomplete Gamma
-or Beta function, with a 1e-12 relative error bar; any other profile goes
-through adaptive Gauss-Kronrod quadrature.
+(``QuasiNorm.sphere``).  A radial integral whose function is a
+``ClosedForm`` (the values and derivatives of exp_decay, gaussian and
+power_decay, dilated or not) is its complete or incomplete Gamma or Beta
+function over the profile's whole support [0, support_radius), with a
+1e-12 relative error bar.  Any other integral goes through adaptive
+Gauss-Kronrod quadrature over [0, R], where R is the radius beyond which
+the integrand's declared decay envelope holds less than 1e-8 of its mass
+(for a uniform envelope, its support radius).
 
 The doubly weighted bilinear form with growing kernel
 
@@ -141,20 +142,18 @@ CLOSED_FORM_RTOL = 1e-12
 
 
 def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
-                        Q: float, *, use_derivative: bool = False,
-                        to_support: bool = False) -> tuple[float, float]:
+                        Q: float, *, use_derivative: bool = False
+                        ) -> tuple[float, float]:
     """(int |F(r)|^p r^{power_shift} r^{Q-1} dr, error estimate) for p > 0.
 
-    With use_derivative the integrand uses |dF/dr| instead of F.  The upper
-    limit R is the envelope-based truncation radius of the integrand
+    With use_derivative the integrand uses |dF/dr| instead of F.  If that
+    function is a ``ClosedForm``, the value is its ``moment(p, Q +
+    power_shift, support_radius)``, exact over the profile's whole support
+    (inf unless its envelope is uniform), and the error CLOSED_FORM_RTOL
+    times its size.  Otherwise ``integrate_radial_err`` evaluates the
+    integral up to the envelope-based truncation radius of the integrand
     (|F|^p r^shift), beyond which its mass is below 1e-8 of the total; the
-    error estimate leaves that mass out.  With to_support R is the
-    profile's support radius instead (inf unless its envelope is
-    uniform), and no mass is left out.
-
-    If the function integrated is a ``ClosedForm``, the value is its
-    ``moment(p, Q + power_shift, R)`` and the error CLOSED_FORM_RTOL times
-    its size; otherwise ``integrate_radial_err`` evaluates the integral.
+    error estimate leaves that mass out.
     """
     if not p > 0:
         raise ParameterError(f"p must be positive, got {p:g}", module=_MODULE,
@@ -162,25 +161,25 @@ def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
     env = profile.derivative_envelope if use_derivative else profile.envelope
     env = env.powered(p).boosted(power_shift)
     env.check_integrable(Q, "weighted_p_integral")
-    r_max = profile.support_radius if to_support else env.r_max(Q)
 
     fn = profile.derivative if use_derivative else profile.value
     if isinstance(fn, ClosedForm):
-        value = float(fn.moment(p, Q + power_shift, r_max))
+        value = float(fn.moment(p, Q + power_shift, profile.support_radius))
         return value, CLOSED_FORM_RTOL * abs(value)
 
     def integrand(r):
         return np.abs(fn(r)) ** p * r ** power_shift
 
-    return integrate_radial_err(integrand, Q, 0.0, r_max)
+    return integrate_radial_err(integrand, Q, 0.0, env.r_max(Q))
 
 
 def lp_functional(profile: RadialProfile, p: float,
                   norm: QuasiNorm) -> tuple[float, float]:
     """(v, error estimate) of v = ( |S| int F(r)^p r^{Q-1} dr )^{1/p} for
     p > 0 on the gauge's group; the radial integral's error e carries to
-    first order, as v e / (p I).  |S| is the gauge's exact ``sphere`` and
-    adds none."""
+    first order, as v e / (p I).  The integral is ``weighted_p_integral``'s:
+    a closed form over the whole support, quadrature up to the envelope's
+    truncation radius.  |S| is the gauge's exact ``sphere`` and adds none."""
     val, err = weighted_p_integral(profile, p, 0.0, norm.group.homogeneous_dim)
     v = float((norm.sphere * val) ** (1.0 / p))
     return v, (v * err / (p * val) if val else 0.0)
@@ -236,10 +235,11 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
         E C1 = |S|^2 M_f(alpha + л) M_h(beta),
         E C2 = |S|^2 M_f(alpha) M_h(beta + л),
 
-    M_g(s) = int g(r) r^{s+Q-1} dr up to g's support radius
-    (``weighted_p_integral`` at p = 1).  These are finite wherever B is.
-    At л = 2 on Euclidean R^N the parallelogram law makes Y = C1 + C2, and
-    the estimate is E C1 + E C2, exact to the moments' error bars.  See
+    M_g(s) = int g(r) r^{s+Q-1} dr (``weighted_p_integral`` at p = 1: over
+    g's whole support for a closed form, up to the truncation radius
+    otherwise).  These are finite wherever B is.  At л = 2 on Euclidean
+    R^N the parallelogram law makes Y = C1 + C2, and the estimate is
+    E C1 + E C2, exact to the moments' error bars for closed forms.  See
     ``_control_variate_estimate`` for the estimate and its stderr.
     """
     if lam <= 0:
@@ -330,13 +330,10 @@ def _times_power(vals: np.ndarray, s: float, log_r: np.ndarray) -> np.ndarray:
 
 def _control_mean(f: RadialProfile, f_shift: float, h: RadialProfile,
                   h_shift: float, Q: float, S: float) -> tuple[float, float]:
-    """(|S|^2 M_f(f_shift) M_h(h_shift), its relative error), the moments
-    taken up to each profile's support radius; the error is inf where the
-    mean is 0."""
-    (mf, ef), (mh, eh) = (weighted_p_integral(f, 1.0, f_shift, Q,
-                                              to_support=True),
-                          weighted_p_integral(h, 1.0, h_shift, Q,
-                                              to_support=True))
+    """(|S|^2 M_f(f_shift) M_h(h_shift), its relative error); the error is
+    inf where the mean is 0."""
+    (mf, ef), (mh, eh) = (weighted_p_integral(f, 1.0, f_shift, Q),
+                          weighted_p_integral(h, 1.0, h_shift, Q))
     mean = S * S * mf * mh
     return mean, (ef / mf + eh / mh if mean else math.inf)
 

@@ -344,7 +344,8 @@ class RadialSampler:
                                   operation="RadialSampler")
         lo, anchor = r_hi * 1e-10, 1e-8 * envelope.length
         if anchor < lo:
-            n_grid = math.ceil(n_grid * math.log10(r_hi / anchor) / 10.0)
+            n_grid = math.ceil(n_grid * (math.log10(r_hi) - math.log10(anchor))
+                               / 10.0)
             lo = anchor
         grid = np.geomspace(lo, r_hi, n_grid)
         # where the envelope underflows to 0 and r^{Q-1} overflows, their

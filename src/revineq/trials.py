@@ -78,7 +78,7 @@ def _beta_moment(a: float, k: float, m: float, R: float) -> float:
     """int_0^R (1 + a r)^{-k} r^{m-1} dr = B(m, k-m) I_t(m, k-m) / a^m with
     t = aR/(1+aR), k > m.  I_t is taken as the complement of
     I_{1/(1+aR)}(k-m, m), which keeps the tail that t rounded towards 1
-    would lose (truncation radii have aR >= 10)."""
+    would lose at a large finite R; R = inf gives the complete B(m, k-m)."""
     return (_sp.beta(m, k - m) * _sp.betaincc(k - m, m, 1.0 / (1.0 + a * R))
             / a ** m)
 

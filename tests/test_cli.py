@@ -834,6 +834,21 @@ def test_near_critical_power_tail_exits_3(tmp_path, capsys, s):
         f"{s - 6.0:.2f}" in err
 
 
+def test_near_critical_h_side_tail_exits_3(tmp_path, capsys):
+    """h = (1+r)^{-6.0263} puts the sampler's 1e-8 tail radius at 1.5e305,
+    whose ratio to the grid anchor overflows: the decades are counted as
+    a difference of logarithms, and the run exits 3 naming the h-side
+    margin, not 1 with an OverflowError."""
+    cfg = {**NEAR_CRITICAL_HLS,
+           "trial_f": {"family": "exp_decay", "params": [1.0]},
+           "trial_h": {"family": "power_decay", "params": [6.0263, 1.0]}}
+    code = main(["--config", str(write_cfg(tmp_path, cfg)), "--command",
+                 "verify", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "h-side tail margin e = s - (Q + beta + lambda) = 0.0263" in \
+        capsys.readouterr().err
+
+
 def test_estimate_with_every_evaluation_degenerate_exits_3(tmp_path,
                                                            capsys):
     """At p = 0.03 the norm ||f/|x|||_p diverges for every power_decay in

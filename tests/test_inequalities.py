@@ -264,6 +264,43 @@ def test_reverse_ckn_gamma_oracle(h1, koranyi, mc_spec, expp):
     assert rep.passed
 
 
+def _power_moments(mp, s, a, p, Q):
+    """I(shift, deriv) = int_0^inf |F|^p r^{shift+Q-1} dr for
+    F = (1 + a r)^{-s} (or |F'|) as mpmath Beta functions: B(m, ps-m)/a^m
+    and (sa)^p B(m, p(s+1)-m)/a^m, m = Q + shift."""
+    s, a, p, Q = (mp.mpf(v) for v in (s, a, p, Q))
+
+    def moment(shift, deriv):
+        m = Q + mp.mpf(shift)
+        k, c = (s + 1, (s * a) ** p) if deriv else (s, 1)
+        return c * mp.beta(m, p * k - m) / a ** m
+    return moment
+
+
+@pytest.mark.parametrize("verify, oracle", [
+    (lambda f, p, *r: verify_reverse_hardy(f, p, *r),
+     lambda I, p: (I(-p, False) / I(0, True)) ** (1 / p)),
+    (lambda f, p, *r: verify_reverse_ckn(f, p, 0.5, 0.2, *r),
+     lambda I, p: I(-1.7, False) / (I(-0.5 * p, True) ** (1 / p) * I(
+         -0.2 * p / (p - 1), False) ** ((p - 1) / p)))],
+    ids=["reverse_hardy", "reverse_ckn"])
+def test_power_decay_ratio_within_its_bar_of_beta_functions(h1, koranyi,
+                                                            mc_spec, verify,
+                                                            oracle):
+    """(1 + 2r)^{-40} at p = 0.3 on H1/Koranyi (CKN with alpha = 0.5,
+    beta = 0.2): every moment is a Beta function over [0, inf), and the
+    ratio matches their quotient within its error bar.  Moments cut at
+    the 1e-8 truncation radius read the ratio 2.1e-10 (Hardy) and 2.1e-9
+    (CKN) high, 32 and 308 times the bar."""
+    mp = pytest.importorskip("mpmath")
+    rep = verify(make_profile("power_decay", [40.0, 2.0]), 0.3, h1, koranyi,
+                 mc_spec)
+    with mp.workdps(40):
+        exact = float(oracle(_power_moments(mp, 40.0, 2.0, 0.3, 4.0),
+                             mp.mpf(0.3)))
+    assert abs(rep.ratio - exact) <= rep.stderr
+
+
 def test_reverse_hardy_scale_invariant(h1, koranyi, mc_spec, expp):
     base = verify_reverse_hardy(expp, 0.5, h1, koranyi, mc_spec)
     for c in (0.3, 4.0):
@@ -433,16 +470,37 @@ def test_stein_weiss_report_identical_cold_warm_and_after_eviction(
     assert report(spec) == cold
 
 
-def test_stein_weiss_ratio_scale_free_in_amplitude(h1, koranyi, expp):
+def _plain_exp(prof, c):
+    """c e^{-r} on prof's envelopes with plain callables: its radial
+    integrals go through quadrature, as a closed form's would not."""
     from dataclasses import replace
+    return replace(prof, value=lambda r: c * np.exp(-np.asarray(r, float)),
+                   derivative=lambda r: -c * np.exp(-np.asarray(r, float)))
+
+
+def test_stein_weiss_ratio_scale_free_in_amplitude(h1, koranyi, expp):
     spec = QuadratureSpec(sample_count=20000, seed=2)
-    scaled = replace(
-        expp,
-        value=lambda r: 3.0 * np.exp(-np.asarray(r, float)),
-        derivative=lambda r: -3.0 * np.exp(-np.asarray(r, float)))
-    a = verify_stein_weiss(expp, expp, WORKED, h1, koranyi, spec)
-    b = verify_stein_weiss(scaled, expp, WORKED, h1, koranyi, spec)
+    a = verify_stein_weiss(_plain_exp(expp, 1.0), expp, WORKED, h1, koranyi,
+                           spec)
+    b = verify_stein_weiss(_plain_exp(expp, 3.0), expp, WORKED, h1, koranyi,
+                           spec)
     assert a.ratio == pytest.approx(b.ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stein_weiss_ratio_exact_at_lambda_2_on_r1(line, line_norm, expp,
+                                                   seed):
+    """On R^1 at p = q' = 1/2 (balanced lambda = 2), alpha = beta = 0, the
+    antithetic pair makes B = E C1 + E C2 = 5 sqrt(pi) exactly, and with
+    ||e^{-r}||_{1/2} = 16 and ||e^{-r^2}||_{1/2} = 2 pi the ratio is
+    5 / (32 sqrt(pi)).  Norms cut at the 1e-8 truncation radius read it
+    4e-8 high, 6667 times its stderr."""
+    P = InequalityParams(Q=1, p=0.5, q_prime=0.5, lam=2.0)
+    rep = verify_stein_weiss(expp, make_profile("gaussian", [1.0]), P, line,
+                             line_norm,
+                             QuadratureSpec(sample_count=20000, seed=seed))
+    exact = 5.0 / (32.0 * math.sqrt(math.pi))
+    assert abs(rep.ratio - exact) <= 3.0 * rep.stderr
 
 
 def test_stein_weiss_dilation_drift(h1, koranyi, expp):
@@ -910,13 +968,13 @@ def test_integral_hardy_complement_profile_tail_vanishes(line, line_norm,
 def test_integral_hardy_scaling_in_f(h1, koranyi, expp):
     """Both sides are homogeneous of degree one in f: scaling the profile
     leaves the certified right side's ratio structure unchanged."""
-    from dataclasses import replace
     spec = QuadratureSpec(sample_count=20000, seed=2)
     rep1 = verify_reverse_integral_hardy(
-        "ball", -6.0, -1.0, expp, 0.5, -1.0, h1, koranyi, spec)
-    scaled = replace(expp, value=lambda r: 3.0 * np.exp(-np.asarray(r, float)))
+        "ball", -6.0, -1.0, _plain_exp(expp, 1.0), 0.5, -1.0, h1, koranyi,
+        spec)
     rep3 = verify_reverse_integral_hardy(
-        "ball", -6.0, -1.0, scaled, 0.5, -1.0, h1, koranyi, spec)
+        "ball", -6.0, -1.0, _plain_exp(expp, 3.0), 0.5, -1.0, h1, koranyi,
+        spec)
     assert rep3.rhs == pytest.approx(3.0 * rep1.rhs, rel=1e-10)
 
 

@@ -123,7 +123,7 @@ def test_estimate_evaluates_each_point_once(h1, cygan, quad, monkeypatch,
     monkeypatch.setattr(ineq, "verify_reverse_hardy", counted)
     rec = estimate_best_constant(
         "reverse_hardy", P, family,
-        SearchSpec(method="nelder_mead", budget=24, restarts=2, seed=5),
+        SearchSpec(method="nelder_mead", budget=24, restarts=2, seed=1),
         h1, cygan, quad)
     points = [theta for theta, _ in rec.trace]
     assert rec.evaluations == len(points) == 24
@@ -245,12 +245,24 @@ QUADRATURE_UNDERFLOW = {
 
 def _quadrature_twin(prof):
     """The same profile with plain callables, so that weighted_p_integral
-    integrates it numerically over the same [0, R]."""
+    integrates it numerically up to its envelope's truncation radius."""
     return replace(prof, value=prof.value.fn, derivative=prof.derivative.fn)
+
+
+def _closed_form_at_truncation(prof, p, shift, Q, deriv):
+    """(R, the closed-form moment over [0, R]) at the truncation radius R
+    that weighted_p_integral takes for the quadrature twin."""
+    env = prof.derivative_envelope if deriv else prof.envelope
+    fn = prof.derivative if deriv else prof.value
+    R = env.powered(p).boosted(shift).r_max(Q)
+    return R, fn.moment(p, Q + shift, R)
 
 
 @pytest.mark.parametrize("family, params", CLOSED_FORM_PROFILES)
 def test_closed_form_moments_agree_with_quadrature(family, params):
+    """Over the twin's [0, R] the closed form and the quadrature agree; the
+    closed form weighted_p_integral returns is the moment over the whole
+    support, 1e-8 of whose mass lies beyond R."""
     prof = make_profile(family, params)
     twin = _quadrature_twin(prof)
     checked = 0
@@ -258,12 +270,17 @@ def test_closed_form_moments_agree_with_quadrature(family, params):
             (0.3, 0.5, 0.7, 1.5), (-0.5, 0.0, 0.5), (1.0, 2.0, 4.0),
             (False, True)):
         try:
-            closed, err = weighted_p_integral(prof, p, shift, Q,
-                                              use_derivative=deriv)
+            whole, err = weighted_p_integral(prof, p, shift, Q,
+                                             use_derivative=deriv)
         except DivergenceError:
             with pytest.raises(DivergenceError):
                 weighted_p_integral(twin, p, shift, Q, use_derivative=deriv)
             continue
+        fn = prof.derivative if deriv else prof.value
+        assert whole == fn.moment(p, Q + shift, math.inf)
+        assert err == CLOSED_FORM_RTOL * whole
+        _, closed = _closed_form_at_truncation(prof, p, shift, Q, deriv)
+        assert 0.0 <= whole - closed <= 1.0001e-8 * whole
         quad, _ = weighted_p_integral(twin, p, shift, Q, use_derivative=deriv)
         off = abs(closed - quad) / closed
         case = (family, params, p, shift, Q, deriv)
@@ -271,20 +288,18 @@ def test_closed_form_moments_agree_with_quadrature(family, params):
             assert off > 1e-11, case
         else:
             assert off <= 1e-11, (case, closed, quad)
-        assert err == CLOSED_FORM_RTOL * closed
         checked += 1
     assert checked >= 36
 
 
 def test_quadrature_to_the_support_radius_matches_closed_form():
-    """A power tail 0.3 above its threshold, taken to infinity
-    (to_support) on the quadrature path, matches its closed form.  Refined
-    to a target of its own, the tail piece overflowed, and the integral
-    came back as inf with a NaN error."""
+    """A power tail 0.3 above its threshold, integrated to infinity on the
+    quadrature path, matches its closed form.  Refined to a target of its
+    own, the tail piece overflowed, and the integral came back as inf with
+    a NaN error."""
     prof = make_profile("power_decay", [6.3, 1.0])
-    closed, _ = weighted_p_integral(prof, 1.0, 0.0, 6.0, to_support=True)
-    quad, err = weighted_p_integral(_quadrature_twin(prof), 1.0, 0.0, 6.0,
-                                    to_support=True)
+    closed, _ = weighted_p_integral(prof, 1.0, 0.0, 6.0)
+    quad, err = integrate_radial_err(prof.value.fn, 6.0, 0.0, math.inf)
     assert abs(quad - closed) <= err
 
 
@@ -310,16 +325,14 @@ def test_power_decay_underflow_points_against_mpmath(params, p, shift, Q,
     """Where (1 + a r)^{-s} underflows while |F|^p r^{m-1} still holds
     mass, the quadrature misses that mass by far more than its error bar;
     the closed form matches an independent mpmath quadrature within its
-    own bar."""
+    own bar, both over the twin's truncation radius R."""
     mp = pytest.importorskip("mpmath")
     prof = make_profile("power_decay", params)
-    env = prof.derivative_envelope if deriv else prof.envelope
-    R = env.powered(p).boosted(shift).r_max(Q)
+    R, closed = _closed_form_at_truncation(prof, p, shift, Q, deriv)
     exact = float(_mp_power_moment(mp, *params, p, Q + shift, R, deriv))
     assert exact == pytest.approx(expected, rel=1e-14)
 
-    closed, err = weighted_p_integral(prof, p, shift, Q, use_derivative=deriv)
-    assert abs(closed - exact) <= err
+    assert abs(closed - exact) <= CLOSED_FORM_RTOL * closed
     quad, quad_err = weighted_p_integral(_quadrature_twin(prof), p, shift, Q,
                                          use_derivative=deriv)
     assert abs(quad - exact) > 100.0 * quad_err

@@ -210,6 +210,18 @@ CORPUS = (
         **_R1, **_EXP_GAUSS,
         "inequality": {"name": "reverse_stein_weiss", "p": 0.5,
                        "q_prime": 0.5}}, -1),
+    # an h-side power tail 0.0263 above its threshold: the sampler's tail
+    # radius, 1.5e305, is finite, and the density overflows (exit 3)
+    ("verify_reverse_hls_near_critical_h_side", "verify", {
+        **_H1_KORANYI, "norm": {"name": "cygan"},
+        "inequality": {"name": "reverse_hls", "p": 0.8, "q_prime": 0.8},
+        "trial_f": {"family": "exp_decay", "params": [1.0]},
+        "trial_h": {"family": "power_decay", "params": [6.0263, 1.0]}}, 32),
+    # lambda = 2 on R1: B and both norms are exact closed forms, and the
+    # ratio is 5 / (32 sqrt(pi))
+    ("verify_reverse_hls_r1_lambda_2", "verify", {
+        **_R1, **_EXP_GAUSS,
+        "inequality": {"name": "reverse_hls", "p": 0.5, "q_prime": 0.5}}, 33),
 )
 
 REPORT_FILES = ("report.json", "sweep.csv", "trace.csv")
