@@ -19,6 +19,11 @@ Outputs (in --out, default "."):
 
 Exit status: 0 all checks passed; 1 an inequality margin failed;
 2 configuration/parameter error; 3 numerical error (any NumericalError).
+On exit 2 or 3 stderr holds one line, "error: <where>: <message>" or
+"numerical error: <where>: <message>".  <where> names the package
+functions outside this module that the error passed through, outermost
+first (exceptions.where); with none, as for most config errors, the
+message stands alone.
 """
 
 from __future__ import annotations
@@ -37,15 +42,13 @@ import scipy
 
 from . import __version__, quadrature
 from . import inequalities as ineq
-from .exceptions import ConfigError, NumericalError, RevineqError
+from .exceptions import ConfigError, NumericalError, RevineqError, where
 from .groups import (Check, abelian_group, anisotropic_gauge,
                      check_group_axioms, check_quasi_norm_axioms, cygan_norm,
                      euclidean_norm, heisenberg_group, koranyi_norm)
 from .operators import kernel_bound_report
 from .quadrature import DecayEnvelope, QuadratureSpec, polar_consistency_check
 from .trials import SearchSpec, estimate_best_constant, make_profile
-
-_MODULE = "cli"
 
 SWEEP_COLUMNS = ["inequality", "Q", "p", "q_prime", "alpha", "beta",
                  "lambda_or_gamma", "lhs", "rhs", "ratio", "constant",
@@ -89,9 +92,9 @@ def _value(value, kind, path: str):
                 _scalar(v, _ITEM[kind])
         return value
     except (TypeError, ValueError):
-        raise ConfigError(f"config.{path}: expected "
-                          f"{getattr(kind, '__name__', kind)}, got {value!r}",
-                          module=_MODULE, operation="read_config") from None
+        raise ConfigError(
+            f"config.{path}: expected {getattr(kind, '__name__', kind)}, "
+            f"got {value!r}") from None
 
 
 class Section:
@@ -102,8 +105,7 @@ class Section:
     def __init__(self, values, path: str = ""):
         if not isinstance(values, dict):
             raise ConfigError(f"config.{path}: expected an object, got "
-                              f"{values!r}", module=_MODULE,
-                              operation="read_config")
+                              f"{values!r}")
         self.values, self.path, self.read = values, path, set()
 
     def _path(self, key: str) -> str:
@@ -113,8 +115,7 @@ class Section:
         self.read.add(key)
         value = self.values.get(key)
         if value is None and required:
-            raise ConfigError(f"config.{self._path(key)}: required",
-                              module=_MODULE, operation="read_config")
+            raise ConfigError(f"config.{self._path(key)}: required")
         return value
 
     def get(self, key: str, default=_REQUIRED, kind=float):
@@ -133,10 +134,8 @@ class Section:
         <reader>" where what a section may hold depends on its reader."""
         for key, value in self.values.items():
             if value is not None and key not in self.read:
-                raise ConfigError(
-                    f"config.{self._path(key)}: " + (
-                        f"not read by {reader}" if reader else "unknown key"),
-                    module=_MODULE, operation="read_config")
+                raise ConfigError(f"config.{self._path(key)}: " + (
+                    f"not read by {reader}" if reader else "unknown key"))
 
 
 def load_config(path: str | Path) -> dict:
@@ -144,16 +143,13 @@ def load_config(path: str | Path) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}", module=_MODULE,
-                          operation="load_config")
+        raise ConfigError(f"cannot read {path}: {exc}")
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}",
-                          module=_MODULE, operation="load_config")
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     if not isinstance(cfg, dict):
-        raise ConfigError("top level must be a JSON object", module=_MODULE,
-                          operation="load_config")
+        raise ConfigError("top level must be a JSON object")
     return cfg
 
 
@@ -168,8 +164,7 @@ def _build_group(sect: Section):
     elif name == "heisenberg":
         group = heisenberg_group()
     else:
-        raise ConfigError(f"config.group.name: unknown group {name!r}",
-                          module=_MODULE, operation="build_group")
+        raise ConfigError(f"config.group.name: unknown group {name!r}")
     sect.finish()
     return group
 
@@ -184,8 +179,7 @@ def _build_norm(sect: Section, group):
     builders = {"euclidean": euclidean_norm, "anisotropic": anisotropic_gauge,
                 "koranyi": koranyi_norm, "cygan": cygan_norm}
     if name not in builders:
-        raise ConfigError(f"config.norm.name: unknown norm {name!r}",
-                          module=_MODULE, operation="build_norm")
+        raise ConfigError(f"config.norm.name: unknown norm {name!r}")
     return builders[name](group)
 
 
@@ -195,8 +189,7 @@ def _build_quadrature(sect: Section, seed: int) -> QuadratureSpec:
     sect.finish()
     if scheme != "monte_carlo":     # the only one
         raise ConfigError(f"config.quadrature.scheme: unknown scheme "
-                          f"{scheme!r}", module=_MODULE,
-                          operation="build_quadrature")
+                          f"{scheme!r}")
     return QuadratureSpec(sample_count=sample_count, seed=seed)
 
 
@@ -215,8 +208,7 @@ def read_inequality(sect: Section, Q: float) -> tuple[str, object]:
     name = sect.get("name", kind=str)
     if name not in ineq.INEQUALITIES:
         raise ConfigError(f"config.{sect.path}.name: unknown inequality "
-                          f"{name!r}", module=_MODULE,
-                          operation="read_inequality")
+                          f"{name!r}")
     args = ineq.INEQUALITIES[name].read(sect.get, Q)
     sect.finish(name)
     return name, args
@@ -299,8 +291,7 @@ def _sweep_rows(cfg: Section, group, norm, spec):
                  if "sweep" in e.commands]
     name = sect.get("inequality", sweepable[0], str)
     if name not in sweepable:
-        raise ConfigError("sweep currently targets the bilinear inequalities",
-                          module=_MODULE, operation="sweep")
+        raise ConfigError("sweep currently targets the bilinear inequalities")
     variant = sect.get("variant", "full", str)
     grid = sect.section("grid", required=True)
     axes = {k: grid.get(k, _REQUIRED if k in ("p", "q_prime") else None, _AXIS)
@@ -392,14 +383,13 @@ def run(command: str, config: dict, out_dir: str | Path = ".",
     """Dispatch one command against a parsed config; returns the exit code."""
     t0 = time.perf_counter()
     if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}", module=_MODULE,
-                          operation="run")
+        raise ConfigError(f"unknown command {command!r}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:   # a file in the way
-        raise ConfigError(f"output directory {str(out)!r}: {exc.strerror}",
-                          module=_MODULE, operation="run") from None
+        raise ConfigError(
+            f"output directory {str(out)!r}: {exc.strerror}") from None
     cfg = Section(config)
     seed = cfg.get("seed", 0, int)      # read even when overridden
     if seed_override is not None:
@@ -431,12 +421,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         return run(args.command, cfg, args.out, args.seed)
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    except RevineqError as exc:   # config, parameter and shape errors
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except RevineqError as exc:
+        # a numerical error exits 3; config, parameter and shape errors 2
+        numerical = isinstance(exc, NumericalError)
+        origin = where(exc)     # empty for a config error raised here
+        print("numerical error: " if numerical else "error: ",
+              f"{origin}: " if origin else "", exc, sep="", file=sys.stderr)
+        return 3 if numerical else 2
 
 
 if __name__ == "__main__":

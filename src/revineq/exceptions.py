@@ -1,18 +1,32 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and ``where``.
 
-Every error message is prefixed with the module and operation it originates
-from, so CLI users can locate the failing step without a traceback.
+An error carries only its message.  ``where`` reads the package functions
+it passed through off the traceback that Python records, and the command
+line prints both, so a message never names its own origin.
 """
+
+import os
+import traceback
+
+_PACKAGE = os.path.dirname(__file__)
+
+
+def where(exc: BaseException) -> str:
+    """The package functions ``exc`` passed through, outermost first, as
+    ``module.qualname`` joined by " > ".  Frames of ``cli`` and of lambdas
+    and comprehensions are left out; "" if none is left."""
+    names = []
+    for frame, _ in traceback.walk_tb(exc.__traceback__):
+        code = frame.f_code
+        folder, file = os.path.split(code.co_filename)
+        if folder == _PACKAGE and file != "cli.py" and code.co_name[0] != "<":
+            name = getattr(code, "co_qualname", code.co_name)   # 3.11 on
+            names.append(f"{file[:-3]}.{name}")
+    return " > ".join(names)
 
 
 class RevineqError(Exception):
-    """Base class; carries the module/operation of origin."""
-
-    def __init__(self, message: str, *, module: str = "", operation: str = ""):
-        self.module = module
-        self.operation = operation
-        where = f"{module}.{operation}: " if (module or operation) else ""
-        super().__init__(where + message)
+    """Base class of the package's errors."""
 
 
 class ParameterError(RevineqError):

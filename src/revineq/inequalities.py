@@ -9,7 +9,7 @@ Conventions used throughout:
   ``analytic_constant`` with direction "lower" (reverse inequalities,
   ratio >= constant) or "upper" (forward cross-checks, ratio <= constant).
   ``passed`` is recomputed from the stored fields, never set directly, with
-  tolerance 3 x combined stderr plus an absolute floor of 1e-9.
+  tolerance 3 x combined stderr plus 1e-9, which must be finite.
 * The certified lower constant for the weighted bilinear form uses the
   certified ends kappa*A1, kappa*A2 of the best-constant brackets, since
   only those ends are guaranteed:  A >= C >= kappa * A  with
@@ -30,8 +30,6 @@ from .operators import (RadialProfile, lp_functional, stein_weiss_form,
                         weighted_p_integral)
 from .quadrature import QuadratureSpec, integrate_radial_err
 
-_MODULE = "inequalities"
-
 _ABS_TOL_FLOOR = 1e-9
 _BALANCE_TOL = 1e-12
 
@@ -39,8 +37,7 @@ _BALANCE_TOL = 1e-12
 def conjugate_exponent(p: float) -> float:
     """p' = p/(p-1); an involution, negative exactly when p in (0, 1)."""
     if p == 1.0:
-        raise ParameterError("p = 1 has no conjugate exponent",
-                             module=_MODULE, operation="conjugate_exponent")
+        raise ParameterError("p = 1 has no conjugate exponent")
     return p / (p - 1.0)
 
 
@@ -77,8 +74,7 @@ class InequalityParams:
 
     def __post_init__(self):
         if self.variant not in ("full", "improved_a", "improved_b"):
-            raise ParameterError(f"unknown variant {self.variant!r}",
-                                 module=_MODULE, operation="InequalityParams")
+            raise ParameterError(f"unknown variant {self.variant!r}")
 
     @property
     def p_prime(self) -> float:
@@ -159,8 +155,7 @@ def power_weight_A(region: str, mW: float, mU: float, q: float,
         raise ParameterError(
             f"no power-weight A on {region!r} at Q + w = {mW:g}, Q + u(1-p') "
             f"= {mU:g}: the ball needs Q + w < 0 < Q + u(1-p'), the "
-            "complement Q + u(1-p') < 0 < Q + w", module=_MODULE,
-            operation="power_weight_A")
+            "complement Q + u(1-p') < 0 < Q + w")
     return float((sphere / abs(mW)) ** (1.0 / q)
                  * (sphere / abs(mU)) ** (1.0 / p_prime))
 
@@ -183,8 +178,7 @@ def bracket_kappa(p_prime: float, q: float) -> float:
     """kappa = (p'/(p'+q))^{-1/q} (q/(p'+q))^{-1/p'}, in (0, 1] for
     negative conjugates."""
     if not (p_prime < 0.0 and q < 0.0):
-        raise ParameterError("bracket requires p' < 0 and q < 0",
-                             module=_MODULE, operation="bracket_kappa")
+        raise ParameterError("bracket requires p' < 0 and q < 0")
     s = p_prime + q
     return float((p_prime / s) ** (-1.0 / q) * (q / s) ** (-1.0 / p_prime))
 
@@ -198,9 +192,7 @@ def stein_weiss_lower_constant(params: InequalityParams, sphere: float) -> float
     """
     failures = validate_params(params)
     if failures:
-        raise ParameterError("inadmissible parameters: " + "; ".join(failures),
-                             module=_MODULE,
-                             operation="stein_weiss_lower_constant")
+        raise ParameterError("inadmissible parameters: " + "; ".join(failures))
     kap = bracket_kappa(params.p_prime, params.q)
     if params.variant == "improved_a":
         return 2.0 ** (-params.lam) * kap * analytic_A2(params, sphere)
@@ -253,7 +245,9 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return self.degenerate is None and self.margin >= -self.tolerance
+        """Not degenerate, and the margin within a finite tolerance."""
+        return (self.degenerate is None and self.tolerance < math.inf
+                and self.margin >= -self.tolerance)
 
     def as_dict(self) -> dict:
         return {
@@ -339,27 +333,23 @@ def _verify_radial(direction: str, form: _RadialForm, f: RadialProfile,
     the six public verifiers take a ``spec`` only for the shared verifier
     signature, and their reports do not depend on it."""
     label = ("reverse_" if direction == "lower" else "forward_") + form.name
-    op = f"verify_{label}"
-    norm.require_on(group, op)
+    norm.require_on(group)
     Q = group.homogeneous_dim
     gamma = alpha + beta + 1.0
     if direction == "lower":
         if not 0.0 < p < 1.0:
-            raise ParameterError(f"p must lie in (0,1), got {p:g}",
-                                 module=_MODULE, operation=op)
-        f.check_decreasing(operation=op)
+            raise ParameterError(f"p must lie in (0,1), got {p:g}")
+        f.check_decreasing()
     elif not p > 1.0:
-        raise ParameterError(f"needs p > 1, got p={p:g}", module=_MODULE,
-                             operation=op)
+        raise ParameterError(f"needs p > 1, got p={p:g}")
     for holds, message in form.conditions(p, Q, alpha, gamma):
         if not holds:
-            raise ParameterError(message, module=_MODULE, operation=op)
+            raise ParameterError(message)
     constant, lhs_terms, rhs_terms = form.sides(p, Q, alpha, beta, gamma)
     lhs, lhs_err = _radial_side(f, p, Q, lhs_terms)
     rhs, rhs_err = _radial_side(f, p, Q, rhs_terms)
     if rhs == 0.0:
-        raise DegenerateInputError("right side is zero; ratio undefined",
-                                   module=_MODULE, operation=op)
+        raise DegenerateInputError("right side is zero; ratio undefined")
     rel = lhs_err / abs(lhs) if lhs else 0.0
     rel += rhs_err / abs(rhs)
     params = {"Q": Q, "p": p}
@@ -435,9 +425,8 @@ def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
     # the constant validates params: an inadmissible point raises first
     const = stein_weiss_lower_constant(params, norm.sphere)
     if abs(params.Q - group.homogeneous_dim) > 1e-12:
-        raise ParameterError("params.Q does not match the group",
-                             module=_MODULE, operation="verify_stein_weiss")
-    norm.require_on(group, "verify_stein_weiss")
+        raise ParameterError("params.Q does not match the group")
+    norm.require_on(group)
     forms = {} if forms is None else forms
     inputs = (f, h, params.alpha, params.beta, params.lam, norm, spec)
     if inputs not in forms:
@@ -446,8 +435,7 @@ def verify_stein_weiss(f: RadialProfile, h: RadialProfile,
     nf, nf_err = lp_functional(f, params.q_prime, norm)
     nh, nh_err = lp_functional(h, params.p, norm)
     if nf == 0.0 or nh == 0.0:
-        raise DegenerateInputError("a trial profile has zero quasi-norm",
-                                   module=_MODULE, operation="verify_stein_weiss")
+        raise DegenerateInputError("a trial profile has zero quasi-norm")
     den = nf * nh
     den_err = nf_err * nh + nf * nh_err
     # the relative errors of the two sides add, as in _verify_radial
@@ -470,8 +458,7 @@ def verify_reverse_hls(f: RadialProfile, h: RadialProfile,
     ``forms`` as in verify_stein_weiss."""
     if params.alpha != 0.0 or params.beta != 0.0:
         raise ParameterError("the unweighted corollary requires "
-                             "alpha = beta = 0", module=_MODULE,
-                             operation="verify_reverse_hls")
+                             "alpha = beta = 0")
     rep = verify_stein_weiss(f, h, params, group, norm, spec, forms=forms)
     rep.inequality = _bilinear_name("reverse_hls", params)
     return rep
@@ -547,22 +534,18 @@ def verify_reverse_integral_hardy(variant: str, w: float, u: float,
     Q + u <= 0, where the functional is +inf.  Nothing here is Monte Carlo:
     ``spec`` is kept for the shared verifier signature and not read.
     """
-    op = "verify_reverse_integral_hardy"
     if not (math.isfinite(w) and math.isfinite(u)):
-        raise ParameterError("weight exponents must be finite",
-                             module=_MODULE, operation=op)
+        raise ParameterError("weight exponents must be finite")
     if variant not in ("ball", "complement"):
-        raise ParameterError(f"unknown variant {variant!r}", module=_MODULE,
-                             operation=op)
+        raise ParameterError(f"unknown variant {variant!r}")
     if not 0.0 < p < 1.0:
-        raise ParameterError("p must lie in (0,1)", module=_MODULE, operation=op)
+        raise ParameterError("p must lie in (0,1)")
     if not q < 0.0:
-        raise ParameterError("q must be negative", module=_MODULE, operation=op)
-    norm.require_on(group, op)
+        raise ParameterError("q must be negative")
+    norm.require_on(group)
     if math.isfinite(f.support_radius):
         raise DegenerateInputError(
-            "profile must be strictly positive (0^q = +inf convention)",
-            module=_MODULE, operation=op)
+            "profile must be strictly positive (0^q = +inf convention)")
 
     Q = group.homogeneous_dim
     pp = conjugate_exponent(p)
@@ -573,8 +556,7 @@ def verify_reverse_integral_hardy(variant: str, w: float, u: float,
     if abs(scale_expo) > 1e-10:
         raise ParameterError(
             f"characteristic quantity scales like |x|^{scale_expo:g}; its "
-            "infimum over x != 0 vanishes, so A = 0", module=_MODULE,
-            operation=op)
+            "infimum over x != 0 vanishes, so A = 0")
     kap = bracket_kappa(pp, q)
 
     iv, ie = weighted_p_integral(f, p, u, Q)

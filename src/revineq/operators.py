@@ -44,8 +44,6 @@ from .quadrature import (DecayEnvelope, IntegralResult, QuadratureSpec,
                          draw_block, integrate_radial_err,
                          sample_group_points)
 
-_MODULE = "operators"
-
 
 @dataclass(frozen=True, eq=False)
 class ClosedForm:
@@ -96,9 +94,8 @@ class RadialProfile:
         """The profile of f(D_s x), i.e. r -> value(s r).  Closed forms
         stay closed: int_0^R |F(s r)|^p r^{m-1} dr = s^{-m} M(p, m, sR),
         and s^p times that for s F'(s r)."""
-        if s <= 0:
-            raise ParameterError("dilation factor must be positive",
-                                 module=_MODULE, operation="RadialProfile.dilated")
+        if not s > 0:
+            raise ParameterError("dilation factor must be positive")
         base_v, base_d = self.value, self.derivative
         value = lambda r: base_v(np.asarray(r, float) * s)
         derivative = lambda r: s * base_d(np.asarray(r, float) * s)
@@ -115,7 +112,7 @@ class RadialProfile:
             family_tag=f"{self.family_tag}|D_{s:g}",
         )
 
-    def check_decreasing(self, operation: str = "profile"):
+    def check_decreasing(self):
         """Verify derivative <= 0 on a log grid (hypothesis of the reverse
         Hardy/Sobolev/CKN class)."""
         hi = self.envelope.r_max(1.0, 1e-10)
@@ -124,9 +121,8 @@ class RadialProfile:
         scale = float(np.max(np.abs(d))) + 1e-300
         if np.any(d > 1e-8 * scale):
             bad = r[np.argmax(d)]
-            raise ParameterError(
-                f"profile is not radially decreasing (derivative > 0 near "
-                f"r={bad:g})", module=_MODULE, operation=operation)
+            raise ParameterError(f"profile is not radially decreasing "
+                                 f"(derivative > 0 near r={bad:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +152,10 @@ def weighted_p_integral(profile: RadialProfile, p: float, power_shift: float,
     error estimate leaves that mass out.
     """
     if not p > 0:
-        raise ParameterError(f"p must be positive, got {p:g}", module=_MODULE,
-                             operation="weighted_p_integral")
+        raise ParameterError(f"p must be positive, got {p:g}")
     env = profile.derivative_envelope if use_derivative else profile.envelope
     env = env.powered(p).boosted(power_shift)
-    env.check_integrable(Q, "weighted_p_integral")
+    env.check_integrable(Q)
 
     fn = profile.derivative if use_derivative else profile.value
     if isinstance(fn, ClosedForm):
@@ -243,8 +238,7 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     ``_control_variate_estimate`` for the estimate and its stderr.
     """
     if lam <= 0:
-        raise ParameterError("lambda must be positive", module=_MODULE,
-                             operation="stein_weiss_form")
+        raise ParameterError("lambda must be positive")
     group = norm.group
     Q = group.homogeneous_dim
     env_x = f.envelope.boosted(alpha + lam / 2.0)
@@ -254,8 +248,7 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
     samplers = []
     for env, side, weight in ((env_x, "f", "alpha"), (env_y, "h", "beta")):
         for k in (lam / 2.0, -lam / 2.0):
-            env.boosted(k).check_integrable(
-                Q, f"stein_weiss_form[{side}-side]")
+            env.boosted(k).check_integrable(Q, f"{side}-side")
         far = env.boosted(lam / 2.0)
         try:
             samplers.append(RadialSampler(env, Q, far.r_max(Q)))
@@ -265,8 +258,7 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
             # a power tail just above its integrability threshold
             raise EvaluationError(
                 f"{exc}; {side}-side tail margin e = s - (Q + {weight} + "
-                f"lambda) = {far.shape - Q - far.boost:g}", module=_MODULE,
-                operation="stein_weiss_form") from exc
+                f"lambda) = {far.shape - Q - far.boost:g}") from exc
     sx, sy = samplers
 
     n = spec.sample_count
@@ -303,7 +295,7 @@ def stein_weiss_form(f: RadialProfile, h: RadialProfile, alpha: float,
             rows[3] += rows[1]
         rows[m - 1] *= 1.0 / m
     unpaired, rows = rows[0], rows[m - 1:]  # a b |y^{-1}x|^л; Y, C1, C2
-    mean_y = _checked_mean(rows[0], n, "stein_weiss_form",
+    mean_y = _checked_mean(rows[0], n,
                            hint="; tighten the trial decay or reduce lambda")
     controls = (_control_mean(f, alpha + lam, h, beta, Q, norm.sphere),
                 _control_mean(f, alpha, h, beta + lam, Q, norm.sphere))
@@ -394,20 +386,16 @@ def reverse_holder_gap(f, g, p: float) -> float:
     degenerate, as 0^{p'} = +inf for p' < 0.
     """
     if not 0.0 < p < 1.0:
-        raise ParameterError("p must lie in (0, 1)", module=_MODULE,
-                             operation="reverse_holder_gap")
+        raise ParameterError("p must lie in (0, 1)")
     pp = p / (p - 1.0)
     fv, gv = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
     if fv.shape != gv.shape:
-        raise ParameterError("sample arrays must have matching shapes",
-                             module=_MODULE, operation="reverse_holder_gap")
+        raise ParameterError("sample arrays must have matching shapes")
     if np.any(fv < 0):
-        raise ParameterError("f must be nonnegative", module=_MODULE,
-                             operation="reverse_holder_gap")
+        raise ParameterError("f must be nonnegative")
     if np.any(gv <= 0):
         raise DegenerateInputError(
-            "g vanishes at a sample; 0^{p'} = +inf for p' < 0",
-            module=_MODULE, operation="reverse_holder_gap")
+            "g vanishes at a sample; 0^{p'} = +inf for p' < 0")
     lhs = float(np.sum(fv * gv))
     rhs = float(np.sum(fv ** p) ** (1.0 / p) * np.sum(gv ** pp) ** (1.0 / pp))
     return lhs - rhs
@@ -431,11 +419,9 @@ def kernel_bound_report(norm: QuasiNorm, sample_count: int = 10000,
     """
     if not norm.is_true_norm:
         raise ParameterError("kernel bounds require a true norm (triangle "
-                             "inequality asserted)", module=_MODULE,
-                             operation="kernel_bound_report")
+                             "inequality asserted)")
     if sample_count < 1:
-        raise ParameterError("sample_count must be >= 1", module=_MODULE,
-                             operation="kernel_bound_report")
+        raise ParameterError("sample_count must be >= 1")
     group = norm.group
     rng = np.random.default_rng(seed)
     n = sample_count

@@ -65,8 +65,6 @@ from .exceptions import (DivergenceError, EvaluationError, ParameterError)
 from .groups import (Check, HomogeneousGroup, QuasiNorm, _dilate_log,
                      dilation_quadratic_form)
 
-_MODULE = "quadrature"
-
 _OVERFLOW_GUARD = 1e280
 _DEFAULT_TAIL_MASS = 1e-8
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -81,11 +79,9 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if self.sample_count < 1:
-            raise ParameterError("sample_count >= 1 required",
-                                 module=_MODULE, operation="QuadratureSpec")
+            raise ParameterError("sample_count >= 1 required")
         if self.seed < 0:
-            raise ParameterError(f"seed = {self.seed} must be >= 0",
-                                 module=_MODULE, operation="QuadratureSpec")
+            raise ParameterError(f"seed = {self.seed} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -117,11 +113,11 @@ class DecayEnvelope:
 
     def __post_init__(self):
         if self.kind not in ("exp", "gauss", "power", "uniform"):
-            raise ParameterError(f"unknown envelope kind {self.kind!r}",
-                                 module=_MODULE, operation="DecayEnvelope")
-        if self.scale <= 0:
-            raise ParameterError("envelope scale must be positive",
-                                 module=_MODULE, operation="DecayEnvelope")
+            raise ParameterError(f"unknown envelope kind {self.kind!r}")
+        if not (0.0 < self.scale < math.inf and math.isfinite(self.shape)
+                and math.isfinite(self.boost)):
+            raise ParameterError(f"envelope scale must be positive, and every "
+                                 f"field finite, got {self}")
 
     def values(self, r):
         """r^boost base(r) at radii r > 0."""
@@ -157,26 +153,27 @@ class DecayEnvelope:
 
     def scaled(self, s: float) -> "DecayEnvelope":
         """Envelope of r -> env(s r), up to a constant factor."""
-        if s <= 0:
-            raise ParameterError("scaling factor must be positive",
-                                 module=_MODULE, operation="DecayEnvelope.scaled")
+        if not s > 0:
+            raise ParameterError("scaling factor must be positive")
         if self.kind == "gauss":
             return replace(self, scale=self.scale * s * s)
         if self.kind == "uniform":
             return replace(self, scale=self.scale / s)
         return replace(self, scale=self.scale * s)
 
-    def check_integrable(self, Q: float, operation: str = "envelope") -> None:
+    def check_integrable(self, Q: float, label: str = "") -> None:
+        """DivergenceError, its message led by ``label``, unless the
+        envelope is integrable against r^{Q-1} dr."""
         m = Q + self.boost
+        label = f"{label}: " if label else ""
         if m <= 0:
             raise DivergenceError(
-                f"r^{self.boost:g} singularity is not integrable against "
-                f"r^{Q - 1:g} dr near 0", module=_MODULE, operation=operation)
+                f"{label}r^{self.boost:g} singularity is not integrable "
+                f"against r^{Q - 1:g} dr near 0")
         if self.kind == "power" and self.shape <= m:
             raise DivergenceError(
-                f"power tail (1+ar)^(-{self.shape:g}) does not decay faster "
-                f"than r^{-m:g}; integral diverges", module=_MODULE,
-                operation=operation)
+                f"{label}power tail (1+ar)^(-{self.shape:g}) does not decay "
+                f"faster than r^{-m:g}; integral diverges")
 
     def r_max(self, Q: float, tail_mass: float = _DEFAULT_TAIL_MASS) -> float:
         """Radius beyond which the envelope mass against r^{Q-1} dr is below
@@ -186,7 +183,7 @@ class DecayEnvelope:
         A power tail barely steeper than r^{-Q-boost} can put that radius
         beyond the float range; it is then ``math.inf``, and an integral
         up to it drops no tail."""
-        self.check_integrable(Q, "r_max")
+        self.check_integrable(Q)
         m = Q + self.boost
         if self.kind == "exp":
             return float(_sp.gammainccinv(m, tail_mass) / self.scale)
@@ -296,8 +293,7 @@ def _direction_rule(n_dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
                         np.outer(c, np.ones(k))], axis=-1).reshape(-1, 3)
         w = np.outer(wc, np.full(k, 2.0 * np.pi / k)).ravel()
         return pts, w
-    raise ParameterError(f"no deterministic sphere rule for dimension {n_dim}",
-                         module=_MODULE, operation="_direction_rule")
+    raise ParameterError(f"no deterministic sphere rule for dimension {n_dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +332,10 @@ class RadialSampler:
     def __init__(self, envelope: DecayEnvelope, Q: float, r_hi: float,
                  n_grid: int = 512):
         if not r_hi > 0.0:
-            raise ParameterError("need r_hi > 0", module=_MODULE,
-                                 operation="RadialSampler")
+            raise ParameterError("need r_hi > 0")
         if math.isinf(r_hi):
             raise EvaluationError("envelope density non-finite on radial grid "
-                                  "(r_hi is infinite)", module=_MODULE,
-                                  operation="RadialSampler")
+                                  "(r_hi is infinite)")
         lo, anchor = r_hi * 1e-10, 1e-8 * envelope.length
         if anchor < lo:
             n_grid = math.ceil(n_grid * (math.log10(r_hi) - math.log10(anchor))
@@ -356,13 +350,11 @@ class RadialSampler:
             grid = np.concatenate([[0.0], grid])
             dens = np.concatenate([[0.0], dens])
         if not np.all(np.isfinite(dens)):
-            raise EvaluationError("envelope density non-finite on radial grid",
-                                  module=_MODULE, operation="RadialSampler")
+            raise EvaluationError("envelope density non-finite on radial grid")
         seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(grid)
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         if not cum[-1] > 0:
-            raise ParameterError("envelope has zero mass on [0, r_hi]",
-                                 module=_MODULE, operation="RadialSampler")
+            raise ParameterError("envelope has zero mass on [0, r_hi]")
         self.grid, self.dens, self.cum = grid, dens, cum
         self.total = float(cum[-1])
         # np.interp's slope on each segment
@@ -529,21 +521,19 @@ def sample_group_points(group: HomogeneousGroup, sampler: RadialSampler,
 # cartesian integration
 # ---------------------------------------------------------------------------
 
-def _checked_mean(vals: np.ndarray, n: int, operation: str,
-                  points: np.ndarray | None = None, hint: str = "") -> float:
+def _checked_mean(vals: np.ndarray, n: int, points: np.ndarray | None = None,
+                  hint: str = "") -> float:
     """Mean of n weighted samples, which must hold no NaN and stay within
     the overflow guard; ``hint`` ends a divergence."""
     nan = np.isnan(vals)
     if nan.any():
         where = "" if points is None else f" at point {points[np.argmax(nan)]}"
-        raise EvaluationError("integrand returned NaN" + where,
-                              module=_MODULE, operation=operation)
+        raise EvaluationError("integrand returned NaN" + where)
     peak = np.max(np.abs(vals)) / n
     value = float(np.sum(vals) / n) if peak <= _OVERFLOW_GUARD else math.inf
     if abs(value) > _OVERFLOW_GUARD:
-        raise DivergenceError(
-            f"Monte Carlo estimate diverged: a sample or the mean exceeds "
-            f"{_OVERFLOW_GUARD:g}{hint}", module=_MODULE, operation=operation)
+        raise DivergenceError(f"Monte Carlo estimate diverged: a sample or "
+                              f"the mean exceeds {_OVERFLOW_GUARD:g}{hint}")
     return value
 
 
@@ -572,7 +562,7 @@ def integrate_cartesian(group: HomogeneousGroup,
     x, _, w = sample_group_points(group, sampler, draw_block(group, spec, 0))
     with np.errstate(over="ignore"):
         vals = np.asarray(integrand(x), dtype=float) * w
-    value = _checked_mean(vals, n, "integrate_cartesian", x)
+    value = _checked_mean(vals, n, x)
     return IntegralResult(value, _plain_stderr(vals, n))
 
 
@@ -647,14 +637,12 @@ def _qk21(profile, Q: float, a: np.ndarray, b: np.ndarray,
     if np.isinf(jac).any():
         raise DivergenceError(
             f"r^{Q - 1.0:g} overflows at r={r[np.isinf(jac)][0]:g}; the "
-            "radial integrand is not representable there", module=_MODULE,
-            operation="integrate_radial")
+            "radial integrand is not representable there")
     r = r.ravel()
     f = np.asarray(profile(r), dtype=float) * (jac * dr).ravel()
     nan = np.isnan(f)
     if nan.any():
-        raise EvaluationError(f"profile non-finite at r={r[nan][0]:g}",
-                              module=_MODULE, operation="integrate_radial")
+        raise EvaluationError(f"profile non-finite at r={r[nan][0]:g}")
     f = f.reshape(x.shape)
     kron, gauss = (f @ _GK_WEIGHTS).T
     resabs = np.abs(f) @ _GK_KRONROD
@@ -705,11 +693,9 @@ def integrate_radial_err(profile, Q: float, r_min: float = 0.0,
     EvaluationError where the integrand is NaN.
     """
     if Q < 1.0:
-        raise ParameterError("homogeneous dimension below 1 is unsupported",
-                             module=_MODULE, operation="integrate_radial")
+        raise ParameterError("homogeneous dimension below 1 is unsupported")
     if not r_min >= 0.0 or not r_max > r_min:
-        raise ParameterError("need 0 <= r_min < r_max", module=_MODULE,
-                             operation="integrate_radial")
+        raise ParameterError("need 0 <= r_min < r_max")
     top = r_max if math.isfinite(r_max) else 1e26
     edges = _DECADES[(_DECADES > r_min) & (_DECADES < top)]
     a = np.concatenate([[r_min], edges])
@@ -735,8 +721,7 @@ def integrate_radial_err(profile, Q: float, r_min: float = 0.0,
             if not (math.isfinite(total) and math.isfinite(error)):
                 raise DivergenceError(
                     f"radial sum is not finite ({total:g} +- {error:g}); "
-                    "the integrand overflows", module=_MODULE,
-                    operation="integrate_radial")
+                    "the integrand overflows")
             tol = max(1e-280, rtol * abs(total))
             split = sub_err > tol / len(sub_err)
             if error <= tol or budget == 0 or not split.any():
@@ -777,7 +762,7 @@ def sphere_measure(group: HomogeneousGroup, norm: QuasiNorm,
     """The exact |S|, ``norm.sphere``, for a gauge on ``group``.  Kept for
     outside callers: the package itself reads ``norm.sphere``, and
     ``spec`` is unused."""
-    norm.require_on(group, "sphere_measure")
+    norm.require_on(group)
     return norm.sphere
 
 
@@ -788,7 +773,7 @@ def sphere_measure_direct(group: HomogeneousGroup, norm: QuasiNorm,
     Exact for N=1; spectrally accurate trapezoid / Gauss-Legendre rules for
     N in {2, 3}.  Raises ParameterError for N >= 4, where no rule exists.
     """
-    norm.require_on(group, "sphere_measure_direct")
+    norm.require_on(group)
     u, w = _direction_rule(group.dim, resolution)
     lam = dilation_quadratic_form(group, u)
     return float(np.sum(w * lam * norm(u) ** (-group.homogeneous_dim)))

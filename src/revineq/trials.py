@@ -54,8 +54,6 @@ from .groups import HomogeneousGroup, QuasiNorm
 from .operators import ClosedForm, RadialProfile
 from .quadrature import DecayEnvelope, QuadratureSpec
 
-_MODULE = "trials"
-
 
 @dataclass(frozen=True)
 class TrialFamily:
@@ -170,8 +168,7 @@ def _family(family: TrialFamily | str) -> TrialFamily:
     """The family of that name, or the family itself."""
     if isinstance(family, str) and family not in FAMILIES:
         raise ParameterError(f"unknown trial family {family!r}; known: "
-                             + ", ".join(FAMILIES), module=_MODULE,
-                             operation="trial_family")
+                             + ", ".join(FAMILIES))
     return FAMILIES[family] if isinstance(family, str) else family
 
 
@@ -180,15 +177,12 @@ def make_profile(family: TrialFamily | str, params: Sequence[float]) -> RadialPr
     fam = _family(family)
     params = tuple(float(v) for v in params)
     if len(params) != fam.dim:
-        raise ParameterError(
-            f"{fam.family_tag} takes {fam.dim} parameter(s) "
-            f"{fam.param_names}, got {len(params)}",
-            module=_MODULE, operation="make_profile")
+        raise ParameterError(f"{fam.family_tag} takes {fam.dim} parameter(s) "
+                             f"{fam.param_names}, got {len(params)}")
     for name, v, (lo, hi) in zip(fam.param_names, params, fam.param_box):
         if not lo <= v <= hi:
-            raise ParameterError(
-                f"{fam.family_tag}.{name} = {v:g} outside box [{lo:g}, {hi:g}]",
-                module=_MODULE, operation="make_profile")
+            raise ParameterError(f"{fam.family_tag}.{name} = {v:g} outside "
+                                 f"box [{lo:g}, {hi:g}]")
     return fam.builder(*params)
 
 
@@ -201,14 +195,11 @@ class SearchSpec:
 
     def __post_init__(self):
         if self.method not in ("grid", "nelder_mead"):
-            raise ParameterError(f"unknown search method {self.method!r}",
-                                 module=_MODULE, operation="SearchSpec")
+            raise ParameterError(f"unknown search method {self.method!r}")
         if self.budget < 1 or self.restarts < 1:
-            raise ParameterError("budget and restarts must be >= 1",
-                                 module=_MODULE, operation="SearchSpec")
+            raise ParameterError("budget and restarts must be >= 1")
         if self.seed < 0:
-            raise ParameterError(f"seed = {self.seed} must be >= 0",
-                                 module=_MODULE, operation="SearchSpec")
+            raise ParameterError(f"seed = {self.seed} must be >= 0")
 
 
 @dataclass
@@ -299,18 +290,15 @@ def estimate_best_constant(inequality: str, params, families,
     if entry is None or "estimate" not in entry.commands:
         raise ParameterError(
             f"no ratio to estimate for {inequality!r}: the search needs a "
-            "reverse (lower-bound) ratio that is not degenerate",
-            module=_MODULE, operation="estimate_best_constant")
+            "reverse (lower-bound) ratio that is not degenerate")
     # one family per trial profile, or a single family for every profile
     if not isinstance(families, (list, tuple)):
         families = (families,)
     if len(families) == 1:
         families = tuple(families) * len(entry.trials)
     if len(families) != len(entry.trials):
-        raise ParameterError(
-            f"{inequality} takes {len(entry.trials)} trial family(ies), got "
-            f"{len(families)}", module=_MODULE,
-            operation="estimate_best_constant")
+        raise ParameterError(f"{inequality} takes {len(entry.trials)} trial "
+                             f"family(ies), got {len(families)}")
     fams = [_family(f) for f in families]
     box = sum((fam.param_box for fam in fams), ())
     # where each family's parameters start in the concatenated vector
@@ -359,8 +347,7 @@ def estimate_best_constant(inequality: str, params, families,
 
     finite = [(v, th) for th, v in trace if math.isfinite(v)]
     if not finite:
-        raise EstimationError("every evaluation degenerated or diverged",
-                              module=_MODULE, operation="estimate_best_constant")
+        raise EstimationError("every evaluation degenerated or diverged")
     best_val, best_theta = min(finite, key=lambda t: (t[0], t[1]))
     return EstimateRecord(
         inequality=inequality,

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ def mc_spec():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240913)
+
+
+def _located(*frames):
+    """What ``where`` returns for these module.qualname frames, outermost
+    first.  Before Python 3.11 a frame is named by its function alone, as
+    module.name, without its class."""
+    if sys.version_info < (3, 11):
+        frames = [f"{f.split('.')[0]}.{f.split('.')[-1]}" for f in frames]
+    return " > ".join(frames)
+
+
+@pytest.fixture(scope="session")
+def located():
+    return _located
 
 
 @pytest.fixture

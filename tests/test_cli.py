@@ -7,12 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from revineq import (DecayEnvelope, QuadratureSpec, check_group_axioms,
+from revineq import (DecayEnvelope, QuadratureSpec, RadialProfile,
+                     abelian_group, check_group_axioms,
                      check_quasi_norm_axioms, euclidean_norm,
-                     integrate_cartesian, integrate_radial_err,
-                     kernel_bound_report, polar_consistency_check)
+                     heisenberg_group, integrate_cartesian,
+                     integrate_radial_err, kernel_bound_report, koranyi_norm,
+                     make_profile, polar_consistency_check,
+                     verify_reverse_hardy, weighted_p_integral)
 from revineq.cli import SWEEP_COLUMNS, load_config, main, run
-from revineq.exceptions import ConfigError
+from revineq.exceptions import ConfigError, RevineqError, where
 
 
 def write_cfg(tmp_path: Path, cfg: dict, name: str = "cfg.json") -> Path:
@@ -998,3 +1001,96 @@ def test_out_with_a_file_in_the_way_exits_2(tmp_path, capsys, out, reason):
                  "--out", str(tmp_path / out)]) == 2
     assert f"output directory {str(tmp_path / out)!r}: {reason}" \
         in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# where an error came from
+# ---------------------------------------------------------------------------
+
+_H1 = heisenberg_group()
+_KORANYI = koranyi_norm(_H1)
+_EXP = make_profile("exp_decay", [1.0])
+_RISING = RadialProfile(
+    value=lambda r: 2.0 - np.exp(-np.asarray(r, float)),
+    derivative=lambda r: np.exp(-np.asarray(r, float)),
+    envelope=DecayEnvelope("exp"), derivative_envelope=DecayEnvelope("exp"))
+
+
+@pytest.mark.parametrize("call,message,frames", [
+    (lambda: verify_reverse_hardy(_EXP, 0.5, abelian_group((1.0, 1.0)),
+                                  _KORANYI, None),
+     "gauge 'koranyi' is on",
+     ["inequalities.verify_reverse_hardy", "inequalities._verify_radial",
+      "groups.QuasiNorm.require_on"]),
+    (lambda: weighted_p_integral(_EXP, 1.0, -5.0, 4.0),
+     "r^-5 singularity",
+     ["operators.weighted_p_integral",
+      "quadrature.DecayEnvelope.check_integrable"]),
+    (lambda: verify_reverse_hardy(_RISING, 0.5, _H1, _KORANYI, None),
+     "profile is not radially decreasing",
+     ["inequalities.verify_reverse_hardy", "inequalities._verify_radial",
+      "operators.RadialProfile.check_decreasing"]),
+    (lambda: _KORANYI(np.zeros((2, 2))),
+     "expected points with last axis 3",
+     ["groups.QuasiNorm.__call__", "groups._check_last_axis"]),
+], ids=["gauge_on_another_group", "singular_moment", "rising_profile",
+        "points_of_another_dimension"])
+def test_where_names_the_raising_functions(call, message, frames, located):
+    """The functions an error passed through, read off its traceback,
+    outermost first; lambdas and this file are left out.  Each of these
+    once carried the location of its caller in its message."""
+    with pytest.raises(RevineqError) as excinfo:
+        call()
+    assert str(excinfo.value).startswith(message)
+    assert where(excinfo.value) == located(*frames)
+
+
+def test_cli_error_lines_name_where_the_error_came_from(tmp_path, capsys,
+                                                        located):
+    """stderr is "error: <where>: <message>" at exit 2 and "numerical
+    error: <where>: <message>" at exit 3, where <where> leaves out the
+    command line's own functions; a config error raised there is its
+    message alone."""
+    def stderr_of(cfg, code):
+        path = write_cfg(tmp_path, cfg)
+        assert main(["--config", str(path), "--command", "verify",
+                     "--out", str(tmp_path / "out")]) == code
+        return capsys.readouterr().err
+
+    assert stderr_of({**SW_H1_CFG, "inequality": {
+        "name": "reverse_stein_weiss", "p": 1.0, "q_prime": 0.5}}, 2) == (
+        "error: " + located("inequalities.verify_stein_weiss",
+                            "inequalities.stein_weiss_lower_constant")
+        + ": inadmissible parameters: p in (0,1)\n")
+    assert stderr_of({**NEAR_CRITICAL_HLS,
+                      "trial_f": {"family": "exp_decay", "params": [1.0]},
+                      "trial_h": {"family": "power_decay",
+                                  "params": [6.0263, 1.0]}}, 3) == (
+        "numerical error: " + located("inequalities.verify_reverse_hls",
+                                      "inequalities.verify_stein_weiss",
+                                      "operators.stein_weiss_form")
+        + ": envelope density non-finite on radial grid; h-side tail "
+        "margin e = s - (Q + beta + lambda) = 0.0263\n")
+    assert stderr_of({**HARDY_CFG, "grup": {}}, 2) == \
+        "error: config.grup: not read by verify\n"
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("verify", {**SW_H1_CFG, "inequality": {
+        "name": "reverse_stein_weiss", "p": 0.5, "q_prime": 0.5}}),
+    ("axioms", {"group": {"name": "heisenberg"}})])
+def test_an_infinite_error_bar_fails_the_verdict(tmp_path, command, cfg):
+    """One Monte Carlo sample has an infinite stderr, so the bilinear ratio
+    and the two Monte Carlo axioms rows have an infinite tolerance, which
+    decides nothing: each fails (exit 1) instead of passing."""
+    path = write_cfg(tmp_path, {**cfg, "quadrature": {"sample_count": 1}})
+    assert main(["--config", str(path), "--command", command,
+                 "--out", str(tmp_path / "out")]) == 1
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    if command == "verify":
+        assert doc["report"]["stderr"] == math.inf
+        assert doc["report"]["margin"] > 0 and not doc["report"]["pass"]
+    else:
+        assert {k: row["tolerance"] for k, row in doc["checks"].items()
+                if not row["pass"]} == {"polar_consistency": math.inf,
+                                        "sphere_measure_vs_direct": math.inf}

@@ -22,6 +22,7 @@ from revineq import (DecayEnvelope, DegenerateInputError, DivergenceError,
                      verify_reverse_hardy, verify_reverse_hls,
                      verify_reverse_integral_hardy, verify_reverse_sobolev,
                      verify_stein_weiss, weighted_p_integral)
+from revineq.exceptions import where
 from revineq.inequalities import _regimes, power_weight_A
 
 WORKED = InequalityParams(Q=4, p=0.5, q_prime=0.5, lam=5.0, alpha=1.0, beta=2.0)
@@ -413,7 +414,8 @@ def test_stein_weiss_rhs_stderr_carries_both_norms(h1, koranyi, mc_spec, expp,
     assert rep.stderr > rep.lhs_stderr / rep.rhs
 
 
-def test_stein_weiss_overflowing_form_raises_divergence(h1, koranyi, expp):
+def test_stein_weiss_overflowing_form_raises_divergence(h1, koranyi, expp,
+                                                        located):
     """A profile whose bilinear form overflows (e^r 1e300 against an e^{-r/2}
     envelope, the integrand of the integrate_cartesian divergence test)
     raises from the form itself, with the remedy in the message."""
@@ -421,12 +423,16 @@ def test_stein_weiss_overflowing_form_raises_divergence(h1, koranyi, expp):
     f = RadialProfile(value=grow, envelope=DecayEnvelope("exp", scale=0.5),
                       derivative=grow,
                       derivative_envelope=DecayEnvelope("exp", scale=0.5))
-    with pytest.raises(DivergenceError, match="stein_weiss_form.*reduce lambda"):
+    with pytest.raises(DivergenceError, match="reduce lambda") as excinfo:
         verify_stein_weiss(f, expp, WORKED, h1, koranyi,
                            QuadratureSpec(sample_count=2000, seed=1))
+    assert where(excinfo.value) == located(
+        "inequalities.verify_stein_weiss", "operators.stein_weiss_form",
+        "quadrature._checked_mean")
 
 
-def test_stein_weiss_diverging_at_the_origin_raises(line, line_norm, expp):
+def test_stein_weiss_diverging_at_the_origin_raises(line, line_norm, expp,
+                                                    located):
     """At alpha = -1.2 on R^1, |x|^alpha is not integrable near x = 0, where
     the kernel tends to |y|^lambda > 0, so B is infinite.  Every variant,
     improved_b included, rejects the point as inadmissible, and the form
@@ -440,8 +446,11 @@ def test_stein_weiss_diverging_at_the_origin_raises(line, line_norm, expp):
     with pytest.raises(ParameterError, match=r"inadmissible.*alpha > -Q"):
         verify_stein_weiss(expp, gauss, P, line, line_norm, spec)
     with pytest.raises(DivergenceError,
-                       match=r"stein_weiss_form\[f-side\].*singularity"):
+                       match=r"^f-side: .*singularity") as excinfo:
         stein_weiss_form(expp, gauss, -1.2, 0.0, lam, line_norm, spec)
+    assert where(excinfo.value) == located(
+        "operators.stein_weiss_form",
+        "quadrature.DecayEnvelope.check_integrable")
 
 
 def test_stein_weiss_report_identical_cold_warm_and_after_eviction(
@@ -535,7 +544,7 @@ def test_stein_weiss_validates_params_once_per_call(monkeypatch, h1, koranyi,
 
 
 def test_inadmissible_point_raises_before_the_group_checks(
-        monkeypatch, plane, koranyi, mc_spec, expp):
+        monkeypatch, plane, koranyi, mc_spec, expp, located):
     """An inadmissible point at Q = 4 on R^2 with the H1 gauge fails the Q
     check and the gauge check too; admissibility is reported first, and no
     form is estimated."""
@@ -544,9 +553,12 @@ def test_inadmissible_point_raises_before_the_group_checks(
 
     monkeypatch.setattr("revineq.inequalities.stein_weiss_form", no_form)
     bad = InequalityParams(Q=4, p=0.5, q_prime=0.5, lam=4.0, alpha=1.0, beta=2.0)
-    with pytest.raises(ParameterError, match=r"^inequalities\.stein_weiss_"
-                       r"lower_constant: inadmissible parameters: balance"):
+    with pytest.raises(ParameterError, match=r"^inadmissible parameters: "
+                       r"balance") as excinfo:
         verify_stein_weiss(expp, expp, bad, plane, koranyi, mc_spec)
+    assert where(excinfo.value) == located(
+        "inequalities.verify_stein_weiss",
+        "inequalities.stein_weiss_lower_constant")
 
 
 @pytest.mark.parametrize("variant", ["full", "improved_a", "improved_b"])

@@ -16,6 +16,7 @@ from revineq import (DecayEnvelope, DegenerateInputError, DivergenceError,
                      kernel_bound_report, koranyi_norm, lp_functional,
                      make_profile, reverse_holder_gap, sphere_measure,
                      stein_weiss_form, weighted_p_integral)
+from revineq.exceptions import where
 from revineq.operators import CLOSED_FORM_RTOL, ClosedForm
 
 
@@ -100,6 +101,15 @@ def test_weighted_p_integral_memoised():
     dilated = weighted_p_integral(prof.dilated(2.0), 0.5, 1.0, 3.0)
     assert len(calls) > evaluated
     assert dilated[0] == pytest.approx(first[0] / 16.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("s", [0.0, -2.0, math.nan])
+def test_dilated_rejects_a_factor_that_is_not_positive(s):
+    """A NaN factor once passed the guard (NaN <= 0 is false) and gave a
+    NaN reverse Hardy ratio."""
+    with pytest.raises(ParameterError, match="dilation factor must be "
+                       "positive"):
+        make_profile("exp_decay", [1.0]).dilated(s)
 
 
 @pytest.mark.parametrize("family, params", [
@@ -192,12 +202,14 @@ def test_power_profile_derivative():
 # cartesian divergence
 # ---------------------------------------------------------------------------
 
-def test_integrate_cartesian_divergence_flag(line, line_norm):
+def test_integrate_cartesian_divergence_flag(line, line_norm, located):
     from revineq import DecayEnvelope, integrate_cartesian
     spec = QuadratureSpec(sample_count=2000, seed=1)
-    with pytest.raises(DivergenceError, match="integrate_cartesian"):
+    with pytest.raises(DivergenceError, match="diverged") as excinfo:
         integrate_cartesian(line, lambda x: np.exp(np.abs(x[:, 0])) * 1e300,
                             spec, DecayEnvelope("exp", scale=0.5))
+    assert where(excinfo.value) == located("quadrature.integrate_cartesian",
+                                           "quadrature._checked_mean")
 
 
 # ---------------------------------------------------------------------------

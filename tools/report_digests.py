@@ -222,6 +222,17 @@ CORPUS = (
     ("verify_reverse_hls_r1_lambda_2", "verify", {
         **_R1, **_EXP_GAUSS,
         "inequality": {"name": "reverse_hls", "p": 0.5, "q_prime": 0.5}}, 33),
+    # one Monte Carlo sample has an infinite stderr, and a verdict with an
+    # infinite tolerance fails: the bilinear ratio and the axioms rows
+    # polar_consistency and sphere_measure_vs_direct (exit 1 each)
+    ("verify_reverse_stein_weiss_one_sample", "verify", {
+        **_H1_KORANYI, **_EXP_GAUSS,
+        "quadrature": {"scheme": "monte_carlo", "sample_count": 1},
+        "inequality": {"name": "reverse_stein_weiss", "p": 0.5,
+                       "q_prime": 0.5}}, 0),
+    ("axioms_h1_one_sample", "axioms", {
+        **_H1_KORANYI,
+        "quadrature": {"scheme": "monte_carlo", "sample_count": 1}}, 0),
 )
 
 REPORT_FILES = ("report.json", "sweep.csv", "trace.csv")
